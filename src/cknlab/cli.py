@@ -113,7 +113,6 @@ class RunConfig:
     basis_sizes: Tuple[int, ...] = DEFAULT_BASIS_SIZES
     k: int = 0
     k_max: int = DEFAULT_SCAN_K_MAX
-    seed: int = 42
     jobs: int = 1
     output_format: str = "json"
     output_path: Optional[str] = None
@@ -131,8 +130,6 @@ class RunConfig:
             raise PreconditionError(
                 f"format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise PreconditionError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise PreconditionError(f"jobs must be an integer >= 1, got {self.jobs!r}")
 
@@ -534,7 +531,6 @@ def cmd_minimize(config: RunConfig) -> Document:
         params,
         config.k,
         config.basis_sizes,
-        seed=config.seed,
         spec=config.quadrature,
     )
     diagnostics: Dict[str, object] = {
@@ -544,7 +540,6 @@ def cmd_minimize(config: RunConfig) -> Document:
         "converged": est.final.converged,
         "gradient_norm": est.final.gradient_norm,
         "iterations": est.final.iterations,
-        "seed": config.seed,
         "warnings": list(est.final.warnings),
     }
     try:
@@ -562,7 +557,9 @@ def cmd_minimize(config: RunConfig) -> Document:
         diagnostics=diagnostics,
         provenance={
             "estimate": "minimum of (A B)/C^2 over nested trial spaces",
-            "trial_space": "r^(gamma0 + j q) exp(-r^q)",
+            "trial_space": "r^gamma0 exp(-x) L_j^(a)(2x), x = r^q",
+            "minimizer": "grid and golden-section search over t of "
+                         "(lambda_1(t M_A + M_B/t; M_C)/2)^2",
         },
     )
     payload = {
@@ -600,7 +597,6 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
         0.0,
         k_max=config.k_max,
         basis_sizes=config.basis_sizes,
-        seed=config.seed,
         jobs=config.jobs,
         spec=config.quadrature,
     )
@@ -630,7 +626,6 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
         "test_profile_mode1_quotient": test_function_quotient(4, config.quadrature),
         "basis_sizes": list(config.basis_sizes),
         "k_max": config.k_max,
-        "seed": config.seed,
         "rows": [
             {
                 "k": row.k,
@@ -714,7 +709,6 @@ _CONFIG_CASTS = {
     "basis": str,
     "a": float,
     "b": float,
-    "seed": int,
     "jobs": int,
     "format": str,
     "out": str,
@@ -789,7 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--basis", type=str, help="comma list of basis sizes")
     common.add_argument("--a", type=float, help="family amplitude")
     common.add_argument("--b", type=float, help="family rate")
-    common.add_argument("--seed", type=int, help="random seed (default 42)")
     common.add_argument("--jobs", type=int, help="concurrent per-mode workers")
     common.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
     common.add_argument("--out", type=str, help="output path (atomic write)")
@@ -869,7 +862,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         basis_sizes=basis_sizes,
         k=pick("k", "k", 0),
         k_max=pick("kmax", "kmax", default_k_max),
-        seed=pick("seed", "seed", 42),
         jobs=pick("jobs", "jobs", 1),
         output_format=pick("format", "format", "json"),
         output_path=pick("out", "out", None),

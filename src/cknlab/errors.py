@@ -70,4 +70,4 @@ class ConsistencyError(CknLabError, RuntimeError):
 
 
 class VerificationMismatchError(ConsistencyError):
-    """A closed-form Gram entry failed its random quadrature spot check."""
+    """A Gram entry disagreed with its double-exponential quadrature value."""

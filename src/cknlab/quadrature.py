@@ -11,14 +11,20 @@ at a ``split_point`` a:
 * (0, a]   tanh-sinh transform  r = a * sigmoid(pi * sinh t), which
   resolves algebraic endpoint behaviour at 0 to full precision;
 * [a, inf) exp-sinh transform   r = a + s * exp(kappa * sinh t).  With a
-  decay hint (c, q) the scale s = c^(-1/q) and kappa = (pi/2)/q are chosen
-  so the transformed integrand is well centred regardless of how slow or
-  fast the tail decays.
+  decay hint (c, q) and weight r^p, kappa = (pi/2)/q and the scale
+  s = max(c^(-1/q), ((p+1)/(c q))^(1/q)) puts the node t = 0 at the peak
+  of r^(p+1) exp(-c r^q) (in log r), so the transformed integrand is well
+  centred however slow or fast the tail decays and however far out a
+  large weight pushes its mass.
 
 Both halves share one trapezoid step h in the transformed variable; each
 refinement level halves h and reuses previous samples, so the cost of
 level m is the same as all previous levels combined.  Convergence is
 declared when successive refinements of the *sum* agree to ``rel_tol``.
+
+The integrand may also be a Gram table: factors that return one row per
+function give the matrix of all pairwise integrals from one refinement
+loop, each level evaluating every function once on its new nodes.
 
 Weights that underflow to zero are masked before the integrand is
 evaluated: at extreme nodes the integrand itself may overflow double
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -113,7 +119,11 @@ class IntegrandHandle:
         f = f1 * f2 (energies |v'|^2, Gram products phi_j phi_l).  The
         quadrature then forms (f1 sqrt(w)) * (f2 sqrt(w)), which cannot
         overflow for convergent integrals even where f alone would exceed
-        double range near a singular endpoint.  Exactly one of
+        double range near a singular endpoint.  A factor may also return
+        a table of shape (rows, n), one row per function; the integral is
+        then the (rows1, rows2) matrix of all products of a row of f1 with
+        a row of f2, each entry converged to ``rel_tol`` relative to its
+        absolute mass (the integral of |f1_i f2_j| r^p).  Exactly one of
         ``evaluator``/``factors`` must be given.
     """
 
@@ -142,10 +152,11 @@ class IntegrandHandle:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Converged integral value with its refinement error estimate."""
+    """Converged integral value with its refinement error estimate (both
+    (rows1, rows2) arrays for table-valued factors)."""
 
-    value: float
-    err_est: float
+    value: Union[float, np.ndarray]
+    err_est: Union[float, np.ndarray]
     levels_used: int
     nodes_used: int
 
@@ -207,7 +218,8 @@ class _HalfMap:
 def _build_maps(handle: IntegrandHandle, a: float) -> Tuple[_HalfMap, _HalfMap]:
     if handle.decay_hint is not None:
         c, q = handle.decay_hint
-        scale = c ** (-1.0 / q)
+        peak = (handle.weight_exponent + 1.0) / (c * q)
+        scale = max(c ** (-1.0 / q), peak ** (1.0 / q))
         kappa = 0.5 * math.pi / q
     else:
         scale = 1.0
@@ -224,20 +236,25 @@ def _rescue_overflow(
     r: np.ndarray,
     w: np.ndarray,
     p: float,
+    share: float = 1.0,
 ) -> np.ndarray:
     """Recompute non-finite products of finite parts in log space.
 
-    A tiny (denormal) integrand value times a huge transformed weight
-    overflows or turns into nan even though the true product is
-    negligible; log arithmetic settles each such node.  Genuinely
-    divergent nodes stay non-finite and are reported by the caller.
+    ``term`` is the product of ``factors`` with ``share`` times the
+    weight w r^p (all broadcast along the node axis).  A tiny (denormal)
+    integrand value times a huge transformed weight overflows or turns
+    into nan even though the true product is negligible; log arithmetic
+    settles each such node.  Genuinely divergent nodes stay non-finite
+    and are reported by the caller.
     """
     bad = ~np.isfinite(term)
     if not np.any(bad):
         return term
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        log_mag = np.log(w[bad]) + p * np.log(r[bad])
+        rb = np.broadcast_to(r, term.shape)[bad]
+        wb = np.broadcast_to(w, term.shape)[bad]
+        log_mag = share * (np.log(wb) + p * np.log(rb))
         sign = np.ones(int(np.count_nonzero(bad)))
         for f in factors:
             fb = f[bad]
@@ -248,15 +265,30 @@ def _rescue_overflow(
     return out
 
 
+def _factor_values(fn: Callable, r: np.ndarray) -> np.ndarray:
+    vals = np.asarray(fn(r), dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[-1] != r.size:
+        raise DomainError(
+            "factor evaluators must return an array matching their input "
+            "or a table with one row per function"
+        )
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        at = np.broadcast_to(r, vals.shape)[bad][0]
+        raise NonFiniteSampleError(f"integrand factor returned a non-finite value at r={at!r}")
+    return vals
+
+
 def _level_sum(
     handle: IntegrandHandle,
     maps: Tuple[_HalfMap, ...],
     level: int,
-) -> Tuple[float, int]:
+) -> Tuple[Union[float, np.ndarray], Union[float, np.ndarray], int]:
     """Weighted integrand sum over the nodes new at this level.
 
     Returns the signed sum, the sum of magnitudes (the rounding floor of
-    any cancellation), and the number of evaluations.
+    any cancellation), and the number of nodes evaluated.  Both sums are
+    (rows1, rows2) matrices for table-valued factors.
     """
     p = float(handle.weight_exponent)
     total = 0.0
@@ -280,21 +312,17 @@ def _level_sum(
             if handle.factors is not None:
                 f1, f2 = handle.factors
                 sq = np.sqrt(wp)
-                a1 = np.asarray(f1(r), dtype=float)
-                a2 = a1 if f2 is f1 else np.asarray(f2(r), dtype=float)
-                if a1.shape != r.shape or a2.shape != r.shape:
-                    raise DomainError(
-                        "factor evaluators must return arrays matching their input"
-                    )
-                bad = ~(np.isfinite(a1) & np.isfinite(a2))
-                if np.any(bad):
-                    raise NonFiniteSampleError(
-                        f"integrand factor returned a non-finite value at r={r[bad][0]!r}"
-                    )
+                a1 = _factor_values(f1, r)
+                a2 = a1 if f2 is f1 else _factor_values(f2, r)
                 g1 = np.where(a1 == 0.0, 0.0, a1 * sq)
                 g2 = g1 if a2 is a1 else np.where(a2 == 0.0, 0.0, a2 * sq)
-                term = g1 * g2
-                term = _rescue_overflow(term, (a1, a2), r, w, p)
+                if a1.ndim == 1 and a2.ndim == 1:
+                    term = _rescue_overflow(g1 * g2, (a1, a2), r, w, p)
+                else:
+                    g1 = _rescue_overflow(g1, (a1,), r, w, p, share=0.5)
+                    g2 = g1 if a2 is a1 else _rescue_overflow(g2, (a2,), r, w, p, share=0.5)
+                    term = np.atleast_2d(g1) @ np.atleast_2d(g2).T
+                    mag = np.abs(np.atleast_2d(g1)) @ np.abs(np.atleast_2d(g2)).T
             else:
                 f = np.asarray(handle.evaluator(r), dtype=float)
                 if f.shape != r.shape:
@@ -309,12 +337,20 @@ def _level_sum(
                 term = np.where(f == 0.0, 0.0, f * wp)
                 term = _rescue_overflow(term, (f,), r, w, p)
         if not np.all(np.isfinite(term)):
+            if term.ndim == 2:
+                raise NonFiniteSampleError(
+                    f"weighted Gram table overflowed on nodes r in [{r[0]!r}, {r[-1]!r}]"
+                )
             idx = int(np.flatnonzero(~np.isfinite(term))[0])
             raise NonFiniteSampleError(
                 f"weighted integrand overflowed at r={r[idx]!r} (weight={wp[idx]!r})"
             )
-        total += float(np.sum(term))
-        abs_total += float(np.sum(np.abs(term)))
+        if term.ndim == 2:
+            total = total + term
+            abs_total = abs_total + mag
+        else:
+            total += float(np.sum(term))
+            abs_total += float(np.sum(np.abs(term)))
         n_eval += int(r.size)
     return total, abs_total, n_eval
 
@@ -336,20 +372,24 @@ def _refine(
         value = 0.5 * prev + h * s
         mass = 0.5 * mass + h * a
         err = abs(value - prev)
-        scale = max(abs(value), 1e-300)
+        scale = np.maximum(abs(value), 1e-300)
+        if np.ndim(value) == 2:
+            # Off-diagonal Gram entries may cancel to nearly nothing; each
+            # is converged relative to its absolute mass instead.
+            scale = np.maximum(scale, mass)
         # The sampled mass bounds what summation rounding allows: for
         # cancellation-dominated integrals the achievable error floor is
         # eps * mass, not eps * |value|.
-        floor = _EPS * max(scale, mass)
-        if err <= spec.rel_tol * scale or err <= 16.0 * floor:
+        floor = _EPS * np.maximum(scale, mass)
+        if np.all((err <= spec.rel_tol * scale) | (err <= 16.0 * floor)):
             return QuadratureResult(value, err, level, n)
-        if err >= prev_err and prev_err <= 1e3 * floor:
+        if np.all(err >= prev_err) and np.all(prev_err <= 1e3 * floor):
             # Refinement hit the rounding floor: report the best level.
             return QuadratureResult(prev, prev_err, level - 1, n)
         prev, prev_err = value, err
     raise NonConvergenceError(
         f"quadrature did not reach rel_tol={spec.rel_tol} within "
-        f"max_level={spec.max_level} (last error {err:.3e})",
+        f"max_level={spec.max_level} (last error {float(np.max(err)):.3e})",
         value=value,
         err_est=err,
     )
@@ -370,7 +410,8 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
     QuadratureResult
         value, err_est (last refinement difference; an upper estimate of
         the truncation error for integrands in the double-exponential
-        convergence class), levels and node count.
+        convergence class), levels and node count.  value and err_est are
+        (rows1, rows2) arrays when the factors return tables.
 
     Raises
     ------

@@ -4,11 +4,20 @@ The per-mode product quotient
 
     Q(c) = (c^T M_A c) (c^T M_B c) / (c^T M_C c)^2
 
-is minimized over exponential-polynomial trial spaces
+is minimized over the trial spaces
 
-    phi_j(r) = r^(gamma0 + j*q) exp(-r^q),   j = 0..m-1,   q = alpha + 1,
+    phi_j(r) = r^gamma0 exp(-x) L_j^(a)(2x),   x = r^q,   j < m,   q = alpha + 1,
 
-for which every Gram entry is a closed-form weighted exponential integral.
+which span the same nested spaces as r^(gamma0 + j*q) exp(-r^q) but keep
+the Gram matrices well-conditioned (the monomial ones are Hilbert-like).
+Every derivative of a trial function is r^g exp(-x) E_j(x) with E_j a
+polynomial, so a Gauss-Laguerre rule of m + 3 nodes gives every Gram entry
+exactly.  As a second route, every entry is integrated again by
+double-exponential quadrature in r from the same evaluation of the E_j.
+
+By AM-GM, ab = min over t > 0 of ((t a + b/t)/2)^2, so min Q over a trial
+space is min over u = log t of (lambda_1(e^u M_A + e^-u M_B ; M_C) / 2)^2,
+found by a one-dimensional search (see ``minimize_quotient``).
 Two formulations of the quadratic forms are supported:
 
 * ``"derivative"``: the trial functions stand for the derivative of the
@@ -27,14 +36,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh as _generalized_eigh
-from scipy.optimize import minimize as _scipy_minimize
+from numpy.polynomial import polynomial as npoly
 
-from .constants import InequalityParams, hardy_step_factor
+from .constants import InequalityParams, hardy_step_factor, mode_quotient_weighted
 from .errors import (
     ConsistencyError,
     DivergentIntegralError,
@@ -43,7 +52,6 @@ from .errors import (
     UnsupportedRegimeError,
     VerificationMismatchError,
 )
-from .exppoly import ExpPoly
 from .quadrature import IntegrandHandle, QuadratureSpec, integrate
 
 __all__ = [
@@ -64,31 +72,45 @@ __all__ = [
 
 FORMULATIONS = ("derivative", "profile")
 
-DEFAULT_RESTARTS = 8
-DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-10
 DEFAULT_SCAN_K_MAX = 8
 DEFAULT_SCAN_SIZES = (4, 8, 16)
 
-SPOT_CHECK_FRACTION = 0.1
 SPOT_CHECK_RTOL = 1e-10
 TRACE_SLACK = 1e-10
+LOWER_BOUND_SLACK = 1e-12
 
 _MAX_GAMMA0_BUMPS = 8
 _WEIGHT_FOLD_EDGE = -0.9
-_PD_EIG_SLACK = 1e-12
-_BIG_PENALTY = 1e100
-_MAX_POLISH_ROUNDS = 40
+_GAUSS_EXTRA_NODES = 3
+_SEARCH_GRID = 16
+_SEARCH_TOL = 1e-8
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """The ``order``-th derivative of every trial function as
+    r^power exp(-x) E_j(x), E_j = sum_d coefs[d](x) P_j^(d)(x) with
+    ascending coefficient arrays; powers of x common to every coefficient
+    are moved into ``power``, so E_j need not vanish at 0."""
+
+    order: int
+    power: float
+    coefs: Tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Exponential-polynomial trial space phi_j = r^(gamma0+j*q) e^(-r^q).
+    """Trial space phi_j = r^gamma0 e^(-x) P_j(x), P_j(x) = L_j^(a)(2x),
+    x = r^q, j < m.
 
     ``m`` is the number of trial functions, ``gamma0`` the leading
-    exponent, and ``decay_q`` the exponent q of the decay (normally
+    exponent and ``decay_q`` the exponent q of the decay (normally
     alpha + 1).  The decay rate is fixed to 1: the quotient is dilation
-    invariant, so the rate is a gauge choice, not a degree of freedom.
+    invariant, so the rate is a gauge choice.  The Laguerre parameter a
+    sets the conditioning but not the span; ``build_gram`` derives it from
+    the quadratic forms and records it as ``diagnostics["laguerre_a"]``.
     """
 
     m: int
@@ -107,23 +129,91 @@ class BasisSpec:
         ):
             raise DomainError(f"decay_q must be a finite real > 0, got {self.decay_q!r}")
 
-    def functions(self) -> Tuple[ExpPoly, ...]:
-        """The trial functions as exponential polynomials."""
-        q = float(self.decay_q)
-        return tuple(
-            ExpPoly(((float(self.gamma0) + j * q, 1.0),), 1.0, q) for j in range(self.m)
-        )
+    def factor(self, order: int) -> _Factor:
+        """The polynomial factors of the ``order``-th derivatives."""
+        q, g = float(self.decay_q), float(self.gamma0)
+        coefs: List[np.ndarray] = [np.array([1.0])]
+        for _ in range(order):
+            # (r^g e^-x sum c_d P^(d))' = r^(g-1) e^-x sum_d
+            #     [g c_d + q x (c_d' - c_d) + q x c_(d-1)] P^(d)
+            new = [npoly.polyadd(g * c, q * npoly.polymulx(npoly.polysub(npoly.polyder(c), c)))
+                   for c in coefs] + [np.zeros(1)]
+            for d, c in enumerate(coefs):
+                new[d + 1] = npoly.polyadd(new[d + 1], q * npoly.polymulx(c))
+            coefs, g = new, g - 1.0
+        lead = min(int(np.flatnonzero(c)[0]) for c in coefs if np.any(c))
+        return _Factor(order, g + lead * q, tuple(c[lead:] for c in coefs))
+
+    def factor_values(self, fac: _Factor, x: np.ndarray, a: float) -> np.ndarray:
+        """E_j(x) for every trial function with Laguerre parameter ``a``:
+        an (m, len(x)) table."""
+        lag = _laguerre_tables(self.m, a, 2.0 * x, fac.order)
+        out = np.zeros((self.m, x.size))
+        for d, c in enumerate(fac.coefs):
+            if np.any(c):
+                out += (2.0**d * npoly.polyval(x, c)) * lag[d]
+        return out
+
+    def evaluate(self, fac: _Factor, r: np.ndarray, a: float, shift: float = 0.0) -> np.ndarray:
+        """r^shift times the derivatives of ``fac`` at r > 0: an (m, len(r)) table."""
+        r = np.asarray(r, dtype=float)
+        x = np.power(r, self.decay_q)
+        with np.errstate(over="ignore", under="ignore"):
+            amp = np.exp((fac.power + shift) * np.log(r) - x)
+        out = np.zeros((self.m, r.size))
+        live = amp > 0.0
+        if np.any(live):
+            out[:, live] = self.factor_values(fac, x[live], a) * amp[live]
+        return out
+
+
+def _laguerre_tables(m: int, a: float, y: np.ndarray, order: int) -> List[np.ndarray]:
+    """L_j^(a)(y) and its first ``order`` derivatives in y, each (m, len(y)).
+
+    The three-term recurrence (j+1) L_(j+1) = (2j+1+a-y) L_j - (j+a) L_(j-1),
+    differentiated d times, gains the term -d L_j^(d-1).
+    """
+    tabs = [np.zeros((m, y.size)) for _ in range(order + 1)]
+    tabs[0][0] = 1.0
+    for j in range(m - 1):
+        slope = 2 * j + 1 + a - y
+        for d in range(order + 1):
+            nxt = slope * tabs[d][j]
+            if j:
+                nxt -= (j + a) * tabs[d][j - 1]
+            if d:
+                nxt -= d * tabs[d - 1][j]
+            tabs[d][j + 1] = nxt / (j + 1)
+    return tabs
+
+
+@lru_cache(maxsize=256)
+def _gauss_laguerre(nodes: int, s: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for int_0^inf y^s e^-y f(y) dy, exact for degree < 2 nodes:
+    Jacobi-matrix eigenvalues (Golub-Welsch) polished by Newton steps, and
+    weights Gamma(n+s+1) / (n! y L_n^(s)'(y)^2), accurate even where tiny.
+    Not ``roots_genlaguerre``: its import of ``scipy.linalg`` costs 6 MB."""
+    i = np.arange(1.0, nodes)
+    off = np.sqrt(i * (i + s))
+    y = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + s + 1.0) + np.diag(off, -1))
+    for _ in range(3):
+        value, slope = (tab[nodes] for tab in _laguerre_tables(nodes + 1, s, y, 1))
+        y = y - value / slope
+    log_scale = math.lgamma(nodes + s + 1.0) - math.lgamma(nodes + 1.0)
+    w = np.exp(log_scale - np.log(y) - 2.0 * np.log(np.abs(slope)))
+    y.flags.writeable = False
+    w.flags.writeable = False
+    return y, w
 
 
 @dataclass(frozen=True, eq=False)
 class GramTriple:
     """Gram matrices of the three quadratic forms on one trial space.
 
-    ``m_a``, ``m_b``, ``m_c`` are symmetric by construction (entries are
-    computed once for j <= l and mirrored).  ``m_b`` and ``m_c`` are
-    checked positive definite; ``m_a`` may be indefinite when the sign of
-    its zero-order coefficient is negative, which is recorded in
-    ``diagnostics`` rather than rejected.
+    ``m_a``, ``m_b``, ``m_c`` are symmetric by construction.  ``m_b`` and
+    ``m_c`` are checked positive definite; ``m_a`` may be indefinite when
+    the sign of its zero-order coefficient is negative, which is recorded
+    in ``diagnostics`` rather than rejected.
     """
 
     m_a: np.ndarray
@@ -144,10 +234,12 @@ class GramTriple:
 class MinimizationResult:
     """Outcome of one quotient minimization.
 
-    ``coeffs`` is normalized so that c^T M_C c = 1 with the largest
-    component positive.  ``converged`` means the gradient of log Q at the
-    result (measured in the diagonally rescaled coordinates in which M_C
-    has unit diagonal) has norm at most the requested tolerance.
+    ``coeffs`` (Laguerre basis, a in the Gram diagnostics) has c^T M_C c = 1,
+    largest component positive.  ``converged``: at t* = e^(u*) the
+    eigenvector's relative residual |(t* M_A + M_B/t* - lambda_1 M_C) c| is
+    <= tol and u* lies strictly inside its bracket.  ``gradient_norm`` is
+    that of log Q where M_C has unit diagonal; ``iterations`` counts
+    eigenvalue evaluations.
     """
 
     value: float
@@ -205,7 +297,6 @@ class ScanReport:
     params: InequalityParams
     k_max: int
     basis_sizes: Tuple[int, ...]
-    seed: int
     rows: Tuple[ScanRow, ...]
     k_star: int
     best_value: float
@@ -214,51 +305,33 @@ class ScanReport:
 
 
 def _part_descriptors(
-    params: InequalityParams, k: int, basis: BasisSpec, formulation: str
-) -> Tuple[Tuple[Tuple[ExpPoly, ...], float, float], ...]:
-    """The quadratic form parts (functions, weight exponent, coefficient).
+    params: InequalityParams, k: int, formulation: str
+) -> Tuple[Tuple[Tuple[int, float, float], ...], ...]:
+    """The quadratic form parts (derivative order, weight exponent, coefficient).
 
     Each part contributes coef * integral(f_j f_l r^power) to every Gram
-    entry; both factors of a part always come from the same function list.
+    entry, f being the trial functions' derivative of that order.
     """
     n, alpha = params.n, params.alpha
-    phi = basis.functions()
-    d1 = tuple(p.derivative() for p in phi)
-    if formulation == "derivative":
-        parts_a = (
-            (d1, n + 2 * k - 2 * alpha - 1.0, 1.0),
-            (phi, n + 2 * k - 2 * alpha - 3.0, (2 * alpha + 1.0) * (n + 2 * k - 1.0)),
-        )
-        parts_b = ((phi, n + 2 * k - 1.0, 1.0),)
-        parts_c = ((phi, n + 2 * k - alpha - 2.0, 1.0),)
-    elif formulation == "profile":
-        d2 = tuple(p.derivative() for p in d1)
-        parts_a = (
-            (d2, n + 2 * k - 2 * alpha - 1.0, 1.0),
-            (d1, n + 2 * k - 2 * alpha - 3.0, (2 * alpha + 1.0) * (n + 2 * k - 1.0)),
-        )
-        parts_b = ((d1, n + 2 * k - 1.0, 1.0),)
-        parts_c = (
-            (d1, n + 2 * k - alpha - 2.0, 1.0),
-            (phi, n + 2 * k - alpha - 4.0, (alpha + 1.0) * k),
-        )
-    else:
-        raise DomainError(
-            f"formulation must be one of {FORMULATIONS}, got {formulation!r}"
-        )
+    if formulation not in FORMULATIONS:
+        raise DomainError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
+    lo = 1 if formulation == "profile" else 0  # derivative order in B
+    parts_a = (
+        (lo + 1, n + 2 * k - 2 * alpha - 1.0, 1.0),
+        (lo, n + 2 * k - 2 * alpha - 3.0, (2 * alpha + 1.0) * (n + 2 * k - 1.0)),
+    )
+    parts_b = ((lo, n + 2 * k - 1.0, 1.0),)
+    parts_c = ((lo, n + 2 * k - alpha - 2.0, 1.0),)
+    if lo:
+        parts_c += ((0, n + 2 * k - alpha - 4.0, (alpha + 1.0) * k),)
     return parts_a, parts_b, parts_c
 
 
-def _parts_converge(parts) -> bool:
-    for funcs, power, coef in parts:
-        if coef == 0.0:
-            continue
-        prod = funcs[0] * funcs[0]
-        if prod.is_zero:
-            continue
-        if prod.min_power + power <= -1.0:
-            return False
-    return True
+def _rule_exponent(fac_power: float, power: float, q: float) -> float:
+    """s in  int f_j f_l r^power dr = (1/q) int x^s e^(-2x) E_j E_l dx
+    for f = r^fac_power e^(-x) E(x)."""
+    return (2.0 * fac_power + power + 1.0) / q - 1.0
+
 
 
 def make_basis(
@@ -286,10 +359,15 @@ def make_basis(
     q = params.alpha + 1.0
     explicit = gamma0 is not None
     g0 = float(gamma0) if explicit else (2 * params.alpha + 1.0 if formulation == "derivative" else 0.0)
+    all_parts = _part_descriptors(params, k, formulation)
     for _ in range(_MAX_GAMMA0_BUMPS + 1):
         basis = BasisSpec(size, g0, q)
-        parts = _part_descriptors(params, k, basis, formulation)
-        if all(_parts_converge(p) for p in parts):
+        if all(
+            _rule_exponent(basis.factor(order).power, power, q) > -1.0
+            for parts in all_parts
+            for order, power, coef in parts
+            if coef != 0.0
+        ):
             return basis
         if explicit:
             break
@@ -300,91 +378,48 @@ def make_basis(
     )
 
 
-def _assemble_part(mat: np.ndarray, funcs, power: float, coef: float) -> None:
-    m = mat.shape[0]
-    for j in range(m):
-        for l in range(j, m):
-            try:
-                val = (funcs[j] * funcs[l]).moment(power)
-            except DivergentIntegralError as exc:
-                raise DivergentIntegralError(
-                    f"Gram entry ({j}, {l}) with weight exponent {power} diverges: {exc}"
-                ) from None
-            mat[j, l] += coef * val
-            if l != j:
-                mat[l, j] = mat[j, l]
-
-
-def _shifted(poly: ExpPoly, shift: float) -> ExpPoly:
-    return ExpPoly(
-        tuple((g + shift, c) for g, c in poly.terms), poly.rate, poly.decay_power
-    )
-
-
-def _entry_by_quadrature(parts, j: int, l: int, spec: QuadratureSpec) -> float:
-    total = 0.0
-    for funcs, power, coef in parts:
-        if coef == 0.0:
-            continue
-        fa, fb = funcs[j], funcs[l]
-        p_eff = power
-        if power <= _WEIGHT_FOLD_EDGE:
-            fa, fb = _shifted(fa, power / 2.0), _shifted(fb, power / 2.0)
-            p_eff = 0.0
-        handle = IntegrandHandle(
-            factors=(fa, fb),
-            weight_exponent=p_eff,
-            decay_hint=(fa.rate + fb.rate, fa.decay_power),
+def _gauss_part(basis: BasisSpec, fac: _Factor, power: float, a: float) -> np.ndarray:
+    """int f_j f_l r^power dr for all j, l by one exact Gauss-Laguerre rule."""
+    s = _rule_exponent(fac.power, power, basis.decay_q)
+    if s <= -1.0:
+        raise DivergentIntegralError(
+            f"Gram entries of derivative order {fac.order} with weight exponent "
+            f"{power} diverge at the origin (rule exponent {s} <= -1)"
         )
-        total += coef * integrate(handle, spec).value
-    return total
+    y, w = _gauss_laguerre(basis.m + _GAUSS_EXTRA_NODES, s)
+    values = basis.factor_values(fac, y / 2.0, a)
+    return (values * (w * 2.0 ** (-s - 1.0) / basis.decay_q)) @ values.T
 
 
-def _spot_check(
-    matrices, all_parts, rng: np.random.Generator, spec: QuadratureSpec
-) -> Tuple[int, float]:
-    """Re-derive a random tenth of the Gram entries by quadrature."""
-    m = matrices[0].shape[0]
-    entries = [
-        (i, j, l) for i in range(3) for j in range(m) for l in range(j, m)
-    ]
-    count = max(1, round(SPOT_CHECK_FRACTION * len(entries)))
-    picks = rng.choice(len(entries), size=count, replace=False)
-    worst = 0.0
-    for idx in np.sort(picks):
-        i, j, l = entries[int(idx)]
-        closed = matrices[i][j, l]
-        quad = _entry_by_quadrature(all_parts[i], j, l, spec)
-        scale = float(np.max(np.abs(matrices[i])))
-        denom = max(abs(closed), abs(quad), 1e-3 * scale)
-        rel = abs(closed - quad) / denom if denom > 0 else 0.0
-        worst = max(worst, rel)
-        if rel > SPOT_CHECK_RTOL:
-            raise VerificationMismatchError(
-                f"Gram entry check failed for matrix {'ABC'[i]}[{j},{l}]: "
-                f"closed form {closed!r} vs quadrature {quad!r} (rel {rel:.3e})"
-            )
-    return count, worst
+def _quadrature_part(
+    basis: BasisSpec, fac: _Factor, power: float, a: float, spec: QuadratureSpec
+) -> np.ndarray:
+    """The same table by double-exponential quadrature in r."""
+    # Weights at or below the fold edge go half into each factor: the
+    # factors vanish fast enough at the origin for the product to converge.
+    shift = power / 2.0 if power <= _WEIGHT_FOLD_EDGE else 0.0
+
+    def table(r):
+        return basis.evaluate(fac, r, a, shift)
+
+    handle = IntegrandHandle(factors=(table, table), weight_exponent=power - 2.0 * shift,
+                             decay_hint=(2.0, basis.decay_q))
+    return integrate(handle, spec).value
 
 
 def _pd_check(mat: np.ndarray, name: str, diagnostics: Dict[str, object]) -> None:
     diag = np.diag(mat)
-    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-        raise ConsistencyError(f"{name} has a nonpositive or nonfinite diagonal")
+    if np.any(diag <= 0) or not np.all(np.isfinite(mat)):
+        raise ConsistencyError(f"{name} has a nonpositive diagonal or a nonfinite entry")
     d = 1.0 / np.sqrt(diag)
-    scaled = mat * np.outer(d, d)
-    try:
-        np.linalg.cholesky(scaled)
-        ok = True
-    except np.linalg.LinAlgError:
-        ok = False
+    scaled = _symmetric(mat * np.outer(d, d))
     eigs = np.linalg.eigvalsh(scaled)
-    ratio = float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else float("-inf")
-    diagnostics[f"min_eig_ratio_{name}"] = ratio
-    if not ok and ratio < -_PD_EIG_SLACK:
+    if eigs[0] <= 0.0 or _cholesky(scaled) is None:
         raise ConsistencyError(
-            f"{name} is not positive definite (min/max eigenvalue ratio {ratio:.3e})"
+            f"{name} is not positive definite "
+            f"(min/max eigenvalue ratio {eigs[0] / eigs[-1]:.3e})"
         )
+    diagnostics[f"cond_{name}"] = float(eigs[-1] / eigs[0])
 
 
 def build_gram(
@@ -394,47 +429,64 @@ def build_gram(
     formulation: str = "derivative",
     spec: Optional[QuadratureSpec] = None,
     verify: bool = True,
-    seed: int = DEFAULT_SEED,
 ) -> GramTriple:
     """Gram matrices of the A, B, C forms on the trial space.
 
-    Every entry is computed in closed form through the moments of
-    exponential-polynomial products.  When ``verify`` is set, a random
-    tenth of the entries is recomputed by quadrature and must agree
-    within 1e-10.
-
-    Raises
-    ------
-    DivergentIntegralError
-        If some entry's integral diverges, naming the entry and weight.
-    VerificationMismatchError
-        If a spot-checked entry disagrees with its quadrature value.
-    ConsistencyError
-        If M_B or M_C fails the positive definiteness check.
+    Each part of each form is assembled exactly as V^T diag(w) V on one
+    Gauss-Laguerre rule.  When ``verify`` is set, every entry of all three
+    matrices is integrated again by double-exponential quadrature in r
+    and must agree within 1e-10, or ``VerificationMismatchError`` is
+    raised.  ``DivergentIntegralError`` names a diverging part, and
+    ``ConsistencyError`` a failed positive definiteness check of M_B, M_C.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
     if params.n < 2:
         raise DomainError(f"mode decomposition needs dimension n >= 2, got {params.n}")
-    all_parts = _part_descriptors(params, k, basis, formulation)
+    all_parts = _part_descriptors(params, k, formulation)
+    # Laguerre parameter a = the rule exponent of C's zero-order (last) part,
+    # even where k = 0 drops it: that part is then diagonal.
+    a = _rule_exponent(float(basis.gamma0), all_parts[2][-1][1], float(basis.decay_q))
+    spec = spec if spec is not None else QuadratureSpec()
     m = basis.m
     matrices = tuple(np.zeros((m, m)) for _ in range(3))
-    for mat, parts in zip(matrices, all_parts):
-        for funcs, power, coef in parts:
-            if coef != 0.0:
-                _assemble_part(mat, funcs, power, coef)
+    worst = 0.0
+    for name, mat, parts in zip("ABC", matrices, all_parts):
+        quad, scale_diag = np.zeros((m, m)), np.zeros(m)
+        for order, power, coef in parts:
+            if coef == 0.0:
+                continue
+            fac = basis.factor(order)
+            part = _gauss_part(basis, fac, power, a)
+            mat += coef * part
+            if verify:
+                quad += coef * _quadrature_part(basis, fac, power, a, spec)
+                scale_diag += abs(coef) * np.diag(part)
+        mat[:] = _symmetric(mat)
+        if verify:
+            # Relative to the larger value and to the Cauchy-Schwarz scale
+            # sqrt(S_jj S_ll), S summing |coef| times each part's Gram
+            # matrix: a bound on the integral of |f_j f_l| over the parts.
+            root = np.sqrt(scale_diag)
+            denom = np.maximum(np.maximum(abs(mat), abs(quad)), np.outer(root, root))
+            rel = np.where(np.isnan(quad), np.inf, abs(mat - quad) / denom)
+            j, l = np.unravel_index(int(np.argmax(rel)), rel.shape)
+            if not rel[j, l] <= SPOT_CHECK_RTOL:
+                raise VerificationMismatchError(
+                    f"Gram entry check failed for matrix {name}[{j},{l}]: "
+                    f"Gauss-Laguerre {mat[j, l]!r} vs quadrature {quad[j, l]!r} "
+                    f"(rel {rel[j, l]:.3e})"
+                )
+            worst = max(worst, float(rel[j, l]))
     diagnostics: Dict[str, object] = {
-        "indefinite_a_allowed": (2 * params.alpha + 1.0) * (params.n + 2 * k - 1.0) < 0.0
+        "indefinite_a_allowed": (2 * params.alpha + 1.0) * (params.n + 2 * k - 1.0) < 0.0,
+        "laguerre_a": a,
     }
+    if verify:
+        diagnostics["spot_checked_entries"] = 3 * m * (m + 1) // 2
+        diagnostics["spot_check_worst_rel"] = worst
     _pd_check(matrices[1], "m_b", diagnostics)
     _pd_check(matrices[2], "m_c", diagnostics)
-    if verify:
-        rng = np.random.default_rng(seed)
-        count, worst = _spot_check(
-            matrices, all_parts, rng, spec if spec is not None else QuadratureSpec()
-        )
-        diagnostics["spot_checked_entries"] = count
-        diagnostics["spot_check_worst_rel"] = worst
     for mat in matrices:
         mat.flags.writeable = False
     return GramTriple(
@@ -467,155 +519,115 @@ def quotient_gradient(
     return value, grad
 
 
-def _forms(a_mat, b_mat, c_mat, y):
-    ay, by, cy = a_mat @ y, b_mat @ y, c_mat @ y
-    return float(y @ ay), float(y @ by), float(y @ cy), ay, by, cy
+def _symmetric(mat: np.ndarray) -> np.ndarray:
+    return (mat + mat.T) / 2.0
 
 
-def _polish(a_mat, b_mat, c_mat, y, value):
-    """Self-consistent generalized-eigenvector refinement of a minimizer.
+def _whitened(mat: np.ndarray, inv_chol: np.ndarray) -> np.ndarray:
+    return _symmetric(inv_chol @ mat @ inv_chol.T)
 
-    At a stationary point (A/a + B/b) y is proportional to C y, so the
-    minimizer is a fixed point of "solve the generalized eigenproblem at
-    the current forms and keep the best column".  Steps are accepted only
-    while the quotient strictly decreases.
+
+def _cholesky(mat: np.ndarray) -> Optional[np.ndarray]:
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def minimize_quotient(gram: GramTriple, tol: float = DEFAULT_TOL) -> MinimizationResult:
+    """Minimum of Q over the trial space by a one-dimensional search.
+
+    Since ab = min over t of ((t a + b/t)/2)^2 for a, b >= 0, min Q is the
+    minimum over u = log t of (lambda_1(u)/2)^2, lambda_1(u) the smallest
+    eigenvalue of e^u M_A + e^-u M_B relative to M_C, and the optimal
+    u = (1/2) log(b/a) lies in [(1/2) log lambda_min(M_B; M_A),
+    (1/2) log lambda_max(M_B; M_A)].  A 17-point grid scans that bracket,
+    and golden section refines every grid point lower than its neighbours.
+    lambda_1 need not be unimodal: the search is global when each of its
+    basins holds such a grid point.  The value is Q at the eigenvector.
+
+    Raises
+    ------
+    UnsupportedRegimeError
+        If M_A is not positive definite (the reduction needs a >= 0).
     """
-    rounds = 0
-    for _ in range(_MAX_POLISH_ROUNDS):
-        a, b, c, *_ = _forms(a_mat, b_mat, c_mat, y)
-        if min(a, b, c) <= 0.0:
-            break
-        mid = a_mat / a + b_mat / b
-        mid = (mid + mid.T) / 2.0
-        try:
-            _, vecs = _generalized_eigh(mid, c_mat)
-        except Exception:
-            break
-        best_y, best_v = None, value
-        for col in range(vecs.shape[1]):
-            cand = vecs[:, col]
-            ca, cb, ccc, *_ = _forms(a_mat, b_mat, c_mat, cand)
-            if min(ca, cb, ccc) <= 0.0:
-                continue
-            v = ca * cb / ccc**2
-            if v < best_v:
-                best_y, best_v = cand, v
-        if best_y is None:
-            break
-        y, value = best_y, best_v
-        rounds += 1
-    return y, value, rounds
-
-
-def minimize_quotient(
-    gram: GramTriple,
-    restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-    x0: Optional[np.ndarray] = None,
-    max_iterations: int = 400,
-) -> MinimizationResult:
-    """Best local minimum of Q over the trial space, on the C-unit sphere.
-
-    Runs a quasi-Newton descent on log Q from ``restarts`` seeded starting
-    points (plus ``x0`` when given), then refines the best candidate by a
-    safeguarded generalized-eigenvector iteration.  The result is
-    deterministic for fixed inputs and seed.
-    """
-    if not isinstance(restarts, int) or restarts < 1:
-        raise DomainError(f"restarts must be an integer >= 1, got {restarts!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be a finite real > 0, got {tol!r}")
     warnings = ()
     if gram.diagnostics.get("indefinite_a_allowed"):
         warnings = ("A form may be indefinite: the quotient can approach zero",)
-    m = gram.m
     scale = 1.0 / np.sqrt(np.diag(gram.m_c))
-    a_mat = (gram.m_a * np.outer(scale, scale) + (gram.m_a * np.outer(scale, scale)).T) / 2.0
-    b_mat = (gram.m_b * np.outer(scale, scale) + (gram.m_b * np.outer(scale, scale)).T) / 2.0
-    c_mat = (gram.m_c * np.outer(scale, scale) + (gram.m_c * np.outer(scale, scale)).T) / 2.0
-
-    def _normalize(y):
-        q = float(y @ (c_mat @ y))
-        if not (math.isfinite(q) and q > 0):
-            return None
-        return y / math.sqrt(q)
-
-    def _finish(y, value, iterations):
-        y, value, polish_rounds = _polish(a_mat, b_mat, c_mat, y, value)
-        y = _normalize(y)
-        if y is None or not (math.isfinite(value) and value > 0):
-            raise NonConvergenceError(
-                "quotient minimization produced no positive finite value",
-                value=float("nan"),
-            )
-        a, b, c, ay, by, cy = _forms(a_mat, b_mat, c_mat, y)
-        value = a * b / c**2
-        grad = 2.0 * ay / a + 2.0 * by / b - 4.0 * cy / c
-        gnorm = float(np.linalg.norm(grad))
-        coeffs = scale * y
-        pivot = int(np.argmax(np.abs(coeffs)))
-        if coeffs[pivot] < 0:
-            coeffs = -coeffs
-        coeffs.flags.writeable = False
-        return MinimizationResult(
-            value=value,
-            coeffs=coeffs,
-            iterations=iterations + polish_rounds,
-            converged=bool(gnorm <= tol and math.isfinite(value)),
-            gradient_norm=gnorm,
-            warnings=warnings,
+    outer = np.outer(scale, scale)
+    a_mat, b_mat, c_mat = (_symmetric(mat * outer) for mat in (gram.m_a, gram.m_b, gram.m_c))
+    chol_a, chol_c = _cholesky(a_mat), _cholesky(c_mat)
+    if chol_a is None:
+        raise UnsupportedRegimeError(
+            f"the A form is not positive definite on this trial space ({gram.params!r}, "
+            f"k={gram.k}, {gram.formulation} formulation); the reduction "
+            "ab = min_t ((t a + b/t)/2)^2 needs a >= 0"
         )
+    if chol_c is None:
+        raise ConsistencyError("M_C is not positive definite")
+    inv_c = np.linalg.inv(chol_c)
+    a_w, b_w = _whitened(a_mat, inv_c), _whitened(b_mat, inv_c)
+    ratios = np.linalg.eigvalsh(_whitened(b_mat, np.linalg.inv(chol_a)))
+    if not ratios[0] > 0.0:
+        raise ConsistencyError("M_B is not positive definite")
+    lo, hi = 0.5 * math.log(ratios[0]), 0.5 * math.log(ratios[-1])
+    evaluations: List[float] = []
 
-    if m == 1:
-        value = float(gram.m_a[0, 0]) * float(gram.m_b[0, 0]) / float(gram.m_c[0, 0]) ** 2
-        return _finish(np.ones(1), value, 0)
+    def lam(u: float) -> float:
+        evaluations.append(u)
+        return float(np.linalg.eigvalsh(math.exp(u) * a_w + math.exp(-u) * b_w)[0])
 
-    def objective(y):
-        a, b, c, ay, by, cy = _forms(a_mat, b_mat, c_mat, y)
-        if min(a, b, c) <= 0.0 or not all(map(math.isfinite, (a, b, c))):
-            return _BIG_PENALTY, np.zeros(m)
-        f = math.log(a) + math.log(b) - 2.0 * math.log(c)
-        grad = 2.0 * ay / a + 2.0 * by / b - 4.0 * cy / c
-        return f, grad
-
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(m)]
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (m,):
-            raise DomainError(f"x0 must have shape ({m},)")
-        starts.append(x0 / scale)
-    while len(starts) < max(restarts, len(starts)):
-        starts.append(rng.standard_normal(m))
-
-    best_y, best_value, iterations = None, math.inf, 0
-    for start in starts[: max(restarts, 1 + (x0 is not None))]:
-        y0 = _normalize(start)
-        if y0 is None:
+    grid = np.linspace(lo, hi, _SEARCH_GRID + 1)
+    values = [lam(u) for u in grid]
+    found = []
+    for i, value in enumerate(values):
+        left, right = grid[max(i - 1, 0)], grid[min(i + 1, _SEARCH_GRID)]
+        if value > min(values[max(i - 1, 0)], values[min(i + 1, _SEARCH_GRID)]):
             continue
-        res = _scipy_minimize(
-            objective,
-            y0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iterations, "ftol": 1e-17, "gtol": 1e-14},
-        )
-        iterations += int(res.nit)
-        y = _normalize(res.x)
-        if y is None:
-            continue
-        a, b, c, *_ = _forms(a_mat, b_mat, c_mat, y)
-        if min(a, b, c) <= 0.0:
-            continue
-        value = a * b / c**2
-        if value < best_value:
-            best_y, best_value = y, value
-    if best_y is None:
+        x1, x2 = right - _GOLDEN * (right - left), left + _GOLDEN * (right - left)
+        f1, f2 = lam(x1), lam(x2)
+        while right - left > _SEARCH_TOL:
+            if f1 <= f2:
+                right, x2, f2 = x2, x1, f1
+                x1 = right - _GOLDEN * (right - left)
+                f1 = lam(x1)
+            else:
+                left, x1, f1 = x1, x2, f2
+                x2 = left + _GOLDEN * (right - left)
+                f2 = lam(x2)
+        found += [(value, grid[i]), (f1, x1), (f2, x2)]
+    _, u_star = min(found)
+    inside = hi - lo <= _SEARCH_TOL or lo + _SEARCH_TOL < u_star < hi - _SEARCH_TOL
+
+    t = math.exp(u_star)
+    eigvals, eigvecs = np.linalg.eigh(t * a_w + b_w / t)
+    c = inv_c.T @ eigvecs[:, 0]
+    ac, bc, cc = a_mat @ c, b_mat @ c, c_mat @ c
+    a, b, q_c = float(c @ ac), float(c @ bc), float(c @ cc)
+    value = a * b / q_c**2
+    if not (math.isfinite(value) and min(a, b, q_c) > 0):
         raise NonConvergenceError(
-            "no restart produced a positive quotient", value=float("nan")
+            "quotient minimization produced no positive finite value", value=float("nan")
         )
-    return _finish(best_y, best_value, iterations)
+    pencil = t * ac + bc / t
+    residual = np.linalg.norm(pencil - eigvals[0] * cc) / (
+        np.linalg.norm(pencil) + abs(eigvals[0]) * np.linalg.norm(cc))
+    grad = 2.0 * ac / a + 2.0 * bc / b - 4.0 * cc / q_c
+    coeffs = scale * c
+    if coeffs[int(np.argmax(np.abs(coeffs)))] < 0:
+        coeffs = -coeffs
+    coeffs.flags.writeable = False
+    return MinimizationResult(
+        value=value,
+        coeffs=coeffs,
+        iterations=len(evaluations),
+        converged=bool(residual <= tol and inside),
+        gradient_norm=float(np.linalg.norm(grad)),
+        warnings=warnings,
+    )
 
 
 def estimate_mode_constant(
@@ -624,17 +636,16 @@ def estimate_mode_constant(
     basis_sizes: Sequence[int],
     formulation: str = "profile",
     gamma0: Optional[float] = None,
-    restarts: int = DEFAULT_RESTARTS,
     tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
     spec: Optional[QuadratureSpec] = None,
     verify: bool = True,
 ) -> ModeConstantEstimate:
     """Per-mode constant estimate over a nested sequence of trial spaces.
 
-    The spaces are nested (each size reuses the same leading exponent), so
-    the value trace cannot increase beyond round-off; each minimization is
-    warm-started from the previous optimum padded with zeros.
+    The spaces are nested (each size reuses the same leading exponent and
+    Laguerre family), so the value trace cannot increase beyond round-off.
+    A profile-formulation value below the proven per-mode lower bound
+    K(N, alpha, k) raises ``ConsistencyError``.
     """
     sizes = tuple(basis_sizes)
     if not sizes:
@@ -644,25 +655,22 @@ def estimate_mode_constant(
             raise DomainError(f"basis_sizes must be strictly increasing, got {sizes}")
     first = make_basis(params, k, sizes[0], formulation, gamma0)
     trace = []
-    prev_coeffs: Optional[np.ndarray] = None
-    result = None
-    basis = first
     for size in sizes:
-        basis = BasisSpec(size, first.gamma0, first.decay_q)
-        gram = build_gram(
-            params, k, basis, formulation, spec=spec, verify=verify, seed=seed
-        )
-        x0 = None
-        if prev_coeffs is not None:
-            x0 = np.pad(prev_coeffs, (0, size - prev_coeffs.size))
-        result = minimize_quotient(gram, restarts=restarts, tol=tol, seed=seed, x0=x0)
+        basis = replace(first, m=size)
+        gram = build_gram(params, k, basis, formulation, spec=spec, verify=verify)
+        result = minimize_quotient(gram, tol=tol)
         if trace and result.value > trace[-1] + TRACE_SLACK * max(1.0, abs(trace[-1])):
             raise ConsistencyError(
                 f"estimate increased from {trace[-1]!r} to {result.value!r} "
                 f"when the trial space grew to m={size}"
             )
         trace.append(result.value)
-        prev_coeffs = result.coeffs
+    bound = mode_quotient_weighted(params.n, params.alpha, k).value
+    if formulation == "profile" and result.value < bound * (1.0 - LOWER_BOUND_SLACK):
+        raise ConsistencyError(
+            f"estimate {result.value!r} lies below the proven per-mode lower bound "
+            f"K({params.n}, {params.alpha}, {k}) = {bound!r}"
+        )
     return ModeConstantEstimate(
         params=params,
         k=k,
@@ -679,9 +687,7 @@ def symmetry_breaking_scan(
     alpha: float = 0.0,
     k_max: int = DEFAULT_SCAN_K_MAX,
     basis_sizes: Sequence[int] = DEFAULT_SCAN_SIZES,
-    restarts: int = DEFAULT_RESTARTS,
     tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
     jobs: int = 1,
     spec: Optional[QuadratureSpec] = None,
 ) -> ScanReport:
@@ -703,14 +709,8 @@ def symmetry_breaking_scan(
         raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
 
     def one_row(k: int) -> ScanRow:
-        raw = estimate_mode_constant(
-            params, k, basis_sizes, "derivative",
-            restarts=restarts, tol=tol, seed=seed, spec=spec,
-        )
-        full = estimate_mode_constant(
-            params, k, basis_sizes, "profile",
-            restarts=restarts, tol=tol, seed=seed, spec=spec,
-        )
+        raw = estimate_mode_constant(params, k, basis_sizes, "derivative", tol=tol, spec=spec)
+        full = estimate_mode_constant(params, k, basis_sizes, "profile", tol=tol, spec=spec)
         factor = hardy_step_factor(n, alpha, k)
         effective = raw.value / factor**2 if factor is not None else None
         return ScanRow(
@@ -737,7 +737,6 @@ def symmetry_breaking_scan(
         params=params,
         k_max=k_max,
         basis_sizes=tuple(basis_sizes),
-        seed=seed,
         rows=rows,
         k_star=best.k,
         best_value=best.verdict_value,

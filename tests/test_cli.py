@@ -210,3 +210,48 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
 def test_json_output_is_round_trippable(capsys):
     doc = run_json(capsys, "constants", "--n", "5", "--alpha", "0")
     assert json.loads(json.dumps(doc)) == doc
+
+
+def _nonincreasing(trace):
+    return all(after <= before + 1e-10 * max(1.0, abs(before))
+               for before, after in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("n", ["4", "7"])
+def test_minimize_deep_basis_trace_does_not_rise(capsys, n):
+    doc = run_json(capsys, "minimize", "--n", n, "--k", "1", "--basis", "8,16,24,32")
+    trace = doc["report"]["diagnostics"]["trace"]
+    assert len(trace) == 4
+    assert _nonincreasing(trace)
+
+
+def test_minimize_reports_convergence(capsys):
+    doc = run_json(capsys, "minimize", "--n", "5", "--k", "0", "--basis", "8,16,24,32")
+    diagnostics = doc["report"]["diagnostics"]
+    assert diagnostics["converged"] is True
+    assert doc["report"]["variational_estimate"] == pytest.approx(9.0, rel=1e-12)
+
+
+def test_minimize_below_lower_bound_exits_consistency(capsys, monkeypatch):
+    import dataclasses
+
+    import cknlab.variational as variational
+
+    original = variational.build_gram
+
+    def halved_a(*args, **kwargs):
+        gram = original(*args, **kwargs)
+        return dataclasses.replace(gram, m_a=gram.m_a / 2.0)
+
+    monkeypatch.setattr(variational, "build_gram", halved_a)
+    code, _, err = run(capsys, "minimize", "--n", "5", "--k", "1", "--basis", "4")
+    assert code == 4
+    assert "lower bound" in err
+
+
+def test_minimizer_has_no_seed(capsys, tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 7\n")
+    code, _, err = run(capsys, "minimize", "--n", "5", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key" in err

@@ -269,3 +269,13 @@ def test_one_dim_requires_valid_weight():
     prof = exponential_profile(1.0)
     with pytest.raises(DomainError):
         one_dim_quotient(prof, -1.5)
+
+
+def test_slow_decay_quadrature_matches_closed_form():
+    # alpha = -7/8 decays like exp(-r^(1/8)): the quadrature route must
+    # find the mass far out instead of settling on two empty levels.
+    params = InequalityParams(11, -0.875)
+    prof = extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1.0, params))
+    e = mode_energies(prof, params, 1, QuadratureSpec(), method="both")
+    assert e.rel_gap is not None
+    assert e.rel_gap < 1e-10

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cknlab.errors import NonConvergenceError, NonFiniteSampleError
+from cknlab.errors import DomainError, NonConvergenceError, NonFiniteSampleError
 from cknlab.exppoly import ExpPoly
 from cknlab.quadrature import (
     IntegrandHandle,
@@ -102,3 +102,31 @@ def test_cancellation_reaches_mass_floor():
     poly = ExpPoly(((0.0, 1.0), (1.0, -1.0)), 1.0, 1.0)
     res = integrate(IntegrandHandle(poly, 0.0, (1.0, 1.0)))
     assert abs(res.value) < 1e-14
+
+
+def test_tail_centred_on_weighted_mass():
+    # r^10 exp(-r^(1/8)) has its mass near r = 88^8 ~ 4e15, far beyond
+    # the decay scale c^(-1/q) = 1.
+    res = integrate(IntegrandHandle(lambda r: np.exp(-np.power(r, 0.125)), 10.0,
+                                    (1.0, 0.125)))
+    assert res.value == pytest.approx(weighted_exp_integral(10.0, 1.0, 0.125), rel=1e-11)
+
+
+def test_table_factors_give_every_pairwise_integral():
+    polys = [ExpPoly(((g, 1.0), (g + 1.0, -0.5)), 1.0, 1.0) for g in (0.0, 0.5, 2.0)]
+
+    def table(r):
+        return np.array([p(r) for p in polys])
+
+    res = integrate(IntegrandHandle(factors=(table, table), weight_exponent=1.5,
+                                    decay_hint=(2.0, 1.0)))
+    assert res.value.shape == (3, 3)
+    for j, pj in enumerate(polys):
+        for l, pl in enumerate(polys):
+            assert res.value[j, l] == pytest.approx((pj * pl).moment(1.5), rel=1e-12)
+
+
+def test_table_factors_must_match_nodes():
+    handle = IntegrandHandle(factors=(lambda r: np.ones((2, r.size + 1)),) * 2)
+    with pytest.raises(DomainError):
+        integrate(handle)

@@ -1,16 +1,22 @@
 """Gram assembly, quotient minimization, and the symmetry-breaking scan."""
 
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cknlab.variational as variational
 from cknlab.constants import InequalityParams
-from cknlab.errors import PreconditionError, UnsupportedRegimeError
+from cknlab.exppoly import ExpPoly
+from cknlab.errors import ConsistencyError, PreconditionError, UnsupportedRegimeError
 from cknlab.variational import (
     BasisSpec,
+    _part_descriptors,
+    _pd_check,
     build_gram,
     estimate_mode_constant,
     make_basis,
@@ -104,8 +110,8 @@ def test_single_function_basis_recovers_constant():
 def test_minimize_is_deterministic():
     basis = make_basis(P5, 0, 6, "profile")
     gram = build_gram(P5, 0, basis, "profile")
-    a = minimize_quotient(gram, seed=7)
-    b = minimize_quotient(gram, seed=7)
+    a = minimize_quotient(gram)
+    b = minimize_quotient(gram)
     assert a.value == b.value
     assert np.array_equal(a.coeffs, b.coeffs)
 
@@ -177,3 +183,175 @@ def test_scan_preconditions():
         symmetry_breaking_scan(1, 0.0)
     with pytest.raises(PreconditionError):
         symmetry_breaking_scan(4, 0.0, k_max=0)
+
+
+def _lbfgs_minimum(gram, starts=6):
+    """Best local minimum of log Q from several L-BFGS starts."""
+    from scipy.optimize import minimize
+
+    def objective(y):
+        try:
+            value, grad = quotient_gradient(gram, y)
+        except PreconditionError:
+            return 1e100, np.zeros_like(y)
+        return math.log(value), grad
+
+    rng = np.random.default_rng(5)
+    best = math.inf
+    for start in [np.ones(gram.m)] + [rng.standard_normal(gram.m) for _ in range(starts - 1)]:
+        res = minimize(objective, start, jac=True, method="L-BFGS-B",
+                       options={"maxiter": 2000, "ftol": 1e-17, "gtol": 1e-14})
+        best = min(best, math.exp(res.fun))
+    return best
+
+
+@pytest.mark.parametrize("formulation", ["derivative", "profile"])
+@pytest.mark.parametrize("n, alpha, k", [
+    (2, 0.0, 1), (3, 0.0, 1), (4, 0.0, 1), (4, 0.0, 2), (5, 0.0, 0),
+    (3, 0.25, 0), (6, 0.5, 1), (4, -0.25, 1), (5, -0.6, 2),
+])
+def test_exact_minimum_never_above_lbfgs(n, alpha, k, formulation):
+    params = InequalityParams(n, alpha)
+    for m in (2, 4, 8):
+        gram = build_gram(params, k, make_basis(params, k, m, formulation), formulation,
+                          verify=False)
+        exact = minimize_quotient(gram).value
+        assert exact <= _lbfgs_minimum(gram) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n, alpha, k, formulation", [
+    (4, 0.0, 1, "profile"), (3, 0.0, 1, "profile"), (7, 0.0, 1, "profile"),
+    (5, 0.0, 0, "derivative"), (4, 0.0, 2, "derivative"), (6, 0.5, 3, "profile"),
+    (11, -0.875, 1, "profile"),
+])
+def test_search_matches_dense_scan(n, alpha, k, formulation):
+    # (lambda_1(u)/2)^2 bounds Q at its eigenvector from above, so the
+    # search may not end above the lowest value of a dense scan of u.
+    from scipy.linalg import eigh
+
+    params = InequalityParams(n, alpha)
+    for m in (16, 32):
+        gram = build_gram(params, k, make_basis(params, k, m, formulation), formulation,
+                          verify=False)
+        d = 1.0 / np.sqrt(np.diag(gram.m_c))
+        a, b, c = (mat * np.outer(d, d) for mat in (gram.m_a, gram.m_b, gram.m_c))
+        ratios = eigh(b, a, eigvals_only=True)
+        scan = min(
+            eigh(math.exp(u) * a + math.exp(-u) * b, c, eigvals_only=True,
+                 subset_by_index=[0, 0])[0]
+            for u in np.linspace(0.5 * math.log(ratios[0]), 0.5 * math.log(ratios[-1]), 2001)
+        )
+        assert minimize_quotient(gram).value <= (scan / 2.0) ** 2 * (1.0 + 1e-12)
+
+
+def _moment_mp(poly, p):
+    """ExpPoly.moment's Gamma closed form at the working precision: the
+    monomial Gram is Hilbert-like, and T M_mono T^T cancels far beyond
+    double precision."""
+    q = mpmath.mpf(poly.decay_power)
+    return mpmath.fsum(
+        c * mpmath.gamma((g + p + 1) / q) / (q * mpmath.mpf(poly.rate) ** ((g + p + 1) / q))
+        for g, c in poly.terms)
+
+
+def _laguerre_monomials_mp(m, a):
+    """Monomial coefficients of L_j^(a)(2x), j < m, in 40 digits:
+    L_j^(a)(y) = sum_i (-1)^i binom(j+a, j-i) y^i / i!."""
+    with mpmath.workdps(40):
+        return mpmath.matrix([[(-2) ** i * mpmath.binomial(j + mpmath.mpf(a), j - i)
+                               / mpmath.factorial(i) if i <= j else 0 for i in range(m)]
+                              for j in range(m)])
+
+
+@pytest.mark.parametrize("formulation", ["derivative", "profile"])
+@pytest.mark.parametrize("n, alpha, k", [(4, 0.0, 1), (2, 0.0, 0), (6, 0.25, 2), (5, -0.75, 1)])
+def test_laguerre_gram_is_monomial_gram_transformed(n, alpha, k, formulation):
+    # M = T M_mono T^T, with M_mono from the Gamma-function moments of
+    # r^(gamma0 + i q) exp(-r^q) and T the monomial coefficients of P_j.
+    # Dyadic alphas keep every exponent exact in double: the monomial
+    # route amplifies an exponent's rounding by the cancellation in T.
+    params = InequalityParams(n, alpha)
+    basis = make_basis(params, k, 6, formulation)
+    gram = build_gram(params, k, basis, formulation, verify=False)
+    q = basis.decay_q
+    t = _laguerre_monomials_mp(6, gram.diagnostics["laguerre_a"])
+    monomials = [ExpPoly(((basis.gamma0 + i * q, 1.0),), 1.0, q) for i in range(6)]
+    for mat, parts in zip((gram.m_a, gram.m_b, gram.m_c),
+                          _part_descriptors(params, k, formulation)):
+        with mpmath.workdps(40):
+            mono = mpmath.zeros(6, 6)
+            for order, power, coef in parts:
+                funcs = monomials
+                for _ in range(order):
+                    funcs = [f.derivative() for f in funcs]
+                if coef != 0.0:
+                    mono += coef * mpmath.matrix([[_moment_mp(f * g, power) for g in funcs]
+                                                  for f in funcs])
+            expected = np.array((t * mono * t.T).tolist(), dtype=float)
+        diag = np.abs(np.diag(expected))
+        scale = np.sqrt(np.outer(diag, diag))
+        assert np.all(np.abs(mat - expected) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("gamma0, q, a", [(0.0, 1.0, 2.0), (1.0, 1.0, 5.0),
+                                          (0.5, 0.25, -1.5), (2.5, 1.75, 0.3)])
+def test_derivative_factors_match_exppoly_derivatives(gamma0, q, a):
+    r = np.array([1e-3, 0.07, 0.4, 1.0, 2.3, 6.0, 15.0])
+    for m in (1, 2, 4):
+        basis = BasisSpec(m, gamma0, q)
+        t = np.array(_laguerre_monomials_mp(m, a).tolist(), dtype=float)
+        funcs = [ExpPoly(tuple((gamma0 + i * q, c) for i, c in enumerate(row)), 1.0, q)
+                 for row in t]
+        for order in range(3):
+            table = basis.evaluate(basis.factor(order), r, a)
+            expected = np.array([f(r) for f in funcs])
+            np.testing.assert_allclose(table, expected, rtol=1e-10,
+                                       atol=1e-13 * np.max(np.abs(expected)))
+            funcs = [f.derivative() for f in funcs]
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (3, 1), (5, 0)])
+def test_gram_conditioning_stays_bounded(n, k):
+    params = InequalityParams(n, 0.0)
+    gram = build_gram(params, k, make_basis(params, k, 32, "profile"), "profile",
+                      verify=False)
+    assert gram.diagnostics["cond_m_c"] <= 1e4
+
+
+def test_every_gram_entry_is_checked():
+    basis = make_basis(P5, 1, 5, "profile")
+    gram = build_gram(P5, 1, basis, "profile")
+    assert gram.diagnostics["spot_checked_entries"] == 3 * 5 * 6 // 2
+
+
+def test_pd_check_rejects_barely_indefinite_matrix():
+    delta = 2e-15
+    mat = np.array([[1.0, 1.0 + delta], [1.0 + delta, 1.0]])
+    eigs = np.linalg.eigvalsh(mat)
+    assert -2e-15 < eigs[0] / eigs[-1] < 0.0
+    with pytest.raises(ConsistencyError):
+        _pd_check(mat, "m_c", {})
+
+
+def test_converged_flag_set_at_the_exact_minimum():
+    est = estimate_mode_constant(P5, 1, (4, 8))
+    assert est.final.converged
+    assert est.final.gradient_norm < 1e-6
+
+
+def test_estimate_below_proven_bound_is_rejected(monkeypatch):
+    original = variational.build_gram
+
+    def halved_a(*args, **kwargs):
+        gram = original(*args, **kwargs)
+        return replace(gram, m_a=gram.m_a / 2.0)
+
+    monkeypatch.setattr(variational, "build_gram", halved_a)
+    with pytest.raises(ConsistencyError, match="lower bound"):
+        estimate_mode_constant(P5, 1, (4,))
+
+
+def test_indefinite_a_form_is_rejected():
+    gram = build_gram(P5, 1, make_basis(P5, 1, 4, "profile"), "profile", verify=False)
+    with pytest.raises(UnsupportedRegimeError, match="needs a >= 0"):
+        minimize_quotient(replace(gram, m_a=-gram.m_a))
