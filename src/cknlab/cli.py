@@ -113,7 +113,6 @@ class RunConfig:
     basis_sizes: Tuple[int, ...] = DEFAULT_BASIS_SIZES
     k: int = 0
     k_max: int = DEFAULT_SCAN_K_MAX
-    jobs: int = 1
     output_format: str = "json"
     output_path: Optional[str] = None
     formula: str = FORMULA_PLAIN
@@ -130,8 +129,6 @@ class RunConfig:
             raise PreconditionError(
                 f"format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"
             )
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise PreconditionError(f"jobs must be an integer >= 1, got {self.jobs!r}")
 
 
 @dataclass(frozen=True)
@@ -217,8 +214,8 @@ def _csv_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return _num17(value)
     text = str(value)
-    if "," in text or "\n" in text:
-        raise DomainError(f"CSV cell may not contain a comma or newline: {text!r}")
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
     return text
 
 
@@ -536,7 +533,7 @@ def cmd_minimize(config: RunConfig) -> Document:
     diagnostics: Dict[str, object] = {
         "trace": list(est.trace),
         "basis_sizes": list(est.basis_sizes),
-        "formulation": est.formulation,
+        "formulation": "profile",
         "converged": est.final.converged,
         "gradient_norm": est.final.gradient_norm,
         "iterations": est.final.iterations,
@@ -597,7 +594,6 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
         0.0,
         k_max=config.k_max,
         basis_sizes=config.basis_sizes,
-        jobs=config.jobs,
         spec=config.quadrature,
     )
     bounds = _bounds_dict(4)
@@ -709,7 +705,6 @@ _CONFIG_CASTS = {
     "basis": str,
     "a": float,
     "b": float,
-    "jobs": int,
     "format": str,
     "out": str,
     "rel-tol": float,
@@ -783,7 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--basis", type=str, help="comma list of basis sizes")
     common.add_argument("--a", type=float, help="family amplitude")
     common.add_argument("--b", type=float, help="family rate")
-    common.add_argument("--jobs", type=int, help="concurrent per-mode workers")
     common.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
     common.add_argument("--out", type=str, help="output path (atomic write)")
     common.add_argument("--config", type=str, help="key=value config file")
@@ -862,7 +856,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         basis_sizes=basis_sizes,
         k=pick("k", "k", 0),
         k_max=pick("kmax", "kmax", default_k_max),
-        jobs=pick("jobs", "jobs", 1),
         output_format=pick("format", "format", "json"),
         output_path=pick("out", "out", None),
         formula=pick("formula", "formula", FORMULA_PLAIN),

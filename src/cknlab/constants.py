@@ -58,8 +58,6 @@ __all__ = [
     "dn_general_lower_bound",
     "continuous_extension_plain",
     "continuous_extension_weighted",
-    "extension_factor_g",
-    "extension_factor_h",
     "hardy_step_factor",
 ]
 
@@ -218,21 +216,6 @@ def continuous_extension_plain(n: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     t = n + x - 3.0
     return t**4 * (n + x + 1.0) ** 2 / (4.0 * (t**2 + 2.0 * x) ** 2)
-
-
-def extension_factor_g(n: int, x) -> np.ndarray:
-    """First factor of the extension: f = g * h with
-    g = (N+x+1)^2 / (4 D^(1/4)), D = x^2 + 2(N-2)x + (N-3)^2."""
-    x = np.asarray(x, dtype=float)
-    d = x**2 + 2.0 * (n - 2.0) * x + (n - 3.0) ** 2
-    return (n + x + 1.0) ** 2 / (4.0 * d**0.25)
-
-
-def extension_factor_h(n: int, x) -> np.ndarray:
-    """Second factor of the extension: h = (N+x-3)^4 / D^(7/4)."""
-    x = np.asarray(x, dtype=float)
-    d = x**2 + 2.0 * (n - 2.0) * x + (n - 3.0) ** 2
-    return (n + x - 3.0) ** 4 / d**1.75
 
 
 def continuous_extension_weighted(n: int, alpha: float, x) -> np.ndarray:

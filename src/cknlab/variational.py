@@ -20,22 +20,23 @@ space is min over u = log t of (lambda_1(e^u M_A + e^-u M_B ; M_C) / 2)^2,
 found by a one-dimensional search (see ``minimize_quotient``).
 Two formulations of the quadratic forms are supported:
 
-* ``"derivative"``: the trial functions stand for the derivative of the
-  radial profile.  The zero-order part of the C form is dropped (it is
-  controlled separately by a one-dimensional Hardy estimate, see
-  ``constants.hardy_step_factor``), and the known extremal shape
-  r^(2*alpha+1) exp(-r^(alpha+1)) lies in the m=1 span, so the radial
-  constant is recovered exactly by a one-dimensional Gram ratio.
 * ``"profile"``: the trial functions stand for the profile itself and the
   complete C form, including the zero-order mode term, is used.  The
   minimum of this quotient is the actual per-mode constant, and it is
-  what the symmetry-breaking verdict is based on.
+  what ``estimate_mode_constant`` and the symmetry-breaking verdict use.
+* ``"derivative"``: the trial functions stand for the derivative w = v'
+  of the radial profile.  The zero-order part of the C form is dropped
+  (it is controlled separately by a one-dimensional Hardy estimate, see
+  ``constants.hardy_step_factor``), which leaves the radial problem in
+  dimension N + 2k.  Its constant K(N+2k, alpha, 0) is proven and
+  attained by r^(2*alpha+1) exp(-r^(alpha+1)), the first trial function,
+  so the scan takes it from the closed form and checks it against the
+  1x1 Gram ratio.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -237,9 +238,9 @@ class MinimizationResult:
     ``coeffs`` (Laguerre basis, a in the Gram diagnostics) has c^T M_C c = 1,
     largest component positive.  ``converged``: at t* = e^(u*) the
     eigenvector's relative residual |(t* M_A + M_B/t* - lambda_1 M_C) c| is
-    <= tol and u* lies strictly inside its bracket.  ``gradient_norm`` is
-    that of log Q where M_C has unit diagonal; ``iterations`` counts
-    eigenvalue evaluations.
+    <= DEFAULT_TOL and u* lies strictly inside its bracket.
+    ``gradient_norm`` is that of log Q where M_C has unit diagonal;
+    ``iterations`` counts eigenvalue evaluations.
     """
 
     value: float
@@ -252,11 +253,11 @@ class MinimizationResult:
 
 @dataclass(frozen=True)
 class ModeConstantEstimate:
-    """Nested-basis estimate of one per-mode constant with its trace."""
+    """Nested-basis profile-formulation estimate of one per-mode constant
+    with its trace."""
 
     params: InequalityParams
     k: int
-    formulation: str
     basis: BasisSpec
     basis_sizes: Tuple[int, ...]
     trace: Tuple[float, ...]
@@ -271,13 +272,14 @@ class ModeConstantEstimate:
 class ScanRow:
     """Per-mode line of a symmetry-breaking scan.
 
-    ``raw_value`` is the derivative-formulation estimate, ``effective_value``
-    is raw divided by the squared Hardy-step factor (a lower-bound
-    correction; None when the factor is undefined), and ``full_value`` is
-    the complete-C profile-formulation estimate.  ``verdict_value`` is what
-    the verdict compares: the full estimate, except at k=0 where the two
-    formulations estimate the same quotient and the smaller one is used
-    (the derivative trial space contains the known extremal there).
+    ``raw_value`` is the derivative-formulation constant, exactly
+    K(N+2k, alpha, 0) = ((N+2k+3 alpha+1)/2)^2, checked against its 1x1
+    Gram ratio; ``effective_value`` is raw divided by the squared
+    Hardy-step factor (a lower-bound correction; None when the factor is
+    undefined), and ``full_value`` is the complete-C profile-formulation
+    Rayleigh-Ritz estimate.  ``verdict_value`` is what the verdict
+    compares: the full estimate, except at k=0 where raw is the same
+    quotient's attained constant and the smaller of the two is used.
     """
 
     k: int
@@ -286,7 +288,6 @@ class ScanRow:
     effective_value: Optional[float]
     full_value: float
     verdict_value: float
-    raw_converged: bool
     full_converged: bool
 
 
@@ -339,16 +340,14 @@ def make_basis(
     k: int,
     size: int,
     formulation: str = "profile",
-    gamma0: Optional[float] = None,
 ) -> BasisSpec:
     """A trial space of ``size`` functions whose Gram integrals converge.
 
-    The default leading exponent is 2*alpha+1 for the derivative
-    formulation (so the known extremal shape is the first trial function)
-    and 0 for the profile formulation.  When the default makes some Gram
-    integral diverge near the origin, the exponent is raised in steps of
-    q/2 until every integral converges.  An explicit ``gamma0`` is used
-    as given and raises if it diverges.
+    The leading exponent starts at 0 for the profile formulation and at
+    2*alpha+1 for the derivative formulation (so the known extremal shape
+    is the first trial function).  When it makes some Gram integral
+    diverge near the origin, it is raised in steps of q/2 until every
+    integral converges.
     """
     if params.alpha <= -1.0:
         raise UnsupportedRegimeError(
@@ -357,8 +356,7 @@ def make_basis(
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
     q = params.alpha + 1.0
-    explicit = gamma0 is not None
-    g0 = float(gamma0) if explicit else (2 * params.alpha + 1.0 if formulation == "derivative" else 0.0)
+    g0 = 2 * params.alpha + 1.0 if formulation == "derivative" else 0.0
     all_parts = _part_descriptors(params, k, formulation)
     for _ in range(_MAX_GAMMA0_BUMPS + 1):
         basis = BasisSpec(size, g0, q)
@@ -369,8 +367,6 @@ def make_basis(
             if coef != 0.0
         ):
             return basis
-        if explicit:
-            break
         g0 += q / 2.0
     raise DivergentIntegralError(
         f"no converging leading exponent found for n={params.n}, alpha={params.alpha},"
@@ -534,7 +530,7 @@ def _cholesky(mat: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
-def minimize_quotient(gram: GramTriple, tol: float = DEFAULT_TOL) -> MinimizationResult:
+def minimize_quotient(gram: GramTriple) -> MinimizationResult:
     """Minimum of Q over the trial space by a one-dimensional search.
 
     Since ab = min over t of ((t a + b/t)/2)^2 for a, b >= 0, min Q is the
@@ -551,8 +547,6 @@ def minimize_quotient(gram: GramTriple, tol: float = DEFAULT_TOL) -> Minimizatio
     UnsupportedRegimeError
         If M_A is not positive definite (the reduction needs a >= 0).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be a finite real > 0, got {tol!r}")
     warnings = ()
     if gram.diagnostics.get("indefinite_a_allowed"):
         warnings = ("A form may be indefinite: the quotient can approach zero",)
@@ -624,7 +618,7 @@ def minimize_quotient(gram: GramTriple, tol: float = DEFAULT_TOL) -> Minimizatio
         value=value,
         coeffs=coeffs,
         iterations=len(evaluations),
-        converged=bool(residual <= tol and inside),
+        converged=bool(residual <= DEFAULT_TOL and inside),
         gradient_norm=float(np.linalg.norm(grad)),
         warnings=warnings,
     )
@@ -634,18 +628,15 @@ def estimate_mode_constant(
     params: InequalityParams,
     k: int,
     basis_sizes: Sequence[int],
-    formulation: str = "profile",
-    gamma0: Optional[float] = None,
-    tol: float = DEFAULT_TOL,
     spec: Optional[QuadratureSpec] = None,
-    verify: bool = True,
 ) -> ModeConstantEstimate:
-    """Per-mode constant estimate over a nested sequence of trial spaces.
+    """Profile-formulation estimate of one per-mode constant over a nested
+    sequence of trial spaces, every Gram entry checked by quadrature.
 
     The spaces are nested (each size reuses the same leading exponent and
     Laguerre family), so the value trace cannot increase beyond round-off.
-    A profile-formulation value below the proven per-mode lower bound
-    K(N, alpha, k) raises ``ConsistencyError``.
+    A value below the proven per-mode lower bound K(N, alpha, k) raises
+    ``ConsistencyError``.
     """
     sizes = tuple(basis_sizes)
     if not sizes:
@@ -653,12 +644,12 @@ def estimate_mode_constant(
     for prev_size, size in zip(sizes, sizes[1:]):
         if size <= prev_size:
             raise DomainError(f"basis_sizes must be strictly increasing, got {sizes}")
-    first = make_basis(params, k, sizes[0], formulation, gamma0)
+    first = make_basis(params, k, sizes[0])
     trace = []
     for size in sizes:
         basis = replace(first, m=size)
-        gram = build_gram(params, k, basis, formulation, spec=spec, verify=verify)
-        result = minimize_quotient(gram, tol=tol)
+        gram = build_gram(params, k, basis, "profile", spec=spec)
+        result = minimize_quotient(gram)
         if trace and result.value > trace[-1] + TRACE_SLACK * max(1.0, abs(trace[-1])):
             raise ConsistencyError(
                 f"estimate increased from {trace[-1]!r} to {result.value!r} "
@@ -666,7 +657,7 @@ def estimate_mode_constant(
             )
         trace.append(result.value)
     bound = mode_quotient_weighted(params.n, params.alpha, k).value
-    if formulation == "profile" and result.value < bound * (1.0 - LOWER_BOUND_SLACK):
+    if result.value < bound * (1.0 - LOWER_BOUND_SLACK):
         raise ConsistencyError(
             f"estimate {result.value!r} lies below the proven per-mode lower bound "
             f"K({params.n}, {params.alpha}, {k}) = {bound!r}"
@@ -674,7 +665,6 @@ def estimate_mode_constant(
     return ModeConstantEstimate(
         params=params,
         k=k,
-        formulation=formulation,
         basis=basis,
         basis_sizes=sizes,
         trace=tuple(trace),
@@ -682,18 +672,31 @@ def estimate_mode_constant(
     )
 
 
+def _checked_raw_value(params: InequalityParams, k: int, spec: Optional[QuadratureSpec]) -> float:
+    """K(N+2k, alpha, 0), the derivative-formulation constant of mode k,
+    checked against the 1x1 Gram ratio of its extremal shape."""
+    exact = mode_quotient_weighted(params.n + 2 * k, params.alpha, 0).value
+    gram = build_gram(params, k, make_basis(params, k, 1, "derivative"), "derivative", spec=spec)
+    a, b, c = (float(mat[0, 0]) for mat in (gram.m_a, gram.m_b, gram.m_c))
+    ratio = (a / c) * (b / c)
+    if not abs(ratio - exact) <= SPOT_CHECK_RTOL * exact:
+        raise ConsistencyError(
+            f"1x1 derivative-formulation Gram ratio {ratio!r} disagrees with "
+            f"K({params.n + 2 * k}, {params.alpha}, 0) = {exact!r} at k={k}"
+        )
+    return exact
+
+
 def symmetry_breaking_scan(
     n: int,
     alpha: float = 0.0,
     k_max: int = DEFAULT_SCAN_K_MAX,
     basis_sizes: Sequence[int] = DEFAULT_SCAN_SIZES,
-    tol: float = DEFAULT_TOL,
-    jobs: int = 1,
     spec: Optional[QuadratureSpec] = None,
 ) -> ScanReport:
-    """Estimate the per-mode constants for k = 0..k_max and locate the minimum.
+    """Per-mode constants for k = 0..k_max and the mode that minimises them.
 
-    Each row reports the derivative-formulation estimate (raw), the
+    Each row reports the exact derivative-formulation constant (raw), the
     Hardy-corrected effective value raw / factor^2 (a lower-bound
     correction, None where the factor is undefined), and the complete-C
     profile-formulation estimate.  The verdict compares the complete
@@ -705,31 +708,20 @@ def symmetry_breaking_scan(
         raise DomainError(f"symmetry-breaking scan needs dimension n >= 2, got {n}")
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise DomainError(f"k_max must be an integer >= 1, got {k_max!r}")
-    if not isinstance(jobs, int) or jobs < 1:
-        raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
-
-    def one_row(k: int) -> ScanRow:
-        raw = estimate_mode_constant(params, k, basis_sizes, "derivative", tol=tol, spec=spec)
-        full = estimate_mode_constant(params, k, basis_sizes, "profile", tol=tol, spec=spec)
+    rows = []
+    for k in range(k_max + 1):
+        raw = _checked_raw_value(params, k, spec)
+        full = estimate_mode_constant(params, k, basis_sizes, spec=spec)
         factor = hardy_step_factor(n, alpha, k)
-        effective = raw.value / factor**2 if factor is not None else None
-        return ScanRow(
+        rows.append(ScanRow(
             k=k,
-            raw_value=raw.value,
+            raw_value=raw,
             hardy_factor=factor,
-            effective_value=effective,
+            effective_value=raw / factor**2 if factor is not None else None,
             full_value=full.value,
-            verdict_value=min(full.value, raw.value) if k == 0 else full.value,
-            raw_converged=raw.final.converged,
+            verdict_value=min(full.value, raw) if k == 0 else full.value,
             full_converged=full.final.converged,
-        )
-
-    modes = list(range(k_max + 1))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(one_row, modes))
-    else:
-        rows = tuple(one_row(k) for k in modes)
+        ))
     best = min(rows, key=lambda row: (row.verdict_value, row.k))
     verdict = "radial" if best.k == 0 else f"symmetry-broken at k={best.k}"
     flag = "conjecture-open" if (n == 4 and alpha == 0.0) else None
@@ -737,7 +729,7 @@ def symmetry_breaking_scan(
         params=params,
         k_max=k_max,
         basis_sizes=tuple(basis_sizes),
-        rows=rows,
+        rows=tuple(rows),
         k_star=best.k,
         best_value=best.verdict_value,
         verdict=verdict,

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: anchors, formats, config, exit codes."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -147,6 +149,19 @@ def test_probe_payload(capsys):
     assert doc["lower_bound"] == pytest.approx(3969 / 676, rel=1e-15)
     assert doc["upper_bound"] == 6.25
     assert doc["test_profile_mode1_quotient"] == pytest.approx(7.03125, rel=1e-12)
+    assert [row["raw_value"] for row in doc["rows"]] == [6.25, 12.25]
+    assert doc["rows"][1]["effective_value"] == doc["lower_bound"]
+
+
+@pytest.mark.parametrize("argv", [["--jobs", "2"], ["--config", "jobs.cfg"]])
+def test_probe_has_no_jobs_option(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "jobs.cfg").write_text("jobs = 2\n")
+    try:
+        code = main(["probe-conjecture", "--kmax", "1", "--basis", "4", *argv])
+    except SystemExit as exc:  # argparse rejects an unknown flag
+        code = exc.code
+    assert code == 2
 
 
 def test_plot_data_format(capsys):
@@ -156,6 +171,35 @@ def test_plot_data_format(capsys):
     rows = [line.split() for line in out.strip().split("\n")]
     assert [r[0] for r in rows] == ["4", "8"]
     assert float(rows[-1][1]) == pytest.approx(9.0, rel=1e-4)
+
+
+def test_csv_quotes_cells_with_commas_and_quotes():
+    document = cli.Document(payload={}, table_header=("index", "description"),
+                            table_rows=((1, 'a, "b"'), (2, "plain")), series=())
+    text = cli.render(document, "csv")
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["index", "description"], ["1", 'a, "b"'], ["2", "plain"]]
+
+
+def test_selftest_csv_accepts_descriptions_with_commas(capsys, monkeypatch):
+    import cknlab.acceptance as acceptance
+
+    results = [acceptance.CriterionResult(i, f"criterion {i}, with a comma", True, 0.0, "ok")
+               for i in (1, 2)]
+    monkeypatch.setattr(acceptance, "run_all", lambda verbose=False: results)
+    code, out, err = run(capsys, "selftest", "--format", "csv")
+    assert code == 0, err
+    assert out.splitlines()[1] == '1,true,0,"criterion 1, with a comma"'
+
+
+@pytest.mark.parametrize("argv, closed", [
+    # A B alone would overflow: the energies are about 3e179 and 2e164.
+    (("--family", "thm1.2-2", "--n", "18", "--alpha", "-0.875", "--k", "0"), 67.03515625),
+    (("--test-function", "--n", "120"), 120 * 124 * (120**2 - 1) ** 2 / (4 * (120**2 - 116) ** 2)),
+])
+def test_quotient_energies_near_float_range(capsys, argv, closed):
+    doc = run_json(capsys, "quotient", *argv)
+    assert doc["report"]["quadrature_value"] == pytest.approx(closed, rel=0, abs=1e-8)
 
 
 def test_output_file_is_written_atomically(capsys, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cknlab.variational as variational
-from cknlab.constants import InequalityParams
+from cknlab.constants import InequalityParams, mode_quotient_weighted
 from cknlab.exppoly import ExpPoly
 from cknlab.errors import ConsistencyError, PreconditionError, UnsupportedRegimeError
 from cknlab.variational import (
@@ -170,12 +170,37 @@ def test_scan_conjecture_flag_only_for_open_case():
     assert closed_scan.flag is None
 
 
-def test_scan_jobs_do_not_change_results():
-    serial = symmetry_breaking_scan(5, 0.25, k_max=2, basis_sizes=(4, 8), jobs=1)
-    threaded = symmetry_breaking_scan(5, 0.25, k_max=2, basis_sizes=(4, 8), jobs=3)
-    assert serial.verdict == threaded.verdict
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a == b
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+def test_scan_raw_column_is_exact(n, alpha):
+    scan = symmetry_breaking_scan(n, alpha, k_max=3, basis_sizes=(2,))
+    for row in scan.rows:
+        raw = float(mode_quotient_weighted(n + 2 * row.k, alpha, 0).exact)
+        assert row.raw_value == raw
+        assert row.effective_value == raw / row.hardy_factor**2
+
+
+def test_scan_rejects_a_raw_value_its_gram_ratio_contradicts(monkeypatch):
+    original = variational.build_gram
+
+    def scaled_b(*args, **kwargs):
+        gram = original(*args, **kwargs)
+        return replace(gram, m_b=gram.m_b * (1.0 + 1e-6)) if gram.m == 1 else gram
+
+    monkeypatch.setattr(variational, "build_gram", scaled_b)
+    with pytest.raises(ConsistencyError, match="Gram ratio"):
+        symmetry_breaking_scan(5, 0.0, k_max=1, basis_sizes=(2,))
+
+
+@pytest.mark.parametrize("n, alpha, k", [
+    (2, 0.0, 1), (4, 0.0, 2), (5, -0.5, 1), (3, 0.5, 3), (7, -0.875, 1),
+])
+def test_derivative_minimum_is_the_radial_constant_of_dimension_n_plus_2k(n, alpha, k):
+    # The fact the scan takes from the closed form instead of recomputing.
+    params = InequalityParams(n, alpha)
+    gram = build_gram(params, k, make_basis(params, k, 8, "derivative"), "derivative")
+    expected = mode_quotient_weighted(n + 2 * k, alpha, 0).value
+    assert minimize_quotient(gram).value == pytest.approx(expected, rel=1e-9)
 
 
 def test_scan_preconditions():
