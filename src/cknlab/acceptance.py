@@ -1,7 +1,8 @@
 """Acceptance suite: ten end-to-end checks with stated tolerances.
 
 Each criterion runs standalone, reports pass/fail with a timing, and
-never raises; ``run_all`` prints one line per criterion when verbose.
+never raises; ``run_all`` prints one line per criterion to stderr when
+verbose.
 The CLI ``selftest`` subcommand and the test suite both drive this
 module.
 """
@@ -9,6 +10,7 @@ module.
 from __future__ import annotations
 
 import math
+import sys
 import time
 import traceback
 from dataclasses import dataclass
@@ -170,13 +172,13 @@ def _check_6() -> Tuple[bool, str]:
     est7 = estimate_mode_constant(InequalityParams(7, 0.0), 0, (4, 8, 16))
     _fail(msgs, abs(est7.value - 16.0) <= 1e-4 * 16.0,
           f"n=7 estimate {est7.value}")
+    # The span {e^-r, r e^-r} holds the extremal (1 + r) e^-r.
     params = InequalityParams(5, 0.0)
-    basis = make_basis(params, 0, 1, "derivative")
-    anchor = minimize_quotient(build_gram(params, 0, basis, "derivative"))
+    anchor = minimize_quotient(build_gram(params, 0, make_basis(params, 0, 2)))
     _fail(msgs, abs(anchor.value - 9.0) <= 1e-9 * 9.0,
-          f"m=1 extremal-shape value {anchor.value}")
+          f"m=2 extremal-span value {anchor.value}")
     return not msgs, "; ".join(msgs) or (
-        f"estimates {est5.value:.6f}, {est7.value:.6f}; m=1 anchor exact"
+        f"estimates {est5.value:.6f}, {est7.value:.6f}; m=2 anchor exact"
     )
 
 
@@ -290,7 +292,7 @@ def _check_10() -> Tuple[bool, str]:
 
     # Analytic gradient of log Q against central differences.
     gparams = InequalityParams(6, 0.25)
-    gram = build_gram(gparams, 1, make_basis(gparams, 1, 6, "profile"), "profile")
+    gram = build_gram(gparams, 1, make_basis(gparams, 1, 6))
     rng = np.random.default_rng(12)
     checked = 0
     while checked < 20:
@@ -365,7 +367,7 @@ def run_criterion(index: int) -> CriterionResult:
 
 
 def run_all(verbose: bool = False) -> List[CriterionResult]:
-    """Run every criterion; one pass/fail line each when verbose."""
+    """Run every criterion; one pass/fail line each on stderr when verbose."""
     results = []
     for idx, *_ in CRITERIA:
         result = run_criterion(idx)
@@ -374,6 +376,7 @@ def run_all(verbose: bool = False) -> List[CriterionResult]:
             status = "PASS" if result.passed else "FAIL"
             print(
                 f"criterion {result.index:2d} {status} "
-                f"({result.seconds:7.3f}s) {result.description}: {result.detail}"
+                f"({result.seconds:7.3f}s) {result.description}: {result.detail}",
+                file=sys.stderr,
             )
     return results

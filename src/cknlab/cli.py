@@ -58,6 +58,7 @@ from .exppoly import ExpPoly
 from .functionals import (
     FAMILY_IDS,
     ExtremalFamily,
+    exponential_profile,
     extremal_profile,
     mode_quotient,
     one_dim_quotient,
@@ -404,11 +405,6 @@ def cmd_mode_scan(config: RunConfig) -> Document:
     )
 
 
-def _closed_test_function(n: int) -> float:
-    num = Fraction(n) * (n + 4) * Fraction(n**2 - 1) ** 2
-    return float(num / (4 * Fraction(n**2 - n + 4) ** 2))
-
-
 def _read_coefficients(path: str) -> Tuple[float, ...]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -445,8 +441,9 @@ def cmd_quotient(config: RunConfig) -> Document:
     if config.test_function:
         if params.n < 2:
             raise PreconditionError("--test-function requires --n >= 2")
-        value = test_function_quotient(params.n, spec)
-        closed = _closed_test_function(params.n)
+        closed = test_function_quotient(params.n, spec)
+        value = mode_quotient(exponential_profile(1.0), InequalityParams(params.n, 0.0), 1, spec,
+                              method="quadrature")
         provenance = {
             "profile": "v = exp(-r) on the first harmonic",
             "closed_formula": "N(N+4)(N^2-1)^2 / (4(N^2-N+4)^2)",

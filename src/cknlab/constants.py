@@ -54,6 +54,7 @@ __all__ = [
     "mode_infimum",
     "sharp_constant_closed_form",
     "symmetry_breaking_bounds",
+    "exponential_profile_quotient",
     "reference_constants",
     "dn_general_lower_bound",
     "continuous_extension_plain",
@@ -350,6 +351,12 @@ def sharp_constant_closed_form(params: InequalityParams) -> ClosedFormConstant:
     return ClosedFormConstant(float(exact), exact, "radial-weighted", "thm1.2-2", params)
 
 
+def exponential_profile_quotient(n: int) -> Fraction:
+    """The exact quotient N (N+4) (N^2-1)^2 / (4 (N^2-N+4)^2) of the
+    profile v = e^{-r} on the first harmonic (k = 1) at alpha = 0."""
+    return Fraction(n * (n + 4) * (n**2 - 1) ** 2, 4 * (n**2 - n + 4) ** 2)
+
+
 def symmetry_breaking_bounds(n: int) -> BoundsReport:
     """Two-sided bounds on the sharp constant for N in {2, 3, 4} (the
     unweighted alpha = 0 case, where no closed form is proven).
@@ -375,7 +382,7 @@ def symmetry_breaking_bounds(n: int) -> BoundsReport:
         upper = conjectured
         flag = "conjecture-open"
     else:
-        upper = Fraction(n * (n + 4) * (n**2 - 1) ** 2, 4 * (n**2 - n + 4) ** 2)
+        upper = exponential_profile_quotient(n)
         flag = None
     if not (lower <= upper <= conjectured):
         raise ConsistencyError(f"bounds ordering violated for N={n}")

@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .constants import InequalityParams
+from .constants import InequalityParams, exponential_profile_quotient
 from .errors import (
     ConsistencyError,
     DivergentIntegralError,
@@ -67,6 +66,7 @@ __all__ = [
     "profile_from_exppoly",
     "profile_from_callable",
     "exponential_profile",
+    "form_parts",
     "mode_energies",
     "mode_quotient",
     "test_function_quotient",
@@ -550,6 +550,67 @@ def _combine(pairs, coefs) -> Tuple[float, Optional[float]]:
     return value, None
 
 
+def form_parts(
+    n: int, alpha: float, k: int
+) -> Tuple[Tuple[Tuple[int, float, float], ...], ...]:
+    """The parts of the A, B and C forms of mode k.
+
+    Each part is (derivative order, weight exponent, coefficient), and a
+    form is the sum over its parts of coefficient * int |v^(order)|^2
+    r^exponent dr (see the module docstring).  At N = 1, k = 0 both extra
+    coefficients vanish, leaving the one-dimensional forms.
+    """
+    alpha = float(alpha)
+    return (
+        ((2, n + 2 * k - 2 * alpha - 1.0, 1.0),
+         (1, n + 2 * k - 2 * alpha - 3.0, (2 * alpha + 1.0) * (n + 2 * k - 1.0))),
+        ((1, n + 2 * k - 1.0, 1.0),),
+        ((1, n + 2 * k - alpha - 2.0, 1.0),
+         (0, n + 2 * k - alpha - 4.0, (alpha + 1.0) * k)),
+    )
+
+
+def _energies(
+    profile: RadialProfile,
+    params: InequalityParams,
+    k: int,
+    spec: QuadratureSpec,
+    method: str,
+) -> ModeEnergy:
+    """The energy triple of ``form_parts``; parts with a zero coefficient
+    are skipped."""
+    if method not in ("auto", "closed", "quadrature", "both"):
+        raise DomainError(f"unknown method {method!r}")
+    if method == "auto":
+        method = "both" if profile.has_closed_derivatives else "quadrature"
+    energies, gaps = [], []
+    for parts in form_parts(params.n, params.alpha, k):
+        live = [part for part in parts if part[2] != 0.0]
+        pairs = [_component_energy(profile, ("v", "d1", "d2")[order], power, spec, method)
+                 for order, power, _ in live]
+        energy, gap = _combine(pairs, [coef for *_, coef in live])
+        energies.append(energy)
+        if gap is not None:
+            gaps.append(gap)
+    rel_gap = max(gaps) if gaps else None
+    if rel_gap is not None and rel_gap > ENERGY_AGREEMENT_RTOL:
+        raise ConsistencyError(
+            f"closed-form and quadrature energies disagree (rel gap {rel_gap:.3e} "
+            f"> {ENERGY_AGREEMENT_RTOL}) for k={k}, params={params!r}"
+        )
+    return ModeEnergy(*energies, k, params, method, rel_gap)
+
+
+def _quotient(e: ModeEnergy) -> float:
+    """A B / C^2 evaluated as (A/C)(B/C), so that energies near the float
+    range do not overflow."""
+    if not (e.energy_c > _DENOM_FLOOR):
+        raise ZeroDenominatorError(
+            f"denominator energy C = {e.energy_c!r} is zero (or numerically so)"
+        )
+    return (e.energy_a / e.energy_c) * (e.energy_b / e.energy_c)
+
+
 def mode_energies(
     profile: RadialProfile,
     params: InequalityParams,
@@ -574,49 +635,13 @@ def mode_energies(
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
-    n, alpha = params.n, float(params.alpha)
-    if n < 2:
+    if params.n < 2:
         raise DomainError("mode energies require dimension n >= 2 "
                           "(use one_dim_quotient for N = 1)")
+    alpha = float(params.alpha)
     if not alpha > -1.0:
         raise DomainError(f"alpha must be > -1, got {alpha}")
-    if method not in ("auto", "closed", "quadrature", "both"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "both" if profile.has_closed_derivatives else "quadrature"
-
-    p_a1 = n + 2 * k - 2 * alpha - 1.0
-    c_a2 = (2.0 * alpha + 1.0) * (n + 2 * k - 1.0)
-    p_a2 = n + 2 * k - 2 * alpha - 3.0
-    p_b = n + 2 * k - 1.0
-    p_c1 = n + 2 * k - alpha - 2.0
-    c_c2 = (alpha + 1.0) * k
-    p_c2 = n + 2 * k - alpha - 4.0
-
-    a_terms = [_component_energy(profile, "d2", p_a1, spec, method)]
-    a_coefs = [1.0]
-    if c_a2 != 0.0:
-        a_terms.append(_component_energy(profile, "d1", p_a2, spec, method))
-        a_coefs.append(c_a2)
-    energy_a, gap_a = _combine(a_terms, a_coefs)
-
-    energy_b, gap_b = _combine([_component_energy(profile, "d1", p_b, spec, method)], [1.0])
-
-    c_terms = [_component_energy(profile, "d1", p_c1, spec, method)]
-    c_coefs = [1.0]
-    if c_c2 != 0.0:
-        c_terms.append(_component_energy(profile, "v", p_c2, spec, method))
-        c_coefs.append(c_c2)
-    energy_c, gap_c = _combine(c_terms, c_coefs)
-
-    gaps = [g for g in (gap_a, gap_b, gap_c) if g is not None]
-    rel_gap = max(gaps) if gaps else None
-    if rel_gap is not None and rel_gap > ENERGY_AGREEMENT_RTOL:
-        raise ConsistencyError(
-            f"closed-form and quadrature energies disagree (rel gap {rel_gap:.3e} "
-            f"> {ENERGY_AGREEMENT_RTOL}) for k={k}, params={params!r}"
-        )
-    return ModeEnergy(energy_a, energy_b, energy_c, k, params, method, rel_gap)
+    return _energies(profile, params, k, spec, method)
 
 
 def mode_quotient(
@@ -628,12 +653,7 @@ def mode_quotient(
 ) -> float:
     """The per-mode quotient Q = A B / C^2 of one profile, evaluated as
     (A/C)(B/C) so that energies near the float range do not overflow."""
-    e = mode_energies(profile, params, k, spec, method)
-    if not (e.energy_c > _DENOM_FLOOR):
-        raise ZeroDenominatorError(
-            f"denominator energy C = {e.energy_c!r} is zero (or numerically so)"
-        )
-    return (e.energy_a / e.energy_c) * (e.energy_b / e.energy_c)
+    return _quotient(mode_energies(profile, params, k, spec, method))
 
 
 def test_function_quotient(n: int, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -648,11 +668,9 @@ def test_function_quotient(n: int, spec: QuadratureSpec = QuadratureSpec()) -> f
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"test function quotient requires integer n >= 2, got {n!r}")
-    exact = Fraction(n * (n + 4) * (n**2 - 1) ** 2, 4 * (n**2 - n + 4) ** 2)
-    profile = exponential_profile(1.0)
-    params = InequalityParams(n, 0.0)
-    e = mode_energies(profile, params, 1, spec, method="quadrature")
-    q_quad = (e.energy_a / e.energy_c) * (e.energy_b / e.energy_c)
+    exact = exponential_profile_quotient(n)
+    q_quad = mode_quotient(exponential_profile(1.0), InequalityParams(n, 0.0), 1, spec,
+                           method="quadrature")
     rel = abs(q_quad - float(exact)) / float(exact)
     if rel > 1e-10:
         raise ConsistencyError(
@@ -668,38 +686,14 @@ def one_dim_quotient(
     spec: QuadratureSpec = QuadratureSpec(),
     method: str = "auto",
 ) -> float:
-    """The N = 1 quotient for even profiles v(|x|):
+    """The N = 1 quotient for even profiles v(|x|): the forms of
+    ``form_parts(1, alpha, 0)``,
 
-        Q = (2 int |v''|^2 r^(-2a) dr) (2 int |v'|^2 dr)
-            / (2 int |v'|^2 r^(-a-1) dr)^2
+        Q = (int |v''|^2 r^(-2a) dr) (int |v'|^2 dr) / (int |v'|^2 r^(-a-1) dr)^2
 
-    (each half-line integral doubled for the even extension; the factors
-    cancel in the quotient but are kept so the energies are the true
-    line integrals).  Requires alpha > -1.
+    (the factor 2 of the even extension cancels).  Requires alpha > -1.
     """
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > -1.0):
         raise DomainError(f"alpha must be finite and > -1, got {alpha!r}")
-    if method not in ("auto", "closed", "quadrature", "both"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "both" if profile.has_closed_derivatives else "quadrature"
-
-    pairs = [
-        _component_energy(profile, "d2", -2.0 * alpha, spec, method),
-        _component_energy(profile, "d1", 0.0, spec, method),
-        _component_energy(profile, "d1", -alpha - 1.0, spec, method),
-    ]
-    values = []
-    for closed, quad in pairs:
-        if closed is not None and quad is not None:
-            scale = max(abs(closed), abs(quad), 1e-300)
-            if abs(closed - quad) / scale > ENERGY_AGREEMENT_RTOL:
-                raise ConsistencyError(
-                    "one-dimensional energies: closed form and quadrature disagree"
-                )
-        values.append(closed if closed is not None else quad)
-    a_val, b_val, c_val = (2.0 * v for v in values)
-    if not (c_val > _DENOM_FLOOR):
-        raise ZeroDenominatorError(f"denominator energy {c_val!r} is zero")
-    return (a_val / c_val) * (b_val / c_val)
+    return _quotient(_energies(profile, InequalityParams(1, alpha), 0, spec, method))

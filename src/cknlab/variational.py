@@ -10,28 +10,26 @@ is minimized over the trial spaces
 
 which span the same nested spaces as r^(gamma0 + j*q) exp(-r^q) but keep
 the Gram matrices well-conditioned (the monomial ones are Hilbert-like).
-Every derivative of a trial function is r^g exp(-x) E_j(x) with E_j a
-polynomial, so a Gauss-Laguerre rule of m + 3 nodes gives every Gram entry
-exactly.  As a second route, every entry is integrated again by
-double-exponential quadrature in r from the same evaluation of the E_j.
+The trial functions stand for the radial profile v, and M_A, M_B, M_C are
+the Gram matrices of the forms of ``functionals.form_parts``, the
+zero-order mode term of C included, so the minimum over the full space is
+the per-mode constant itself.  Every derivative of a trial function is
+r^g exp(-x) E_j(x) with E_j a polynomial, so a Gauss-Laguerre rule of
+m + 3 nodes gives every Gram entry exactly.  As a second route, every
+entry is integrated again by double-exponential quadrature in r from the
+same evaluation of the E_j.
 
 By AM-GM, ab = min over t > 0 of ((t a + b/t)/2)^2, so min Q over a trial
 space is min over u = log t of (lambda_1(e^u M_A + e^-u M_B ; M_C) / 2)^2,
 found by a one-dimensional search (see ``minimize_quotient``).
-Two formulations of the quadratic forms are supported:
 
-* ``"profile"``: the trial functions stand for the profile itself and the
-  complete C form, including the zero-order mode term, is used.  The
-  minimum of this quotient is the actual per-mode constant, and it is
-  what ``estimate_mode_constant`` and the symmetry-breaking verdict use.
-* ``"derivative"``: the trial functions stand for the derivative w = v'
-  of the radial profile.  The zero-order part of the C form is dropped
-  (it is controlled separately by a one-dimensional Hardy estimate, see
-  ``constants.hardy_step_factor``), which leaves the radial problem in
-  dimension N + 2k.  Its constant K(N+2k, alpha, 0) is proven and
-  attained by r^(2*alpha+1) exp(-r^(alpha+1)), the first trial function,
-  so the scan takes it from the closed form and checks it against the
-  1x1 Gram ratio.
+The symmetry-breaking scan also reports each mode's constant without the
+zero-order part of C (that part is controlled separately by a
+one-dimensional Hardy estimate, see ``constants.hardy_step_factor``).
+The forms left act on v' only and are those of the radial problem in
+dimension N + 2k, whose constant K(N+2k, alpha, 0) is proven and attained
+by the extremal (1 + r^q) exp(-r^q); the scan takes it from the closed
+form and checks it against that extremal's energies in dimension N + 2k.
 """
 
 from __future__ import annotations
@@ -53,6 +51,7 @@ from .errors import (
     UnsupportedRegimeError,
     VerificationMismatchError,
 )
+from .functionals import ExtremalFamily, extremal_profile, form_parts, mode_energies
 from .quadrature import IntegrandHandle, QuadratureSpec, integrate
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "ModeConstantEstimate",
     "ScanRow",
     "ScanReport",
-    "FORMULATIONS",
     "make_basis",
     "build_gram",
     "quotient_gradient",
@@ -70,8 +68,6 @@ __all__ = [
     "estimate_mode_constant",
     "symmetry_breaking_scan",
 ]
-
-FORMULATIONS = ("derivative", "profile")
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SCAN_K_MAX = 8
@@ -223,7 +219,6 @@ class GramTriple:
     params: InequalityParams
     k: int
     basis: BasisSpec
-    formulation: str
     diagnostics: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -253,8 +248,7 @@ class MinimizationResult:
 
 @dataclass(frozen=True)
 class ModeConstantEstimate:
-    """Nested-basis profile-formulation estimate of one per-mode constant
-    with its trace."""
+    """Nested-basis estimate of one per-mode constant with its trace."""
 
     params: InequalityParams
     k: int
@@ -272,14 +266,14 @@ class ModeConstantEstimate:
 class ScanRow:
     """Per-mode line of a symmetry-breaking scan.
 
-    ``raw_value`` is the derivative-formulation constant, exactly
-    K(N+2k, alpha, 0) = ((N+2k+3 alpha+1)/2)^2, checked against its 1x1
-    Gram ratio; ``effective_value`` is raw divided by the squared
-    Hardy-step factor (a lower-bound correction; None when the factor is
-    undefined), and ``full_value`` is the complete-C profile-formulation
-    Rayleigh-Ritz estimate.  ``verdict_value`` is what the verdict
-    compares: the full estimate, except at k=0 where raw is the same
-    quotient's attained constant and the smaller of the two is used.
+    ``raw_value`` is the constant of mode k without the zero-order part of
+    C, exactly K(N+2k, alpha, 0) = ((N+2k+3 alpha+1)/2)^2, checked against
+    the energies of its extremal in dimension N + 2k; ``effective_value``
+    is raw divided by the squared Hardy-step factor (a lower-bound
+    correction; None when the factor is undefined), and ``full_value`` is
+    the complete-C Rayleigh-Ritz estimate.  ``verdict_value`` is what the
+    verdict compares: the full estimate, except at k=0 where raw is the
+    same quotient's attained constant and the smaller of the two is used.
     """
 
     k: int
@@ -305,47 +299,16 @@ class ScanReport:
     flag: Optional[str] = None
 
 
-def _part_descriptors(
-    params: InequalityParams, k: int, formulation: str
-) -> Tuple[Tuple[Tuple[int, float, float], ...], ...]:
-    """The quadratic form parts (derivative order, weight exponent, coefficient).
-
-    Each part contributes coef * integral(f_j f_l r^power) to every Gram
-    entry, f being the trial functions' derivative of that order.
-    """
-    n, alpha = params.n, params.alpha
-    if formulation not in FORMULATIONS:
-        raise DomainError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
-    lo = 1 if formulation == "profile" else 0  # derivative order in B
-    parts_a = (
-        (lo + 1, n + 2 * k - 2 * alpha - 1.0, 1.0),
-        (lo, n + 2 * k - 2 * alpha - 3.0, (2 * alpha + 1.0) * (n + 2 * k - 1.0)),
-    )
-    parts_b = ((lo, n + 2 * k - 1.0, 1.0),)
-    parts_c = ((lo, n + 2 * k - alpha - 2.0, 1.0),)
-    if lo:
-        parts_c += ((0, n + 2 * k - alpha - 4.0, (alpha + 1.0) * k),)
-    return parts_a, parts_b, parts_c
-
-
 def _rule_exponent(fac_power: float, power: float, q: float) -> float:
     """s in  int f_j f_l r^power dr = (1/q) int x^s e^(-2x) E_j E_l dx
     for f = r^fac_power e^(-x) E(x)."""
     return (2.0 * fac_power + power + 1.0) / q - 1.0
 
 
-
-def make_basis(
-    params: InequalityParams,
-    k: int,
-    size: int,
-    formulation: str = "profile",
-) -> BasisSpec:
+def make_basis(params: InequalityParams, k: int, size: int) -> BasisSpec:
     """A trial space of ``size`` functions whose Gram integrals converge.
 
-    The leading exponent starts at 0 for the profile formulation and at
-    2*alpha+1 for the derivative formulation (so the known extremal shape
-    is the first trial function).  When it makes some Gram integral
+    The leading exponent starts at 0.  When it makes some Gram integral
     diverge near the origin, it is raised in steps of q/2 until every
     integral converges.
     """
@@ -356,8 +319,8 @@ def make_basis(
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
     q = params.alpha + 1.0
-    g0 = 2 * params.alpha + 1.0 if formulation == "derivative" else 0.0
-    all_parts = _part_descriptors(params, k, formulation)
+    g0 = 0.0
+    all_parts = form_parts(params.n, params.alpha, k)
     for _ in range(_MAX_GAMMA0_BUMPS + 1):
         basis = BasisSpec(size, g0, q)
         if all(
@@ -370,7 +333,7 @@ def make_basis(
         g0 += q / 2.0
     raise DivergentIntegralError(
         f"no converging leading exponent found for n={params.n}, alpha={params.alpha},"
-        f" k={k}, formulation={formulation!r} (last tried gamma0={g0})"
+        f" k={k} (last tried gamma0={g0})"
     )
 
 
@@ -422,7 +385,6 @@ def build_gram(
     params: InequalityParams,
     k: int,
     basis: BasisSpec,
-    formulation: str = "derivative",
     spec: Optional[QuadratureSpec] = None,
     verify: bool = True,
 ) -> GramTriple:
@@ -439,7 +401,7 @@ def build_gram(
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
     if params.n < 2:
         raise DomainError(f"mode decomposition needs dimension n >= 2, got {params.n}")
-    all_parts = _part_descriptors(params, k, formulation)
+    all_parts = form_parts(params.n, params.alpha, k)
     # Laguerre parameter a = the rule exponent of C's zero-order (last) part,
     # even where k = 0 drops it: that part is then diagonal.
     a = _rule_exponent(float(basis.gamma0), all_parts[2][-1][1], float(basis.decay_q))
@@ -475,7 +437,7 @@ def build_gram(
                 )
             worst = max(worst, float(rel[j, l]))
     diagnostics: Dict[str, object] = {
-        "indefinite_a_allowed": (2 * params.alpha + 1.0) * (params.n + 2 * k - 1.0) < 0.0,
+        "indefinite_a_allowed": any(coef < 0.0 for *_, coef in all_parts[0]),
         "laguerre_a": a,
     }
     if verify:
@@ -492,7 +454,6 @@ def build_gram(
         params=params,
         k=k,
         basis=basis,
-        formulation=formulation,
         diagnostics=diagnostics,
     )
 
@@ -557,7 +518,7 @@ def minimize_quotient(gram: GramTriple) -> MinimizationResult:
     if chol_a is None:
         raise UnsupportedRegimeError(
             f"the A form is not positive definite on this trial space ({gram.params!r}, "
-            f"k={gram.k}, {gram.formulation} formulation); the reduction "
+            f"k={gram.k}); the reduction "
             "ab = min_t ((t a + b/t)/2)^2 needs a >= 0"
         )
     if chol_c is None:
@@ -630,8 +591,8 @@ def estimate_mode_constant(
     basis_sizes: Sequence[int],
     spec: Optional[QuadratureSpec] = None,
 ) -> ModeConstantEstimate:
-    """Profile-formulation estimate of one per-mode constant over a nested
-    sequence of trial spaces, every Gram entry checked by quadrature.
+    """Estimate of one per-mode constant over a nested sequence of trial
+    spaces, every Gram entry checked by quadrature.
 
     The spaces are nested (each size reuses the same leading exponent and
     Laguerre family), so the value trace cannot increase beyond round-off.
@@ -648,7 +609,7 @@ def estimate_mode_constant(
     trace = []
     for size in sizes:
         basis = replace(first, m=size)
-        gram = build_gram(params, k, basis, "profile", spec=spec)
+        gram = build_gram(params, k, basis, spec=spec)
         result = minimize_quotient(gram)
         if trace and result.value > trace[-1] + TRACE_SLACK * max(1.0, abs(trace[-1])):
             raise ConsistencyError(
@@ -673,16 +634,20 @@ def estimate_mode_constant(
 
 
 def _checked_raw_value(params: InequalityParams, k: int, spec: Optional[QuadratureSpec]) -> float:
-    """K(N+2k, alpha, 0), the derivative-formulation constant of mode k,
-    checked against the 1x1 Gram ratio of its extremal shape."""
-    exact = mode_quotient_weighted(params.n + 2 * k, params.alpha, 0).value
-    gram = build_gram(params, k, make_basis(params, k, 1, "derivative"), "derivative", spec=spec)
-    a, b, c = (float(mat[0, 0]) for mat in (gram.m_a, gram.m_b, gram.m_c))
-    ratio = (a / c) * (b / c)
-    if not abs(ratio - exact) <= SPOT_CHECK_RTOL * exact:
+    """K(N+2k, alpha, 0), the constant of mode k without the zero-order part
+    of C, checked against the energies of its extremal in dimension N + 2k:
+    their ratio and their closed-vs-quadrature gap within SPOT_CHECK_RTOL."""
+    radial = InequalityParams(params.n + 2 * k, params.alpha)
+    exact = mode_quotient_weighted(radial.n, radial.alpha, 0).value
+    extremal = extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1.0, radial))
+    spec = spec if spec is not None else QuadratureSpec()
+    e = mode_energies(extremal, radial, 0, spec, method="both")
+    ratio = (e.energy_a / e.energy_c) * (e.energy_b / e.energy_c)
+    if not (abs(ratio - exact) <= SPOT_CHECK_RTOL * exact and e.rel_gap <= SPOT_CHECK_RTOL):
         raise ConsistencyError(
-            f"1x1 derivative-formulation Gram ratio {ratio!r} disagrees with "
-            f"K({params.n + 2 * k}, {params.alpha}, 0) = {exact!r} at k={k}"
+            f"energy ratio {ratio!r} of the extremal in dimension {radial.n} (closed vs "
+            f"quadrature gap {e.rel_gap:.3e}) disagrees with "
+            f"K({radial.n}, {params.alpha}, 0) = {exact!r} at k={k}"
         )
     return exact
 
@@ -696,10 +661,10 @@ def symmetry_breaking_scan(
 ) -> ScanReport:
     """Per-mode constants for k = 0..k_max and the mode that minimises them.
 
-    Each row reports the exact derivative-formulation constant (raw), the
-    Hardy-corrected effective value raw / factor^2 (a lower-bound
+    Each row reports the exact constant without C's zero-order part (raw),
+    the Hardy-corrected effective value raw / factor^2 (a lower-bound
     correction, None where the factor is undefined), and the complete-C
-    profile-formulation estimate.  The verdict compares the complete
+    Rayleigh-Ritz estimate.  The verdict compares the complete
     quotient estimates across modes (``verdict_value``): "radial" when
     k=0 attains the minimum, otherwise "symmetry-broken at k=<k*>".
     """

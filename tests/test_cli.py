@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,7 +121,7 @@ def test_quotient_selector_is_exclusive(capsys):
 
 
 def test_quotient_discrepancy_exits_consistency(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "test_function_quotient", lambda n, spec: 1.0)
+    monkeypatch.setattr(cli, "mode_quotient", lambda *args, **kwargs: 1.0)
     code, out, _ = run(capsys, "quotient", "--test-function", "--n", "3")
     assert code == 4
     doc = json.loads(out)
@@ -190,6 +194,28 @@ def test_selftest_csv_accepts_descriptions_with_commas(capsys, monkeypatch):
     code, out, err = run(capsys, "selftest", "--format", "csv")
     assert code == 0, err
     assert out.splitlines()[1] == '1,true,0,"criterion 1, with a comma"'
+
+
+def test_selftest_json_stdout_is_one_document(capsys, monkeypatch):
+    import cknlab.acceptance as acceptance
+
+    fake = tuple((i, f"fake criterion {i}", 1.0, lambda: (True, "ok")) for i in (1, 2))
+    monkeypatch.setattr(acceptance, "CRITERIA", fake)
+    code, out, err = run(capsys, "selftest", "--format", "json")
+    assert code == 0, err
+    assert [r["index"] for r in json.loads(out)["results"]] == [1, 2]
+    assert "criterion  1 PASS" in err and "criterion  2 PASS" in err
+
+
+def test_cli_import_leaves_out_scipy_linalg_and_optimize():
+    # Importing scipy.linalg raised the benchmark's peak RSS by about 11 %.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, cknlab.cli; "
+             "print(sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv, closed", [

@@ -13,9 +13,9 @@ import cknlab.variational as variational
 from cknlab.constants import InequalityParams, mode_quotient_weighted
 from cknlab.exppoly import ExpPoly
 from cknlab.errors import ConsistencyError, PreconditionError, UnsupportedRegimeError
+from cknlab.functionals import form_parts
 from cknlab.variational import (
     BasisSpec,
-    _part_descriptors,
     _pd_check,
     build_gram,
     estimate_mode_constant,
@@ -28,35 +28,42 @@ from cknlab.variational import (
 P5 = InequalityParams(5, 0.0)
 
 
+def _problem(n, alpha, k, formulation):
+    """(params, k) of one Gram problem.  "derivative" names the problem the
+    substitution w = v' leaves once C loses its zero-order part: the radial
+    one in dimension N + 2k."""
+    if formulation == "derivative":
+        return InequalityParams(n + 2 * k, alpha), 0
+    return InequalityParams(n, alpha), k
+
+
 def test_make_basis_defaults():
-    b_deriv = make_basis(P5, 0, 4, "derivative")
-    assert b_deriv.m == 4
-    assert b_deriv.gamma0 == pytest.approx(1.0)  # 2 alpha + 1 at alpha = 0
-    assert b_deriv.decay_q == pytest.approx(1.0)  # alpha + 1
-    b_prof = make_basis(P5, 0, 4, "profile")
-    assert b_prof.gamma0 == pytest.approx(0.0)
+    basis = make_basis(P5, 0, 4)
+    assert basis.m == 4
+    assert basis.gamma0 == pytest.approx(0.0)
+    assert basis.decay_q == pytest.approx(1.0)  # alpha + 1
 
 
 def test_make_basis_bumps_away_from_divergence():
-    # At N=2 the profile-formulation A entries diverge for gamma0 = 0.
-    basis = make_basis(InequalityParams(2, 0.0), 0, 3, "profile")
+    # At N=2 the A entries diverge for gamma0 = 0.
+    basis = make_basis(InequalityParams(2, 0.0), 0, 3)
     assert basis.gamma0 > 0.0
 
 
 def test_make_basis_rejects_low_alpha():
     with pytest.raises(UnsupportedRegimeError):
-        make_basis(InequalityParams(3, -1.5), 0, 3, "profile")
+        make_basis(InequalityParams(3, -1.5), 0, 3)
 
 
 def test_gram_anchor_entry():
-    basis = make_basis(P5, 0, 1, "derivative")
-    gram = build_gram(P5, 0, basis, "derivative")
-    assert gram.m_b[0, 0] == pytest.approx(math.gamma(7) / 2**7, rel=1e-12)
+    # phi_0 = e^-r, so M_B[0, 0] = int e^(-2r) r^4 dr.
+    gram = build_gram(P5, 0, make_basis(P5, 0, 1))
+    assert gram.m_b[0, 0] == pytest.approx(math.gamma(5) / 2**5, rel=1e-12)
 
 
 def test_gram_matrices_are_read_only_and_spot_checked():
-    basis = make_basis(P5, 0, 3, "profile")
-    gram = build_gram(P5, 0, basis, "profile")
+    basis = make_basis(P5, 0, 3)
+    gram = build_gram(P5, 0, basis)
     with pytest.raises(ValueError):
         gram.m_b[0, 0] = 1.0
     assert gram.diagnostics["spot_checked_entries"] > 0
@@ -65,13 +72,12 @@ def test_gram_matrices_are_read_only_and_spot_checked():
 
 def test_gram_requires_multidimensional_params():
     with pytest.raises(PreconditionError):
-        build_gram(InequalityParams(1, 0.0), 0,
-                   BasisSpec(2, 1.0, 1.0), "derivative")
+        build_gram(InequalityParams(1, 0.0), 0, BasisSpec(2, 1.0, 1.0))
 
 
 def test_quotient_gradient_euler_identity():
-    basis = make_basis(P5, 0, 5, "profile")
-    gram = build_gram(P5, 0, basis, "profile")
+    basis = make_basis(P5, 0, 5)
+    gram = build_gram(P5, 0, basis)
     rng = np.random.default_rng(3)
     for _ in range(10):
         y = rng.standard_normal(5)
@@ -84,8 +90,8 @@ def test_quotient_gradient_euler_identity():
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_gradient_matches_finite_differences(seed):
-    basis = make_basis(P5, 0, 4, "profile")
-    gram = build_gram(P5, 0, basis, "profile")
+    basis = make_basis(P5, 0, 4)
+    gram = build_gram(P5, 0, basis)
     y = np.random.default_rng(seed).standard_normal(4)
     value, grad = quotient_gradient(gram, y)
     step = 1e-6
@@ -101,15 +107,16 @@ def test_gradient_matches_finite_differences(seed):
 
 
 def test_single_function_basis_recovers_constant():
-    basis = make_basis(P5, 0, 1, "derivative")
-    result = minimize_quotient(build_gram(P5, 0, basis, "derivative"))
+    # The span of e^-r and r e^-r holds the extremal (1 + r) e^-r.
+    basis = make_basis(P5, 0, 2)
+    result = minimize_quotient(build_gram(P5, 0, basis))
     assert result.value == pytest.approx(9.0, rel=1e-12)
     assert result.converged
 
 
 def test_minimize_is_deterministic():
-    basis = make_basis(P5, 0, 6, "profile")
-    gram = build_gram(P5, 0, basis, "profile")
+    basis = make_basis(P5, 0, 6)
+    gram = build_gram(P5, 0, basis)
     a = minimize_quotient(gram)
     b = minimize_quotient(gram)
     assert a.value == b.value
@@ -180,15 +187,25 @@ def test_scan_raw_column_is_exact(n, alpha):
         assert row.effective_value == raw / row.hardy_factor**2
 
 
-def test_scan_rejects_a_raw_value_its_gram_ratio_contradicts(monkeypatch):
-    original = variational.build_gram
+def _perturbed_energies(monkeypatch, **changes):
+    original = variational.mode_energies
 
-    def scaled_b(*args, **kwargs):
-        gram = original(*args, **kwargs)
-        return replace(gram, m_b=gram.m_b * (1.0 + 1e-6)) if gram.m == 1 else gram
+    def perturbed(*args, **kwargs):
+        e = original(*args, **kwargs)
+        return replace(e, **{key: change(e) for key, change in changes.items()})
 
-    monkeypatch.setattr(variational, "build_gram", scaled_b)
-    with pytest.raises(ConsistencyError, match="Gram ratio"):
+    monkeypatch.setattr(variational, "mode_energies", perturbed)
+
+
+def test_scan_rejects_a_raw_value_its_energy_ratio_contradicts(monkeypatch):
+    _perturbed_energies(monkeypatch, energy_b=lambda e: e.energy_b * (1.0 + 1e-6))
+    with pytest.raises(ConsistencyError, match="energy ratio"):
+        symmetry_breaking_scan(5, 0.0, k_max=1, basis_sizes=(2,))
+
+
+def test_scan_rejects_a_raw_value_whose_energy_routes_disagree(monkeypatch):
+    _perturbed_energies(monkeypatch, rel_gap=lambda e: 2e-10)
+    with pytest.raises(ConsistencyError, match="gap 2.000e-10"):
         symmetry_breaking_scan(5, 0.0, k_max=1, basis_sizes=(2,))
 
 
@@ -196,9 +213,17 @@ def test_scan_rejects_a_raw_value_its_gram_ratio_contradicts(monkeypatch):
     (2, 0.0, 1), (4, 0.0, 2), (5, -0.5, 1), (3, 0.5, 3), (7, -0.875, 1),
 ])
 def test_derivative_minimum_is_the_radial_constant_of_dimension_n_plus_2k(n, alpha, k):
-    # The fact the scan takes from the closed form instead of recomputing.
-    params = InequalityParams(n, alpha)
-    gram = build_gram(params, k, make_basis(params, k, 8, "derivative"), "derivative")
+    # The fact the scan takes from the closed form instead of recomputing:
+    # for w = v' (every order one lower), mode k's forms without C's
+    # zero-order part are those of the radial problem in dimension N + 2k.
+    def for_w(parts):
+        return tuple((order - 1, power, coef) for order, power, coef in parts
+                     if order > 0 and coef != 0.0)
+
+    assert (tuple(map(for_w, form_parts(n, alpha, k)))
+            == tuple(map(for_w, form_parts(n + 2 * k, alpha, 0))))
+    params = InequalityParams(n + 2 * k, alpha)
+    gram = build_gram(params, 0, make_basis(params, 0, 8))
     expected = mode_quotient_weighted(n + 2 * k, alpha, 0).value
     assert minimize_quotient(gram).value == pytest.approx(expected, rel=1e-9)
 
@@ -236,17 +261,16 @@ def _lbfgs_minimum(gram, starts=6):
     (3, 0.25, 0), (6, 0.5, 1), (4, -0.25, 1), (5, -0.6, 2),
 ])
 def test_exact_minimum_never_above_lbfgs(n, alpha, k, formulation):
-    params = InequalityParams(n, alpha)
+    params, k = _problem(n, alpha, k, formulation)
     for m in (2, 4, 8):
-        gram = build_gram(params, k, make_basis(params, k, m, formulation), formulation,
-                          verify=False)
+        gram = build_gram(params, k, make_basis(params, k, m), verify=False)
         exact = minimize_quotient(gram).value
         assert exact <= _lbfgs_minimum(gram) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("n, alpha, k, formulation", [
     (4, 0.0, 1, "profile"), (3, 0.0, 1, "profile"), (7, 0.0, 1, "profile"),
-    (5, 0.0, 0, "derivative"), (4, 0.0, 2, "derivative"), (6, 0.5, 3, "profile"),
+    (5, 0.0, 0, "profile"), (4, 0.0, 2, "profile"), (6, 0.5, 3, "profile"),
     (11, -0.875, 1, "profile"),
 ])
 def test_search_matches_dense_scan(n, alpha, k, formulation):
@@ -254,10 +278,9 @@ def test_search_matches_dense_scan(n, alpha, k, formulation):
     # search may not end above the lowest value of a dense scan of u.
     from scipy.linalg import eigh
 
-    params = InequalityParams(n, alpha)
+    params, k = _problem(n, alpha, k, formulation)
     for m in (16, 32):
-        gram = build_gram(params, k, make_basis(params, k, m, formulation), formulation,
-                          verify=False)
+        gram = build_gram(params, k, make_basis(params, k, m), verify=False)
         d = 1.0 / np.sqrt(np.diag(gram.m_c))
         a, b, c = (mat * np.outer(d, d) for mat in (gram.m_a, gram.m_b, gram.m_c))
         ratios = eigh(b, a, eigvals_only=True)
@@ -295,14 +318,14 @@ def test_laguerre_gram_is_monomial_gram_transformed(n, alpha, k, formulation):
     # r^(gamma0 + i q) exp(-r^q) and T the monomial coefficients of P_j.
     # Dyadic alphas keep every exponent exact in double: the monomial
     # route amplifies an exponent's rounding by the cancellation in T.
-    params = InequalityParams(n, alpha)
-    basis = make_basis(params, k, 6, formulation)
-    gram = build_gram(params, k, basis, formulation, verify=False)
+    params, k = _problem(n, alpha, k, formulation)
+    basis = make_basis(params, k, 6)
+    gram = build_gram(params, k, basis, verify=False)
     q = basis.decay_q
     t = _laguerre_monomials_mp(6, gram.diagnostics["laguerre_a"])
     monomials = [ExpPoly(((basis.gamma0 + i * q, 1.0),), 1.0, q) for i in range(6)]
     for mat, parts in zip((gram.m_a, gram.m_b, gram.m_c),
-                          _part_descriptors(params, k, formulation)):
+                          form_parts(params.n, params.alpha, k)):
         with mpmath.workdps(40):
             mono = mpmath.zeros(6, 6)
             for order, power, coef in parts:
@@ -338,14 +361,14 @@ def test_derivative_factors_match_exppoly_derivatives(gamma0, q, a):
 @pytest.mark.parametrize("n, k", [(4, 1), (3, 1), (5, 0)])
 def test_gram_conditioning_stays_bounded(n, k):
     params = InequalityParams(n, 0.0)
-    gram = build_gram(params, k, make_basis(params, k, 32, "profile"), "profile",
+    gram = build_gram(params, k, make_basis(params, k, 32),
                       verify=False)
     assert gram.diagnostics["cond_m_c"] <= 1e4
 
 
 def test_every_gram_entry_is_checked():
-    basis = make_basis(P5, 1, 5, "profile")
-    gram = build_gram(P5, 1, basis, "profile")
+    basis = make_basis(P5, 1, 5)
+    gram = build_gram(P5, 1, basis)
     assert gram.diagnostics["spot_checked_entries"] == 3 * 5 * 6 // 2
 
 
@@ -377,6 +400,6 @@ def test_estimate_below_proven_bound_is_rejected(monkeypatch):
 
 
 def test_indefinite_a_form_is_rejected():
-    gram = build_gram(P5, 1, make_basis(P5, 1, 4, "profile"), "profile", verify=False)
+    gram = build_gram(P5, 1, make_basis(P5, 1, 4), verify=False)
     with pytest.raises(UnsupportedRegimeError, match="needs a >= 0"):
         minimize_quotient(replace(gram, m_a=-gram.m_a))
