@@ -39,6 +39,7 @@ from .constants import (
     FORMULA_PLAIN,
     FORMULA_WEIGHTED,
     InequalityParams,
+    exponential_profile_quotient,
     mode_infimum,
     mode_quotient_plain,
     mode_quotient_weighted,
@@ -57,6 +58,7 @@ from .errors import (
 from .exppoly import ExpPoly
 from .functionals import (
     FAMILY_IDS,
+    TEST_FUNCTION_RTOL,
     ExtremalFamily,
     exponential_profile,
     extremal_profile,
@@ -437,11 +439,13 @@ def cmd_quotient(config: RunConfig) -> Document:
     closed: Optional[float] = None
     provenance: Dict[str, str] = {}
     diagnostics: Dict[str, object] = {}
+    rtol = QUOTIENT_AGREEMENT_RTOL
 
     if config.test_function:
         if params.n < 2:
             raise PreconditionError("--test-function requires --n >= 2")
-        closed = test_function_quotient(params.n, spec)
+        # test_function_quotient's check, on this command's one quadrature run.
+        closed, rtol = float(exponential_profile_quotient(params.n)), TEST_FUNCTION_RTOL
         value = mode_quotient(exponential_profile(1.0), InequalityParams(params.n, 0.0), 1, spec,
                               method="quadrature")
         provenance = {
@@ -502,7 +506,7 @@ def cmd_quotient(config: RunConfig) -> Document:
     if closed is not None:
         rel = abs(value - closed) / max(abs(closed), 1e-300)
         diagnostics["closed_vs_quadrature_rel"] = rel
-        if rel > QUOTIENT_AGREEMENT_RTOL:
+        if rel > rtol:
             diagnostics["discrepancy"] = True
             exit_code = EXIT_CONSISTENCY
     report = SharpConstantReport(
@@ -627,6 +631,7 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
                 "effective_value": row.effective_value,
                 "full_value": row.full_value,
                 "verdict_value": row.verdict_value,
+                "full_converged": row.full_converged,
             }
             for row in scan.rows
         ],

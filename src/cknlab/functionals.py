@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from .constants import InequalityParams, exponential_profile_quotient
 from .errors import (
@@ -54,7 +53,7 @@ from .errors import (
 )
 from .exppoly import ExpPoly
 from .quadrature import IntegrandHandle, QuadratureSpec, integrate, integrate_tail
-from .special import log_gamma
+from .special import log_gamma, regularized_gamma_p, regularized_gamma_q
 
 __all__ = [
     "FAMILY_IDS",
@@ -86,6 +85,8 @@ FAMILY_IDS = (
 
 # Dual-path agreement tolerance for energies (relative).
 ENERGY_AGREEMENT_RTOL = 1e-9
+# Closed form vs quadrature of the test-function quotient (relative).
+TEST_FUNCTION_RTOL = 1e-10
 # Denominator energies below this are treated as zero.
 _DENOM_FLOOR = 1e-150
 
@@ -417,7 +418,7 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
 
         def ev_c1(r):
             r = np.asarray(r, dtype=float)
-            v = scale * gammaincc(g, kappa * np.power(r, s))
+            v = scale * regularized_gamma_q(g, kappa * np.power(r, s))
             return v, poly_d1(r), poly_d2(r)
 
         return RadialProfile(
@@ -455,7 +456,7 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             logr = np.log(safe)
             decay = kappa * np.power(safe, s)
-            v = np.where(pos, scale * gammainc(g, decay), scale)
+            v = np.where(pos, scale * regularized_gamma_p(g, decay), scale)
             d1 = np.where(pos, a * np.exp((1.0 - n) * logr - decay), 0.0)
             d2 = np.where(
                 pos,
@@ -662,7 +663,8 @@ def test_function_quotient(n: int, spec: QuadratureSpec = QuadratureSpec()) -> f
 
     Its closed form is  N (N+4) (N^2-1)^2 / (4 (N^2-N+4)^2)  via three
     Gamma integrals; the value is recomputed by adaptive quadrature and
-    the two must agree to 1e-10 relative (ConsistencyError otherwise).
+    the two must agree to TEST_FUNCTION_RTOL = 1e-10 relative
+    (ConsistencyError otherwise).
     Returns the closed form.  For N in {2, 3} this value lies below the
     radial constant (N+1)^2/4 (breaking symmetry); for N = 4 above it.
     """
@@ -672,7 +674,7 @@ def test_function_quotient(n: int, spec: QuadratureSpec = QuadratureSpec()) -> f
     q_quad = mode_quotient(exponential_profile(1.0), InequalityParams(n, 0.0), 1, spec,
                            method="quadrature")
     rel = abs(q_quad - float(exact)) / float(exact)
-    if rel > 1e-10:
+    if rel > TEST_FUNCTION_RTOL:
         raise ConsistencyError(
             f"test-function quotient: quadrature value {q_quad!r} disagrees with "
             f"closed form {float(exact)!r} (rel {rel:.3e})"

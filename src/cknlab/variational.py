@@ -225,6 +225,33 @@ class GramTriple:
     def m(self) -> int:
         return self.basis.m
 
+    def leading_block(self, size: int) -> "GramTriple":
+        """The triple of the first ``size`` trial functions, cut from this one.
+
+        Nested trial spaces share their functions, so its matrices are the
+        leading ``size`` x ``size`` blocks, checked when this triple was.
+        Its diagnostics name the size it was cut from
+        (``leading_block_of_m``) and repeat no check count or conditioning
+        measured on the whole."""
+        basis = replace(self.basis, m=size)  # rejects a size that is not an integer >= 1
+        if size > self.m:
+            raise DomainError(f"block size {size} exceeds the trial space size {self.m}")
+        if size == self.m:
+            return self
+        return GramTriple(
+            m_a=self.m_a[:size, :size],
+            m_b=self.m_b[:size, :size],
+            m_c=self.m_c[:size, :size],
+            params=self.params,
+            k=self.k,
+            basis=basis,
+            diagnostics={
+                "indefinite_a_allowed": self.diagnostics["indefinite_a_allowed"],
+                "laguerre_a": self.diagnostics["laguerre_a"],
+                "leading_block_of_m": self.m,
+            },
+        )
+
 
 @dataclass(frozen=True)
 class MinimizationResult:
@@ -594,10 +621,12 @@ def estimate_mode_constant(
     """Estimate of one per-mode constant over a nested sequence of trial
     spaces, every Gram entry checked by quadrature.
 
-    The spaces are nested (each size reuses the same leading exponent and
-    Laguerre family), so the value trace cannot increase beyond round-off.
-    A value below the proven per-mode lower bound K(N, alpha, k) raises
-    ``ConsistencyError``.
+    The spaces are nested: they share the leading exponent, the decay and
+    the Laguerre parameter, which does not depend on the size.  So one
+    Gram triple is built and checked, at the largest size, and each
+    smaller space is minimised on its leading block.  The value trace
+    cannot increase beyond round-off.  A value below the proven per-mode
+    lower bound K(N, alpha, k) raises ``ConsistencyError``.
     """
     sizes = tuple(basis_sizes)
     if not sizes:
@@ -605,12 +634,10 @@ def estimate_mode_constant(
     for prev_size, size in zip(sizes, sizes[1:]):
         if size <= prev_size:
             raise DomainError(f"basis_sizes must be strictly increasing, got {sizes}")
-    first = make_basis(params, k, sizes[0])
+    gram = build_gram(params, k, make_basis(params, k, sizes[-1]), spec=spec)
     trace = []
     for size in sizes:
-        basis = replace(first, m=size)
-        gram = build_gram(params, k, basis, spec=spec)
-        result = minimize_quotient(gram)
+        result = minimize_quotient(gram.leading_block(size))
         if trace and result.value > trace[-1] + TRACE_SLACK * max(1.0, abs(trace[-1])):
             raise ConsistencyError(
                 f"estimate increased from {trace[-1]!r} to {result.value!r} "
@@ -626,7 +653,7 @@ def estimate_mode_constant(
     return ModeConstantEstimate(
         params=params,
         k=k,
-        basis=basis,
+        basis=gram.basis,
         basis_sizes=sizes,
         trace=tuple(trace),
         final=result,

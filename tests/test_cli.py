@@ -90,6 +90,28 @@ def test_quotient_test_function(capsys):
     assert doc["report"]["closed_form"] == pytest.approx(3.36, rel=1e-15)
 
 
+def test_quotient_test_function_integrates_once(capsys, monkeypatch):
+    import cknlab.functionals as functionals
+
+    energies, routes = functionals.mode_energies, []
+
+    def counted(*args, **kwargs):
+        routes.append(args[4] if len(args) > 4 else kwargs.get("method"))
+        return energies(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "mode_energies", counted)
+    run_json(capsys, "quotient", "--test-function", "--n", "3")
+    assert routes == ["quadrature"]
+
+
+def test_quotient_test_function_keeps_its_tight_check(capsys, monkeypatch):
+    # Inside the generic 1e-8 agreement, outside the test function's 1e-10.
+    monkeypatch.setattr(cli, "mode_quotient", lambda *args, **kwargs: 3.36 * (1.0 + 1e-9))
+    code, out, _ = run(capsys, "quotient", "--test-function", "--n", "3")
+    assert code == 4
+    assert json.loads(out)["report"]["diagnostics"]["discrepancy"] is True
+
+
 def test_quotient_family(capsys):
     doc = run_json(capsys, "quotient", "--family", "thm1.2-2", "--n", "5",
                    "--alpha", "0", "--a", "1", "--b", "2", "--k", "0")
@@ -155,6 +177,7 @@ def test_probe_payload(capsys):
     assert doc["test_profile_mode1_quotient"] == pytest.approx(7.03125, rel=1e-12)
     assert [row["raw_value"] for row in doc["rows"]] == [6.25, 12.25]
     assert doc["rows"][1]["effective_value"] == doc["lower_bound"]
+    assert [row["full_converged"] for row in doc["rows"]] == [True, True]
 
 
 @pytest.mark.parametrize("argv", [["--jobs", "2"], ["--config", "jobs.cfg"]])
@@ -208,14 +231,17 @@ def test_selftest_json_stdout_is_one_document(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_out_scipy_linalg_and_optimize():
-    # Importing scipy.linalg raised the benchmark's peak RSS by about 11 %.
+    # scipy is a test dependency only: importing scipy.special alone took
+    # more than half of a cold CLI start and about 25 MB of peak RSS.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, cknlab.cli; "
-             "print(sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    for module in ("cknlab", "cknlab.cli"):
+        probe = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]", module
 
 
 @pytest.mark.parametrize("argv, closed", [

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,25 @@ def test_gradient_weighted_family_matches_gamma_arithmetic():
     b = wei(5, 4, 0.5)
     c = wei(4, 4, 0.5)
     assert mode_quotient(prof, params, 0) == pytest.approx(a * b / c**2, rel=1e-10)
+
+
+@pytest.mark.parametrize("family_id, b, n, beta", [
+    ("thmC-1", 1.0, 4, 0.5), ("thmC-1", 2.0, 3, -1.0),
+    ("thmC-2", -1.0, 4, 2.0), ("thmC-2", -0.5, 6, 1.5),
+])
+def test_incomplete_gamma_profiles_integrate_their_derivative(family_id, b, n, beta):
+    # v is an incomplete Gamma function of kappa r^s: v(r) = -int_r^inf v'.
+    prof = extremal_profile(ExtremalFamily(family_id, 1.0, b, InequalityParams(n, 0.0, beta)))
+    s = 1.0 - beta
+    kappa = b / s
+    lead = 1 if family_id == "thmC-1" else 1 - n
+    rs = np.array([0.05, 0.5, 1.0, 3.0])
+    v = prof.evaluator(rs)[0]
+    with mpmath.workdps(30):
+        for r, value in zip(rs, v):
+            tail = mpmath.quad(lambda x: x**lead * mpmath.exp(-kappa * x**s),
+                               [r * 2**j for j in range(8)] + [mpmath.inf])
+            assert value == pytest.approx(-float(tail), rel=1e-12)
 
 
 def test_gaussian_families_respect_radial_bound():

@@ -130,6 +130,41 @@ def test_estimate_trace_monotone_and_accurate():
         assert after <= before + 1e-10 * max(1.0, abs(before))
 
 
+@pytest.mark.parametrize("n, alpha, k", [(5, 0.0, 0), (4, 0.0, 1), (3, -0.5, 2), (7, 1.0, 1)])
+def test_estimate_minimises_leading_blocks_of_one_gram(monkeypatch, n, alpha, k):
+    params, sizes = InequalityParams(n, alpha), (4, 8, 16)
+    gram = build_gram(params, k, make_basis(params, k, sizes[-1]))
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[2].m)
+        return build_gram(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "build_gram", counted)
+    est = estimate_mode_constant(params, k, sizes)
+    assert builds == [16]
+    assert est.trace == tuple(minimize_quotient(gram.leading_block(m)).value for m in sizes)
+    assert est.basis == gram.basis
+
+
+def test_leading_block_is_the_smaller_gram():
+    params = InequalityParams(4, 0.0)
+    gram = build_gram(params, 1, make_basis(params, 1, 16))
+    block = gram.leading_block(8)
+    small = build_gram(params, 1, make_basis(params, 1, 8))
+    assert block.basis == small.basis
+    for mat, ref in ((block.m_a, small.m_a), (block.m_b, small.m_b), (block.m_c, small.m_c)):
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.max(np.abs(mat - ref) / scale) < 1e-12
+    assert block.diagnostics["leading_block_of_m"] == 16
+    assert "spot_checked_entries" not in block.diagnostics
+    assert gram.leading_block(16) is gram
+    with pytest.raises(PreconditionError):
+        gram.leading_block(17)
+    with pytest.raises(PreconditionError):
+        gram.leading_block(0)
+
+
 def test_estimate_nonradial_upper_bound():
     est = estimate_mode_constant(InequalityParams(2, 0.0), 1, (4, 8, 16))
     assert est.value <= 0.75
