@@ -68,7 +68,7 @@ from .functionals import (
     test_function_quotient,
 )
 from .quadrature import QuadratureSpec
-from .variational import estimate_mode_constant, symmetry_breaking_scan
+from .variational import DEFAULT_SCAN_SIZES, estimate_mode_constant, symmetry_breaking_scan
 
 __all__ = [
     "RunConfig",
@@ -98,7 +98,6 @@ SUBCOMMANDS = (
     "selftest",
 )
 
-DEFAULT_BASIS_SIZES = (4, 8, 16)
 DEFAULT_SCAN_K_MAX = 10
 PROBE_K_MAX = 3
 QUOTIENT_AGREEMENT_RTOL = 1e-8
@@ -113,7 +112,7 @@ class RunConfig:
     command: str
     params: Optional[InequalityParams] = None
     quadrature: QuadratureSpec = QuadratureSpec()
-    basis_sizes: Tuple[int, ...] = DEFAULT_BASIS_SIZES
+    basis_sizes: Tuple[int, ...] = DEFAULT_SCAN_SIZES
     k: int = 0
     k_max: int = DEFAULT_SCAN_K_MAX
     output_format: str = "json"
@@ -493,7 +492,7 @@ def cmd_quotient(config: RunConfig) -> Document:
         poly = ExpPoly(tuple((j * q, c) for j, c in enumerate(coeffs)), 1.0, q)
         if poly.is_zero:
             raise PreconditionError("coefficient file describes the zero profile")
-        profile = profile_from_exppoly(poly, coeffs=coeffs)
+        profile = profile_from_exppoly(poly)
         value = mode_quotient(profile, params, config.k, spec)
         provenance = {
             "profile": "coefficient file",
@@ -843,7 +842,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(basis, str):
         basis_sizes = _parse_basis(basis)
     elif basis is None:
-        basis_sizes = DEFAULT_BASIS_SIZES
+        basis_sizes = DEFAULT_SCAN_SIZES
     else:
         basis_sizes = tuple(basis)
 

@@ -24,8 +24,8 @@ The closed-form extremal families are named by opaque ids (the CLI's
 
 * "thm1.2-2", "thm1.2-1b", "thmA": v = a (1 + b r^m) exp(-b r^m)
   ("thmA" is the m = 1 specialisation);
-* "thm1.2-1a": v' = -a exp(-b r^m)  (v is the tail integral of -v',
-  reconstructed by quadrature; arises for N = 1, alpha <= -1/2);
+* "thm1.2-1a": v' = -a exp(-b r^m)  (v = -int_r^inf v' is an upper
+  incomplete Gamma; arises for N = 1, alpha <= -1/2);
 * "thmB": v = a exp(-b r^2);
 * "thmC-1" (beta < 1, b > 0):  v' = a r exp(-kappa r^(1-beta)),
   kappa = b / (1 - beta); v itself is an upper incomplete Gamma;
@@ -52,7 +52,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .exppoly import ExpPoly
-from .quadrature import IntegrandHandle, QuadratureSpec, integrate, integrate_tail
+from .quadrature import IntegrandHandle, QuadratureSpec, integrate
 from .special import log_gamma, regularized_gamma_p, regularized_gamma_q
 
 __all__ = [
@@ -142,21 +142,18 @@ class RadialProfile:
     r > 0.  When the profile is an exponential polynomial the
     corresponding ``poly_*`` fields hold its closed form (``poly_v`` may
     be absent for tail-integral families whose derivative is closed but
-    whose value is not).
+    whose value is not).  ``family`` is the closed-form family the
+    profile was built from, if any.
     """
 
-    kind: str  # "closed-form-family" | "basis-coefficients" | "callable"
     evaluator: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
     decay_hint: Optional[Tuple[float, float]] = None
     poly_v: Optional[ExpPoly] = None
     poly_d1: Optional[ExpPoly] = None
     poly_d2: Optional[ExpPoly] = None
     family: Optional[ExtremalFamily] = None
-    coeffs: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("closed-form-family", "basis-coefficients", "callable"):
-            raise DomainError(f"unknown profile kind {self.kind!r}")
         if not callable(self.evaluator):
             raise DomainError("profile evaluator must be callable")
 
@@ -215,8 +212,10 @@ class RadialProfile:
 class ModeEnergy:
     """The per-mode energy triple (A, B, C) for one profile.
 
-    ``rel_gap`` is the worst relative disagreement between the closed
-    and quadrature routes when both ran (method "both"/"auto"), else None.
+    ``method`` is the route that ran: "both" (closed forms cross-checked
+    by quadrature) or "quadrature".  ``rel_gap`` is the worst relative
+    disagreement between the closed and quadrature routes where both
+    ran, else None.
     """
 
     energy_a: float
@@ -260,41 +259,48 @@ def _gamma_prefactor(g: float, kappa: float) -> float:
     return math.exp(log_pref)
 
 
-def _evaluator_from_polys(
-    poly_v: Optional[ExpPoly],
-    poly_d1: ExpPoly,
-    poly_d2: ExpPoly,
-    tail_of: Optional[ExpPoly] = None,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> Callable:
-    """Build the (v, v', v'') evaluator; when poly_v is None, v is
-    reconstructed as -integral_r^inf v'(s) ds point by point."""
+def _evaluator_from_polys(poly_v: ExpPoly, poly_d1: ExpPoly, poly_d2: ExpPoly) -> Callable:
+    """The (v, v', v'') evaluator of closed forms."""
 
     def ev(r):
         r = np.asarray(r, dtype=float)
-        d1 = poly_d1(r)
-        d2 = poly_d2(r)
-        if poly_v is not None:
-            v = poly_v(r)
-        else:
-            src = tail_of if tail_of is not None else poly_d1
-            hint = (src.rate, src.decay_power) if src.rate > 0 else None
-            flat = np.ravel(r)
-            vals = np.empty_like(flat)
-            for i, ri in enumerate(flat):
-                res = integrate_tail(IntegrandHandle(src, 0.0, hint), float(ri), spec)
-                vals[i] = -res.value
-            v = vals.reshape(np.shape(r))
-        return v, d1, d2
+        return poly_v(r), poly_d1(r), poly_d2(r)
 
     return ev
 
 
+def _tail_profile(
+    c: float, p: float, kappa: float, s: float, fam: ExtremalFamily
+) -> RadialProfile:
+    """The profile of ``fam`` with the one-term derivative
+    v' = c r^p exp(-kappa r^s), kappa, s > 0.  Substituting y = kappa x^s
+    turns v(r) = -int_r^inf v' into an upper incomplete Gamma:
+
+        v(r) = -(c/s) kappa^(-g) Gamma(g) Q(g, kappa r^s),   g = (p+1)/s.
+
+    The prefactor is taken when v is evaluated, so a v beyond double
+    range fails only the forms that read v itself.
+    """
+    poly_d1 = ExpPoly(((p, c),), kappa, s)
+    poly_d2 = poly_d1.derivative()
+    g = (p + 1.0) / s
+
+    def ev(r):
+        r = np.asarray(r, dtype=float)
+        v = -(c / s) * _gamma_prefactor(g, kappa) * regularized_gamma_q(g, kappa * np.power(r, s))
+        return v, poly_d1(r), poly_d2(r)
+
+    return RadialProfile(
+        evaluator=ev,
+        decay_hint=(kappa, s),
+        poly_d1=poly_d1,
+        poly_d2=poly_d2,
+        family=fam,
+    )
+
+
 def profile_from_exppoly(
-    poly_v: ExpPoly,
-    kind: str = "basis-coefficients",
-    coeffs: Optional[tuple] = None,
-    family: Optional[ExtremalFamily] = None,
+    poly_v: ExpPoly, family: Optional[ExtremalFamily] = None
 ) -> RadialProfile:
     """Profile from a closed-form v; derivatives are derived symbolically."""
     if poly_v.rate <= 0.0:
@@ -302,20 +308,18 @@ def profile_from_exppoly(
     d1 = poly_v.derivative()
     d2 = d1.derivative()
     return RadialProfile(
-        kind=kind,
         evaluator=_evaluator_from_polys(poly_v, d1, d2),
         decay_hint=(poly_v.rate, poly_v.decay_power),
         poly_v=poly_v,
         poly_d1=d1,
         poly_d2=d2,
         family=family,
-        coeffs=coeffs,
     )
 
 
 def exponential_profile(rate: float = 1.0) -> RadialProfile:
     """The reference profile v = exp(-rate * r)."""
-    return profile_from_exppoly(ExpPoly(((0.0, 1.0),), rate, 1.0), kind="callable")
+    return profile_from_exppoly(ExpPoly(((0.0, 1.0),), rate, 1.0))
 
 
 def profile_from_callable(
@@ -329,7 +333,7 @@ def profile_from_callable(
     finite differences of v on a log-spaced grid (relative tolerance
     1e-6 with a scale floor); inconsistent triples raise DomainError.
     """
-    profile = RadialProfile(kind="callable", evaluator=evaluator, decay_hint=decay_hint)
+    profile = RadialProfile(evaluator=evaluator, decay_hint=decay_hint)
     if validate:
         grid = np.geomspace(0.1, 10.0, 9)
         h = 1e-6 * grid
@@ -352,7 +356,9 @@ def profile_from_callable(
 
 
 def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec()) -> RadialProfile:
-    """The RadialProfile of a closed-form extremal family member."""
+    """The RadialProfile of a closed-form extremal family member.
+
+    Every family's v is in closed form, so ``spec`` is not used."""
     a, b = float(fam.a), float(fam.b)
     alpha = float(fam.params.alpha)
     m = alpha + 1.0
@@ -371,7 +377,6 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
             b, m,
         )
         return RadialProfile(
-            kind="closed-form-family",
             evaluator=_evaluator_from_polys(poly_v, poly_d1, poly_d2),
             decay_hint=(b, m),
             poly_v=poly_v,
@@ -381,55 +386,19 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
         )
 
     if fid == "thm1.2-1a":
-        # v(r) = a * integral_r^inf e^{-b s^m} ds; closed derivatives,
-        # v itself reconstructed by tail quadrature.
-        poly_d1 = ExpPoly(((0.0, -a),), b, m)
-        poly_d2 = ExpPoly(((m - 1.0, a * b * m),), b, m)
-        return RadialProfile(
-            kind="closed-form-family",
-            evaluator=_evaluator_from_polys(None, poly_d1, poly_d2, spec=spec),
-            decay_hint=(b, m),
-            poly_v=None,
-            poly_d1=poly_d1,
-            poly_d2=poly_d2,
-            family=fam,
-        )
+        # v(r) = a * integral_r^inf e^{-b s^m} ds.
+        return _tail_profile(-a, 0.0, b, m, fam)
 
     if fid == "thmB":
-        return profile_from_exppoly(
-            ExpPoly(((0.0, a),), b, 2.0), kind="closed-form-family", family=fam
-        )
+        return profile_from_exppoly(ExpPoly(((0.0, a),), b, 2.0), family=fam)
 
     if fid == "thmD":
-        return profile_from_exppoly(
-            ExpPoly(((0.0, a),), b, 2.0 * m), kind="closed-form-family", family=fam
-        )
+        return profile_from_exppoly(ExpPoly(((0.0, a),), b, 2.0 * m), family=fam)
 
     if fid == "thmC-1":
-        beta = float(fam.params.beta)
-        s = 1.0 - beta  # > 0
-        kappa = b / s
-        poly_d1 = ExpPoly(((1.0, a),), kappa, s)
-        poly_d2 = poly_d1.derivative()
-        # v(r) = -int_r^inf a x e^{-kappa x^s} dx
-        #      = -(a/s) kappa^{-2/s} Gamma(2/s) Q(2/s, kappa r^s).
-        g = 2.0 / s
-        scale = -(a / s) * _gamma_prefactor(g, kappa)
-
-        def ev_c1(r):
-            r = np.asarray(r, dtype=float)
-            v = scale * regularized_gamma_q(g, kappa * np.power(r, s))
-            return v, poly_d1(r), poly_d2(r)
-
-        return RadialProfile(
-            kind="closed-form-family",
-            evaluator=ev_c1,
-            decay_hint=(kappa, s),
-            poly_v=None,
-            poly_d1=poly_d1,
-            poly_d2=poly_d2,
-            family=fam,
-        )
+        s = 1.0 - float(fam.params.beta)  # > 0
+        # v' = a r e^{-kappa r^s}, kappa = b / s.
+        return _tail_profile(a, 1.0, b / s, s, fam)
 
     # "thmC-2": beta > 1, b < 0, kappa = b/(1-beta) > 0 but the
     # exponential carries a *negative* power of r (decays towards the
@@ -466,7 +435,7 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
             )
         return v.reshape(shape), d1.reshape(shape), d2.reshape(shape)
 
-    return RadialProfile(kind="closed-form-family", evaluator=ev_c2, decay_hint=None, family=fam)
+    return RadialProfile(evaluator=ev_c2, decay_hint=None, family=fam)
 
 
 # -- energies and quotients -------------------------------------------------
@@ -477,78 +446,41 @@ def _component_energy(
     component: str,
     p: float,
     spec: QuadratureSpec,
-    method: str,
-) -> Tuple[Optional[float], Optional[float]]:
-    """(closed, quadrature) values of  int component(r)^2 r^p dr; entries
-    are None when that route was not requested/available."""
+    closed_route: bool,
+) -> Tuple[Optional[float], float]:
+    """(closed, quadrature) values of  int component(r)^2 r^p dr; closed is
+    None unless ``closed_route`` is set and the component has a closed
+    form."""
     poly = profile.component_poly(component)
-    closed = quad = None
-    if method in ("closed", "both") and poly is not None:
-        closed = (poly * poly).moment(p)
-    if method in ("quadrature", "both") or (method == "closed" and poly is None):
-        if poly is not None:
-            f = poly
-            hint = (2.0 * poly.rate, poly.decay_power) if poly.rate > 0 else None
-        else:
-            idx = {"v": 0, "d1": 1, "d2": 2}[component]
+    closed = (poly * poly).moment(p) if closed_route and poly is not None else None
+    if poly is not None:
+        rows = poly
+        hint = (2.0 * poly.rate, poly.decay_power) if poly.rate > 0 else None
+    else:
+        idx = ("v", "d1", "d2").index(component)
 
-            def f(r, _i=idx):
-                return profile.evaluator(r)[_i]
+        def rows(r):
+            return profile.evaluator(r)[idx]
 
-            hint = None
-            if profile.decay_hint is not None:
-                c, q = profile.decay_hint
-                hint = (2.0 * c, q)
-        p_handle = p
-        if p <= -0.9:
-            # Weights at/below the handle's r^p > r^-1 contract are valid
-            # here only because the profile itself vanishes at the
-            # origin; fold half the weight into each squared factor so
-            # the handle sees p = 0 and the combined amplitude stays
-            # representable.
-            if isinstance(f, ExpPoly):
-                f = ExpPoly(
-                    tuple((g + p / 2.0, c) for g, c in f.terms), f.rate, f.decay_power
-                )
-            else:
-                base = f
-
-                def f(r, _b=base, _s=p / 2.0):
-                    vals = np.asarray(_b(r), dtype=float)
-                    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                        # An underflowed base against a huge power shift
-                        # is a true near-zero; 0 * inf must not poison it.
-                        return np.where(vals == 0.0, 0.0, vals * np.power(r, _s))
-
-            p_handle = 0.0
-        quad = integrate(IntegrandHandle(None, p_handle, hint, factors=(f, f)), spec).value
+        hint = None
+        if profile.decay_hint is not None:
+            c, q = profile.decay_hint
+            hint = (2.0 * c, q)
+    quad = integrate(IntegrandHandle(None, p, hint, rows=rows), spec).value[0, 0]
     return closed, quad
 
 
 def _combine(pairs, coefs) -> Tuple[float, Optional[float]]:
-    """Combine per-term (closed, quad) pairs with coefficients; returns
-    (value, rel_gap) preferring closed values, and the relative gap of
-    the combined closed vs combined quadrature totals when both exist."""
-    closed_total = 0.0
-    quad_total = 0.0
-    have_closed = True
-    have_quad = True
-    value = 0.0
-    for (closed, quad), coef in zip(pairs, coefs):
-        term = closed if closed is not None else quad
-        value += coef * term
-        if closed is None:
-            have_closed = False
-        else:
-            closed_total += coef * closed
-        if quad is None:
-            have_quad = False
-        else:
-            quad_total += coef * quad
-    if have_closed and have_quad:
-        scale = max(abs(closed_total), abs(quad_total), 1e-300)
-        return (closed_total, abs(closed_total - quad_total) / scale)
-    return value, None
+    """Combine per-part (closed, quad) pairs with coefficients into
+    (value, rel_gap): the value prefers closed parts, and where every
+    part has one, rel_gap is the relative gap of the combined closed vs
+    the combined quadrature totals."""
+    value = sum(coef * (quad if closed is None else closed)
+                for (closed, quad), coef in zip(pairs, coefs))
+    if any(closed is None for closed, _ in pairs):
+        return value, None
+    quad_total = sum(coef * quad for (_, quad), coef in zip(pairs, coefs))
+    return value, abs(value - quad_total) / max(abs(value), abs(quad_total), 1e-300)
 
 
 def form_parts(
@@ -580,14 +512,21 @@ def _energies(
 ) -> ModeEnergy:
     """The energy triple of ``form_parts``; parts with a zero coefficient
     are skipped."""
-    if method not in ("auto", "closed", "quadrature", "both"):
+    if method not in ("auto", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "both" if profile.has_closed_derivatives else "quadrature"
+    closed_route = method == "auto" and profile.has_closed_derivatives
+    fam = profile.family
+    if fam is not None and fam.family_id == "thmC-2" and params.n + 2 * k + 2 >= 2 * fam.params.n:
+        # v' ~ a r^(1-n) at infinity for the family's dimension n, and B
+        # is the first energy to diverge because alpha > -1.
+        raise DivergentIntegralError(
+            f"energy B = int v'^2 r^{params.n + 2 * k - 1} dr of the thmC-2 profile "
+            f"diverges at infinity, where v' ~ r^{1 - fam.params.n} (k={k})"
+        )
     energies, gaps = [], []
     for parts in form_parts(params.n, params.alpha, k):
         live = [part for part in parts if part[2] != 0.0]
-        pairs = [_component_energy(profile, ("v", "d1", "d2")[order], power, spec, method)
+        pairs = [_component_energy(profile, ("v", "d1", "d2")[order], power, spec, closed_route)
                  for order, power, _ in live]
         energy, gap = _combine(pairs, [coef for *_, coef in live])
         energies.append(energy)
@@ -599,7 +538,7 @@ def _energies(
             f"closed-form and quadrature energies disagree (rel gap {rel_gap:.3e} "
             f"> {ENERGY_AGREEMENT_RTOL}) for k={k}, params={params!r}"
         )
-    return ModeEnergy(*energies, k, params, method, rel_gap)
+    return ModeEnergy(*energies, k, params, "both" if closed_route else "quadrature", rel_gap)
 
 
 def _quotient(e: ModeEnergy) -> float:
@@ -625,14 +564,12 @@ def mode_energies(
 
     * "auto" (default): both routes when the profile has closed
       derivative forms (cross-checked to 1e-9 relative), else quadrature;
-    * "closed": closed Gamma forms (falls back to quadrature for any
-      component with no closed form);
-    * "quadrature": adaptive quadrature only;
-    * "both": force both and cross-check.
+    * "quadrature": adaptive quadrature only.
 
     Raises ConsistencyError when the two routes disagree, and
     DivergentIntegralError naming the offending exponent when a requested
-    moment diverges.
+    moment diverges (or naming B for a thmC-2 profile whose algebraic
+    tail makes it diverge).
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")

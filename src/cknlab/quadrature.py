@@ -2,9 +2,10 @@
 
 The integrals this package needs all look like
 
-    integral_0^inf  f(r) * r^p  dr,        p > -1,
+    integral_0^inf  f(r) * r^p  dr,
 
-where ``f`` is smooth on (0, inf), may behave like a power at the origin
+with p > -1, or any p where f vanishes fast enough at the origin.
+``f`` is smooth on (0, inf), may behave like a power at the origin
 and decays (usually like exp(-c r^q)) at infinity.  The half line is cut
 at a ``split_point`` a:
 
@@ -22,9 +23,15 @@ refinement level halves h and reuses previous samples, so the cost of
 level m is the same as all previous levels combined.  Convergence is
 declared when successive refinements of the *sum* agree to ``rel_tol``.
 
-The integrand may also be a Gram table: factors that return one row per
-function give the matrix of all pairwise integrals from one refinement
-loop, each level evaluating every function once on its new nodes.
+A product integrand is given as rows: a callable returning one row per
+function (a 1-D array is one row), whose integral is the Gram matrix
+integral_0^inf f(r) f(r)^T r^p dr of all pairwise products, from one
+refinement loop that evaluates every row once on each level's new
+nodes.  An energy integral |v|^2 r^p is the 1 x 1 case.  Each row is
+multiplied by sqrt(w r^p) before the product, so rows may take any
+finite weight exponent: rows that vanish at the origin absorb a weight
+at or below -1.  A row weight at or below -0.9 is centred in the tail
+transform as weight 0, the peak of the rows' own mass.
 
 Weights that underflow to zero are masked before the integrand is
 evaluated: at extreme nodes the integrand itself may overflow double
@@ -53,7 +60,6 @@ __all__ = [
     "IntegrandHandle",
     "QuadratureResult",
     "integrate",
-    "integrate_tail",
 ]
 
 # Truncation of the trapezoid in the transformed variable.  Weights
@@ -62,6 +68,8 @@ __all__ = [
 _T_CAP = 9.2
 _H0 = 1.0
 _EPS = float(np.finfo(float).eps)
+# Row weights at or below this edge are centred as weight 0.
+_FOLD_EDGE = -0.9
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,8 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegrandHandle:
-    """A weighted half-line integrand  f(r) * r^weight_exponent.
+    """A weighted half-line integrand: f(r) r^weight_exponent, or the Gram
+    matrix of rows under that weight.
 
     Attributes
     ----------
@@ -109,40 +118,42 @@ class IntegrandHandle:
         Vectorised f: accepts a float ndarray of radii (all > 0), returns
         an ndarray of the same shape.
     weight_exponent : float
-        The power p of the explicit r^p weight; must be > -1.
+        The power p of the explicit r^p weight: > -1 for an evaluator,
+        any finite value for rows, which must then vanish fast enough at
+        the origin for their products to converge.
     decay_hint : (c, q) or None
-        Optional tail scale: f decays roughly like exp(-c r^q).  Used
-        only to centre the tail transform; wrong hints cost accuracy per
-        level, not correctness.
-    factors : (callable, callable) or None
-        Alternative to ``evaluator`` for integrands that are products
-        f = f1 * f2 (energies |v'|^2, Gram products phi_j phi_l).  The
-        quadrature then forms (f1 sqrt(w)) * (f2 sqrt(w)), which cannot
-        overflow for convergent integrals even where f alone would exceed
-        double range near a singular endpoint.  A factor may also return
-        a table of shape (rows, n), one row per function; the integral is
-        then the (rows1, rows2) matrix of all products of a row of f1 with
-        a row of f2, each entry converged to ``rel_tol`` relative to its
-        absolute mass (the integral of |f1_i f2_j| r^p).  Exactly one of
-        ``evaluator``/``factors`` must be given.
+        Optional tail scale: the integrand decays roughly like
+        exp(-c r^q).  Used only to centre the tail transform; wrong hints
+        cost accuracy per level, not correctness.
+    rows : callable or None
+        Alternative to ``evaluator`` for products (energies |v'|^2, Gram
+        products phi_j phi_l): returns a table of shape (rows, n), one
+        row per function, or a 1-D array for one function.  The integral
+        is the (rows, rows) matrix of all pairwise products of rows, each
+        entry converged to ``rel_tol`` relative to its absolute mass (the
+        integral of |f_i f_j| r^p).  Every row is multiplied by
+        sqrt(w r^p) first, which cannot overflow for convergent integrals
+        even where f alone, or r^p, would exceed double range near a
+        singular endpoint.  A weight at or below -0.9 is centred in the
+        tail transform as weight 0.  Exactly one of ``evaluator``/``rows``
+        must be given.
     """
 
     evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     weight_exponent: float = 0.0
     decay_hint: Optional[Tuple[float, float]] = None
-    factors: Optional[Tuple[Callable, Callable]] = None
+    rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if (self.evaluator is None) == (self.factors is None):
-            raise DomainError("exactly one of evaluator/factors must be provided")
-        if self.evaluator is not None and not callable(self.evaluator):
-            raise DomainError("evaluator must be callable")
-        if self.factors is not None and not all(callable(f) for f in self.factors):
-            raise DomainError("factors must be a pair of callables")
+        if (self.evaluator is None) == (self.rows is None):
+            raise DomainError("exactly one of evaluator/rows must be provided")
+        if not callable(self.evaluator if self.rows is None else self.rows):
+            raise DomainError("evaluator/rows must be callable")
         p = self.weight_exponent
-        if not (isinstance(p, (int, float)) and math.isfinite(p) and p > -1.0):
+        if not (isinstance(p, (int, float)) and math.isfinite(p)
+                and (self.rows is not None or p > -1.0)):
             raise DivergentIntegralError(
-                f"weight_exponent must be finite and > -1, got {p!r}"
+                f"weight_exponent must be finite (and > -1 for an evaluator), got {p!r}"
             )
         if self.decay_hint is not None:
             c, q = self.decay_hint
@@ -153,7 +164,7 @@ class IntegrandHandle:
 @dataclass(frozen=True)
 class QuadratureResult:
     """Converged integral value with its refinement error estimate (both
-    (rows1, rows2) arrays for table-valued factors)."""
+    (rows, rows) arrays for a rows integrand)."""
 
     value: Union[float, np.ndarray]
     err_est: Union[float, np.ndarray]
@@ -218,7 +229,10 @@ class _HalfMap:
 def _build_maps(handle: IntegrandHandle, a: float) -> Tuple[_HalfMap, _HalfMap]:
     if handle.decay_hint is not None:
         c, q = handle.decay_hint
-        peak = (handle.weight_exponent + 1.0) / (c * q)
+        p = handle.weight_exponent
+        if handle.rows is not None and p <= _FOLD_EDGE:
+            p = 0.0
+        peak = (p + 1.0) / (c * q)
         scale = max(c ** (-1.0 / q), peak ** (1.0 / q))
         kappa = 0.5 * math.pi / q
     else:
@@ -265,18 +279,18 @@ def _rescue_overflow(
     return out
 
 
-def _factor_values(fn: Callable, r: np.ndarray) -> np.ndarray:
+def _row_values(fn: Callable, r: np.ndarray) -> np.ndarray:
     vals = np.asarray(fn(r), dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[-1] != r.size:
         raise DomainError(
-            "factor evaluators must return an array matching their input "
+            "rows must return an array matching their input "
             "or a table with one row per function"
         )
     bad = ~np.isfinite(vals)
     if np.any(bad):
         at = np.broadcast_to(r, vals.shape)[bad][0]
-        raise NonFiniteSampleError(f"integrand factor returned a non-finite value at r={at!r}")
-    return vals
+        raise NonFiniteSampleError(f"integrand row returned a non-finite value at r={at!r}")
+    return np.atleast_2d(vals)
 
 
 def _level_sum(
@@ -288,7 +302,7 @@ def _level_sum(
 
     Returns the signed sum, the sum of magnitudes (the rounding floor of
     any cancellation), and the number of nodes evaluated.  Both sums are
-    (rows1, rows2) matrices for table-valued factors.
+    (rows, rows) matrices for a rows integrand.
     """
     p = float(handle.weight_exponent)
     total = 0.0
@@ -309,20 +323,12 @@ def _level_sum(
             wp = wp[live]
             if r.size == 0:
                 continue
-            if handle.factors is not None:
-                f1, f2 = handle.factors
-                sq = np.sqrt(wp)
-                a1 = _factor_values(f1, r)
-                a2 = a1 if f2 is f1 else _factor_values(f2, r)
-                g1 = np.where(a1 == 0.0, 0.0, a1 * sq)
-                g2 = g1 if a2 is a1 else np.where(a2 == 0.0, 0.0, a2 * sq)
-                if a1.ndim == 1 and a2.ndim == 1:
-                    term = _rescue_overflow(g1 * g2, (a1, a2), r, w, p)
-                else:
-                    g1 = _rescue_overflow(g1, (a1,), r, w, p, share=0.5)
-                    g2 = g1 if a2 is a1 else _rescue_overflow(g2, (a2,), r, w, p, share=0.5)
-                    term = np.atleast_2d(g1) @ np.atleast_2d(g2).T
-                    mag = np.abs(np.atleast_2d(g1)) @ np.abs(np.atleast_2d(g2)).T
+            if handle.rows is not None:
+                rows = _row_values(handle.rows, r)
+                g = np.where(rows == 0.0, 0.0, rows * np.sqrt(wp))
+                g = _rescue_overflow(g, (rows,), r, w, p, share=0.5)
+                term = g @ g.T
+                mag = np.abs(g) @ np.abs(g).T
             else:
                 f = np.asarray(handle.evaluator(r), dtype=float)
                 if f.shape != r.shape:
@@ -411,7 +417,7 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         value, err_est (last refinement difference; an upper estimate of
         the truncation error for integrands in the double-exponential
         convergence class), levels and node count.  value and err_est are
-        (rows1, rows2) arrays when the factors return tables.
+        (rows, rows) arrays for a rows integrand.
 
     Raises
     ------
@@ -423,19 +429,3 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
     maps = _build_maps(handle, float(spec.split_point))
     return _refine(handle, maps, spec)
 
-
-def integrate_tail(
-    handle: IntegrandHandle,
-    lower: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> QuadratureResult:
-    """Integrate f(r) r^p over [lower, inf), lower > 0.
-
-    Support routine for profiles defined through tail integrals of their
-    own derivative (reconstruction by quadrature); uses the exp-sinh half
-    only.
-    """
-    if not (math.isfinite(lower) and lower > 0):
-        raise DomainError(f"lower bound must be finite and > 0, got {lower!r}")
-    maps = _build_maps(handle, float(lower))
-    return _refine(handle, maps[1:], spec)

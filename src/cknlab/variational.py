@@ -78,7 +78,6 @@ TRACE_SLACK = 1e-10
 LOWER_BOUND_SLACK = 1e-12
 
 _MAX_GAMMA0_BUMPS = 8
-_WEIGHT_FOLD_EDGE = -0.9
 _GAUSS_EXTRA_NODES = 3
 _SEARCH_GRID = 16
 _SEARCH_TOL = 1e-8
@@ -151,12 +150,12 @@ class BasisSpec:
                 out += (2.0**d * npoly.polyval(x, c)) * lag[d]
         return out
 
-    def evaluate(self, fac: _Factor, r: np.ndarray, a: float, shift: float = 0.0) -> np.ndarray:
-        """r^shift times the derivatives of ``fac`` at r > 0: an (m, len(r)) table."""
+    def evaluate(self, fac: _Factor, r: np.ndarray, a: float) -> np.ndarray:
+        """The derivatives of ``fac`` at r > 0: an (m, len(r)) table."""
         r = np.asarray(r, dtype=float)
         x = np.power(r, self.decay_q)
         with np.errstate(over="ignore", under="ignore"):
-            amp = np.exp((fac.power + shift) * np.log(r) - x)
+            amp = np.exp(fac.power * np.log(r) - x)
         out = np.zeros((self.m, r.size))
         live = amp > 0.0
         if np.any(live):
@@ -381,15 +380,11 @@ def _quadrature_part(
     basis: BasisSpec, fac: _Factor, power: float, a: float, spec: QuadratureSpec
 ) -> np.ndarray:
     """The same table by double-exponential quadrature in r."""
-    # Weights at or below the fold edge go half into each factor: the
-    # factors vanish fast enough at the origin for the product to converge.
-    shift = power / 2.0 if power <= _WEIGHT_FOLD_EDGE else 0.0
 
-    def table(r):
-        return basis.evaluate(fac, r, a, shift)
+    def rows(r):
+        return basis.evaluate(fac, r, a)
 
-    handle = IntegrandHandle(factors=(table, table), weight_exponent=power - 2.0 * shift,
-                             decay_hint=(2.0, basis.decay_q))
+    handle = IntegrandHandle(rows=rows, weight_exponent=power, decay_hint=(2.0, basis.decay_q))
     return integrate(handle, spec).value
 
 
@@ -668,7 +663,7 @@ def _checked_raw_value(params: InequalityParams, k: int, spec: Optional[Quadratu
     exact = mode_quotient_weighted(radial.n, radial.alpha, 0).value
     extremal = extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1.0, radial))
     spec = spec if spec is not None else QuadratureSpec()
-    e = mode_energies(extremal, radial, 0, spec, method="both")
+    e = mode_energies(extremal, radial, 0, spec)
     ratio = (e.energy_a / e.energy_c) * (e.energy_b / e.energy_c)
     if not (abs(ratio - exact) <= SPOT_CHECK_RTOL * exact and e.rel_gap <= SPOT_CHECK_RTOL):
         raise ConsistencyError(

@@ -244,6 +244,20 @@ def test_cli_import_leaves_out_scipy_linalg_and_optimize():
         assert done.stdout.strip() == "[]", module
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_thmc2_divergent_energy_exits_precondition(capsys, n, k):
+    # v' ~ -r^(1-N) at infinity, so B = int v'^2 r^(N+2k-1) dr diverges
+    # exactly when 2k >= N - 2; the other energies converge wherever B does.
+    code, _, err = run(capsys, "quotient", "--family", "thmC-2", "--n", str(n), "--alpha", "0",
+                       "--beta", "2", "--b", "-1", "--k", str(k))
+    if 2 * k >= n - 2:
+        assert code == 2
+        assert "energy B" in err
+    else:
+        assert code == 0, err
+
+
 @pytest.mark.parametrize("argv, closed", [
     # A B alone would overflow: the energies are about 3e179 and 2e164.
     (("--family", "thm1.2-2", "--n", "18", "--alpha", "-0.875", "--k", "0"), 67.03515625),

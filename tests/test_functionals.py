@@ -160,18 +160,26 @@ def test_gradient_weighted_family_matches_gamma_arithmetic():
 @pytest.mark.parametrize("family_id, b, n, beta", [
     ("thmC-1", 1.0, 4, 0.5), ("thmC-1", 2.0, 3, -1.0),
     ("thmC-2", -1.0, 4, 2.0), ("thmC-2", -0.5, 6, 1.5),
+    ("thm1.2-1a", 1.0, 1, -0.875), ("thm1.2-1a", 2.0, 1, -0.5), ("thm1.2-1a", 0.5, 1, 0.0),
 ])
 def test_incomplete_gamma_profiles_integrate_their_derivative(family_id, b, n, beta):
     # v is an incomplete Gamma function of kappa r^s: v(r) = -int_r^inf v'.
-    prof = extremal_profile(ExtremalFamily(family_id, 1.0, b, InequalityParams(n, 0.0, beta)))
-    s = 1.0 - beta
-    kappa = b / s
-    lead = 1 if family_id == "thmC-1" else 1 - n
+    # For thm1.2-1a the last parameter is alpha: v' = -exp(-b r^(alpha+1)).
+    if family_id == "thm1.2-1a":
+        params = InequalityParams(n, beta)
+        s, kappa, lead, amp = beta + 1.0, b, 0, -1.0
+    else:
+        params = InequalityParams(n, 0.0, beta)
+        s = 1.0 - beta
+        kappa = b / s
+        lead = 1 if family_id == "thmC-1" else 1 - n
+        amp = 1.0
+    prof = extremal_profile(ExtremalFamily(family_id, 1.0, b, params))
     rs = np.array([0.05, 0.5, 1.0, 3.0])
     v = prof.evaluator(rs)[0]
     with mpmath.workdps(30):
         for r, value in zip(rs, v):
-            tail = mpmath.quad(lambda x: x**lead * mpmath.exp(-kappa * x**s),
+            tail = mpmath.quad(lambda x: amp * x**lead * mpmath.exp(-kappa * x**s),
                                [r * 2**j for j in range(8)] + [mpmath.inf])
             assert value == pytest.approx(-float(tail), rel=1e-12)
 
@@ -296,6 +304,6 @@ def test_slow_decay_quadrature_matches_closed_form():
     # find the mass far out instead of settling on two empty levels.
     params = InequalityParams(11, -0.875)
     prof = extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1.0, params))
-    e = mode_energies(prof, params, 1, QuadratureSpec(), method="both")
+    e = mode_energies(prof, params, 1, QuadratureSpec())
     assert e.rel_gap is not None
     assert e.rel_gap < 1e-10

@@ -11,7 +11,6 @@ from cknlab.quadrature import (
     IntegrandHandle,
     QuadratureSpec,
     integrate,
-    integrate_tail,
 )
 from cknlab.special import weighted_exp_integral
 
@@ -42,19 +41,23 @@ def test_without_decay_hint():
 def test_factored_handle_matches_plain():
     f = ExpPoly(((1.0, 1.0), (2.0, -0.3)), 1.5, 1.0)
     plain = integrate(IntegrandHandle(lambda r: f(r) * f(r), 2.0, (3.0, 1.0)))
-    factored = integrate(IntegrandHandle(None, 2.0, (3.0, 1.0), factors=(f, f)))
-    assert factored.value == pytest.approx(plain.value, rel=1e-12)
+    factored = integrate(IntegrandHandle(None, 2.0, (3.0, 1.0), rows=f))
+    assert factored.value[0, 0] == pytest.approx(plain.value, rel=1e-12)
+
+
+def test_rows_absorb_a_weight_below_minus_one():
+    # int (r e^-r)^2 r^-1.5 dr = Gamma(1.5) / 2^1.5: the rows vanish at the
+    # origin fast enough for a weight the plain integrand could not take.
+    f = ExpPoly(((1.0, 1.0),), 1.0, 1.0)
+    res = integrate(IntegrandHandle(None, -1.5, (2.0, 1.0), rows=f))
+    assert res.value.shape == (1, 1)
+    assert res.value[0, 0] == pytest.approx(math.gamma(1.5) / 2.0**1.5, rel=1e-12)
 
 
 def test_algebraic_tail():
     # 1/(1+r)^4 integrates to 1/3 despite only polynomial decay.
     res = integrate(IntegrandHandle(lambda r: (1.0 + r) ** -4.0, 0.0, None))
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-11)
-
-
-def test_tail_integral():
-    res = integrate_tail(IntegrandHandle(lambda r: np.exp(-r), 0.0, (1.0, 1.0)), 2.0)
-    assert res.value == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_rel_tol_is_respected():
@@ -118,8 +121,7 @@ def test_table_factors_give_every_pairwise_integral():
     def table(r):
         return np.array([p(r) for p in polys])
 
-    res = integrate(IntegrandHandle(factors=(table, table), weight_exponent=1.5,
-                                    decay_hint=(2.0, 1.0)))
+    res = integrate(IntegrandHandle(rows=table, weight_exponent=1.5, decay_hint=(2.0, 1.0)))
     assert res.value.shape == (3, 3)
     for j, pj in enumerate(polys):
         for l, pl in enumerate(polys):
@@ -127,6 +129,6 @@ def test_table_factors_give_every_pairwise_integral():
 
 
 def test_table_factors_must_match_nodes():
-    handle = IntegrandHandle(factors=(lambda r: np.ones((2, r.size + 1)),) * 2)
+    handle = IntegrandHandle(rows=lambda r: np.ones((2, r.size + 1)))
     with pytest.raises(DomainError):
         integrate(handle)
