@@ -441,33 +441,26 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
 # -- energies and quotients -------------------------------------------------
 
 
-def _component_energy(
-    profile: RadialProfile,
-    component: str,
-    p: float,
-    spec: QuadratureSpec,
-    closed_route: bool,
-) -> Tuple[Optional[float], float]:
-    """(closed, quadrature) values of  int component(r)^2 r^p dr; closed is
-    None unless ``closed_route`` is set and the component has a closed
-    form."""
-    poly = profile.component_poly(component)
-    closed = (poly * poly).moment(p) if closed_route and poly is not None else None
+_COMPONENTS = ("v", "d1", "d2")
+
+
+def _origin_power(profile: RadialProfile, order: int) -> Optional[float]:
+    """The leading power at the origin of the ``order``-th derivative of v,
+    or None when it is not known.
+
+    It is the lowest power of the closed form.  A v with no closed form
+    but a one-term closed v' = c r^p e^(-kappa r^s), p > -1, is taken to
+    be -int_r^inf v', as ``_tail_profile`` builds it: it tends to the
+    nonzero -int_0^inf v' because v' keeps its sign, so its leading power
+    is 0.
+    """
+    poly = profile.component_poly(_COMPONENTS[order])
     if poly is not None:
-        rows = poly
-        hint = (2.0 * poly.rate, poly.decay_power) if poly.rate > 0 else None
-    else:
-        idx = ("v", "d1", "d2").index(component)
-
-        def rows(r):
-            return profile.evaluator(r)[idx]
-
-        hint = None
-        if profile.decay_hint is not None:
-            c, q = profile.decay_hint
-            hint = (2.0 * c, q)
-    quad = integrate(IntegrandHandle(None, p, hint, rows=rows), spec).value[0, 0]
-    return closed, quad
+        return poly.min_power
+    d1 = profile.poly_d1
+    if order == 0 and d1 is not None and len(d1.terms) == 1 and d1.min_power > -1.0:
+        return 0.0
+    return None
 
 
 def _combine(pairs, coefs) -> Tuple[float, Optional[float]]:
@@ -511,7 +504,16 @@ def _energies(
     method: str,
 ) -> ModeEnergy:
     """The energy triple of ``form_parts``; parts with a zero coefficient
-    are skipped."""
+    are skipped.
+
+    The quadrature route is one ``integrate`` call on the stack of every
+    live part, each weighted by its own power of r: on each batch of
+    nodes every component of v the parts read is evaluated once, from
+    its closed form where there is one, else by one call of the
+    profile's evaluator.  Before it, each part whose component has a
+    known leading power at the origin (``_origin_power``) is checked to
+    converge there.
+    """
     if method not in ("auto", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
     closed_route = method == "auto" and profile.has_closed_derivatives
@@ -523,12 +525,41 @@ def _energies(
             f"energy B = int v'^2 r^{params.n + 2 * k - 1} dr of the thmC-2 profile "
             f"diverges at infinity, where v' ~ r^{1 - fam.params.n} (k={k})"
         )
+    live = [(form, order, power, coef)
+            for form, parts in enumerate(form_parts(params.n, params.alpha, k))
+            for order, power, coef in parts if coef != 0.0]
+    polys = [profile.component_poly(name) for name in _COMPONENTS]
+    closed = [(polys[order] * polys[order]).moment(power)
+              if closed_route and polys[order] is not None else None
+              for _, order, power, _ in live]
+    for form, order, power, _ in live:
+        lead = _origin_power(profile, order)
+        if lead is not None and 2.0 * lead + power <= -1.0:
+            raise DivergentIntegralError(
+                f"energy {'ABC'[form]} diverges at the origin: its part "
+                f"int |v^({order})|^2 r^{power} dr behaves like r^{2.0 * lead + power}"
+            )
+    orders = sorted({order for _, order, _, _ in live})
+    evaluated = any(polys[order] is None for order in orders)
+
+    def rows(r):
+        full = profile.evaluator(r) if evaluated else None
+        comps = {order: full[order] if polys[order] is None else polys[order](r)
+                 for order in orders}
+        return np.stack([comps[order] for _, order, _, _ in live])[:, None, :]
+
+    hint = None
+    if profile.decay_hint is not None:
+        c, q = profile.decay_hint
+        hint = (2.0 * c, q)
+    handle = IntegrandHandle(rows=rows, weight_exponent=tuple(part[2] for part in live),
+                             decay_hint=hint)
+    quad = integrate(handle, spec).value[:, 0, 0]
     energies, gaps = [], []
-    for parts in form_parts(params.n, params.alpha, k):
-        live = [part for part in parts if part[2] != 0.0]
-        pairs = [_component_energy(profile, ("v", "d1", "d2")[order], power, spec, closed_route)
-                 for order, power, _ in live]
-        energy, gap = _combine(pairs, [coef for *_, coef in live])
+    for form in range(3):
+        index = [i for i, part in enumerate(live) if part[0] == form]
+        energy, gap = _combine([(closed[i], quad[i]) for i in index],
+                               [live[i][3] for i in index])
         energies.append(energy)
         if gap is not None:
             gaps.append(gap)
@@ -568,8 +599,9 @@ def mode_energies(
 
     Raises ConsistencyError when the two routes disagree, and
     DivergentIntegralError naming the offending exponent when a requested
-    moment diverges (or naming B for a thmC-2 profile whose algebraic
-    tail makes it diverge).
+    moment diverges, naming the form when a part diverges at the origin
+    (either route), or naming B for a thmC-2 profile whose algebraic tail
+    makes it diverge.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")

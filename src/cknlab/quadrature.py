@@ -22,21 +22,33 @@ Both halves share one trapezoid step h in the transformed variable; each
 refinement level halves h and reuses previous samples, so the cost of
 level m is the same as all previous levels combined.  Convergence is
 declared when successive refinements of the *sum* agree to ``rel_tol``.
+The new nodes of a level, from both halves, are evaluated together, and
+rows in batches of at most 256 nodes, which bounds the memory a wide
+stack of tables takes.
 
-A product integrand is given as rows: a callable returning one row per
-function (a 1-D array is one row), whose integral is the Gram matrix
-integral_0^inf f(r) f(r)^T r^p dr of all pairwise products, from one
-refinement loop that evaluates every row once on each level's new
-nodes.  An energy integral |v|^2 r^p is the 1 x 1 case.  Each row is
-multiplied by sqrt(w r^p) before the product, so rows may take any
-finite weight exponent: rows that vanish at the origin absorb a weight
-at or below -1.  A row weight at or below -0.9 is centred in the tail
-transform as weight 0, the peak of the rows' own mass.
+A product integrand is given as rows: a callable returning a stack of
+T tables, one per weight exponent (p_1, ..., p_T), each with one row
+per function, whose integral is one Gram matrix per table, table i
+weighted by r^p_i: integral_0^inf f(r) f(r)^T r^p_i dr of all pairwise
+products of its rows.  A single exponent p is the stack (p,), whose
+one table the callable may also return as a 2-D table (or a 1-D array
+for one function).  An energy integral |v|^2 r^p is a 1 x 1 table.
+All tables share one node ladder and one refinement loop, which
+evaluates the callable once on each batch of new nodes, so the parts of
+one form triple share their nodes and whatever the tables have in
+common.  Each row is multiplied by sqrt(w r^p) before the
+product, so rows may take any finite weight exponent: rows that vanish
+at the origin absorb a weight at or below -1.  A row weight at or below
+-0.9 is centred in the tail transform as weight 0, the peak of the rows'
+own mass, and a stack is centred on its largest weight, whose mass lies
+farthest out.
 
 Weights that underflow to zero are masked before the integrand is
 evaluated: at extreme nodes the integrand itself may overflow double
 range even though its weighted contribution is exactly negligible, and
-evaluating it there would poison the sum with inf * 0.
+evaluating it there would poison the sum with inf * 0.  In a stack a
+node is evaluated when any table's weight is alive there, and a table
+ignores whatever it returns at nodes where its own weight underflows.
 """
 
 from __future__ import annotations
@@ -70,6 +82,8 @@ _H0 = 1.0
 _EPS = float(np.finfo(float).eps)
 # Row weights at or below this edge are centred as weight 0.
 _FOLD_EDGE = -0.9
+# Most nodes at which one call of the rows is evaluated.
+_BATCH_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -110,37 +124,42 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class IntegrandHandle:
     """A weighted half-line integrand: f(r) r^weight_exponent, or the Gram
-    matrix of rows under that weight.
+    matrices of rows under one weight or a stack of weights.
 
     Attributes
     ----------
     evaluator : callable or None
         Vectorised f: accepts a float ndarray of radii (all > 0), returns
         an ndarray of the same shape.
-    weight_exponent : float
+    weight_exponent : float or tuple of floats
         The power p of the explicit r^p weight: > -1 for an evaluator,
         any finite value for rows, which must then vanish fast enough at
-        the origin for their products to converge.
+        the origin for their products to converge.  For ``rows`` a
+        non-empty tuple (p_1, ..., p_T) weights a stack of T tables; a
+        single p is the stack (p,).
     decay_hint : (c, q) or None
         Optional tail scale: the integrand decays roughly like
         exp(-c r^q).  Used only to centre the tail transform; wrong hints
         cost accuracy per level, not correctness.
     rows : callable or None
         Alternative to ``evaluator`` for products (energies |v'|^2, Gram
-        products phi_j phi_l): returns a table of shape (rows, n), one
-        row per function, or a 1-D array for one function.  The integral
-        is the (rows, rows) matrix of all pairwise products of rows, each
-        entry converged to ``rel_tol`` relative to its absolute mass (the
-        integral of |f_i f_j| r^p).  Every row is multiplied by
-        sqrt(w r^p) first, which cannot overflow for convergent integrals
-        even where f alone, or r^p, would exceed double range near a
-        singular endpoint.  A weight at or below -0.9 is centred in the
-        tail transform as weight 0.  Exactly one of ``evaluator``/``rows``
-        must be given.
+        products phi_j phi_l): returns an array of shape (T, rows, n),
+        one table per weight exponent and one row per function, table i
+        to be weighted by r^p_i; for T = 1 a table of shape (rows, n),
+        or a 1-D array for one function, will do.  The integral of a table is the (rows, rows) matrix of all
+        pairwise products of its rows, each entry converged to
+        ``rel_tol`` relative to its absolute mass (the integral of
+        |f_i f_j| r^p).  Every row is multiplied by sqrt(w r^p) first,
+        which cannot overflow for convergent integrals even where f
+        alone, or r^p, would exceed double range near a singular
+        endpoint.  Values a table returns where its own weight underflows
+        to zero are ignored, even if not finite.  A weight at or below
+        -0.9 is centred in the tail transform as weight 0.  Exactly one
+        of ``evaluator``/``rows`` must be given.
     """
 
     evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    weight_exponent: float = 0.0
+    weight_exponent: Union[float, Tuple[float, ...]] = 0.0
     decay_hint: Optional[Tuple[float, float]] = None
     rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -149,12 +168,19 @@ class IntegrandHandle:
             raise DomainError("exactly one of evaluator/rows must be provided")
         if not callable(self.evaluator if self.rows is None else self.rows):
             raise DomainError("evaluator/rows must be callable")
-        p = self.weight_exponent
-        if not (isinstance(p, (int, float)) and math.isfinite(p)
-                and (self.rows is not None or p > -1.0)):
-            raise DivergentIntegralError(
-                f"weight_exponent must be finite (and > -1 for an evaluator), got {p!r}"
-            )
+        stack = self.weight_exponent
+        if isinstance(stack, tuple):
+            if self.rows is None or not stack:
+                raise DomainError("a stack of weight exponents needs rows and at least "
+                                  "one exponent")
+        else:
+            stack = (stack,)
+        for p in stack:
+            if not (isinstance(p, (int, float)) and math.isfinite(p)
+                    and (self.rows is not None or p > -1.0)):
+                raise DivergentIntegralError(
+                    f"weight_exponent must be finite (and > -1 for an evaluator), got {p!r}"
+                )
         if self.decay_hint is not None:
             c, q = self.decay_hint
             if not (math.isfinite(c) and c > 0 and math.isfinite(q) and q > 0):
@@ -164,7 +190,7 @@ class IntegrandHandle:
 @dataclass(frozen=True)
 class QuadratureResult:
     """Converged integral value with its refinement error estimate (both
-    (rows, rows) arrays for a rows integrand)."""
+    (T, rows, rows) arrays for a rows integrand with T weight exponents)."""
 
     value: Union[float, np.ndarray]
     err_est: Union[float, np.ndarray]
@@ -173,8 +199,10 @@ class QuadratureResult:
 
 
 @lru_cache(maxsize=64)
-def _grid(level: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, sinh t, cosh t) for the nodes new at this level.
+def _grid(level: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sinh t, cosh t) for the nodes new at this level, and the tanh-sinh
+    nodes sigmoid(pi sinh t) and weights on (0, 1], which a split point a
+    scales by a.
 
     Level 0 is the full coarse grid at step _H0; level m >= 1 holds the
     odd multiples of h = _H0 / 2^m (the nodes not already present).
@@ -187,7 +215,10 @@ def _grid(level: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         j_max = int(_T_CAP / h)
         j = np.arange(-j_max, j_max + 1)
         t = j[j % 2 != 0] * h
-    return t, np.sinh(t), np.cosh(t)
+    sinh_t, cosh_t = np.sinh(t), np.cosh(t)
+    u2 = math.pi * sinh_t  # 2 * (pi/2) sinh t
+    sig = _sigmoid(u2)
+    return sinh_t, cosh_t, sig, math.pi * cosh_t * sig * _sigmoid(-u2)
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -201,8 +232,8 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 class _HalfMap:
-    """One transformed half of the integration range: produces (r, w)
-    node/weight arrays for a level grid."""
+    """One transformed half of the integration range: produces the finite
+    (r, w) node/weight arrays with positive weight for a level grid."""
 
     def __init__(self, kind: str, a: float, scale: float, kappa: float):
         self.kind = kind
@@ -211,28 +242,31 @@ class _HalfMap:
         self.kappa = kappa
 
     def nodes(self, level: int) -> Tuple[np.ndarray, np.ndarray]:
-        _, sinh_t, cosh_t = _grid(level)
+        sinh_t, cosh_t, unit_r, unit_w = _grid(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if self.kind == "tanh-sinh":
-                u2 = math.pi * sinh_t  # 2 * (pi/2) sinh t
-                sig = _sigmoid(u2)
-                omega = _sigmoid(-u2)
-                r = self.a * sig
-                w = self.a * math.pi * cosh_t * sig * omega
+                r = self.a * unit_r
+                w = self.a * unit_w
             else:  # exp-sinh
                 g = self.scale * np.exp(self.kappa * sinh_t)
                 r = self.a + g
                 w = self.kappa * cosh_t * g
-        return r, w
+            keep = np.isfinite(r) & (r > 0.0) & np.isfinite(w) & (w > 0.0)
+        return r[keep], w[keep]
+
+
+def _exponents(handle: IntegrandHandle) -> np.ndarray:
+    """The weight exponents as a 1-D array, one per table."""
+    return np.atleast_1d(np.asarray(handle.weight_exponent, dtype=float))
 
 
 def _build_maps(handle: IntegrandHandle, a: float) -> Tuple[_HalfMap, _HalfMap]:
     if handle.decay_hint is not None:
         c, q = handle.decay_hint
-        p = handle.weight_exponent
-        if handle.rows is not None and p <= _FOLD_EDGE:
-            p = 0.0
-        peak = (p + 1.0) / (c * q)
+        p = _exponents(handle)
+        if handle.rows is not None:
+            p = np.where(p <= _FOLD_EDGE, 0.0, p)
+        peak = (float(np.max(p)) + 1.0) / (c * q)
         scale = max(c ** (-1.0 / q), peak ** (1.0 / q))
         kappa = 0.5 * math.pi / q
     else:
@@ -244,18 +278,25 @@ def _build_maps(handle: IntegrandHandle, a: float) -> Tuple[_HalfMap, _HalfMap]:
     )
 
 
+def _level_nodes(maps: Tuple[_HalfMap, ...], level: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The finite nodes with positive weight new at this level, both halves
+    together."""
+    r, w = zip(*(m.nodes(level) for m in maps))
+    return np.concatenate(r), np.concatenate(w)
+
+
 def _rescue_overflow(
     term: np.ndarray,
-    factors: Tuple[np.ndarray, ...],
+    values: np.ndarray,
     r: np.ndarray,
     w: np.ndarray,
-    p: float,
+    p: Union[float, np.ndarray],
     share: float = 1.0,
 ) -> np.ndarray:
     """Recompute non-finite products of finite parts in log space.
 
-    ``term`` is the product of ``factors`` with ``share`` times the
-    weight w r^p (all broadcast along the node axis).  A tiny (denormal)
+    ``term`` is ``values`` times ``share`` times the weight w r^p (all
+    broadcast to its shape along the node axis).  A tiny (denormal)
     integrand value times a huge transformed weight overflows or turns
     into nan even though the true product is negligible; log arithmetic
     settles each such node.  Genuinely divergent nodes stay non-finite
@@ -268,29 +309,43 @@ def _rescue_overflow(
                      under="ignore"):
         rb = np.broadcast_to(r, term.shape)[bad]
         wb = np.broadcast_to(w, term.shape)[bad]
-        log_mag = share * (np.log(wb) + p * np.log(rb))
-        sign = np.ones(int(np.count_nonzero(bad)))
-        for f in factors:
-            fb = f[bad]
-            log_mag = log_mag + np.log(np.abs(fb))
-            sign = sign * np.sign(fb)
+        pb = np.broadcast_to(p, term.shape)[bad]
+        fb = values[bad]
         out = term.copy()
-        out[bad] = sign * np.exp(log_mag)
+        out[bad] = np.sign(fb) * np.exp(share * (np.log(wb) + pb * np.log(rb))
+                                        + np.log(np.abs(fb)))
     return out
 
 
-def _row_values(fn: Callable, r: np.ndarray) -> np.ndarray:
-    vals = np.asarray(fn(r), dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[-1] != r.size:
+def _row_tables(handle: IntegrandHandle, r: np.ndarray, tables: int) -> np.ndarray:
+    """The rows at r as a (tables, rows, len(r)) array; a 1-D or 2-D
+    return is one table."""
+    vals = np.asarray(handle.rows(r), dtype=float)
+    if vals.ndim in (1, 2):
+        vals = np.atleast_2d(vals)[None]
+    if vals.ndim != 3 or vals.shape[0] != tables or vals.shape[-1] != r.size:
         raise DomainError(
-            "rows must return an array matching their input "
-            "or a table with one row per function"
+            "rows must return an array matching their input, a table with one "
+            "row per function, or one such table per weight exponent"
         )
-    bad = ~np.isfinite(vals)
+    return vals
+
+
+def _weighted_rows(
+    vals: np.ndarray, r: np.ndarray, w: np.ndarray, wp: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """Each table's rows times sqrt(w r^p_i), zero where that weight is.
+
+    ``wp`` holds w r^p_i, one row per table.  A value that is not finite
+    where its table's weight is alive raises NonFiniteSampleError.
+    """
+    live = (wp != 0.0)[:, None, :]
+    bad = live & ~np.isfinite(vals)
     if np.any(bad):
         at = np.broadcast_to(r, vals.shape)[bad][0]
         raise NonFiniteSampleError(f"integrand row returned a non-finite value at r={at!r}")
-    return np.atleast_2d(vals)
+    g = np.where(live & (vals != 0.0), vals * np.sqrt(wp)[:, None, :], 0.0)
+    return _rescue_overflow(g, vals, r, w, p[:, None, None], share=0.5)
 
 
 def _level_sum(
@@ -302,63 +357,49 @@ def _level_sum(
 
     Returns the signed sum, the sum of magnitudes (the rounding floor of
     any cancellation), and the number of nodes evaluated.  Both sums are
-    (rows, rows) matrices for a rows integrand.
+    Gram matrices, one per table, for a rows integrand, whose rows are
+    evaluated _BATCH_NODES nodes at a time.
     """
-    p = float(handle.weight_exponent)
-    total = 0.0
-    abs_total = 0.0
-    n_eval = 0
-    for m in maps:
-        r, w = m.nodes(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            keep = np.isfinite(r) & (r > 0.0) & np.isfinite(w) & (w > 0.0)
-            r = r[keep]
-            w = w[keep]
-            if r.size == 0:
-                continue
-            wp = w * np.power(r, p)
-            live = wp != 0.0
-            r = r[live]
-            w = w[live]
-            wp = wp[live]
-            if r.size == 0:
-                continue
-            if handle.rows is not None:
-                rows = _row_values(handle.rows, r)
-                g = np.where(rows == 0.0, 0.0, rows * np.sqrt(wp))
-                g = _rescue_overflow(g, (rows,), r, w, p, share=0.5)
-                term = g @ g.T
-                mag = np.abs(g) @ np.abs(g).T
-            else:
-                f = np.asarray(handle.evaluator(r), dtype=float)
-                if f.shape != r.shape:
-                    raise DomainError(
-                        "evaluator must return an array of the same shape as its input"
-                    )
-                bad = ~np.isfinite(f)
-                if np.any(bad):
-                    raise NonFiniteSampleError(
-                        f"integrand returned a non-finite value at r={r[bad][0]!r}"
-                    )
-                term = np.where(f == 0.0, 0.0, f * wp)
-                term = _rescue_overflow(term, (f,), r, w, p)
-        if not np.all(np.isfinite(term)):
-            if term.ndim == 2:
-                raise NonFiniteSampleError(
-                    f"weighted Gram table overflowed on nodes r in [{r[0]!r}, {r[-1]!r}]"
+    p = _exponents(handle)
+    r, w = _level_nodes(maps, level)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        wp = w * np.power(r, p[:, None])
+        live = np.any(wp != 0.0, axis=0)
+        r, w, wp = r[live], w[live], wp[:, live]
+        if handle.rows is None:
+            f = np.asarray(handle.evaluator(r), dtype=float)
+            if f.shape != r.shape:
+                raise DomainError(
+                    "evaluator must return an array of the same shape as its input"
                 )
-            idx = int(np.flatnonzero(~np.isfinite(term))[0])
-            raise NonFiniteSampleError(
-                f"weighted integrand overflowed at r={r[idx]!r} (weight={wp[idx]!r})"
-            )
-        if term.ndim == 2:
+            bad = ~np.isfinite(f)
+            if np.any(bad):
+                raise NonFiniteSampleError(
+                    f"integrand returned a non-finite value at r={r[bad][0]!r}"
+                )
+            term = np.where(f == 0.0, 0.0, f * wp[0])
+            term = _rescue_overflow(term, f, r, w, p[0])
+            if not np.all(np.isfinite(term)):
+                idx = int(np.flatnonzero(~np.isfinite(term))[0])
+                raise NonFiniteSampleError(
+                    f"weighted integrand overflowed at r={r[idx]!r} (weight={wp[0, idx]!r})"
+                )
+            return float(np.sum(term)), float(np.sum(np.abs(term))), int(r.size)
+        total = abs_total = 0.0
+        for start in range(0, r.size, _BATCH_NODES):
+            batch = slice(start, start + _BATCH_NODES)
+            vals = _row_tables(handle, r[batch], p.size)
+            g = _weighted_rows(vals, r[batch], w[batch], wp[:, batch], p)
+            term = g @ g.transpose(0, 2, 1)
+            if not np.all(np.isfinite(term)):
+                raise NonFiniteSampleError(
+                    "weighted Gram table overflowed on nodes r in "
+                    f"[{r[batch].min()!r}, {r[batch].max()!r}]"
+                )
             total = total + term
-            abs_total = abs_total + mag
-        else:
-            total += float(np.sum(term))
-            abs_total += float(np.sum(np.abs(term)))
-        n_eval += int(r.size)
-    return total, abs_total, n_eval
+            g = np.abs(g)
+            abs_total = abs_total + g @ g.transpose(0, 2, 1)
+    return total, abs_total, int(r.size)
 
 
 def _refine(
@@ -379,7 +420,7 @@ def _refine(
         mass = 0.5 * mass + h * a
         err = abs(value - prev)
         scale = np.maximum(abs(value), 1e-300)
-        if np.ndim(value) == 2:
+        if np.ndim(value) >= 2:
             # Off-diagonal Gram entries may cancel to nearly nothing; each
             # is converged relative to its absolute mass instead.
             scale = np.maximum(scale, mass)
@@ -417,7 +458,9 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         value, err_est (last refinement difference; an upper estimate of
         the truncation error for integrands in the double-exponential
         convergence class), levels and node count.  value and err_est are
-        (rows, rows) arrays for a rows integrand.
+        (T, rows, rows) arrays for a rows integrand with T weight
+        exponents (T = 1 for a single one); the level is the deepest any
+        entry of any table needs.
 
     Raises
     ------
@@ -428,4 +471,3 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
     """
     maps = _build_maps(handle, float(spec.split_point))
     return _refine(handle, maps, spec)
-

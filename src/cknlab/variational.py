@@ -16,8 +16,9 @@ zero-order mode term of C included, so the minimum over the full space is
 the per-mode constant itself.  Every derivative of a trial function is
 r^g exp(-x) E_j(x) with E_j a polynomial, so a Gauss-Laguerre rule of
 m + 3 nodes gives every Gram entry exactly.  As a second route, every
-entry is integrated again by double-exponential quadrature in r from the
-same evaluation of the E_j.
+entry is integrated again by double-exponential quadrature in r: one
+refinement loop for the whole triple, whose nodes each part shares, and
+whose Laguerre tables are evaluated once per node for every part's E_j.
 
 By AM-GM, ab = min over t > 0 of ((t a + b/t)/2)^2, so min Q over a trial
 space is min over u = log t of (lambda_1(e^u M_A + e^-u M_B ; M_C) / 2)^2,
@@ -140,26 +141,31 @@ class BasisSpec:
         lead = min(int(np.flatnonzero(c)[0]) for c in coefs if np.any(c))
         return _Factor(order, g + lead * q, tuple(c[lead:] for c in coefs))
 
-    def factor_values(self, fac: _Factor, x: np.ndarray, a: float) -> np.ndarray:
-        """E_j(x) for every trial function with Laguerre parameter ``a``:
-        an (m, len(x)) table."""
-        lag = _laguerre_tables(self.m, a, 2.0 * x, fac.order)
+    def factor_values(self, fac: _Factor, x: np.ndarray, lag: List[np.ndarray]) -> np.ndarray:
+        """E_j(x) for every trial function: an (m, len(x)) table, from the
+        Laguerre tables ``lag`` of ``_laguerre_tables`` at y = 2x, to an
+        order of at least ``fac.order``."""
         out = np.zeros((self.m, x.size))
         for d, c in enumerate(fac.coefs):
             if np.any(c):
                 out += (2.0**d * npoly.polyval(x, c)) * lag[d]
         return out
 
-    def evaluate(self, fac: _Factor, r: np.ndarray, a: float) -> np.ndarray:
-        """The derivatives of ``fac`` at r > 0: an (m, len(r)) table."""
+    def evaluate(self, facs: Sequence[_Factor], r: np.ndarray, a: float) -> np.ndarray:
+        """The derivatives of every factor in ``facs`` at r > 0, with
+        Laguerre parameter ``a``: a (len(facs), m, len(r)) stack, built
+        from one set of Laguerre tables."""
         r = np.asarray(r, dtype=float)
         x = np.power(r, self.decay_q)
         with np.errstate(over="ignore", under="ignore"):
-            amp = np.exp(fac.power * np.log(r) - x)
-        out = np.zeros((self.m, r.size))
-        live = amp > 0.0
+            amp = np.exp(np.array([fac.power for fac in facs])[:, None] * np.log(r) - x)
+        out = np.zeros((len(facs), self.m, r.size))
+        live = np.any(amp > 0.0, axis=0)
         if np.any(live):
-            out[:, live] = self.factor_values(fac, x[live], a) * amp[live]
+            x = x[live]
+            lag = _laguerre_tables(self.m, a, 2.0 * x, max(fac.order for fac in facs))
+            for i, fac in enumerate(facs):
+                out[i][:, live] = self.factor_values(fac, x, lag) * amp[i, live]
         return out
 
 
@@ -372,20 +378,8 @@ def _gauss_part(basis: BasisSpec, fac: _Factor, power: float, a: float) -> np.nd
             f"{power} diverge at the origin (rule exponent {s} <= -1)"
         )
     y, w = _gauss_laguerre(basis.m + _GAUSS_EXTRA_NODES, s)
-    values = basis.factor_values(fac, y / 2.0, a)
+    values = basis.factor_values(fac, y / 2.0, _laguerre_tables(basis.m, a, y, fac.order))
     return (values * (w * 2.0 ** (-s - 1.0) / basis.decay_q)) @ values.T
-
-
-def _quadrature_part(
-    basis: BasisSpec, fac: _Factor, power: float, a: float, spec: QuadratureSpec
-) -> np.ndarray:
-    """The same table by double-exponential quadrature in r."""
-
-    def rows(r):
-        return basis.evaluate(fac, r, a)
-
-    handle = IntegrandHandle(rows=rows, weight_exponent=power, decay_hint=(2.0, basis.decay_q))
-    return integrate(handle, spec).value
 
 
 def _pd_check(mat: np.ndarray, name: str, diagnostics: Dict[str, object]) -> None:
@@ -416,8 +410,14 @@ def build_gram(
     Gauss-Laguerre rule.  When ``verify`` is set, every entry of all three
     matrices is integrated again by double-exponential quadrature in r
     and must agree within 1e-10, or ``VerificationMismatchError`` is
-    raised.  ``DivergentIntegralError`` names a diverging part, and
-    ``ConsistencyError`` a failed positive definiteness check of M_B, M_C.
+    raised.  The check is one ``integrate`` call on the stack of every
+    live part's table, each weighted by its own power of r; on each
+    batch of nodes the Laguerre tables are evaluated once, at the highest
+    derivative order, and every part's E_j is built from them.  Its
+    refinement depth is recorded as ``diagnostics["spot_check_levels_used"]``
+    and ``diagnostics["spot_check_nodes_used"]``.  ``DivergentIntegralError``
+    names a diverging part, and ``ConsistencyError`` a failed positive
+    definiteness check of M_B, M_C.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
@@ -427,23 +427,33 @@ def build_gram(
     # Laguerre parameter a = the rule exponent of C's zero-order (last) part,
     # even where k = 0 drops it: that part is then diagonal.
     a = _rule_exponent(float(basis.gamma0), all_parts[2][-1][1], float(basis.decay_q))
-    spec = spec if spec is not None else QuadratureSpec()
     m = basis.m
     matrices = tuple(np.zeros((m, m)) for _ in range(3))
-    worst = 0.0
-    for name, mat, parts in zip("ABC", matrices, all_parts):
-        quad, scale_diag = np.zeros((m, m)), np.zeros(m)
-        for order, power, coef in parts:
-            if coef == 0.0:
-                continue
-            fac = basis.factor(order)
-            part = _gauss_part(basis, fac, power, a)
-            mat += coef * part
-            if verify:
-                quad += coef * _quadrature_part(basis, fac, power, a, spec)
-                scale_diag += abs(coef) * np.diag(part)
+    scale_diags = tuple(np.zeros(m) for _ in range(3))
+    live = [(form, basis.factor(order), power, coef)
+            for form, parts in enumerate(all_parts)
+            for order, power, coef in parts if coef != 0.0]
+    for form, fac, power, coef in live:
+        part = _gauss_part(basis, fac, power, a)
+        matrices[form][:] += coef * part
+        scale_diags[form][:] += abs(coef) * np.diag(part)
+    for mat in matrices:
         mat[:] = _symmetric(mat)
-        if verify:
+    diagnostics: Dict[str, object] = {
+        "indefinite_a_allowed": any(coef < 0.0 for *_, coef in all_parts[0]),
+        "laguerre_a": a,
+    }
+    if verify:
+        facs = [fac for _, fac, _, _ in live]
+        handle = IntegrandHandle(rows=lambda r: basis.evaluate(facs, r, a),
+                                 weight_exponent=tuple(power for _, _, power, _ in live),
+                                 decay_hint=(2.0, basis.decay_q))
+        res = integrate(handle, spec if spec is not None else QuadratureSpec())
+        quads = tuple(np.zeros((m, m)) for _ in range(3))
+        for (form, _, _, coef), table in zip(live, res.value):
+            quads[form][:] += coef * table
+        worst = 0.0
+        for name, mat, quad, scale_diag in zip("ABC", matrices, quads, scale_diags):
             # Relative to the larger value and to the Cauchy-Schwarz scale
             # sqrt(S_jj S_ll), S summing |coef| times each part's Gram
             # matrix: a bound on the integral of |f_j f_l| over the parts.
@@ -458,13 +468,10 @@ def build_gram(
                     f"(rel {rel[j, l]:.3e})"
                 )
             worst = max(worst, float(rel[j, l]))
-    diagnostics: Dict[str, object] = {
-        "indefinite_a_allowed": any(coef < 0.0 for *_, coef in all_parts[0]),
-        "laguerre_a": a,
-    }
-    if verify:
         diagnostics["spot_checked_entries"] = 3 * m * (m + 1) // 2
         diagnostics["spot_check_worst_rel"] = worst
+        diagnostics["spot_check_levels_used"] = res.levels_used
+        diagnostics["spot_check_nodes_used"] = res.nodes_used
     _pd_check(matrices[1], "m_b", diagnostics)
     _pd_check(matrices[2], "m_c", diagnostics)
     for mat in matrices:

@@ -258,6 +258,16 @@ def test_thmc2_divergent_energy_exits_precondition(capsys, n, k):
         assert code == 0, err
 
 
+def test_thmc1_origin_divergence_exits_precondition(capsys):
+    # C's zero-order part int v^2 r^(N+2k-alpha-4) dr = int v^2 r^-1.5 dr
+    # diverges at the origin, where v tends to a nonzero constant.
+    code, out, err = run(capsys, "quotient", "--family", "thmC-1", "--n", "2", "--alpha", "1.5",
+                         "--beta", "0.5", "--b", "1", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert "energy C diverges at the origin" in err
+
+
 @pytest.mark.parametrize("argv, closed", [
     # A B alone would overflow: the energies are about 3e179 and 2e164.
     (("--family", "thm1.2-2", "--n", "18", "--alpha", "-0.875", "--k", "0"), 67.03515625),

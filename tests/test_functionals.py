@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cknlab.functionals as functionals
 from cknlab.constants import InequalityParams
-from cknlab.errors import ConsistencyError, DomainError, ZeroDenominatorError
+from cknlab.errors import (
+    ConsistencyError,
+    DivergentIntegralError,
+    DomainError,
+    ZeroDenominatorError,
+)
 from cknlab.exppoly import ExpPoly
 from cknlab.functionals import (
     ExtremalFamily,
@@ -61,6 +67,44 @@ def test_dual_route_agreement_reported():
     e = mode_energies(prof, InequalityParams(4, 0.25), 1, QuadratureSpec())
     assert e.rel_gap is not None
     assert e.rel_gap < 1e-9
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_energies_are_one_refinement_loop(monkeypatch, method, k):
+    params = InequalityParams(4, 0.25)
+    results, original = [], functionals.integrate
+
+    def counted(handle, spec):
+        results.append(original(handle, spec))
+        return results[-1]
+
+    monkeypatch.setattr(functionals, "integrate", counted)
+    for fam in ("thm1.2-2", "thmC-1"):
+        fam_params = InequalityParams(4, 0.25, 0.5) if fam == "thmC-1" else params
+        profile = extremal_profile(ExtremalFamily(fam, 1.0, 1.0, fam_params))
+        e = mode_energies(profile, fam_params, k, method=method)
+        live = sum(coef != 0.0 for parts in functionals.form_parts(4, 0.25, k)
+                   for *_, coef in parts)
+        assert len(results) == 1
+        assert results.pop().value.shape == (live, 1, 1)
+        assert min(e.energy_a, e.energy_b, e.energy_c) > 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.375, 1.5, 1.625, 1.75, 1.875])
+def test_quadrature_route_rejects_a_divergence_at_the_origin(alpha):
+    # At N = 2, k = 1 the zero-order part of C is int v^2 r^(-alpha-1) dr
+    # with v(0) != 0: it diverges, and the closed route already says so.
+    params = InequalityParams(2, alpha)
+    q = alpha + 1.0
+    profiles = (
+        extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1.0, params)),
+        profile_from_exppoly(ExpPoly(((0.0, 1.0), (q, -0.375), (2 * q, 0.625)), 1.0, q)),
+    )
+    for profile in profiles:
+        for method in ("auto", "quadrature"):
+            with pytest.raises(DivergentIntegralError):
+                mode_energies(profile, params, 1, method=method)
 
 
 def test_spherical_reduction_identities():

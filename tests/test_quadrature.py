@@ -42,7 +42,7 @@ def test_factored_handle_matches_plain():
     f = ExpPoly(((1.0, 1.0), (2.0, -0.3)), 1.5, 1.0)
     plain = integrate(IntegrandHandle(lambda r: f(r) * f(r), 2.0, (3.0, 1.0)))
     factored = integrate(IntegrandHandle(None, 2.0, (3.0, 1.0), rows=f))
-    assert factored.value[0, 0] == pytest.approx(plain.value, rel=1e-12)
+    assert factored.value[0, 0, 0] == pytest.approx(plain.value, rel=1e-12)
 
 
 def test_rows_absorb_a_weight_below_minus_one():
@@ -50,8 +50,8 @@ def test_rows_absorb_a_weight_below_minus_one():
     # origin fast enough for a weight the plain integrand could not take.
     f = ExpPoly(((1.0, 1.0),), 1.0, 1.0)
     res = integrate(IntegrandHandle(None, -1.5, (2.0, 1.0), rows=f))
-    assert res.value.shape == (1, 1)
-    assert res.value[0, 0] == pytest.approx(math.gamma(1.5) / 2.0**1.5, rel=1e-12)
+    assert res.value.shape == (1, 1, 1)
+    assert res.value[0, 0, 0] == pytest.approx(math.gamma(1.5) / 2.0**1.5, rel=1e-12)
 
 
 def test_algebraic_tail():
@@ -122,13 +122,57 @@ def test_table_factors_give_every_pairwise_integral():
         return np.array([p(r) for p in polys])
 
     res = integrate(IntegrandHandle(rows=table, weight_exponent=1.5, decay_hint=(2.0, 1.0)))
-    assert res.value.shape == (3, 3)
+    assert res.value.shape == (1, 3, 3)
     for j, pj in enumerate(polys):
         for l, pl in enumerate(polys):
-            assert res.value[j, l] == pytest.approx((pj * pl).moment(1.5), rel=1e-12)
+            assert res.value[0, j, l] == pytest.approx((pj * pl).moment(1.5), rel=1e-12)
 
 
 def test_table_factors_must_match_nodes():
     handle = IntegrandHandle(rows=lambda r: np.ones((2, r.size + 1)))
     with pytest.raises(DomainError):
         integrate(handle)
+
+
+def test_stack_matches_each_table_alone():
+    polys = [ExpPoly(((g, 1.0), (g + 1.0, -0.5)), 1.0, 1.0) for g in (0.0, 0.5, 2.0)]
+    exponents = (1.5, -0.5, 6.0)
+
+    def table(r):
+        return np.array([p(r) for p in polys])
+
+    stacked = integrate(IntegrandHandle(rows=lambda r: np.array([table(r)] * 3),
+                                        weight_exponent=exponents, decay_hint=(2.0, 1.0)))
+    assert stacked.value.shape == stacked.err_est.shape == (3, 3, 3)
+    for p, value in zip(exponents, stacked.value):
+        alone = integrate(IntegrandHandle(rows=table, weight_exponent=p, decay_hint=(2.0, 1.0)))
+        np.testing.assert_allclose(value, alone.value[0], rtol=1e-12)
+        exact = [[(pj * pl).moment(p) for pl in polys] for pj in polys]
+        np.testing.assert_allclose(value, exact, rtol=1e-12)
+
+
+def test_table_may_be_non_finite_where_its_own_weight_underflows():
+    # At r < 1e-12 the weight r^40 of the second table underflows to zero,
+    # so the inf it returns there is ignored; the first table is alive there.
+    def rows(r):
+        with np.errstate(over="ignore"):
+            tail = np.where(r < 1e-12, np.inf, np.exp(-r))
+        return np.stack([np.exp(-r), tail])[:, None, :]
+
+    res = integrate(IntegrandHandle(rows=rows, weight_exponent=(0.0, 40.0),
+                                    decay_hint=(2.0, 1.0)))
+    assert res.value[0, 0, 0] == pytest.approx(0.5, rel=1e-12)
+    assert res.value[1, 0, 0] == pytest.approx(math.factorial(40) / 2.0**41, rel=1e-12)
+    with pytest.raises(NonFiniteSampleError):
+        integrate(IntegrandHandle(rows=rows, weight_exponent=(0.0, 0.0),
+                                  decay_hint=(2.0, 1.0)))
+
+
+def test_stack_must_match_its_exponents():
+    with pytest.raises(DomainError):
+        integrate(IntegrandHandle(rows=lambda r: np.ones((2, 1, r.size)),
+                                  weight_exponent=(0.0, 1.0, 2.0)))
+    with pytest.raises(DomainError):
+        IntegrandHandle(lambda r: np.exp(-r), weight_exponent=(0.0, 1.0))
+    with pytest.raises(DomainError):
+        IntegrandHandle(rows=lambda r: np.exp(-r), weight_exponent=())

@@ -157,7 +157,9 @@ def test_leading_block_is_the_smaller_gram():
         scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
         assert np.max(np.abs(mat - ref) / scale) < 1e-12
     assert block.diagnostics["leading_block_of_m"] == 16
-    assert "spot_checked_entries" not in block.diagnostics
+    for key in ("spot_checked_entries", "spot_check_levels_used", "spot_check_nodes_used"):
+        assert key in gram.diagnostics
+        assert key not in block.diagnostics
     assert gram.leading_block(16) is gram
     with pytest.raises(PreconditionError):
         gram.leading_block(17)
@@ -385,8 +387,9 @@ def test_derivative_factors_match_exppoly_derivatives(gamma0, q, a):
         t = np.array(_laguerre_monomials_mp(m, a).tolist(), dtype=float)
         funcs = [ExpPoly(tuple((gamma0 + i * q, c) for i, c in enumerate(row)), 1.0, q)
                  for row in t]
-        for order in range(3):
-            table = basis.evaluate(basis.factor(order), r, a)
+        stack = basis.evaluate([basis.factor(order) for order in range(3)], r, a)
+        assert stack.shape == (3, m, r.size)
+        for table in stack:
             expected = np.array([f(r) for f in funcs])
             np.testing.assert_allclose(table, expected, rtol=1e-10,
                                        atol=1e-13 * np.max(np.abs(expected)))
@@ -405,6 +408,27 @@ def test_every_gram_entry_is_checked():
     basis = make_basis(P5, 1, 5)
     gram = build_gram(P5, 1, basis)
     assert gram.diagnostics["spot_checked_entries"] == 3 * 5 * 6 // 2
+
+
+@pytest.mark.parametrize("n, alpha, k", [(5, 0.0, 1), (4, 0.0, 0), (3, -0.5, 2)])
+def test_gram_check_is_one_refinement_loop(monkeypatch, n, alpha, k):
+    params = InequalityParams(n, alpha)
+    basis = make_basis(params, k, 6)
+    results, original = [], variational.integrate
+
+    def counted(handle, spec):
+        results.append(original(handle, spec))
+        return results[-1]
+
+    monkeypatch.setattr(variational, "integrate", counted)
+    gram = build_gram(params, k, basis)
+    assert len(results) == 1
+    live = sum(coef != 0.0 for parts in form_parts(n, alpha, k) for *_, coef in parts)
+    assert results[0].value.shape == (live, 6, 6)
+    assert gram.diagnostics["spot_check_levels_used"] == results[0].levels_used
+    assert gram.diagnostics["spot_check_nodes_used"] == results[0].nodes_used
+    build_gram(params, k, basis, verify=False)
+    assert len(results) == 1
 
 
 def test_pd_check_rejects_barely_indefinite_matrix():
