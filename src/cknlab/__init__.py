@@ -6,6 +6,7 @@ scans and conjecture probes.
 """
 
 from .constants import (
+    FAMILY_IDS,
     FORMULA_GENERAL,
     FORMULA_PLAIN,
     FORMULA_WEIGHTED,
@@ -32,36 +33,55 @@ from .errors import (
     UnsupportedRegimeError,
     VerificationMismatchError,
 )
-from .exppoly import ExpPoly
-from .functionals import (
-    FAMILY_IDS,
-    ExtremalFamily,
-    ModeEnergy,
-    RadialProfile,
-    extremal_profile,
-    mode_energies,
-    mode_quotient,
-    one_dim_quotient,
-    profile_from_callable,
-    profile_from_exppoly,
-    test_function_quotient,
-)
-from .quadrature import IntegrandHandle, QuadratureResult, QuadratureSpec, integrate
-from .special import gamma, log_gamma, weighted_exp_integral
-from .variational import (
-    BasisSpec,
-    GramTriple,
-    MinimizationResult,
-    ModeConstantEstimate,
-    ScanReport,
-    ScanRow,
-    build_gram,
-    estimate_mode_constant,
-    make_basis,
-    minimize_quotient,
-    quotient_gradient,
-    symmetry_breaking_scan,
-)
+
+# The numeric layer (numpy) and the names exported from it.  The exact
+# modules above load with the package; these load together, as one unit,
+# the first time any of their names is read from the package.
+_NUMERIC = {
+    "exppoly": ("ExpPoly",),
+    "functionals": (
+        "ExtremalFamily",
+        "ModeEnergy",
+        "RadialProfile",
+        "extremal_profile",
+        "mode_energies",
+        "mode_quotient",
+        "one_dim_quotient",
+        "profile_from_callable",
+        "profile_from_exppoly",
+        "test_function_quotient",
+    ),
+    "quadrature": ("IntegrandHandle", "QuadratureResult", "QuadratureSpec", "integrate"),
+    "special": ("gamma", "log_gamma", "weighted_exp_integral"),
+    "variational": (
+        "BasisSpec",
+        "GramTriple",
+        "MinimizationResult",
+        "ModeConstantEstimate",
+        "ScanReport",
+        "ScanRow",
+        "build_gram",
+        "estimate_mode_constant",
+        "make_basis",
+        "minimize_quotient",
+        "quotient_gradient",
+        "symmetry_breaking_scan",
+    ),
+}
+_NUMERIC_HOME = {name: module for module, names in _NUMERIC.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Read a numeric-layer name from its module, loading the whole layer
+    on first use.  Not cached here, so the package always shows the
+    module's current binding."""
+    home = _NUMERIC_HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import exppoly, functionals, quadrature, special, variational  # noqa: F401
+
+    return getattr(globals()[home], name)
+
 
 __version__ = "0.1.0"
 

@@ -29,13 +29,13 @@ import sys
 import tempfile
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import json
 
-import numpy as np
-
 from .constants import (
+    DEFAULT_SCAN_SIZES,
+    FAMILY_IDS,
     FORMULA_PLAIN,
     FORMULA_WEIGHTED,
     InequalityParams,
@@ -55,20 +55,9 @@ from .errors import (
     PreconditionError,
     UnsupportedRegimeError,
 )
-from .exppoly import ExpPoly
-from .functionals import (
-    FAMILY_IDS,
-    TEST_FUNCTION_RTOL,
-    ExtremalFamily,
-    exponential_profile,
-    extremal_profile,
-    mode_quotient,
-    one_dim_quotient,
-    profile_from_exppoly,
-    test_function_quotient,
-)
-from .quadrature import QuadratureSpec
-from .variational import DEFAULT_SCAN_SIZES, estimate_mode_constant, symmetry_breaking_scan
+
+if TYPE_CHECKING:  # the numeric layer loads only in the commands that integrate
+    from .quadrature import QuadratureSpec
 
 __all__ = [
     "RunConfig",
@@ -107,11 +96,15 @@ _ONE_DIM_FAMILIES = ("thm1.2-1a", "thm1.2-1b")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One reproducible run: subcommand plus every knob it reads."""
+    """One reproducible run: subcommand plus every knob it reads.
+
+    ``quadrature`` of None means the default ``QuadratureSpec()``, built
+    only by the commands that integrate (see ``_quadrature``).
+    """
 
     command: str
     params: Optional[InequalityParams] = None
-    quadrature: QuadratureSpec = QuadratureSpec()
+    quadrature: Optional[QuadratureSpec] = None
     basis_sizes: Tuple[int, ...] = DEFAULT_SCAN_SIZES
     k: int = 0
     k_max: int = DEFAULT_SCAN_K_MAX
@@ -185,14 +178,9 @@ def _to_jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return _to_jsonable(float(obj))
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
+    np = sys.modules.get("numpy")  # no numpy value exists unless numpy is loaded
+    if np is not None and isinstance(obj, (np.generic, np.ndarray)):
+        return _to_jsonable(obj.tolist())
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
@@ -209,11 +197,14 @@ def _num17(x: float) -> str:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    np = sys.modules.get("numpy")  # no numpy value exists unless numpy is loaded
+    if np is not None and isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return _num17(value)
     text = str(value)
     if any(ch in text for ch in ',"\r\n'):
@@ -317,6 +308,12 @@ def _report_document(
         series=series,
         exit_code=exit_code,
     )
+
+
+def _quadrature(config: RunConfig) -> QuadratureSpec:
+    from .quadrature import QuadratureSpec
+
+    return QuadratureSpec() if config.quadrature is None else config.quadrature
 
 
 def _require_params(config: RunConfig) -> InequalityParams:
@@ -424,6 +421,17 @@ def _read_coefficients(path: str) -> Tuple[float, ...]:
 def cmd_quotient(config: RunConfig) -> Document:
     """Quotient of one profile: a named family, the explicit test profile
     on the first harmonic, or a coefficient file in the trial basis."""
+    from .exppoly import ExpPoly
+    from .functionals import (
+        TEST_FUNCTION_RTOL,
+        ExtremalFamily,
+        exponential_profile,
+        extremal_profile,
+        mode_quotient,
+        one_dim_quotient,
+        profile_from_exppoly,
+    )
+
     params = _require_params(config)
     selected = [
         bool(config.test_function),
@@ -434,7 +442,7 @@ def cmd_quotient(config: RunConfig) -> Document:
         raise PreconditionError(
             "select exactly one of --test-function, --family, --coeffs"
         )
-    spec = config.quadrature
+    spec = _quadrature(config)
     closed: Optional[float] = None
     provenance: Dict[str, str] = {}
     diagnostics: Dict[str, object] = {}
@@ -521,6 +529,8 @@ def cmd_quotient(config: RunConfig) -> Document:
 
 def cmd_minimize(config: RunConfig) -> Document:
     """Variational estimate of one per-mode constant."""
+    from .variational import estimate_mode_constant
+
     params = _require_params(config)
     if params.n < 2:
         raise PreconditionError("minimize requires --n >= 2")
@@ -528,7 +538,7 @@ def cmd_minimize(config: RunConfig) -> Document:
         params,
         config.k,
         config.basis_sizes,
-        spec=config.quadrature,
+        spec=_quadrature(config),
     )
     diagnostics: Dict[str, object] = {
         "trace": list(est.trace),
@@ -578,6 +588,9 @@ def cmd_minimize(config: RunConfig) -> Document:
 
 def cmd_probe_conjecture(config: RunConfig) -> Document:
     """Evidence-only probe of the open four-dimensional case."""
+    from .functionals import test_function_quotient
+    from .variational import symmetry_breaking_scan
+
     params = config.params if config.params is not None else InequalityParams(4, 0.0)
     if params.n != 4:
         raise PreconditionError(
@@ -589,12 +602,13 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
             "the conjecture probe is specific to alpha=0; "
             "use the minimize command for weighted cases"
         )
+    spec = _quadrature(config)
     scan = symmetry_breaking_scan(
         4,
         0.0,
         k_max=config.k_max,
         basis_sizes=config.basis_sizes,
-        spec=config.quadrature,
+        spec=spec,
     )
     bounds = _bounds_dict(4)
     rows = tuple(
@@ -619,7 +633,7 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
         "lower_bound_exact": bounds["exact_lower"],
         "upper_bound": bounds["upper"],
         "conjectured": bounds["conjectured"],
-        "test_profile_mode1_quotient": test_function_quotient(4, config.quadrature),
+        "test_profile_mode1_quotient": test_function_quotient(4, spec),
         "basis_sizes": list(config.basis_sizes),
         "k_max": config.k_max,
         "rows": [
@@ -847,7 +861,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         basis_sizes = tuple(basis)
 
     rel_tol = pick("rel_tol", "rel-tol", None)
-    quadrature = QuadratureSpec(rel_tol=rel_tol) if rel_tol is not None else QuadratureSpec()
+    quadrature = None
+    if rel_tol is not None:
+        from .quadrature import QuadratureSpec
+
+        quadrature = QuadratureSpec(rel_tol=rel_tol)
 
     default_k_max = PROBE_K_MAX if command == "probe-conjecture" else DEFAULT_SCAN_K_MAX
     return RunConfig(

@@ -29,9 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -57,9 +55,10 @@ __all__ = [
     "exponential_profile_quotient",
     "reference_constants",
     "dn_general_lower_bound",
-    "continuous_extension_plain",
-    "continuous_extension_weighted",
+    "tail_certificate",
     "hardy_step_factor",
+    "FAMILY_IDS",
+    "DEFAULT_SCAN_SIZES",
 ]
 
 FORMULA_PLAIN = "J"
@@ -68,11 +67,21 @@ FORMULA_GENERAL = "DN-general"
 
 DEFAULT_K_MAX = 64
 
-# Tail certificate grid for the continuous extensions (see mode_infimum).
-_TAIL_GRID_LO = 2.0
-_TAIL_GRID_HI = 200.0
-_TAIL_GRID_STEP = 0.1
-_TAIL_REL_SLACK = 1e-12
+# Ids of the closed-form extremal families (``functionals.ExtremalFamily``),
+# and the nested trial-space sizes of the variational estimates
+# (``variational``): defined here so that the CLI reads them without
+# loading the numeric layer.
+FAMILY_IDS = (
+    "thmA",
+    "thm1.2-1a",
+    "thm1.2-1b",
+    "thm1.2-2",
+    "thmB",
+    "thmC-1",
+    "thmC-2",
+    "thmD",
+)
+DEFAULT_SCAN_SIZES = (4, 8, 16)
 
 
 @dataclass(frozen=True)
@@ -200,31 +209,20 @@ def mode_quotient_weighted(n: int, alpha: float, k: int) -> ModeQuotient:
     return ModeQuotient(k, float(exact), FORMULA_WEIGHTED, InequalityParams(n, float(alpha)), exact)
 
 
-def _weighted_float(n: int, alpha: float, karr: np.ndarray) -> np.ndarray:
-    """Vectorised float evaluation of the "K" formula (k = 0 patched to
-    the limit value)."""
-    k = np.asarray(karr, dtype=float)
+def _weighted_float(n: int, alpha: float, k: int) -> float:
+    """Float evaluation of the "K" formula (k = 0 is the limit value)."""
+    if k == 0:
+        return ((n + 3.0 * alpha + 1.0) / 2.0) ** 2
     t = n + 2.0 * k - alpha - 3.0
     den = t**2 + 4.0 * (alpha + 1.0) * k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = t**4 * (n + 2.0 * k + 3.0 * alpha + 1.0) ** 2 / (4.0 * den**2)
-    val = np.where(k == 0, ((n + 3.0 * alpha + 1.0) / 2.0) ** 2, val)
-    return val
+    return t**4 * (n + 2.0 * k + 3.0 * alpha + 1.0) ** 2 / (4.0 * den**2)
 
 
-def continuous_extension_plain(n: int, x) -> np.ndarray:
-    """Continuous extension f(x) of the "J" formula: f(2k) = J(N, k)."""
-    x = np.asarray(x, dtype=float)
-    t = n + x - 3.0
-    return t**4 * (n + x + 1.0) ** 2 / (4.0 * (t**2 + 2.0 * x) ** 2)
-
-
-def continuous_extension_weighted(n: int, alpha: float, x) -> np.ndarray:
-    """Continuous extension F(x) of the "K" formula: F(2k) = K(N, alpha, k)."""
-    x = np.asarray(x, dtype=float)
-    t = n + x - alpha - 3.0
-    den = t**2 + 2.0 * (alpha + 1.0) * x
-    return t**4 * (n + x + 3.0 * alpha + 1.0) ** 2 / (4.0 * den**2)
+def _near_minimal(values: Sequence[float]) -> List[int]:
+    """The indices whose float value is within 1e-6 relative of the float
+    minimum: the candidates an exact re-evaluation decides between."""
+    fmin = min(values)
+    return [k for k, v in enumerate(values) if v <= fmin * (1.0 + 1e-6)]
 
 
 def hardy_step_factor(n: int, alpha: float, k: int) -> Optional[float]:
@@ -242,11 +240,31 @@ def hardy_step_factor(n: int, alpha: float, k: int) -> Optional[float]:
     return 1.0 + 4.0 * (alpha + 1.0) * k / t**2
 
 
-def _tail_certificate(values: np.ndarray) -> bool:
-    """Non-decreasing check with relative slack on a sampled extension."""
-    diffs = values[1:] - values[:-1]
-    slack = _TAIL_REL_SLACK * np.abs(values[:-1])
-    return bool(np.all(diffs >= -slack))
+def tail_certificate(n: int, alpha: float) -> bool:
+    """Exact certificate that K(N, alpha, k) >= K(N, alpha, 1) for every
+    k >= 1 ("J" at alpha = 0).
+
+    The continuous extension
+
+        F(x) = t^4 (t + 4m)^2 / (4 (t^2 + 2 m x)^2),   F(2k) = K(N, alpha, k),
+
+    with m = alpha + 1, t = x + N - alpha - 3 and t0 = N - alpha - 1 (the
+    value of t at x = 2) has, for t0 > 0 and m > 0, F'(x) of the sign of
+
+        P(t) = t^3 + 4m t^2 + (8m^2 - 6m (t0-2)) t - 16m^2 (t0-2)
+
+    on x >= 2.  In P(t0 + s) the coefficients of s^3, s^2 and s are
+    1, 3 t0 + 4m and 3 t0^2 + 2m t0 + 8m^2 + 12m, all positive; the
+    constant term is P(t0) = t0 (t0 - 4m)(t0 + 2m) + 12m t0 + 32m^2.  So F
+    is non-decreasing on all of [2, oo) exactly when P(t0) >= 0, which
+    this evaluates in ``Fraction`` arithmetic.  It always holds when
+    N >= 5 alpha + 5 (then t0 >= 4m), and for "J" at every N >= 2.
+    """
+    m = Fraction(alpha) + 1
+    t0 = n - m
+    if not (m > 0 and t0 > 0):
+        return False
+    return t0 * (t0 - 4 * m) * (t0 + 2 * m) + 12 * m * t0 + 32 * m**2 >= 0
 
 
 def mode_infimum(
@@ -264,48 +282,37 @@ def mode_infimum(
 
     In the regimes where the quotient formula is eventually monotone in
     the mode index (always for "J" with N >= 2; for "K" when alpha > -1
-    and N >= 5 alpha + 5), the continuous extension is additionally
-    sampled on x in [2, 200] at step 0.1 and asserted non-decreasing,
-    certifying that no k beyond the scan range can undercut the reported
+    and N >= 5 alpha + 5), ``tail_certificate`` additionally proves
+    exactly that no k beyond the scan range can undercut the reported
     infimum; ``tail_verified`` records whether that certificate ran and
     passed.
 
     Raises ConsistencyError if the certificate was expected to hold but
-    the sampled tail decreases.
+    fails.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise DomainError(f"k_max must be an integer >= 1, got {k_max!r}")
     n, alpha = params.n, float(params.alpha)
-    karr = np.arange(k_max + 1)
     if formula == FORMULA_PLAIN:
         _require_mode_args(n, 0)
-        vals = _weighted_float(n, 0.0, karr)
+        alpha = 0.0
         exact_of = lambda k: mode_quotient_plain(n, k)
         tail_applicable = True
-        ext = continuous_extension_plain
-        ext_args = (n,)
     elif formula == FORMULA_WEIGHTED:
-        q0 = mode_quotient_weighted(n, alpha, 0)  # validates n, alpha
-        del q0
-        vals = _weighted_float(n, alpha, karr)
+        mode_quotient_weighted(n, alpha, 0)  # validates n, alpha
         exact_of = lambda k: mode_quotient_weighted(n, alpha, k)
         tail_applicable = n >= 5 * alpha + 5
-        ext = continuous_extension_weighted
-        ext_args = (n, alpha)
     else:
         raise DomainError(f"unknown formula tag {formula!r}; expected 'J' or 'K'")
 
-    fmin = float(np.min(vals))
-    candidates = [int(k) for k in karr[vals <= fmin * (1.0 + 1e-6)]]
+    candidates = _near_minimal([_weighted_float(n, alpha, k) for k in range(k_max + 1)])
     best = min((exact_of(k) for k in candidates), key=lambda q: (q.exact, q.k))
 
     tail_verified = False
     if tail_applicable:
-        x = np.arange(_TAIL_GRID_LO, _TAIL_GRID_HI + _TAIL_GRID_STEP / 2, _TAIL_GRID_STEP)
-        tail_vals = ext(*ext_args, x)
-        if not _tail_certificate(tail_vals):
+        if not tail_certificate(n, alpha):
             raise ConsistencyError(
-                f"continuous extension of {formula!r} decreases on the tail grid "
+                f"continuous extension of {formula!r} decreases on the tail "
                 f"for params {params!r}; contradicts the expected tail monotonicity"
             )
         tail_verified = True
@@ -483,24 +490,25 @@ def dn_general_lower_bound(
         den_corr = (1 + max(Fraction(0), 4 * (a + b + 1) * k / (n + 2 * k - a - b - 3) ** 2)) ** 2
         return num_corr / den_corr * ((n + 2 * k + 3 * a - b + 1) / 2) ** 2
 
-    k = np.arange(k_max + 1, dtype=float)
-    t1 = n + 2.0 * k - 2.0 * beta - 2.0
-    t2 = n + 2.0 * k - alpha - beta - 3.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num_corr = 1.0 + np.minimum(0.0, 8.0 * beta * k / t1**2)
-        den_corr = (1.0 + np.maximum(0.0, 4.0 * (alpha + beta + 1.0) * k / t2**2)) ** 2
-        vals = num_corr / den_corr * ((n + 2.0 * k + 3.0 * alpha - beta + 1.0) / 2.0) ** 2
-    vals[0] = ((n + 3.0 * alpha - beta + 1.0) / 2.0) ** 2
+    def float_of(k: int) -> float:
+        if k == 0:
+            return ((n + 3.0 * alpha - beta + 1.0) / 2.0) ** 2
+        # t1, t2 > 0 exactly for k >= 1; one rounds to 0.0 only when its
+        # numerator is positive, and then +inf is the limit of the term.
+        t1 = n + 2.0 * k - 2.0 * beta - 2.0
+        t2 = n + 2.0 * k - alpha - beta - 3.0
+        num_corr = 1.0 + min(0.0, 8.0 * beta * k / t1**2 if t1 else math.inf)
+        den_corr = (1.0 + max(0.0, 4.0 * (alpha + beta + 1.0) * k / t2**2
+                              if t2 else math.inf)) ** 2
+        return num_corr / den_corr * ((n + 2.0 * k + 3.0 * alpha - beta + 1.0) / 2.0) ** 2
 
-    fmin = float(np.min(vals))
-    cands = [int(kk) for kk in np.arange(k_max + 1)[vals <= fmin * (1.0 + 1e-6)]]
+    cands = _near_minimal([float_of(k) for k in range(k_max + 1)])
     best_k = min(cands, key=lambda kk: (exact_of(kk), kk))
     exact = exact_of(best_k)
 
     tail_verified = False
     if beta == 0.0 and n >= 5 * alpha + 5:
-        x = np.arange(_TAIL_GRID_LO, _TAIL_GRID_HI + _TAIL_GRID_STEP / 2, _TAIL_GRID_STEP)
-        if not _tail_certificate(continuous_extension_weighted(n, alpha, x)):
+        if not tail_certificate(n, alpha):
             raise ConsistencyError(
                 f"tail certificate failed for DN-general at beta=0, params {params!r}"
             )

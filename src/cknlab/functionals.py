@@ -43,7 +43,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .constants import InequalityParams, exponential_profile_quotient
+from .constants import FAMILY_IDS, InequalityParams, exponential_profile_quotient
 from .errors import (
     ConsistencyError,
     DivergentIntegralError,
@@ -56,7 +56,6 @@ from .quadrature import IntegrandHandle, QuadratureSpec, integrate
 from .special import log_gamma, regularized_gamma_p, regularized_gamma_q
 
 __all__ = [
-    "FAMILY_IDS",
     "ExtremalFamily",
     "RadialProfile",
     "ModeEnergy",
@@ -71,17 +70,6 @@ __all__ = [
     "test_function_quotient",
     "one_dim_quotient",
 ]
-
-FAMILY_IDS = (
-    "thmA",
-    "thm1.2-1a",
-    "thm1.2-1b",
-    "thm1.2-2",
-    "thmB",
-    "thmC-1",
-    "thmC-2",
-    "thmD",
-)
 
 # Dual-path agreement tolerance for energies (relative).
 ENERGY_AGREEMENT_RTOL = 1e-9
@@ -213,9 +201,10 @@ class ModeEnergy:
     """The per-mode energy triple (A, B, C) for one profile.
 
     ``method`` is the route that ran: "both" (closed forms cross-checked
-    by quadrature) or "quadrature".  ``rel_gap`` is the worst relative
-    disagreement between the closed and quadrature routes where both
-    ran, else None.
+    by quadrature) or "quadrature".  ``levels_used`` and ``nodes_used``
+    are the refinement depth and node count of the one ``integrate`` call
+    behind the triple.  ``rel_gap`` is the worst relative disagreement
+    between the closed and quadrature routes where both ran, else None.
     """
 
     energy_a: float
@@ -224,6 +213,8 @@ class ModeEnergy:
     k: int
     params: InequalityParams
     method: str
+    levels_used: int
+    nodes_used: int
     rel_gap: Optional[float] = None
 
 
@@ -554,7 +545,8 @@ def _energies(
         hint = (2.0 * c, q)
     handle = IntegrandHandle(rows=rows, weight_exponent=tuple(part[2] for part in live),
                              decay_hint=hint)
-    quad = integrate(handle, spec).value[:, 0, 0]
+    res = integrate(handle, spec)
+    quad = res.value[:, 0, 0]
     energies, gaps = [], []
     for form in range(3):
         index = [i for i, part in enumerate(live) if part[0] == form]
@@ -569,7 +561,8 @@ def _energies(
             f"closed-form and quadrature energies disagree (rel gap {rel_gap:.3e} "
             f"> {ENERGY_AGREEMENT_RTOL}) for k={k}, params={params!r}"
         )
-    return ModeEnergy(*energies, k, params, "both" if closed_route else "quadrature", rel_gap)
+    return ModeEnergy(*energies, k, params, "both" if closed_route else "quadrature",
+                      res.levels_used, res.nodes_used, rel_gap)
 
 
 def _quotient(e: ModeEnergy) -> float:

@@ -43,7 +43,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .constants import InequalityParams, hardy_step_factor, mode_quotient_weighted
+from .constants import (
+    DEFAULT_SCAN_SIZES,
+    InequalityParams,
+    hardy_step_factor,
+    mode_quotient_weighted,
+)
 from .errors import (
     ConsistencyError,
     DivergentIntegralError,
@@ -72,7 +77,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SCAN_K_MAX = 8
-DEFAULT_SCAN_SIZES = (4, 8, 16)
 
 SPOT_CHECK_RTOL = 1e-10
 TRACE_SLACK = 1e-10

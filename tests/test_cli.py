@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: anchors, formats, config, exit codes."""
 
+import ast
 import csv
 import io
 import json
@@ -105,8 +106,10 @@ def test_quotient_test_function_integrates_once(capsys, monkeypatch):
 
 
 def test_quotient_test_function_keeps_its_tight_check(capsys, monkeypatch):
+    import cknlab.functionals as functionals
+
     # Inside the generic 1e-8 agreement, outside the test function's 1e-10.
-    monkeypatch.setattr(cli, "mode_quotient", lambda *args, **kwargs: 3.36 * (1.0 + 1e-9))
+    monkeypatch.setattr(functionals, "mode_quotient", lambda *args, **kwargs: 3.36 * (1.0 + 1e-9))
     code, out, _ = run(capsys, "quotient", "--test-function", "--n", "3")
     assert code == 4
     assert json.loads(out)["report"]["diagnostics"]["discrepancy"] is True
@@ -143,7 +146,9 @@ def test_quotient_selector_is_exclusive(capsys):
 
 
 def test_quotient_discrepancy_exits_consistency(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "mode_quotient", lambda *args, **kwargs: 1.0)
+    import cknlab.functionals as functionals
+
+    monkeypatch.setattr(functionals, "mode_quotient", lambda *args, **kwargs: 1.0)
     code, out, _ = run(capsys, "quotient", "--test-function", "--n", "3")
     assert code == 4
     doc = json.loads(out)
@@ -230,18 +235,41 @@ def test_selftest_json_stdout_is_one_document(capsys, monkeypatch):
     assert "criterion  1 PASS" in err and "criterion  2 PASS" in err
 
 
-def test_cli_import_leaves_out_scipy_linalg_and_optimize():
-    # scipy is a test dependency only: importing scipy.special alone took
-    # more than half of a cold CLI start and about 25 MB of peak RSS.
+def _modules_loaded_by(statement):
+    """The numpy, scipy and cknlab modules a fresh interpreter holds after
+    running ``statement``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for module in ("cknlab", "cknlab.cli"):
-        probe = (f"import sys, {module}; print(sorted(m for m in sys.modules "
-                 "if m == 'scipy' or m.startswith('scipy.')))")
-        done = subprocess.run([sys.executable, "-c", probe],
-                              env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, timeout=120, check=True)
-        assert done.stdout.strip() == "[]", module
+    probe = (f"import sys, contextlib, io\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    {statement}\nprint(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] in ('numpy', 'scipy', 'cknlab')))")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return set(ast.literal_eval(done.stdout.strip()))
+
+
+def test_cli_import_leaves_out_scipy_linalg_and_optimize():
+    # scipy is a test dependency only: importing scipy.special alone took
+    # more than half of a cold CLI start and about 25 MB of peak RSS.  The
+    # exact commands load no numpy either, which took about half of the
+    # rest of it.
+    exact_path = (
+        "import cknlab",
+        "import cknlab.cli",
+        "from cknlab.cli import main; main(['constants', '--n', '3'])",
+        "from cknlab.cli import main; main(['mode-scan', '--formula', 'K', '--n', '7', "
+        "'--alpha', '0.25', '--kmax', '12'])",
+    )
+    numeric = {f"cknlab.{m}" for m in ("exppoly", "functionals", "quadrature", "special",
+                                       "variational")}
+    for statement in exact_path:
+        loaded = _modules_loaded_by(statement)
+        assert not any(m.startswith(("numpy", "scipy")) for m in loaded), statement
+        assert not numeric & loaded, statement
+    loaded = _modules_loaded_by("import cknlab; cknlab.mode_quotient")
+    assert numeric <= loaded
+    assert not any(m.startswith("scipy") for m in loaded)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +19,9 @@ from cknlab.constants import (
     reference_constants,
     sharp_constant_closed_form,
     symmetry_breaking_bounds,
+    tail_certificate,
 )
-from cknlab.errors import DomainError, UnsupportedRegimeError
+from cknlab.errors import DomainError, PreconditionError, UnsupportedRegimeError
 
 
 FROZEN_K1 = {2: Fraction(1, 4), 3: Fraction(9, 4), 4: Fraction(3969, 676)}
@@ -85,6 +87,81 @@ def test_mode_infimum_weighted_radial_regime(n, alpha):
     inf = mode_infimum(FORMULA_WEIGHTED, InequalityParams(n, alpha), k_max=64)
     assert inf.argmin_k == 0
     assert inf.exact == (Fraction(n) + 3 * Fraction(alpha) + 1) ** 2 / 4
+
+
+def _grid_nondecreasing(n, alpha):
+    """The sampled tail check this package used before its exact
+    certificate: F on x in [2, 200] at step 0.1, with 1e-12 relative slack."""
+    x = np.arange(2.0, 200.0 + 0.05, 0.1)
+    t = n + x - alpha - 3.0
+    values = t**4 * (n + x + 3.0 * alpha + 1.0) ** 2 / (4.0 * (t**2 + 2.0 * (alpha + 1.0) * x) ** 2)
+    return bool(np.all(np.diff(values) >= -1e-12 * np.abs(values[:-1])))
+
+
+def _extension(n, alpha, x):
+    """F(x) in exact arithmetic, F(2k) = K(N, alpha, k)."""
+    t = n + x - alpha - 3
+    return t**4 * (n + x + 3 * alpha + 1) ** 2 / (4 * (t**2 + 2 * (alpha + 1) * x) ** 2)
+
+
+def test_tail_certificate_agrees_with_the_grid():
+    # Inside the gate both hold; outside it, a decrease the grid sees must
+    # fail the certificate, which is exact.
+    inside = outside = 0
+    for n in range(2, 41):
+        for j in range(-15, 16 * 8):
+            alpha = j / 16
+            if n >= 5 * alpha + 5:
+                inside += 1
+                assert tail_certificate(n, alpha) and _grid_nondecreasing(n, alpha), (n, alpha)
+            elif not _grid_nondecreasing(n, alpha):
+                outside += 1
+                assert not tail_certificate(n, alpha), (n, alpha)
+    assert inside > 1000 and outside > 1000
+
+
+def test_tail_certificate_sees_the_dip_the_grid_misses():
+    n, alpha = 10, Fraction(41, 16)
+    assert not tail_certificate(n, float(alpha))
+    assert _grid_nondecreasing(n, float(alpha))
+    dip = _extension(n, alpha, Fraction(2)) - _extension(n, alpha, 2 + Fraction(1, 400))
+    assert 1.4e-5 < dip < 1.6e-5
+
+
+def test_tail_verified_follows_the_gate_not_the_certificate():
+    # Outside N >= 5 alpha + 5 the flag stays False whatever the certificate says.
+    for alpha, certified in ((2.0, True), (41 / 16, False)):
+        assert tail_certificate(10, alpha) == certified
+        inf = mode_infimum(FORMULA_WEIGHTED, InequalityParams(10, alpha), k_max=40)
+        assert not inf.tail_verified
+
+
+def _general_exact(n, a, b, k):
+    """E(k) of dn_general_lower_bound, evaluated exactly."""
+    if k == 0:
+        return ((n + 3 * a - b + 1) / 2) ** 2
+    num_corr = 1 + min(Fraction(0), 8 * b * k / (n + 2 * k - 2 * b - 2) ** 2)
+    den_corr = (1 + max(Fraction(0), 4 * (a + b + 1) * k / (n + 2 * k - a - b - 3) ** 2)) ** 2
+    return num_corr / den_corr * ((n + 2 * k + 3 * a - b + 1) / 2) ** 2
+
+
+@pytest.mark.parametrize("beta", [None, 0.0, -0.5, 0.75, 1 - 2**-52])
+def test_infima_are_the_exact_minimum_over_the_scanned_modes(beta):
+    # 1 - 2**-52 at N = 2 rounds the float N + 2 - alpha - beta - 3 to 0.0.
+    for n, alpha in ((2, 0.0), (4, 0.125), (6, 0.2), (9, -0.4), (12, 1.5), (7, 2.0)):
+        params = InequalityParams(n, alpha, beta)
+        try:
+            general = dn_general_lower_bound(params, k_max=40)
+        except PreconditionError:
+            continue
+        b = Fraction(beta or 0.0)
+        best = min(_general_exact(n, Fraction(alpha), b, k) for k in range(41))
+        assert general.exact == best
+        if beta is None:
+            weighted = mode_infimum(FORMULA_WEIGHTED, params, k_max=40)
+            assert weighted.exact == min(mode_quotient_weighted(n, alpha, k).exact
+                                         for k in range(41))
+            assert weighted.tail_verified == (n >= 5 * alpha + 5)
 
 
 def test_mode_infimum_requires_enough_modes():

@@ -87,7 +87,9 @@ def test_energies_are_one_refinement_loop(monkeypatch, method, k):
         live = sum(coef != 0.0 for parts in functionals.form_parts(4, 0.25, k)
                    for *_, coef in parts)
         assert len(results) == 1
-        assert results.pop().value.shape == (live, 1, 1)
+        res = results.pop()
+        assert res.value.shape == (live, 1, 1)
+        assert (e.levels_used, e.nodes_used) == (res.levels_used, res.nodes_used) != (0, 0)
         assert min(e.energy_a, e.energy_b, e.energy_c) > 0.0
 
 
