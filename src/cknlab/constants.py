@@ -305,7 +305,13 @@ def mode_infimum(
     else:
         raise DomainError(f"unknown formula tag {formula!r}; expected 'J' or 'K'")
 
-    candidates = _near_minimal([_weighted_float(n, alpha, k) for k in range(k_max + 1)])
+    try:
+        floats = [_weighted_float(n, alpha, k) for k in range(k_max + 1)]
+    except OverflowError:
+        raise DomainError(
+            f"n={n} is too large: the per-mode quotients overflow double precision"
+        ) from None
+    candidates = _near_minimal(floats)
     best = min((exact_of(k) for k in candidates), key=lambda q: (q.exact, q.k))
 
     tail_verified = False

@@ -16,7 +16,8 @@ at a ``split_point`` a:
   s = max(c^(-1/q), ((p+1)/(c q))^(1/q)) puts the node t = 0 at the peak
   of r^(p+1) exp(-c r^q) (in log r), so the transformed integrand is well
   centred however slow or fast the tail decays and however far out a
-  large weight pushes its mass.
+  large weight pushes its mass.  A caller that knows better where the
+  mass ends gives the scale itself (``IntegrandHandle.tail_scale``).
 
 Both halves share one trapezoid step h in the transformed variable; each
 refinement level halves h and reuses previous samples, so the cost of
@@ -141,6 +142,12 @@ class IntegrandHandle:
         Optional tail scale: the integrand decays roughly like
         exp(-c r^q).  Used only to centre the tail transform; wrong hints
         cost accuracy per level, not correctness.
+    tail_scale : float or None
+        Optional scale s of the tail transform r = a + s exp(kappa sinh t),
+        for a caller that knows where its integrand's mass ends (such as
+        the turning point of an oscillating row); it replaces the scale
+        derived from the decay hint and the weights, and kappa still
+        follows the hint.
     rows : callable or None
         Alternative to ``evaluator`` for products (energies |v'|^2, Gram
         products phi_j phi_l): returns an array of shape (T, rows, n),
@@ -162,6 +169,7 @@ class IntegrandHandle:
     weight_exponent: Union[float, Tuple[float, ...]] = 0.0
     decay_hint: Optional[Tuple[float, float]] = None
     rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    tail_scale: Optional[float] = None
 
     def __post_init__(self) -> None:
         if (self.evaluator is None) == (self.rows is None):
@@ -185,6 +193,9 @@ class IntegrandHandle:
             c, q = self.decay_hint
             if not (math.isfinite(c) and c > 0 and math.isfinite(q) and q > 0):
                 raise DomainError(f"decay_hint must be (c > 0, q > 0), got {self.decay_hint!r}")
+        if self.tail_scale is not None and not (math.isfinite(self.tail_scale)
+                                                and self.tail_scale > 0):
+            raise DomainError(f"tail_scale must be finite and > 0, got {self.tail_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -272,6 +283,8 @@ def _build_maps(handle: IntegrandHandle, a: float) -> Tuple[_HalfMap, _HalfMap]:
     else:
         scale = 1.0
         kappa = 0.5 * math.pi
+    if handle.tail_scale is not None:
+        scale = handle.tail_scale
     return (
         _HalfMap("tanh-sinh", a, 1.0, 0.0),
         _HalfMap("exp-sinh", a, scale, kappa),

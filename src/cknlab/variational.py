@@ -15,10 +15,14 @@ the Gram matrices of the forms of ``functionals.form_parts``, the
 zero-order mode term of C included, so the minimum over the full space is
 the per-mode constant itself.  Every derivative of a trial function is
 r^g exp(-x) E_j(x) with E_j a polynomial, so a Gauss-Laguerre rule of
-m + 3 nodes gives every Gram entry exactly.  As a second route, every
-entry is integrated again by double-exponential quadrature in r: one
-refinement loop for the whole triple, whose nodes each part shares, and
-whose Laguerre tables are evaluated once per node for every part's E_j.
+m + 3 nodes gives every Gram entry exactly.  The rules of all parts of a
+triple are built together (one stacked eigenvalue call, one Newton
+polish), and one Laguerre table, every derivative order at once, serves
+all their nodes.  As a second route, every entry is integrated again by
+double-exponential quadrature in r: one refinement loop for the whole
+triple, whose nodes each part shares, whose Laguerre tables are evaluated
+once per node for every part's E_j, and whose tail transform is centred
+where the top trial function stops oscillating.
 
 By AM-GM, ab = min over t > 0 of ((t a + b/t)/2)^2, so min Q over a trial
 space is min over u = log t of (lambda_1(e^u M_A + e^-u M_B ; M_C) / 2)^2,
@@ -41,7 +45,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .constants import (
     DEFAULT_SCAN_SIZES,
@@ -92,13 +95,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 @dataclass(frozen=True)
 class _Factor:
     """The ``order``-th derivative of every trial function as
-    r^power exp(-x) E_j(x), E_j = sum_d coefs[d](x) P_j^(d)(x) with
-    ascending coefficient arrays; powers of x common to every coefficient
-    are moved into ``power``, so E_j need not vanish at 0."""
+    r^power exp(-x) E_j(x), E_j = sum_d coefs[d](x) P_j^(d)(x), row d of
+    ``coefs`` holding the ascending coefficients of coefs[d]; powers of x
+    common to every coefficient are moved into ``power``, so E_j need not
+    vanish at 0."""
 
     order: int
     power: float
-    coefs: Tuple[np.ndarray, ...]
+    coefs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,27 +136,18 @@ class BasisSpec:
 
     def factor(self, order: int) -> _Factor:
         """The polynomial factors of the ``order``-th derivatives."""
-        q, g = float(self.decay_q), float(self.gamma0)
-        coefs: List[np.ndarray] = [np.array([1.0])]
-        for _ in range(order):
-            # (r^g e^-x sum c_d P^(d))' = r^(g-1) e^-x sum_d
-            #     [g c_d + q x (c_d' - c_d) + q x c_(d-1)] P^(d)
-            new = [npoly.polyadd(g * c, q * npoly.polymulx(npoly.polysub(npoly.polyder(c), c)))
-                   for c in coefs] + [np.zeros(1)]
-            for d, c in enumerate(coefs):
-                new[d + 1] = npoly.polyadd(new[d + 1], q * npoly.polymulx(c))
-            coefs, g = new, g - 1.0
-        lead = min(int(np.flatnonzero(c)[0]) for c in coefs if np.any(c))
-        return _Factor(order, g + lead * q, tuple(c[lead:] for c in coefs))
+        return _factor(float(self.gamma0), float(self.decay_q), order)
 
-    def factor_values(self, fac: _Factor, x: np.ndarray, lag: List[np.ndarray]) -> np.ndarray:
+    def factor_values(self, fac: _Factor, x: np.ndarray, lag: np.ndarray) -> np.ndarray:
         """E_j(x) for every trial function: an (m, len(x)) table, from the
         Laguerre tables ``lag`` of ``_laguerre_tables`` at y = 2x, to an
         order of at least ``fac.order``."""
+        poly = fac.coefs[:, -1:] + x * 0.0  # Horner's rule, every order at once
+        for col in fac.coefs.T[-2::-1]:
+            poly = col[:, None] + poly * x
         out = np.zeros((self.m, x.size))
-        for d, c in enumerate(fac.coefs):
-            if np.any(c):
-                out += (2.0**d * npoly.polyval(x, c)) * lag[d]
+        for d in np.flatnonzero(np.any(fac.coefs, axis=1)):
+            out += (2.0**d * poly[d]) * lag[d]
         return out
 
     def evaluate(self, facs: Sequence[_Factor], r: np.ndarray, a: float) -> np.ndarray:
@@ -173,39 +168,66 @@ class BasisSpec:
         return out
 
 
-def _laguerre_tables(m: int, a: float, y: np.ndarray, order: int) -> List[np.ndarray]:
-    """L_j^(a)(y) and its first ``order`` derivatives in y, each (m, len(y)).
+@lru_cache(maxsize=64)
+def _factor(g: float, q: float, order: int) -> _Factor:
+    """``BasisSpec.factor`` of the trial space with gamma0 = g, decay q."""
+    coefs = np.ones((1, 1))
+    for _ in range(order):
+        # (r^g e^-x sum c_d P^(d))' = r^(g-1) e^-x sum_d
+        #     [g c_d + q x (c_d' - c_d) + q x c_(d-1)] P^(d)
+        c = np.pad(coefs, ((0, 1), (0, 1)))
+        shifted = np.pad(c[:, :-1], ((0, 0), (1, 0)))  # x c_d
+        coefs = g * c + q * (np.arange(c.shape[1]) * c - shifted)
+        coefs[1:] += q * shifted[:-1]
+        g -= 1.0
+    lead = int(np.flatnonzero(np.any(coefs, axis=0))[0])
+    coefs = coefs[:, lead:]
+    coefs.flags.writeable = False
+    return _Factor(order, g + lead * q, coefs)
+
+
+def _laguerre_tables(m: int, a, y: np.ndarray, order: int) -> np.ndarray:
+    """L_j^(a)(y) and its first ``order`` derivatives in y: an
+    (order + 1, m) + y.shape array, ``a`` a float or an array that
+    broadcasts against y.
 
     The three-term recurrence (j+1) L_(j+1) = (2j+1+a-y) L_j - (j+a) L_(j-1),
-    differentiated d times, gains the term -d L_j^(d-1).
+    differentiated d times, gains the term -d L_j^(d-1); one step of it
+    serves every derivative order at once.
     """
-    tabs = [np.zeros((m, y.size)) for _ in range(order + 1)]
-    tabs[0][0] = 1.0
+    tabs = np.zeros((order + 1, m) + y.shape)
+    tabs[0, 0] = 1.0
+    d = np.arange(1, order + 1).reshape((order,) + (1,) * y.ndim)
     for j in range(m - 1):
         slope = 2 * j + 1 + a - y
-        for d in range(order + 1):
-            nxt = slope * tabs[d][j]
-            if j:
-                nxt -= (j + a) * tabs[d][j - 1]
-            if d:
-                nxt -= d * tabs[d - 1][j]
-            tabs[d][j + 1] = nxt / (j + 1)
+        nxt = slope * tabs[:, j]
+        if j:
+            nxt -= (j + a) * tabs[:, j - 1]
+        nxt[1:] -= d * tabs[:-1, j]
+        tabs[:, j + 1] = nxt / (j + 1)
     return tabs
 
 
 @lru_cache(maxsize=256)
-def _gauss_laguerre(nodes: int, s: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for int_0^inf y^s e^-y f(y) dy, exact for degree < 2 nodes:
-    Jacobi-matrix eigenvalues (Golub-Welsch) polished by Newton steps, and
-    weights Gamma(n+s+1) / (n! y L_n^(s)'(y)^2), accurate even where tiny.
+def _gauss_laguerre(nodes: int, exponents: Tuple[float, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss rules for int_0^inf y^s e^-y f(y) dy, one per s in ``exponents``,
+    each exact for degree < 2 nodes: (len(exponents), nodes) arrays of nodes
+    and weights.  Jacobi-matrix eigenvalues (Golub-Welsch, one stacked
+    call) polished by Newton steps, and weights
+    Gamma(n+s+1) / (n! y L_n^(s)'(y)^2), accurate even where tiny.
     Not ``roots_genlaguerre``: its import of ``scipy.linalg`` costs 6 MB."""
+    s = np.array(exponents)[:, None]
     i = np.arange(1.0, nodes)
-    off = np.sqrt(i * (i + s))
-    y = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + s + 1.0) + np.diag(off, -1))
+    jacobi = np.zeros((len(exponents), nodes, nodes))
+    k = np.arange(nodes)
+    jacobi[:, k, k] = 2.0 * k + s + 1.0
+    jacobi[:, k[1:], k[:-1]] = np.sqrt(i * (i + s))
+    y = np.linalg.eigvalsh(jacobi)
     for _ in range(3):
-        value, slope = (tab[nodes] for tab in _laguerre_tables(nodes + 1, s, y, 1))
+        value, slope = _laguerre_tables(nodes + 1, s, y, 1)[:, nodes]
         y = y - value / slope
-    log_scale = math.lgamma(nodes + s + 1.0) - math.lgamma(nodes + 1.0)
+    log_scale = np.array([[math.lgamma(nodes + e + 1.0) - math.lgamma(nodes + 1.0)]
+                          for e in exponents])
     w = np.exp(log_scale - np.log(y) - 2.0 * np.log(np.abs(slope)))
     y.flags.writeable = False
     w.flags.writeable = False
@@ -373,17 +395,30 @@ def make_basis(params: InequalityParams, k: int, size: int) -> BasisSpec:
     )
 
 
-def _gauss_part(basis: BasisSpec, fac: _Factor, power: float, a: float) -> np.ndarray:
-    """int f_j f_l r^power dr for all j, l by one exact Gauss-Laguerre rule."""
-    s = _rule_exponent(fac.power, power, basis.decay_q)
-    if s <= -1.0:
-        raise DivergentIntegralError(
-            f"Gram entries of derivative order {fac.order} with weight exponent "
-            f"{power} diverge at the origin (rule exponent {s} <= -1)"
-        )
-    y, w = _gauss_laguerre(basis.m + _GAUSS_EXTRA_NODES, s)
-    values = basis.factor_values(fac, y / 2.0, _laguerre_tables(basis.m, a, y, fac.order))
-    return (values * (w * 2.0 ** (-s - 1.0) / basis.decay_q)) @ values.T
+def _gauss_parts(
+    basis: BasisSpec, live: Sequence[Tuple[int, _Factor, float, float]], a: float
+) -> List[np.ndarray]:
+    """int f_j f_l r^power dr for all j, l, for every (form, factor, power,
+    coef) in ``live``: each by its own exact Gauss-Laguerre rule, the rules
+    built together and the Laguerre tables evaluated once on all their
+    nodes."""
+    q, m = basis.decay_q, basis.m
+    exponents = []
+    for _, fac, power, _ in live:
+        s = _rule_exponent(fac.power, power, q)
+        if s <= -1.0:
+            raise DivergentIntegralError(
+                f"Gram entries of derivative order {fac.order} with weight exponent "
+                f"{power} diverge at the origin (rule exponent {s} <= -1)"
+            )
+        exponents.append(s)
+    y, w = _gauss_laguerre(m + _GAUSS_EXTRA_NODES, tuple(exponents))
+    lag = _laguerre_tables(m, a, y, max(fac.order for _, fac, _, _ in live))
+    parts = []
+    for i, ((_, fac, _, _), s) in enumerate(zip(live, exponents)):
+        values = basis.factor_values(fac, y[i] / 2.0, lag[:, :, i])
+        parts.append((values * (w[i] * 2.0 ** (-s - 1.0) / q)) @ values.T)
+    return parts
 
 
 def _pd_check(mat: np.ndarray, name: str, diagnostics: Dict[str, object]) -> None:
@@ -410,16 +445,23 @@ def build_gram(
 ) -> GramTriple:
     """Gram matrices of the A, B, C forms on the trial space.
 
-    Each part of each form is assembled exactly as V^T diag(w) V on one
-    Gauss-Laguerre rule.  When ``verify`` is set, every entry of all three
-    matrices is integrated again by double-exponential quadrature in r
-    and must agree within 1e-10, or ``VerificationMismatchError`` is
-    raised.  The check is one ``integrate`` call on the stack of every
-    live part's table, each weighted by its own power of r; on each
-    batch of nodes the Laguerre tables are evaluated once, at the highest
-    derivative order, and every part's E_j is built from them.  Its
-    refinement depth is recorded as ``diagnostics["spot_check_levels_used"]``
-    and ``diagnostics["spot_check_nodes_used"]``.  ``DivergentIntegralError``
+    Each part of each form is assembled exactly as V^T diag(w) V on its
+    own Gauss-Laguerre rule; the rules of all parts come from one batched
+    computation, and one Laguerre table at the highest derivative order
+    is evaluated on all their nodes.  When ``verify`` is set, every entry
+    of all three matrices is integrated again by double-exponential
+    quadrature in r and must agree within 1e-10, or
+    ``VerificationMismatchError`` is raised.  The check is one
+    ``integrate`` call on the stack of every live part's table, each
+    weighted by its own power of r; on each batch of nodes the Laguerre
+    tables are evaluated once, at the highest derivative order, and every
+    part's E_j is built from them.  Its tail transform is centred at the
+    turning point of the top trial function, x_c = 2(m-1) + a + 1 (tail
+    scale x_c^(1/q)); for N = 4, alpha = 0, k = 0..3 at m = 16 that takes
+    810 + 797 + 780 + 1538 nodes, against 3237 + 1592 + 1559 + 1538
+    centred on the peak of r^(p+1) e^(-2x).  Its refinement depth is
+    recorded as ``diagnostics["spot_check_levels_used"]`` and
+    ``diagnostics["spot_check_nodes_used"]``.  ``DivergentIntegralError``
     names a diverging part, and ``ConsistencyError`` a failed positive
     definiteness check of M_B, M_C.
     """
@@ -437,8 +479,7 @@ def build_gram(
     live = [(form, basis.factor(order), power, coef)
             for form, parts in enumerate(all_parts)
             for order, power, coef in parts if coef != 0.0]
-    for form, fac, power, coef in live:
-        part = _gauss_part(basis, fac, power, a)
+    for (form, _, _, coef), part in zip(live, _gauss_parts(basis, live, a)):
         matrices[form][:] += coef * part
         scale_diags[form][:] += abs(coef) * np.diag(part)
     for mat in matrices:
@@ -451,7 +492,8 @@ def build_gram(
         facs = [fac for _, fac, _, _ in live]
         handle = IntegrandHandle(rows=lambda r: basis.evaluate(facs, r, a),
                                  weight_exponent=tuple(power for _, _, power, _ in live),
-                                 decay_hint=(2.0, basis.decay_q))
+                                 decay_hint=(2.0, basis.decay_q),
+                                 tail_scale=(2.0 * (m - 1) + a + 1.0) ** (1.0 / basis.decay_q))
         res = integrate(handle, spec if spec is not None else QuadratureSpec())
         quads = tuple(np.zeros((m, m)) for _ in range(3))
         for (form, _, _, coef), table in zip(live, res.value):
@@ -531,8 +573,9 @@ def minimize_quotient(gram: GramTriple) -> MinimizationResult:
     minimum over u = log t of (lambda_1(u)/2)^2, lambda_1(u) the smallest
     eigenvalue of e^u M_A + e^-u M_B relative to M_C, and the optimal
     u = (1/2) log(b/a) lies in [(1/2) log lambda_min(M_B; M_A),
-    (1/2) log lambda_max(M_B; M_A)].  A 17-point grid scans that bracket,
-    and golden section refines every grid point lower than its neighbours.
+    (1/2) log lambda_max(M_B; M_A)].  A 17-point grid scans that bracket
+    in one stacked eigenvalue call, and golden section refines every grid
+    point lower than its neighbours.
     lambda_1 need not be unimodal: the search is global when each of its
     basins holds such a grid point.  The value is Q at the eigenvector.
 
@@ -569,7 +612,12 @@ def minimize_quotient(gram: GramTriple) -> MinimizationResult:
         return float(np.linalg.eigvalsh(math.exp(u) * a_w + math.exp(-u) * b_w)[0])
 
     grid = np.linspace(lo, hi, _SEARCH_GRID + 1)
-    values = [lam(u) for u in grid]
+    evaluations.extend(grid)
+    # math.exp as in lam: numpy's exp may round differently, which moves
+    # the golden-section search.
+    up = np.array([math.exp(u) for u in grid])[:, None, None]
+    down = np.array([math.exp(-u) for u in grid])[:, None, None]
+    values = np.linalg.eigvalsh(up * a_w + down * b_w)[:, 0].tolist()
     found = []
     for i, value in enumerate(values):
         left, right = grid[max(i - 1, 0)], grid[min(i + 1, _SEARCH_GRID)]

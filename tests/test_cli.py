@@ -77,6 +77,17 @@ def test_mode_scan_kmax_precondition(capsys):
     assert "kmax" in err
 
 
+@pytest.mark.parametrize("formula", ["J", "K"])
+def test_mode_scan_rejects_dimension_beyond_float_range(capsys, formula):
+    # The float pre-screen of the mode scan overflowed on (N+2k-alpha-3)^4
+    # and escaped as an OverflowError traceback (exit 1).
+    code, out, err = run(capsys, "mode-scan", "--formula", formula, "--n", "1" + "0" * 80,
+                         "--kmax", "3")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "too large" in err
+
+
 def test_mode_scan_deterministic_bytes(capsys):
     args = ("mode-scan", "--formula", "J", "--n", "4", "--kmax", "6",
             "--format", "csv")
@@ -267,9 +278,19 @@ def test_cli_import_leaves_out_scipy_linalg_and_optimize():
         loaded = _modules_loaded_by(statement)
         assert not any(m.startswith(("numpy", "scipy")) for m in loaded), statement
         assert not numeric & loaded, statement
-    loaded = _modules_loaded_by("import cknlab; cknlab.mode_quotient")
-    assert numeric <= loaded
-    assert not any(m.startswith("scipy") for m in loaded)
+    # The numeric commands load numpy, but neither scipy nor
+    # numpy.polynomial, whose import took about 4 ms of each of them.
+    numeric_path = (
+        "import cknlab; cknlab.mode_quotient",
+        "from cknlab.cli import main; main(['minimize', '--n', '4', '--k', '1', "
+        "'--basis', '4,8'])",
+        "from cknlab.cli import main; main(['quotient', '--test-function', '--n', '3'])",
+    )
+    for statement in numeric_path:
+        loaded = _modules_loaded_by(statement)
+        assert "numpy" in loaded and "cknlab.quadrature" in loaded, statement
+        assert not any(m.startswith(("scipy", "numpy.polynomial")) for m in loaded), statement
+    assert numeric <= _modules_loaded_by(numeric_path[0])
 
 
 @pytest.mark.parametrize("n", range(3, 9))

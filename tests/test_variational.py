@@ -431,6 +431,74 @@ def test_gram_check_is_one_refinement_loop(monkeypatch, n, alpha, k):
     assert len(results) == 1
 
 
+def _rule_exponents(params, k, basis):
+    """The Gauss-rule exponent s of every live part of the triple."""
+    return tuple(variational._rule_exponent(basis.factor(order).power, power, basis.decay_q)
+                 for parts in form_parts(params.n, params.alpha, k)
+                 for order, power, coef in parts if coef != 0.0)
+
+
+@pytest.mark.parametrize("n, alpha, k, m", [
+    (4, 0.0, 1, 16), (3, -0.5, 2, 8), (7, 1.0, 3, 16), (6, 0.1, 0, 32), (2, -0.75, 1, 4),
+])
+def test_batched_rules_integrate_every_monomial_exactly(n, alpha, k, m):
+    # Each rule has nodes = m + 3 and is exact for y^j, j < 2 nodes:
+    # sum w y^j = Gamma(s + j + 1), compared in log space.
+    params = InequalityParams(n, alpha)
+    exponents = _rule_exponents(params, k, make_basis(params, k, m))
+    nodes = m + variational._GAUSS_EXTRA_NODES
+    y, w = variational._gauss_laguerre(nodes, exponents)
+    assert y.shape == w.shape == (len(exponents), nodes)
+    for s, y_s, w_s in zip(exponents, y, w):
+        for j in range(2 * nodes):
+            terms = np.log(w_s) + j * np.log(y_s)
+            top = terms.max()
+            log_sum = top + math.log(np.sum(np.exp(terms - top)))
+            assert abs(log_sum - math.lgamma(s + j + 1.0)) <= 1e-12
+
+
+def _laguerre_table(m, a, y, order):
+    """L_j^(a)(y) differentiated ``order`` times, from the recurrence of that
+    order alone, the lower orders recomputed first."""
+    lower = _laguerre_table(m, a, y, order - 1) if order else None
+    tab = np.zeros((m,) + y.shape)
+    tab[0] = 1.0 if order == 0 else 0.0
+    for j in range(m - 1):
+        nxt = (2 * j + 1 + a - y) * tab[j]
+        if j:
+            nxt -= (j + a) * tab[j - 1]
+        if order:
+            nxt -= order * lower[j]
+        tab[j + 1] = nxt / (j + 1)
+    return tab
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 3.25])
+def test_stacked_laguerre_tables_match_the_single_order_recurrence(a):
+    y = np.array([[1e-3, 0.4, 2.0, 7.5], [11.0, 30.0, 0.05, 64.0]])
+    tabs = variational._laguerre_tables(12, a, y, 3)
+    assert tabs.shape == (4, 12) + y.shape
+    for order in range(4):
+        assert np.array_equal(tabs[order], _laguerre_table(12, a, y, order))
+    # Parameters per row of nodes, as for the batched Gauss rules.
+    rows = np.array([[a], [a + 1.5]])
+    stacked = variational._laguerre_tables(12, rows, y, 2)
+    for i in range(2):
+        assert np.array_equal(stacked[:, :, i],
+                              variational._laguerre_tables(12, a + 1.5 * i, y[i], 2))
+
+
+def test_probe_gram_checks_centre_on_the_top_trial_function():
+    # probe-conjecture checks the Grams of N = 4, alpha = 0, k = 0..3 at
+    # m = 16.  Centred on the peak of r^(p+1) e^(-2x) they took 3237 +
+    # 1592 + 1559 + 1538 nodes; centred on the turning point of the top
+    # trial function, x = 2(m-1) + a + 1, they take fewer than 4000.
+    params = InequalityParams(4, 0.0)
+    used = [build_gram(params, k, make_basis(params, k, 16)).diagnostics["spot_check_nodes_used"]
+            for k in range(4)]
+    assert sum(used) <= 4000
+
+
 def test_pd_check_rejects_barely_indefinite_matrix():
     delta = 2e-15
     mat = np.array([[1.0, 1.0 + delta], [1.0 + delta, 1.0]])
