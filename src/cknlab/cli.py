@@ -39,6 +39,7 @@ from .constants import (
     FORMULA_PLAIN,
     FORMULA_WEIGHTED,
     InequalityParams,
+    exact_to_float,
     exponential_profile_quotient,
     mode_infimum,
     mode_quotient_plain,
@@ -452,7 +453,9 @@ def cmd_quotient(config: RunConfig) -> Document:
         if params.n < 2:
             raise PreconditionError("--test-function requires --n >= 2")
         # test_function_quotient's check, on this command's one quadrature run.
-        closed, rtol = float(exponential_profile_quotient(params.n)), TEST_FUNCTION_RTOL
+        closed = exact_to_float(exponential_profile_quotient(params.n),
+                                "the test-function quotient")
+        rtol = TEST_FUNCTION_RTOL
         value = mode_quotient(exponential_profile(1.0), InequalityParams(params.n, 0.0), 1, spec,
                               method="quadrature")
         provenance = {

@@ -35,6 +35,7 @@ from .errors import (
     ConsistencyError,
     DomainError,
     PreconditionError,
+    RangeOverflowError,
     UnsupportedRegimeError,
 )
 
@@ -170,6 +171,15 @@ def _require_mode_args(n: int, k: int) -> None:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
 
 
+def exact_to_float(exact: Fraction, what: str) -> float:
+    """The float nearest ``exact``; RangeOverflowError (naming ``what``)
+    where it lies beyond double-precision range."""
+    try:
+        return float(exact)
+    except OverflowError:
+        raise RangeOverflowError(f"{what} exceeds double-precision range") from None
+
+
 def mode_quotient_plain(n: int, k: int) -> ModeQuotient:
     """Per-mode quotient of the unweighted (alpha = 0) inequality, tag "J".
 
@@ -183,7 +193,8 @@ def mode_quotient_plain(n: int, k: int) -> ModeQuotient:
     else:
         t = n + 2 * k - 3
         exact = Fraction(t**4 * (n + 2 * k + 1) ** 2, 4 * (t**2 + 4 * k) ** 2)
-    return ModeQuotient(k, float(exact), FORMULA_PLAIN, InequalityParams(n), exact)
+    return ModeQuotient(k, exact_to_float(exact, f"J(N, {k})"), FORMULA_PLAIN,
+                        InequalityParams(n), exact)
 
 
 def mode_quotient_weighted(n: int, alpha: float, k: int) -> ModeQuotient:
@@ -206,7 +217,8 @@ def mode_quotient_weighted(n: int, alpha: float, k: int) -> ModeQuotient:
         t = n + 2 * k - a - 3
         den = t**2 + 4 * (a + 1) * k
         exact = t**4 * (n + 2 * k + 3 * a + 1) ** 2 / (4 * den**2)
-    return ModeQuotient(k, float(exact), FORMULA_WEIGHTED, InequalityParams(n, float(alpha)), exact)
+    return ModeQuotient(k, exact_to_float(exact, f"K(N, alpha, {k})"), FORMULA_WEIGHTED,
+                        InequalityParams(n, float(alpha)), exact)
 
 
 def _weighted_float(n: int, alpha: float, k: int) -> float:
@@ -351,17 +363,20 @@ def sharp_constant_closed_form(params: InequalityParams) -> ClosedFormConstant:
     if n == 1:
         if alpha <= -0.5:
             exact = a**2 / 4
-            return ClosedFormConstant(float(exact), exact, "one-dim-low-alpha",
+            return ClosedFormConstant(exact_to_float(exact, "the sharp constant"), exact,
+                                      "one-dim-low-alpha",
                                       "thm1.2-1a", params)
         exact = (3 * a + 2) ** 2 / 4
-        return ClosedFormConstant(float(exact), exact, "one-dim", "thm1.2-1b", params)
+        return ClosedFormConstant(exact_to_float(exact, "the sharp constant"), exact,
+                                  "one-dim", "thm1.2-1b", params)
     if n < 5 * alpha + 5:
         raise UnsupportedRegimeError(
             f"N >= 5 alpha + 5 violated (N={n}, alpha={alpha}): no closed form is "
             f"proven; use symmetry_breaking_bounds / the variational scan"
         )
     exact = ((n + 3 * a + 1) / 2) ** 2
-    return ClosedFormConstant(float(exact), exact, "radial-weighted", "thm1.2-2", params)
+    return ClosedFormConstant(exact_to_float(exact, "the sharp constant"), exact,
+                              "radial-weighted", "thm1.2-2", params)
 
 
 def exponential_profile_quotient(n: int) -> Fraction:
@@ -401,9 +416,9 @@ def symmetry_breaking_bounds(n: int) -> BoundsReport:
         raise ConsistencyError(f"bounds ordering violated for N={n}")
     return BoundsReport(
         n=n,
-        lower=float(lower),
-        upper=float(upper),
-        conjectured=float(conjectured),
+        lower=exact_to_float(lower, "the lower bound"),
+        upper=exact_to_float(upper, "the upper bound"),
+        conjectured=exact_to_float(conjectured, "the conjectured constant"),
         exact_lower=lower,
         exact_upper=upper,
         exact_conjectured=conjectured,
@@ -520,6 +535,6 @@ def dn_general_lower_bound(
             )
         tail_verified = True
 
-    quotient = ModeQuotient(best_k, float(exact), FORMULA_GENERAL,
-                            InequalityParams(n, alpha, beta), exact)
+    quotient = ModeQuotient(best_k, exact_to_float(exact, f"the DN-general quotient (k={best_k})"),
+                            FORMULA_GENERAL, InequalityParams(n, alpha, beta), exact)
     return ModeInfimumResult(quotient, best_k, tail_verified, k_max)

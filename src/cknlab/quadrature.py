@@ -22,10 +22,18 @@ at a ``split_point`` a:
 Both halves share one trapezoid step h in the transformed variable; each
 refinement level halves h and reuses previous samples, so the cost of
 level m is the same as all previous levels combined.  Convergence is
-declared when successive refinements of the *sum* agree to ``rel_tol``.
-The new nodes of a level, from both halves, are evaluated together, and
-rows in batches of at most 256 nodes, which bounds the memory a wide
-stack of tables takes.
+declared when successive refinements of the *sum* agree to ``rel_tol``,
+tested level by level.  The new nodes of levels 0..4, from both halves,
+are evaluated in one pass, since almost no integral stops sooner, and
+each deeper level in a pass of its own; a non-finite sample of a level
+the test never reaches is no error.  Rows are called, and weighted, on
+batches of at most 20480 values (tables x rows x nodes), so a stack of
+one row per table takes one call a pass while a wide Gram stack is held
+to 256 nodes at a time, which bounds the memory it takes; the first call
+counts one row per table, and only its unweighted rows may exceed the
+bound.  Each level's products are summed over its own sub-batches of at
+most 256 nodes, so the sums, and every result, are bit for bit those of
+evaluating each level alone.
 
 A product integrand is given as rows: a callable returning a stack of
 T tables, one per weight exponent (p_1, ..., p_T), each with one row
@@ -57,7 +65,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple, Union
+from itertools import accumulate
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,8 +92,19 @@ _H0 = 1.0
 _EPS = float(np.finfo(float).eps)
 # Row weights at or below this edge are centred as weight 0.
 _FOLD_EDGE = -0.9
-# Most nodes at which one call of the rows is evaluated.
+# Levels 0.._FIRST_PASS are evaluated in one pass, each deeper level alone
+# (QuadratureSpec.max_level is at least 4).  Of the 672 integrals of four
+# rounds of library queries of the benchmark's closed-forms workload (seed
+# 11), none stops sooner: 67 stop at level 4, 590 at level 5 and 15 at
+# level 6.  So those levels always run, on a few hundred nodes in all.
+_FIRST_PASS = 4
+# Most nodes over which one Gram product of a level is summed.
 _BATCH_NODES = 256
+# Most values (tables x rows x nodes) the rows are called on, or weighted,
+# at once, unless one sub-batch of _BATCH_NODES nodes holds more: those of
+# 256 nodes of a Gram check of 16 trial functions over five parts.  A stack
+# of one row per table is then evaluated a whole pass at a time.
+_BATCH_VALUES = 256 * 16 * 5
 
 
 @dataclass(frozen=True)
@@ -201,7 +221,13 @@ class IntegrandHandle:
 @dataclass(frozen=True)
 class QuadratureResult:
     """Converged integral value with its refinement error estimate (both
-    (T, rows, rows) arrays for a rows integrand with T weight exponents)."""
+    (T, rows, rows) arrays for a rows integrand with T weight exponents).
+
+    ``levels_used`` is the level the value comes from, and ``nodes_used``
+    the number of nodes the integrand was evaluated at: every node of the
+    first pass (levels 0..4) even where the value comes from a coarser
+    level, and every node of each deeper level evaluated.
+    """
 
     value: Union[float, np.ndarray]
     err_est: Union[float, np.ndarray]
@@ -209,27 +235,40 @@ class QuadratureResult:
     nodes_used: int
 
 
-@lru_cache(maxsize=64)
-def _grid(level: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sinh t, cosh t) for the nodes new at this level, and the tanh-sinh
-    nodes sigmoid(pi sinh t) and weights on (0, 1], which a split point a
-    scales by a.
+def _steps(level: int) -> np.ndarray:
+    """The transformed variable t of the nodes new at this level.
 
     Level 0 is the full coarse grid at step _H0; level m >= 1 holds the
     odd multiples of h = _H0 / 2^m (the nodes not already present).
     """
     if level == 0:
         j = np.arange(-int(_T_CAP / _H0), int(_T_CAP / _H0) + 1)
-        t = j * _H0
-    else:
-        h = _H0 / 2.0**level
-        j_max = int(_T_CAP / h)
-        j = np.arange(-j_max, j_max + 1)
-        t = j[j % 2 != 0] * h
+        return j * _H0
+    h = _H0 / 2.0**level
+    j_max = int(_T_CAP / h)
+    j = np.arange(-j_max, j_max + 1)
+    return j[j % 2 != 0] * h
+
+
+@lru_cache(maxsize=64)
+def _grid(first: int, last: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                          List[slice]]:
+    """(sinh t, cosh t) for the nodes new at levels first..last, level by
+    level, the tanh-sinh nodes sigmoid(pi sinh t) and weights on (0, 1],
+    which a split point a scales by a, and the span of each level."""
+    steps = [_steps(level) for level in range(first, last + 1)]
+    t = np.concatenate(steps)
     sinh_t, cosh_t = np.sinh(t), np.cosh(t)
     u2 = math.pi * sinh_t  # 2 * (pi/2) sinh t
     sig = _sigmoid(u2)
-    return sinh_t, cosh_t, sig, math.pi * cosh_t * sig * _sigmoid(-u2)
+    return sinh_t, cosh_t, sig, math.pi * cosh_t * sig * _sigmoid(-u2), _spans(
+        [step.size for step in steps])
+
+
+def _spans(sizes: List[int]) -> List[slice]:
+    """Consecutive slices of the given sizes."""
+    ends = list(accumulate(sizes))
+    return [slice(end - size, end) for size, end in zip(sizes, ends)]
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -244,7 +283,8 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 
 class _HalfMap:
     """One transformed half of the integration range: produces the finite
-    (r, w) node/weight arrays with positive weight for a level grid."""
+    (r, w) node/weight arrays with positive weight of each level of a
+    grid."""
 
     def __init__(self, kind: str, a: float, scale: float, kappa: float):
         self.kind = kind
@@ -252,8 +292,8 @@ class _HalfMap:
         self.scale = scale
         self.kappa = kappa
 
-    def nodes(self, level: int) -> Tuple[np.ndarray, np.ndarray]:
-        sinh_t, cosh_t, unit_r, unit_w = _grid(level)
+    def nodes(self, grid: tuple) -> List[Tuple[np.ndarray, np.ndarray]]:
+        sinh_t, cosh_t, unit_r, unit_w, spans = grid
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if self.kind == "tanh-sinh":
                 r = self.a * unit_r
@@ -263,7 +303,7 @@ class _HalfMap:
                 r = self.a + g
                 w = self.kappa * cosh_t * g
             keep = np.isfinite(r) & (r > 0.0) & np.isfinite(w) & (w > 0.0)
-        return r[keep], w[keep]
+        return [(r[span][keep[span]], w[span][keep[span]]) for span in spans]
 
 
 def _exponents(handle: IntegrandHandle) -> np.ndarray:
@@ -289,13 +329,6 @@ def _build_maps(handle: IntegrandHandle, a: float) -> Tuple[_HalfMap, _HalfMap]:
         _HalfMap("tanh-sinh", a, 1.0, 0.0),
         _HalfMap("exp-sinh", a, scale, kappa),
     )
-
-
-def _level_nodes(maps: Tuple[_HalfMap, ...], level: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The finite nodes with positive weight new at this level, both halves
-    together."""
-    r, w = zip(*(m.nodes(level) for m in maps))
-    return np.concatenate(r), np.concatenate(w)
 
 
 def _rescue_overflow(
@@ -346,73 +379,198 @@ def _row_tables(handle: IntegrandHandle, r: np.ndarray, tables: int) -> np.ndarr
 
 def _weighted_rows(
     vals: np.ndarray, r: np.ndarray, w: np.ndarray, wp: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """Each table's rows times sqrt(w r^p_i), zero where that weight is.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each table's rows times sqrt(w r^p_i), zero where that weight is,
+    and the mask of values that are not finite where their table's weight
+    is alive.
 
-    ``wp`` holds w r^p_i, one row per table.  A value that is not finite
-    where its table's weight is alive raises NonFiniteSampleError.
+    ``wp`` holds w r^p_i, one row per table.
     """
     live = (wp != 0.0)[:, None, :]
     bad = live & ~np.isfinite(vals)
-    if np.any(bad):
-        at = np.broadcast_to(r, vals.shape)[bad][0]
-        raise NonFiniteSampleError(f"integrand row returned a non-finite value at r={at!r}")
-    g = np.where(live & (vals != 0.0), vals * np.sqrt(wp)[:, None, :], 0.0)
-    return _rescue_overflow(g, vals, r, w, p[:, None, None], share=0.5)
+    g = vals * np.sqrt(wp)[:, None, :]
+    g[~live | (vals == 0.0)] = 0.0
+    return _rescue_overflow(g, vals, r, w, p[:, None, None], share=0.5), bad
 
 
-def _level_sum(
+# A level's signed and absolute sums, or the error raised if it is reached.
+_Sums = Union[Sequence[Union[float, np.ndarray]], NonFiniteSampleError]
+
+
+def _evaluator_sums(
+    handle: IntegrandHandle,
+    r: np.ndarray,
+    w: np.ndarray,
+    wp: np.ndarray,
+    p: float,
+    levels: List[slice],
+) -> List[_Sums]:
+    """The sums of each level of a pass, from one call of the evaluator."""
+    f = np.asarray(handle.evaluator(r), dtype=float)
+    if f.shape != r.shape:
+        raise DomainError("evaluator must return an array of the same shape as its input")
+    sums: List[_Sums] = []
+    for nodes in levels:
+        fl, rl, wpl = f[nodes], r[nodes], wp[nodes]
+        bad = ~np.isfinite(fl)
+        if np.any(bad):
+            return sums + [NonFiniteSampleError(
+                f"integrand returned a non-finite value at r={rl[bad][0]!r}")]
+        term = np.where(fl == 0.0, 0.0, fl * wpl)
+        term = _rescue_overflow(term, fl, rl, w[nodes], p)
+        if not np.all(np.isfinite(term)):
+            idx = int(np.flatnonzero(~np.isfinite(term))[0])
+            return sums + [NonFiniteSampleError(
+                f"weighted integrand overflowed at r={rl[idx]!r} (weight={wpl[idx]!r})")]
+        sums.append((float(np.sum(term)), float(np.sum(np.abs(term)))))
+    return sums
+
+
+def _run_end(subs: Sequence[slice], start: int, per_node: int) -> int:
+    """The end of the run of consecutive sub-batches from ``start`` that
+    holds at most _BATCH_VALUES values at ``per_node`` values a node, or
+    of the one sub-batch at ``start``."""
+    end = start + 1
+    while end < len(subs) and (subs[end].stop - subs[start].start) * per_node <= _BATCH_VALUES:
+        end += 1
+    return end
+
+
+def _products(
+    handle: IntegrandHandle,
+    r: np.ndarray,
+    w: np.ndarray,
+    wp: np.ndarray,
+    p: np.ndarray,
+    subs: List[slice],
+) -> Tuple[List[_Sums], int]:
+    """The signed and absolute Gram products of each sub-batch ``subs``
+    of r, from one call of the rows on r, and the values per node the
+    rows returned.
+
+    The rows are weighted in runs of sub-batches bounded like a call, so
+    a first call, made before the rows were seen, holds no more than one
+    run of weighted values at a time.  The list ends early with the
+    NonFiniteSampleError of the first sub-batch that has a non-finite
+    value or product.
+    """
+    vals = _row_tables(handle, r, p.size)
+    per_node = vals.shape[0] * vals.shape[1]
+    products: List[_Sums] = []
+    start = 0
+    while start < len(subs):
+        end = _run_end(subs, start, per_node)
+        run = slice(subs[start].start, subs[end - 1].stop)
+        g, bad = _weighted_rows(vals[..., run], r[run], w[run], wp[:, run], p)
+        for part in subs[start:end]:
+            at, sub = r[part], slice(part.start - run.start, part.stop - run.start)
+            if np.any(bad[..., sub]):
+                at = np.broadcast_to(at, bad[..., sub].shape)[bad[..., sub]][0]
+                return products + [NonFiniteSampleError(
+                    f"integrand row returned a non-finite value at r={at!r}")], per_node
+            gs = np.ascontiguousarray(g[..., sub])
+            term = gs @ gs.transpose(0, 2, 1)
+            if not np.all(np.isfinite(term)):
+                return products + [NonFiniteSampleError(
+                    "weighted Gram table overflowed on nodes r in "
+                    f"[{at.min()!r}, {at.max()!r}]")], per_node
+            np.abs(gs, out=gs)
+            products.append((term, gs @ gs.transpose(0, 2, 1)))
+        start = end
+    return products, per_node
+
+
+def _row_sums(
+    handle: IntegrandHandle,
+    r: np.ndarray,
+    w: np.ndarray,
+    wp: np.ndarray,
+    p: np.ndarray,
+    levels: List[slice],
+    per_node: int,
+) -> Tuple[List[_Sums], int, int]:
+    """The Gram sums of each level of a pass, the nodes evaluated and the
+    values per node the rows returned.
+
+    A level's products are summed over sub-batches of at most _BATCH_NODES
+    of its nodes.  The rows are called on runs of sub-batches of at most
+    _BATCH_VALUES values (or one sub-batch), at ``per_node`` values a node
+    until a call shows how many there are.
+    """
+    owners = [i for i, nodes in enumerate(levels)
+              for _ in range(nodes.start, nodes.stop, _BATCH_NODES)]
+    subs = [slice(start, min(start + _BATCH_NODES, nodes.stop)) for nodes in levels
+            for start in range(nodes.start, nodes.stop, _BATCH_NODES)]
+    totals: List[_Sums] = [[0.0, 0.0] for _ in levels]
+    done = 0
+    while done < len(subs):
+        end = _run_end(subs, done, per_node)
+        lo, hi = subs[done].start, subs[end - 1].stop
+        products, per_node = _products(handle, r[lo:hi], w[lo:hi], wp[:, lo:hi], p,
+                                       [slice(s.start - lo, s.stop - lo) for s in subs[done:end]])
+        for i, product in zip(owners[done:end], products):
+            if isinstance(product, NonFiniteSampleError):
+                return totals[:i] + [product], hi, per_node
+            totals[i][0] = totals[i][0] + product[0]
+            totals[i][1] = totals[i][1] + product[1]
+        done = end
+    return totals, r.size, per_node
+
+
+def _pass(
     handle: IntegrandHandle,
     maps: Tuple[_HalfMap, ...],
-    level: int,
-) -> Tuple[Union[float, np.ndarray], Union[float, np.ndarray], int]:
-    """Weighted integrand sum over the nodes new at this level.
+    p: np.ndarray,
+    first: int,
+    last: int,
+    per_node: int,
+) -> Tuple[List[_Sums], int, int]:
+    """The sums of each of levels first..last, evaluated together, the
+    nodes evaluated and the values per node of the rows (see _row_sums).
 
-    Returns the signed sum, the sum of magnitudes (the rounding floor of
-    any cancellation), and the number of nodes evaluated.  Both sums are
-    Gram matrices, one per table, for a rows integrand, whose rows are
-    evaluated _BATCH_NODES nodes at a time.
+    The nodes are ordered by level and within a level by half, as each
+    level alone would have them.
     """
-    p = _exponents(handle)
-    r, w = _level_nodes(maps, level)
+    per_level = list(zip(*(m.nodes(_grid(first, last)) for m in maps)))
+    r = np.concatenate([hr for halves in per_level for hr, _ in halves])
+    w = np.concatenate([hw for halves in per_level for _, hw in halves])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         wp = w * np.power(r, p[:, None])
         live = np.any(wp != 0.0, axis=0)
+        spans = _spans([sum(hr.size for hr, _ in halves) for halves in per_level])
+        levels = _spans([int(np.count_nonzero(live[span])) for span in spans])
         r, w, wp = r[live], w[live], wp[:, live]
         if handle.rows is None:
-            f = np.asarray(handle.evaluator(r), dtype=float)
-            if f.shape != r.shape:
-                raise DomainError(
-                    "evaluator must return an array of the same shape as its input"
-                )
-            bad = ~np.isfinite(f)
-            if np.any(bad):
-                raise NonFiniteSampleError(
-                    f"integrand returned a non-finite value at r={r[bad][0]!r}"
-                )
-            term = np.where(f == 0.0, 0.0, f * wp[0])
-            term = _rescue_overflow(term, f, r, w, p[0])
-            if not np.all(np.isfinite(term)):
-                idx = int(np.flatnonzero(~np.isfinite(term))[0])
-                raise NonFiniteSampleError(
-                    f"weighted integrand overflowed at r={r[idx]!r} (weight={wp[0, idx]!r})"
-                )
-            return float(np.sum(term)), float(np.sum(np.abs(term))), int(r.size)
-        total = abs_total = 0.0
-        for start in range(0, r.size, _BATCH_NODES):
-            batch = slice(start, start + _BATCH_NODES)
-            vals = _row_tables(handle, r[batch], p.size)
-            g = _weighted_rows(vals, r[batch], w[batch], wp[:, batch], p)
-            term = g @ g.transpose(0, 2, 1)
-            if not np.all(np.isfinite(term)):
-                raise NonFiniteSampleError(
-                    "weighted Gram table overflowed on nodes r in "
-                    f"[{r[batch].min()!r}, {r[batch].max()!r}]"
-                )
-            total = total + term
-            g = np.abs(g)
-            abs_total = abs_total + g @ g.transpose(0, 2, 1)
-    return total, abs_total, int(r.size)
+            return _evaluator_sums(handle, r, w, wp[0], p[0], levels), r.size, per_node
+        return _row_sums(handle, r, w, wp, p, levels, per_node)
+
+
+def _level_sums(
+    handle: IntegrandHandle,
+    maps: Tuple[_HalfMap, ...],
+    spec: QuadratureSpec,
+) -> Iterator[Tuple[Union[float, np.ndarray], Union[float, np.ndarray], int]]:
+    """Weighted integrand sums of levels 0, 1, ... in turn.
+
+    Yields the signed sum, the sum of magnitudes (the rounding floor of
+    any cancellation), which are Gram matrices, one per table, for a rows
+    integrand, and the number of nodes evaluated so far.  Levels
+    0.._FIRST_PASS are evaluated in one pass, each deeper level alone;
+    a pass ends at the first level with a non-finite sample, which is
+    raised only when that level is reached.
+    """
+    p = _exponents(handle)
+    n, per_node = 0, p.size  # one row per table until the rows are seen
+    passes = [(0, _FIRST_PASS)] + [(level, level)
+                                   for level in range(_FIRST_PASS + 1, spec.max_level + 1)]
+    for first, last in passes:
+        sums, evaluated, per_node = _pass(handle, maps, p, first, last, per_node)
+        n += evaluated
+        while sums:
+            entry = sums.pop(0)  # so that no level's sums outlive their use
+            if isinstance(entry, NonFiniteSampleError):
+                raise entry
+            yield (*entry, n)
 
 
 def _refine(
@@ -420,15 +578,14 @@ def _refine(
     maps: Tuple[_HalfMap, ...],
     spec: QuadratureSpec,
 ) -> QuadratureResult:
-    s0, a0, n = _level_sum(handle, maps, 0)
+    sums = _level_sums(handle, maps, spec)
+    s0, a0, n = next(sums)
     value = _H0 * s0
     mass = _H0 * a0
     prev = value
     prev_err = math.inf
-    for level in range(1, spec.max_level + 1):
+    for level, (s, a, n) in enumerate(sums, start=1):
         h = _H0 / 2.0**level
-        s, a, n_new = _level_sum(handle, maps, level)
-        n += n_new
         value = 0.5 * prev + h * s
         mass = 0.5 * mass + h * a
         err = abs(value - prev)
@@ -473,14 +630,18 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         convergence class), levels and node count.  value and err_est are
         (T, rows, rows) arrays for a rows integrand with T weight
         exponents (T = 1 for a single one); the level is the deepest any
-        entry of any table needs.
+        entry of any table needs.  Levels 0..4 are evaluated in one pass
+        (one call of an evaluator, or of rows with one row per table),
+        deeper levels one pass each; the results equal those of
+        evaluating level by level, bit for bit.
 
     Raises
     ------
     NonConvergenceError
         If max_level is exhausted; carries the partial value/err_est.
     NonFiniteSampleError
-        If the integrand returns nan/inf at a contributing node.
+        If the integrand returns nan/inf at a contributing node of a level
+        the refinement reaches.
     """
     maps = _build_maps(handle, float(spec.split_point))
     return _refine(handle, maps, spec)

@@ -88,6 +88,21 @@ def test_mode_scan_rejects_dimension_beyond_float_range(capsys, formula):
     assert err.count("\n") == 1 and err.startswith("error:") and "too large" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("constants",),
+    ("mode-scan", "--formula", "K", "--kmax", "3"),
+    ("quotient", "--test-function"),
+])
+def test_exact_value_beyond_float_range_exits_precondition(capsys, argv):
+    # At N = 1e200 the exact rationals exceed double range: float() of them
+    # escaped as an OverflowError traceback (exit 1).
+    code, out, err = run(capsys, *argv, "--n", "1" + "0" * 200)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "exceeds double-precision range" in err
+
+
 def test_mode_scan_deterministic_bytes(capsys):
     args = ("mode-scan", "--formula", "J", "--n", "4", "--kmax", "6",
             "--format", "csv")

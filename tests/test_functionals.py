@@ -1,5 +1,6 @@
 """Per-mode energies, quotients, and the closed-form extremal families."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -91,6 +92,25 @@ def test_energies_are_one_refinement_loop(monkeypatch, method, k):
         assert res.value.shape == (live, 1, 1)
         assert (e.levels_used, e.nodes_used) == (res.levels_used, res.nodes_used) != (0, 0)
         assert min(e.energy_a, e.energy_b, e.energy_c) > 0.0
+
+
+def test_energies_take_one_call_of_the_rows_a_pass(monkeypatch):
+    # Levels 0..4 are evaluated in one call of the rows and level 5 in
+    # another; nodes_used counts every node the rows were evaluated at.
+    sizes, original = [], functionals.integrate
+
+    def counted(handle, spec):
+        rows = handle.rows
+        return original(dataclasses.replace(
+            handle, rows=lambda r: sizes.append(r.size) or rows(r)), spec)
+
+    monkeypatch.setattr(functionals, "integrate", counted)
+    params = InequalityParams(5, 0.0)
+    profile = extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1.0, params))
+    e = mode_energies(profile, params, 1)
+    assert e.levels_used == 5
+    assert len(sizes) <= 2
+    assert e.nodes_used == sum(sizes)
 
 
 @pytest.mark.parametrize("alpha", [1.375, 1.5, 1.625, 1.75, 1.875])

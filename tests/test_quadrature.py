@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import cknlab.quadrature as quadrature
+import cknlab.variational as variational
+from cknlab.constants import InequalityParams
 from cknlab.errors import DomainError, NonConvergenceError, NonFiniteSampleError
 from cknlab.exppoly import ExpPoly
 from cknlab.quadrature import (
@@ -193,3 +196,105 @@ def test_tail_scale_moves_the_tail_centre_only():
     for bad in (0.0, -1.0, math.inf):
         with pytest.raises(DomainError):
             IntegrandHandle(rows=table, tail_scale=bad)
+
+
+def _level_by_level(handle, maps, spec):
+    """Reference sums: each level's nodes alone, from the module's node
+    maps, its rows in batches of 256 nodes, with the nodes so far."""
+    p = quadrature._exponents(handle)
+    n = 0
+    for level in range(spec.max_level + 1):
+        grid = quadrature._grid(level, level)
+        r, w = (np.concatenate(part) for part in zip(*(m.nodes(grid)[0] for m in maps)))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            wp = w * np.power(r, p[:, None])
+            live = np.any(wp != 0.0, axis=0)
+            r, w, wp = r[live], w[live], wp[:, live]
+            n += r.size
+            if handle.rows is None:
+                f = handle.evaluator(r)
+                term = quadrature._rescue_overflow(np.where(f == 0.0, 0.0, f * wp[0]),
+                                                   f, r, w, p[0])
+                yield float(np.sum(term)), float(np.sum(np.abs(term))), n
+                continue
+            total = abs_total = 0.0
+            for start in range(0, r.size, 256):
+                b = slice(start, start + 256)
+                vals = quadrature._row_tables(handle, r[b], p.size)
+                g, bad = quadrature._weighted_rows(vals, r[b], w[b], wp[:, b], p)
+                if np.any(bad):
+                    raise NonFiniteSampleError(f"non-finite row at level {level}")
+                total = total + g @ g.transpose(0, 2, 1)
+                g = np.abs(g)
+                abs_total = abs_total + g @ g.transpose(0, 2, 1)
+            yield total, abs_total, n
+
+
+def _reference(handle, spec, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_level_sums", _level_by_level)
+        return quadrature._refine(handle, quadrature._build_maps(handle, spec.split_point), spec)
+
+
+def _gram_check_handle(monkeypatch):
+    """The handle of the m = 16 Gram check of N = 4, alpha = 0, k = 3,
+    which refines to level 6 in several batches a level."""
+    handles = []
+
+    def record(handle, spec):
+        handles.append(handle)
+        return integrate(handle, spec)
+
+    params = InequalityParams(4, 0.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(variational, "integrate", record)
+        variational.build_gram(params, 3, variational.make_basis(params, 3, 16))
+    return handles[0]
+
+
+def _stack_of_one_row():
+    f = ExpPoly(((0.0, 1.0), (1.0, -0.5)), 1.0, 1.0)
+    return IntegrandHandle(rows=lambda r: np.stack([f(r)] * 3)[:, None, :],
+                           weight_exponent=(1.5, -0.5, 6.0), decay_hint=(2.0, 1.0))
+
+
+@pytest.mark.parametrize("case", ["evaluator", "one-row stack", "gram stack", "early stop"])
+def test_first_pass_matches_level_by_level(monkeypatch, case):
+    spec = QuadratureSpec()
+    if case == "evaluator":
+        handle = IntegrandHandle(lambda r: np.exp(-r) / (1.0 + r), 2.0, (1.0, 1.0))
+    elif case == "one-row stack":
+        handle = _stack_of_one_row()
+    elif case == "gram stack":
+        handle = _gram_check_handle(monkeypatch)
+    else:
+        handle = IntegrandHandle(lambda r: np.exp(-r) / (1.0 + r), 0.0, (1.0, 1.0))
+        spec = QuadratureSpec(rel_tol=1e-4)
+    res, ref = integrate(handle, spec), _reference(handle, spec, monkeypatch)
+    assert np.array_equal(res.value, ref.value)
+    assert np.array_equal(res.err_est, ref.err_est)
+    assert res.levels_used == ref.levels_used
+    if case == "gram stack":
+        assert res.value.shape[1:] == (16, 16) and res.levels_used == 6
+    if case == "early stop":
+        assert res.levels_used < quadrature._FIRST_PASS
+
+
+def test_non_finite_row_past_convergence_is_not_reached():
+    # nan at the nodes new at level 4, which a refinement converging at a
+    # coarser level never needs; the far exp-sinh nodes of every level
+    # round to the split point r = 1 and stay finite.
+    handle = IntegrandHandle(rows=lambda r: np.exp(-r) / (1.0 + r), decay_hint=(2.0, 1.0))
+    grid = quadrature._grid(4, 4)
+    level4 = np.concatenate([m.nodes(grid)[0][0]
+                             for m in quadrature._build_maps(handle, 1.0)])
+    level4 = level4[level4 != 1.0]
+    poisoned = IntegrandHandle(rows=lambda r: np.where(np.isin(r, level4), np.nan,
+                                                       handle.rows(r)),
+                               decay_hint=(2.0, 1.0))
+    coarse = QuadratureSpec(rel_tol=1e-4)
+    res = integrate(poisoned, coarse)
+    assert res.levels_used < 4
+    assert np.array_equal(res.value, integrate(handle, coarse).value)
+    with pytest.raises(NonFiniteSampleError):
+        integrate(poisoned)
