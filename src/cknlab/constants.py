@@ -444,21 +444,31 @@ def reference_constants(params: InequalityParams) -> Dict[str, Optional[float]]:
     n, alpha = params.n, float(params.alpha)
     out: Dict[str, Optional[float]] = {}
     if n >= 2:
-        out["first-order"] = (n - 1) ** 2 / 4
+        out["first-order"] = _quarter_square(n - 1, "first-order")
     if n >= 5:
-        out["second-order-unweighted"] = (n + 1) ** 2 / 4
-    out["second-order-heisenberg"] = (n + 2) ** 2 / 4
+        out["second-order-unweighted"] = _quarter_square(n + 1, "second-order-unweighted")
+    out["second-order-heisenberg"] = _quarter_square(n + 2, "second-order-heisenberg")
     if params.beta is not None:
         beta = float(params.beta)
         if beta < 1.0:
-            out["weighted-gradient"] = (n - beta + 1) ** 2 / 4
+            out["weighted-gradient"] = _quarter_square(n - beta + 1, "weighted-gradient")
         elif beta > 1.0:
-            out["weighted-gradient"] = (n + beta - 1) ** 2 / 4
+            out["weighted-gradient"] = _quarter_square(n + beta - 1, "weighted-gradient")
         else:
             # Hardy-Rellich crossover: no product-inequality constant.
             out["weighted-gradient"] = None
-    out["weighted-heisenberg"] = (n + 4 * alpha + 2) ** 2 / 4
+    out["weighted-heisenberg"] = _quarter_square(n + 4 * alpha + 2, "weighted-heisenberg")
     return out
+
+
+def _quarter_square(x, name: str) -> float:
+    """x^2 / 4 as a float; RangeOverflowError (naming the constant) where
+    it lies beyond double-precision range."""
+    try:
+        return x**2 / 4
+    except OverflowError:
+        raise RangeOverflowError(
+            f"reference constant {name} exceeds double-precision range") from None
 
 
 def dn_general_lower_bound(

@@ -316,33 +316,31 @@ def exponential_profile(rate: float = 1.0) -> RadialProfile:
 def profile_from_callable(
     evaluator: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]],
     decay_hint: Optional[Tuple[float, float]] = None,
-    validate: bool = True,
 ) -> RadialProfile:
     """Wrap a user-supplied (v, v', v'') evaluator.
 
-    When ``validate`` is set, v' and v'' are spot-checked against central
-    finite differences of v on a log-spaced grid (relative tolerance
-    1e-6 with a scale floor); inconsistent triples raise DomainError.
+    v' and v'' are spot-checked against central finite differences of v
+    on a log-spaced grid (relative tolerance 1e-6 with a scale floor);
+    inconsistent triples raise DomainError.
     """
     profile = RadialProfile(evaluator=evaluator, decay_hint=decay_hint)
-    if validate:
-        grid = np.geomspace(0.1, 10.0, 9)
-        h = 1e-6 * grid
-        v0, d1, d2 = evaluator(grid)
-        vp, d1p, _ = evaluator(grid + h)
-        vm, d1m, _ = evaluator(grid - h)
-        fd1 = (vp - vm) / (2.0 * h)
-        fd2 = (d1p - d1m) / (2.0 * h)
-        scale1 = np.maximum(np.abs(d1), np.maximum(np.abs(v0) / grid, 1e-30))
-        scale2 = np.maximum(np.abs(d2), np.maximum(np.abs(d1) / grid, 1e-30))
-        if not (
-            np.all(np.abs(fd1 - d1) <= 1e-6 * scale1 + 1e-12)
-            and np.all(np.abs(fd2 - d2) <= 1e-6 * scale2 + 1e-12)
-        ):
-            raise DomainError(
-                "profile evaluator failed the finite-difference consistency check: "
-                "v', v'' do not match derivatives of v within 1e-6 relative"
-            )
+    grid = np.geomspace(0.1, 10.0, 9)
+    h = 1e-6 * grid
+    v0, d1, d2 = evaluator(grid)
+    vp, d1p, _ = evaluator(grid + h)
+    vm, d1m, _ = evaluator(grid - h)
+    fd1 = (vp - vm) / (2.0 * h)
+    fd2 = (d1p - d1m) / (2.0 * h)
+    scale1 = np.maximum(np.abs(d1), np.maximum(np.abs(v0) / grid, 1e-30))
+    scale2 = np.maximum(np.abs(d2), np.maximum(np.abs(d1) / grid, 1e-30))
+    if not (
+        np.all(np.abs(fd1 - d1) <= 1e-6 * scale1 + 1e-12)
+        and np.all(np.abs(fd2 - d2) <= 1e-6 * scale2 + 1e-12)
+    ):
+        raise DomainError(
+            "profile evaluator failed the finite-difference consistency check: "
+            "v', v'' do not match derivatives of v within 1e-6 relative"
+        )
     return profile
 
 
@@ -361,12 +359,18 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
         # v = a (1 + b r^m) e^{-b r^m}; the r^(2m-1) form of v' below is
         # the telescoped derivative (the r^(m-1) terms cancel).
         poly_v = ExpPoly(((0.0, a), (m, a * b)), b, m)
-        poly_d1 = ExpPoly(((2.0 * m - 1.0, -a * b**2 * m),), b, m)
-        poly_d2 = ExpPoly(
-            ((2.0 * m - 2.0, -a * b**2 * m * (2.0 * m - 1.0)),
-             (3.0 * m - 2.0, a * b**3 * m**2)),
-            b, m,
-        )
+        try:
+            poly_d1 = ExpPoly(((2.0 * m - 1.0, -a * b**2 * m),), b, m)
+            poly_d2 = ExpPoly(
+                ((2.0 * m - 2.0, -a * b**2 * m * (2.0 * m - 1.0)),
+                 (3.0 * m - 2.0, a * b**3 * m**2)),
+                b, m,
+            )
+        except OverflowError:
+            raise RangeOverflowError(
+                f"a coefficient of the {fid} profile's derivatives exceeds "
+                "double-precision range"
+            ) from None
         return RadialProfile(
             evaluator=_evaluator_from_polys(poly_v, poly_d1, poly_d2),
             decay_hint=(b, m),

@@ -1,17 +1,21 @@
 """Adaptive double-exponential quadrature on the half line.
 
-The integrals this package needs all look like
+The integrals this package needs are Gram matrices of rows,
 
-    integral_0^inf  f(r) * r^p  dr,
+    integral_0^inf  f(r) f(r)^T r^p  dr,
 
-with p > -1, or any p where f vanishes fast enough at the origin.
-``f`` is smooth on (0, inf), may behave like a power at the origin
-and decays (usually like exp(-c r^q)) at infinity.  The half line is cut
-at a ``split_point`` a:
+one per weight exponent p of a stack (p_1, ..., p_T): the integrand is a
+callable returning T tables, table i weighted by r^p_i, each with one row
+per function, and its integral holds all pairwise products of that
+table's rows.  An energy integral |v|^2 r^p is a 1 x 1 table, and a
+signed integrand s(r) t(r) r^p an off-diagonal entry of the two-row
+table (s, t).  The rows are smooth on (0, inf), may behave like a power
+at the origin and decay (usually like exp(-c r^q)) at infinity.  The
+half line is cut at r = 1:
 
-* (0, a]   tanh-sinh transform  r = a * sigmoid(pi * sinh t), which
-  resolves algebraic endpoint behaviour at 0 to full precision;
-* [a, inf) exp-sinh transform   r = a + s * exp(kappa * sinh t).  With a
+* (0, 1]   tanh-sinh transform  r = sigmoid(pi * sinh t), which resolves
+  algebraic endpoint behaviour at 0 to full precision;
+* [1, inf) exp-sinh transform   r = 1 + s * exp(kappa * sinh t).  With a
   decay hint (c, q) and weight r^p, kappa = (pi/2)/q and the scale
   s = max(c^(-1/q), ((p+1)/(c q))^(1/q)) puts the node t = 0 at the peak
   of r^(p+1) exp(-c r^q) (in log r), so the transformed integrand is well
@@ -35,13 +39,6 @@ bound.  Each level's products are summed over its own sub-batches of at
 most 256 nodes, so the sums, and every result, are bit for bit those of
 evaluating each level alone.
 
-A product integrand is given as rows: a callable returning a stack of
-T tables, one per weight exponent (p_1, ..., p_T), each with one row
-per function, whose integral is one Gram matrix per table, table i
-weighted by r^p_i: integral_0^inf f(r) f(r)^T r^p_i dr of all pairwise
-products of its rows.  A single exponent p is the stack (p,), whose
-one table the callable may also return as a 2-D table (or a 1-D array
-for one function).  An energy integral |v|^2 r^p is a 1 x 1 table.
 All tables share one node ladder and one refinement loop, which
 evaluates the callable once on each batch of new nodes, so the parts of
 one form triple share their nodes and whatever the tables have in
@@ -55,9 +52,9 @@ farthest out.
 Weights that underflow to zero are masked before the integrand is
 evaluated: at extreme nodes the integrand itself may overflow double
 range even though its weighted contribution is exactly negligible, and
-evaluating it there would poison the sum with inf * 0.  In a stack a
-node is evaluated when any table's weight is alive there, and a table
-ignores whatever it returns at nodes where its own weight underflows.
+evaluating it there would poison the sum with inf * 0.  A node is
+evaluated when any table's weight is alive there, and a table ignores
+whatever it returns at nodes where its own weight underflows.
 """
 
 from __future__ import annotations
@@ -90,13 +87,17 @@ __all__ = [
 _T_CAP = 9.2
 _H0 = 1.0
 _EPS = float(np.finfo(float).eps)
+# Deepest refinement level (step h = 2^-level).
+_MAX_LEVEL = 12
+# Where the half line is cut between the two transforms.
+_SPLIT_POINT = 1.0
 # Row weights at or below this edge are centred as weight 0.
 _FOLD_EDGE = -0.9
-# Levels 0.._FIRST_PASS are evaluated in one pass, each deeper level alone
-# (QuadratureSpec.max_level is at least 4).  Of the 672 integrals of four
-# rounds of library queries of the benchmark's closed-forms workload (seed
-# 11), none stops sooner: 67 stop at level 4, 590 at level 5 and 15 at
-# level 6.  So those levels always run, on a few hundred nodes in all.
+# Levels 0.._FIRST_PASS are evaluated in one pass, each deeper level alone.
+# Of the 672 integrals of four rounds of library queries of the benchmark's
+# closed-forms workload (seed 11), none stops sooner: 67 stop at level 4,
+# 590 at level 5 and 15 at level 6.  So those levels always run, on a few
+# hundred nodes in all.
 _FIRST_PASS = 4
 # Most nodes over which one Gram product of a level is summed.
 _BATCH_NODES = 256
@@ -109,106 +110,72 @@ _BATCH_VALUES = 256 * 16 * 5
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and refinement budget for :func:`integrate`.
+    """Tolerance for :func:`integrate`.
 
     Attributes
     ----------
     rel_tol : float
         Relative tolerance on the integral; must lie in (1e-15, 1e-3).
-    max_level : int
-        Deepest refinement level (step h = 2^-level); in [4, 16].
-    split_point : float
-        Where the half line is cut between the two transforms; > 0.
     """
 
     rel_tol: float = 1e-12
-    max_level: int = 12
-    split_point: float = 1.0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.rel_tol, float) and 1e-15 < self.rel_tol < 1e-3):
             raise DomainError(
                 f"rel_tol must be a float in (1e-15, 1e-3), got {self.rel_tol!r}"
             )
-        if not (isinstance(self.max_level, int) and 4 <= self.max_level <= 16):
-            raise DomainError(
-                f"max_level must be an int in [4, 16], got {self.max_level!r}"
-            )
-        if not (
-            isinstance(self.split_point, (int, float))
-            and math.isfinite(self.split_point)
-            and self.split_point > 0
-        ):
-            raise DomainError(f"split_point must be finite and > 0, got {self.split_point!r}")
 
 
 @dataclass(frozen=True)
 class IntegrandHandle:
-    """A weighted half-line integrand: f(r) r^weight_exponent, or the Gram
-    matrices of rows under one weight or a stack of weights.
+    """The Gram matrices of rows under a stack of weights r^p_i.
 
     Attributes
     ----------
-    evaluator : callable or None
-        Vectorised f: accepts a float ndarray of radii (all > 0), returns
-        an ndarray of the same shape.
-    weight_exponent : float or tuple of floats
-        The power p of the explicit r^p weight: > -1 for an evaluator,
-        any finite value for rows, which must then vanish fast enough at
-        the origin for their products to converge.  For ``rows`` a
-        non-empty tuple (p_1, ..., p_T) weights a stack of T tables; a
-        single p is the stack (p,).
+    rows : callable
+        Accepts a float ndarray of n radii (all > 0) and returns an array
+        of shape (T, rows, n): one table per weight exponent and one row
+        per function, table i to be weighted by r^p_i.  The integral of a
+        table is the (rows, rows) matrix of all pairwise products of its
+        rows, each entry converged to ``rel_tol`` relative to its
+        absolute mass (the integral of |f_i f_j| r^p).  Every row is
+        multiplied by sqrt(w r^p) first, which cannot overflow for
+        convergent integrals even where f alone, or r^p, would exceed
+        double range near a singular endpoint.  Values a table returns
+        where its own weight underflows to zero are ignored, even if not
+        finite.
+    weight_exponent : tuple of floats
+        The non-empty stack (p_1, ..., p_T) of powers of the explicit
+        weights, each finite; the rows must vanish fast enough at the
+        origin for their products to converge.  A weight at or below
+        -0.9 is centred in the tail transform as weight 0.
     decay_hint : (c, q) or None
         Optional tail scale: the integrand decays roughly like
         exp(-c r^q).  Used only to centre the tail transform; wrong hints
         cost accuracy per level, not correctness.
     tail_scale : float or None
-        Optional scale s of the tail transform r = a + s exp(kappa sinh t),
+        Optional scale s of the tail transform r = 1 + s exp(kappa sinh t),
         for a caller that knows where its integrand's mass ends (such as
         the turning point of an oscillating row); it replaces the scale
         derived from the decay hint and the weights, and kappa still
         follows the hint.
-    rows : callable or None
-        Alternative to ``evaluator`` for products (energies |v'|^2, Gram
-        products phi_j phi_l): returns an array of shape (T, rows, n),
-        one table per weight exponent and one row per function, table i
-        to be weighted by r^p_i; for T = 1 a table of shape (rows, n),
-        or a 1-D array for one function, will do.  The integral of a table is the (rows, rows) matrix of all
-        pairwise products of its rows, each entry converged to
-        ``rel_tol`` relative to its absolute mass (the integral of
-        |f_i f_j| r^p).  Every row is multiplied by sqrt(w r^p) first,
-        which cannot overflow for convergent integrals even where f
-        alone, or r^p, would exceed double range near a singular
-        endpoint.  Values a table returns where its own weight underflows
-        to zero are ignored, even if not finite.  A weight at or below
-        -0.9 is centred in the tail transform as weight 0.  Exactly one
-        of ``evaluator``/``rows`` must be given.
     """
 
-    evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    weight_exponent: Union[float, Tuple[float, ...]] = 0.0
+    rows: Callable[[np.ndarray], np.ndarray]
+    weight_exponent: Tuple[float, ...]
     decay_hint: Optional[Tuple[float, float]] = None
-    rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tail_scale: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if (self.evaluator is None) == (self.rows is None):
-            raise DomainError("exactly one of evaluator/rows must be provided")
-        if not callable(self.evaluator if self.rows is None else self.rows):
-            raise DomainError("evaluator/rows must be callable")
-        stack = self.weight_exponent
-        if isinstance(stack, tuple):
-            if self.rows is None or not stack:
-                raise DomainError("a stack of weight exponents needs rows and at least "
-                                  "one exponent")
-        else:
-            stack = (stack,)
-        for p in stack:
-            if not (isinstance(p, (int, float)) and math.isfinite(p)
-                    and (self.rows is not None or p > -1.0)):
-                raise DivergentIntegralError(
-                    f"weight_exponent must be finite (and > -1 for an evaluator), got {p!r}"
-                )
+        if not callable(self.rows):
+            raise DomainError("rows must be callable")
+        if not (isinstance(self.weight_exponent, tuple) and self.weight_exponent):
+            raise DomainError("weight_exponent must be a non-empty tuple of exponents, "
+                              f"got {self.weight_exponent!r}")
+        for p in self.weight_exponent:
+            if not (isinstance(p, (int, float)) and math.isfinite(p)):
+                raise DivergentIntegralError(f"weight_exponent must be finite, got {p!r}")
         if self.decay_hint is not None:
             c, q = self.decay_hint
             if not (math.isfinite(c) and c > 0 and math.isfinite(q) and q > 0):
@@ -220,8 +187,8 @@ class IntegrandHandle:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Converged integral value with its refinement error estimate (both
-    (T, rows, rows) arrays for a rows integrand with T weight exponents).
+    """Converged Gram matrices with their refinement error estimate, both
+    (T, rows, rows) arrays for T weight exponents.
 
     ``levels_used`` is the level the value comes from, and ``nodes_used``
     the number of nodes the integrand was evaluated at: every node of the
@@ -229,8 +196,8 @@ class QuadratureResult:
     level, and every node of each deeper level evaluated.
     """
 
-    value: Union[float, np.ndarray]
-    err_est: Union[float, np.ndarray]
+    value: np.ndarray
+    err_est: np.ndarray
     levels_used: int
     nodes_used: int
 
@@ -255,7 +222,7 @@ def _grid(first: int, last: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np
                                           List[slice]]:
     """(sinh t, cosh t) for the nodes new at levels first..last, level by
     level, the tanh-sinh nodes sigmoid(pi sinh t) and weights on (0, 1],
-    which a split point a scales by a, and the span of each level."""
+    which the split point scales, and the span of each level."""
     steps = [_steps(level) for level in range(first, last + 1)]
     t = np.concatenate(steps)
     sinh_t, cosh_t = np.sinh(t), np.cosh(t)
@@ -286,9 +253,8 @@ class _HalfMap:
     (r, w) node/weight arrays with positive weight of each level of a
     grid."""
 
-    def __init__(self, kind: str, a: float, scale: float, kappa: float):
+    def __init__(self, kind: str, scale: float, kappa: float):
         self.kind = kind
-        self.a = a
         self.scale = scale
         self.kappa = kappa
 
@@ -296,27 +262,21 @@ class _HalfMap:
         sinh_t, cosh_t, unit_r, unit_w, spans = grid
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if self.kind == "tanh-sinh":
-                r = self.a * unit_r
-                w = self.a * unit_w
+                r = _SPLIT_POINT * unit_r
+                w = _SPLIT_POINT * unit_w
             else:  # exp-sinh
                 g = self.scale * np.exp(self.kappa * sinh_t)
-                r = self.a + g
+                r = _SPLIT_POINT + g
                 w = self.kappa * cosh_t * g
             keep = np.isfinite(r) & (r > 0.0) & np.isfinite(w) & (w > 0.0)
         return [(r[span][keep[span]], w[span][keep[span]]) for span in spans]
 
 
-def _exponents(handle: IntegrandHandle) -> np.ndarray:
-    """The weight exponents as a 1-D array, one per table."""
-    return np.atleast_1d(np.asarray(handle.weight_exponent, dtype=float))
-
-
-def _build_maps(handle: IntegrandHandle, a: float) -> Tuple[_HalfMap, _HalfMap]:
+def _build_maps(handle: IntegrandHandle) -> Tuple[_HalfMap, _HalfMap]:
     if handle.decay_hint is not None:
         c, q = handle.decay_hint
-        p = _exponents(handle)
-        if handle.rows is not None:
-            p = np.where(p <= _FOLD_EDGE, 0.0, p)
+        p = np.asarray(handle.weight_exponent, dtype=float)
+        p = np.where(p <= _FOLD_EDGE, 0.0, p)
         peak = (float(np.max(p)) + 1.0) / (c * q)
         scale = max(c ** (-1.0 / q), peak ** (1.0 / q))
         kappa = 0.5 * math.pi / q
@@ -325,54 +285,16 @@ def _build_maps(handle: IntegrandHandle, a: float) -> Tuple[_HalfMap, _HalfMap]:
         kappa = 0.5 * math.pi
     if handle.tail_scale is not None:
         scale = handle.tail_scale
-    return (
-        _HalfMap("tanh-sinh", a, 1.0, 0.0),
-        _HalfMap("exp-sinh", a, scale, kappa),
-    )
-
-
-def _rescue_overflow(
-    term: np.ndarray,
-    values: np.ndarray,
-    r: np.ndarray,
-    w: np.ndarray,
-    p: Union[float, np.ndarray],
-    share: float = 1.0,
-) -> np.ndarray:
-    """Recompute non-finite products of finite parts in log space.
-
-    ``term`` is ``values`` times ``share`` times the weight w r^p (all
-    broadcast to its shape along the node axis).  A tiny (denormal)
-    integrand value times a huge transformed weight overflows or turns
-    into nan even though the true product is negligible; log arithmetic
-    settles each such node.  Genuinely divergent nodes stay non-finite
-    and are reported by the caller.
-    """
-    bad = ~np.isfinite(term)
-    if not np.any(bad):
-        return term
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                     under="ignore"):
-        rb = np.broadcast_to(r, term.shape)[bad]
-        wb = np.broadcast_to(w, term.shape)[bad]
-        pb = np.broadcast_to(p, term.shape)[bad]
-        fb = values[bad]
-        out = term.copy()
-        out[bad] = np.sign(fb) * np.exp(share * (np.log(wb) + pb * np.log(rb))
-                                        + np.log(np.abs(fb)))
-    return out
+    return _HalfMap("tanh-sinh", 1.0, 0.0), _HalfMap("exp-sinh", scale, kappa)
 
 
 def _row_tables(handle: IntegrandHandle, r: np.ndarray, tables: int) -> np.ndarray:
-    """The rows at r as a (tables, rows, len(r)) array; a 1-D or 2-D
-    return is one table."""
+    """The rows at r as a (tables, rows, len(r)) array."""
     vals = np.asarray(handle.rows(r), dtype=float)
-    if vals.ndim in (1, 2):
-        vals = np.atleast_2d(vals)[None]
     if vals.ndim != 3 or vals.shape[0] != tables or vals.shape[-1] != r.size:
         raise DomainError(
-            "rows must return an array matching their input, a table with one "
-            "row per function, or one such table per weight exponent"
+            "rows must return one table per weight exponent, each with one row "
+            "per function and one column per radius"
         )
     return vals
 
@@ -384,46 +306,31 @@ def _weighted_rows(
     and the mask of values that are not finite where their table's weight
     is alive.
 
-    ``wp`` holds w r^p_i, one row per table.
+    ``wp`` holds w r^p_i, one row per table.  A tiny (denormal) row value
+    times a huge transformed weight overflows or turns into nan even
+    though the true product is negligible, so non-finite products of
+    finite parts are recomputed in log space.  Genuinely divergent nodes
+    stay non-finite and are reported by the caller.
     """
     live = (wp != 0.0)[:, None, :]
     bad = live & ~np.isfinite(vals)
     g = vals * np.sqrt(wp)[:, None, :]
     g[~live | (vals == 0.0)] = 0.0
-    return _rescue_overflow(g, vals, r, w, p[:, None, None], share=0.5), bad
+    over = ~np.isfinite(g)
+    if np.any(over):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                         under="ignore"):
+            rb = np.broadcast_to(r, g.shape)[over]
+            wb = np.broadcast_to(w, g.shape)[over]
+            pb = np.broadcast_to(p[:, None, None], g.shape)[over]
+            fb = vals[over]
+            g[over] = np.sign(fb) * np.exp(0.5 * (np.log(wb) + pb * np.log(rb))
+                                           + np.log(np.abs(fb)))
+    return g, bad
 
 
 # A level's signed and absolute sums, or the error raised if it is reached.
-_Sums = Union[Sequence[Union[float, np.ndarray]], NonFiniteSampleError]
-
-
-def _evaluator_sums(
-    handle: IntegrandHandle,
-    r: np.ndarray,
-    w: np.ndarray,
-    wp: np.ndarray,
-    p: float,
-    levels: List[slice],
-) -> List[_Sums]:
-    """The sums of each level of a pass, from one call of the evaluator."""
-    f = np.asarray(handle.evaluator(r), dtype=float)
-    if f.shape != r.shape:
-        raise DomainError("evaluator must return an array of the same shape as its input")
-    sums: List[_Sums] = []
-    for nodes in levels:
-        fl, rl, wpl = f[nodes], r[nodes], wp[nodes]
-        bad = ~np.isfinite(fl)
-        if np.any(bad):
-            return sums + [NonFiniteSampleError(
-                f"integrand returned a non-finite value at r={rl[bad][0]!r}")]
-        term = np.where(fl == 0.0, 0.0, fl * wpl)
-        term = _rescue_overflow(term, fl, rl, w[nodes], p)
-        if not np.all(np.isfinite(term)):
-            idx = int(np.flatnonzero(~np.isfinite(term))[0])
-            return sums + [NonFiniteSampleError(
-                f"weighted integrand overflowed at r={rl[idx]!r} (weight={wpl[idx]!r})")]
-        sums.append((float(np.sum(term)), float(np.sum(np.abs(term)))))
-    return sums
+_Sums = Union[Sequence[np.ndarray], NonFiniteSampleError]
 
 
 def _run_end(subs: Sequence[slice], start: int, per_node: int) -> int:
@@ -539,30 +446,25 @@ def _pass(
         live = np.any(wp != 0.0, axis=0)
         spans = _spans([sum(hr.size for hr, _ in halves) for halves in per_level])
         levels = _spans([int(np.count_nonzero(live[span])) for span in spans])
-        r, w, wp = r[live], w[live], wp[:, live]
-        if handle.rows is None:
-            return _evaluator_sums(handle, r, w, wp[0], p[0], levels), r.size, per_node
-        return _row_sums(handle, r, w, wp, p, levels, per_node)
+        return _row_sums(handle, r[live], w[live], wp[:, live], p, levels, per_node)
 
 
 def _level_sums(
     handle: IntegrandHandle,
     maps: Tuple[_HalfMap, ...],
-    spec: QuadratureSpec,
-) -> Iterator[Tuple[Union[float, np.ndarray], Union[float, np.ndarray], int]]:
-    """Weighted integrand sums of levels 0, 1, ... in turn.
+) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:
+    """Weighted Gram sums of levels 0, 1, ... in turn.
 
-    Yields the signed sum, the sum of magnitudes (the rounding floor of
-    any cancellation), which are Gram matrices, one per table, for a rows
-    integrand, and the number of nodes evaluated so far.  Levels
-    0.._FIRST_PASS are evaluated in one pass, each deeper level alone;
-    a pass ends at the first level with a non-finite sample, which is
-    raised only when that level is reached.
+    Yields the signed sums, the sums of magnitudes (the rounding floor of
+    any cancellation), one Gram matrix per table each, and the number of
+    nodes evaluated so far.  Levels 0.._FIRST_PASS are evaluated in one
+    pass, each deeper level alone; a pass ends at the first level with a
+    non-finite sample, which is raised only when that level is reached.
     """
-    p = _exponents(handle)
+    p = np.asarray(handle.weight_exponent, dtype=float)
     n, per_node = 0, p.size  # one row per table until the rows are seen
     passes = [(0, _FIRST_PASS)] + [(level, level)
-                                   for level in range(_FIRST_PASS + 1, spec.max_level + 1)]
+                                   for level in range(_FIRST_PASS + 1, _MAX_LEVEL + 1)]
     for first, last in passes:
         sums, evaluated, per_node = _pass(handle, maps, p, first, last, per_node)
         n += evaluated
@@ -573,12 +475,39 @@ def _level_sums(
             yield (*entry, n)
 
 
-def _refine(
-    handle: IntegrandHandle,
-    maps: Tuple[_HalfMap, ...],
-    spec: QuadratureSpec,
-) -> QuadratureResult:
-    sums = _level_sums(handle, maps, spec)
+def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
+    """Integrate the Gram matrices of the rows over (0, inf) to relative
+    tolerance.
+
+    Parameters
+    ----------
+    handle : IntegrandHandle
+        The rows and their stack of weights.
+    spec : QuadratureSpec
+        Tolerance.
+
+    Returns
+    -------
+    QuadratureResult
+        value, err_est (last refinement difference; an upper estimate of
+        the truncation error for integrands in the double-exponential
+        convergence class), levels and node count.  value and err_est are
+        (T, rows, rows) arrays for T weight exponents; the level is the
+        deepest any entry of any table needs.  Levels 0..4 are evaluated
+        in one pass (one call of rows with one row per table), deeper
+        levels one pass each; the results equal those of evaluating
+        level by level, bit for bit.
+
+    Raises
+    ------
+    NonConvergenceError
+        If level 12 is passed without convergence; carries the partial
+        value/err_est.
+    NonFiniteSampleError
+        If the rows return nan/inf at a contributing node of a level the
+        refinement reaches.
+    """
+    sums = _level_sums(handle, _build_maps(handle))
     s0, a0, n = next(sums)
     value = _H0 * s0
     mass = _H0 * a0
@@ -589,15 +518,13 @@ def _refine(
         value = 0.5 * prev + h * s
         mass = 0.5 * mass + h * a
         err = abs(value - prev)
-        scale = np.maximum(abs(value), 1e-300)
-        if np.ndim(value) >= 2:
-            # Off-diagonal Gram entries may cancel to nearly nothing; each
-            # is converged relative to its absolute mass instead.
-            scale = np.maximum(scale, mass)
-        # The sampled mass bounds what summation rounding allows: for
+        # Off-diagonal Gram entries may cancel to nearly nothing; each is
+        # converged relative to its absolute mass instead.  The sampled
+        # mass also bounds what summation rounding allows: for
         # cancellation-dominated integrals the achievable error floor is
         # eps * mass, not eps * |value|.
-        floor = _EPS * np.maximum(scale, mass)
+        scale = np.maximum(np.maximum(abs(value), 1e-300), mass)
+        floor = _EPS * scale
         if np.all((err <= spec.rel_tol * scale) | (err <= 16.0 * floor)):
             return QuadratureResult(value, err, level, n)
         if np.all(err >= prev_err) and np.all(prev_err <= 1e3 * floor):
@@ -606,42 +533,7 @@ def _refine(
         prev, prev_err = value, err
     raise NonConvergenceError(
         f"quadrature did not reach rel_tol={spec.rel_tol} within "
-        f"max_level={spec.max_level} (last error {float(np.max(err)):.3e})",
+        f"max_level={_MAX_LEVEL} (last error {float(np.max(err)):.3e})",
         value=value,
         err_est=err,
     )
-
-
-def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
-    """Integrate f(r) r^p over (0, inf) to relative tolerance.
-
-    Parameters
-    ----------
-    handle : IntegrandHandle
-        The weighted integrand.
-    spec : QuadratureSpec
-        Tolerance, level budget and split point.
-
-    Returns
-    -------
-    QuadratureResult
-        value, err_est (last refinement difference; an upper estimate of
-        the truncation error for integrands in the double-exponential
-        convergence class), levels and node count.  value and err_est are
-        (T, rows, rows) arrays for a rows integrand with T weight
-        exponents (T = 1 for a single one); the level is the deepest any
-        entry of any table needs.  Levels 0..4 are evaluated in one pass
-        (one call of an evaluator, or of rows with one row per table),
-        deeper levels one pass each; the results equal those of
-        evaluating level by level, bit for bit.
-
-    Raises
-    ------
-    NonConvergenceError
-        If max_level is exhausted; carries the partial value/err_est.
-    NonFiniteSampleError
-        If the integrand returns nan/inf at a contributing node of a level
-        the refinement reaches.
-    """
-    maps = _build_maps(handle, float(spec.split_point))
-    return _refine(handle, maps, spec)

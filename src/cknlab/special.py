@@ -11,12 +11,9 @@ holds the regularised incomplete Gamma functions P(g, x) and Q(g, x),
 which give the profiles of the ``thmC-1``/``thmC-2`` families in closed
 form.
 
-``gamma`` uses the Lanczos approximation (g = 7, 9 coefficients) rather
-than ``math.gamma`` so the kernel is self-contained and testable against
-independent oracles; arguments above ~12 are range-reduced through the
-recurrence Gamma(t) = (t-1) Gamma(t-1), which keeps the power/exponential
-rounding error flat (~1e-14 relative) across the whole double range
-instead of degrading near the overflow edge.
+``gamma`` and ``log_gamma`` are ``math.gamma`` and ``math.lgamma`` on the
+positive half line, with this package's errors in place of ``ValueError``
+and ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -35,28 +32,9 @@ __all__ = [
     "weighted_exp_integral",
     "regularized_gamma_p",
     "regularized_gamma_q",
-    "GAMMA_OVERFLOW_EDGE",
 ]
 
-# Lanczos g = 7, n = 9 coefficient set (standard double-precision choice).
-_LANCZOS_C0 = 0.99999999999980993
-_LANCZOS_P = (
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# gamma(t) exceeds the largest double just above this argument.
-GAMMA_OVERFLOW_EDGE = 171.61
 _LOG_DBL_MAX = math.log(sys.float_info.max)
-# Upper end of the direct-evaluation window; larger arguments are
-# range-reduced so the t^(z+1/2) power never carries a huge exponent.
-_DIRECT_CAP = 12.0
 # Incomplete Gamma: relative size of the last series term or continued-
 # fraction step at convergence, the iteration cap, and Lentz's guard
 # against a zero denominator.
@@ -65,21 +43,11 @@ _INC_MAX_ITERATIONS = 10_000
 _LENTZ_TINY = 1e-300
 
 
-def _lanczos_series(z: float) -> float:
-    """Partial-fraction series A_g(z) for z >= -0.5 (argument convention:
-    caller passes z = t - 1)."""
-    acc = _LANCZOS_C0
-    for i, p in enumerate(_LANCZOS_P):
-        acc += p / (z + i + 1.0)
-    return acc
-
-
-def _gamma_direct(t: float) -> float:
-    # Core Lanczos formula, reliable for 0.5 <= t <= _DIRECT_CAP.
-    z = t - 1.0
-    base = z + 7.5
-    series = _lanczos_series(z)
-    return math.sqrt(2.0 * math.pi) * base ** (z + 0.5) * math.exp(-base) * series
+def _positive(name: str, t: float) -> float:
+    t = float(t)
+    if not math.isfinite(t) or t <= 0.0:
+        raise DomainError(f"{name} requires a finite argument > 0, got {t!r}")
+    return t
 
 
 def gamma(t: float) -> float:
@@ -100,55 +68,22 @@ def gamma(t: float) -> float:
     DomainError
         If ``t`` is not a finite positive number.
     RangeOverflowError
-        If the exact value exceeds double range (t above ~171.61).
+        If the exact value exceeds double range (t above ~171.62).
     """
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"gamma requires a finite argument > 0, got {t!r}")
-    if t > GAMMA_OVERFLOW_EDGE and log_gamma(t) > _LOG_DBL_MAX:
-        raise RangeOverflowError(
-            f"gamma({t!r}) exceeds double-precision range "
-            f"(argument above ~{GAMMA_OVERFLOW_EDGE})"
-        )
-    if t < 0.5:
-        # Reflection; sin(pi t) > 0 on (0, 1/2).
-        value = math.pi / (math.sin(math.pi * t) * _gamma_direct(1.0 - t))
-    elif t <= _DIRECT_CAP:
-        value = _gamma_direct(t)
-    else:
-        # Recurrence down to s in (_DIRECT_CAP - 1, _DIRECT_CAP]:
-        # Gamma(t) = Gamma(s) * s (s+1) ... (t-1).
-        steps = math.ceil(t - _DIRECT_CAP)
-        s = t - steps
-        prod = 1.0
-        for j in range(steps):
-            prod *= s + j
-        value = _gamma_direct(s) * prod
-    if not math.isfinite(value):
-        raise RangeOverflowError(f"gamma({t!r}) exceeds double-precision range")
-    return value
+    t = _positive("gamma", t)
+    try:
+        return math.gamma(t)
+    except OverflowError:
+        raise RangeOverflowError(f"gamma({t!r}) exceeds double-precision range") from None
 
 
 def log_gamma(t: float) -> float:
-    """Natural log of gamma(t) for finite t > 0.
+    """Natural log of gamma(t) for finite t > 0; never overflows.
 
-    Never overflows in the useful range; used for the log-space branch of
-    :func:`weighted_exp_integral` and the overflow pre-check of
-    :func:`gamma`.
+    Used for the log-space branch of :func:`weighted_exp_integral` and
+    the prefactor of the incomplete Gamma functions.
     """
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"log_gamma requires a finite argument > 0, got {t!r}")
-    if t < 0.5:
-        return math.log(math.pi) - math.log(math.sin(math.pi * t)) - log_gamma(1.0 - t)
-    z = t - 1.0
-    base = z + 7.5
-    return (
-        0.5 * math.log(2.0 * math.pi)
-        + (z + 0.5) * math.log(base)
-        - base
-        + math.log(_lanczos_series(z))
-    )
+    return math.lgamma(_positive("log_gamma", t))
 
 
 def weighted_exp_integral(p: float, c: float, q: float) -> float:

@@ -89,14 +89,18 @@ def test_mode_scan_rejects_dimension_beyond_float_range(capsys, formula):
 
 
 @pytest.mark.parametrize("argv", [
-    ("constants",),
-    ("mode-scan", "--formula", "K", "--kmax", "3"),
-    ("quotient", "--test-function"),
+    ("constants", "--n", "1" + "0" * 200),
+    ("mode-scan", "--formula", "K", "--kmax", "3", "--n", "1" + "0" * 200),
+    ("quotient", "--test-function", "--n", "1" + "0" * 200),
+    ("quotient", "--family", "thm1.2-1b", "--n", "1", "--alpha", "1e300"),
+    ("constants", "--n", "3", "--beta", "1e300"),
 ])
 def test_exact_value_beyond_float_range_exits_precondition(capsys, argv):
     # At N = 1e200 the exact rationals exceed double range: float() of them
-    # escaped as an OverflowError traceback (exit 1).
-    code, out, err = run(capsys, *argv, "--n", "1" + "0" * 200)
+    # escaped as an OverflowError traceback (exit 1).  So did the float
+    # powers of a weight of 1e300 in the thm1.2-1b profile's coefficients
+    # and in the reference constants.
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:")

@@ -145,16 +145,18 @@ def test_spherical_reduction_identities():
         w2 = w1.derivative()
         hint = (2.0, 1.0)
 
-        def lap_sq(r):
+        # |Delta u|^2 is the square of one row, |grad u|^2 the sum of
+        # the squares of two: the traces of their Gram tables.
+        def lap(r):
             val = w2(r) + (n - 1) / r * w1(r) - ck / r**2 * w(r)
-            return val * val
+            return val[None, None, :]
 
-        def grad_sq(r):
-            return w1(r) ** 2 + ck * (w(r) / r) ** 2
+        def grad(r):
+            return np.stack([w1(r), math.sqrt(ck) * w(r) / r])[None]
 
-        a_direct = integrate(IntegrandHandle(lap_sq, n - 1 - 2 * alpha, hint), spec).value
-        b_direct = integrate(IntegrandHandle(grad_sq, n - 1, hint), spec).value
-        c_direct = integrate(IntegrandHandle(grad_sq, n - 2 - alpha, hint), spec).value
+        a_direct = integrate(IntegrandHandle(lap, (n - 1 - 2 * alpha,), hint), spec).value[0, 0, 0]
+        b_direct = np.trace(integrate(IntegrandHandle(grad, (n - 1,), hint), spec).value[0])
+        c_direct = np.trace(integrate(IntegrandHandle(grad, (n - 2 - alpha,), hint), spec).value[0])
 
         e = mode_energies(profile_from_exppoly(v), params, k, spec)
         assert a_direct == pytest.approx(e.energy_a, rel=1e-9)

@@ -18,104 +18,125 @@ from cknlab.quadrature import (
 from cknlab.special import weighted_exp_integral
 
 
+def _table(*rows):
+    """The rows callable of one table with rows f_1, f_2, ...: entry
+    [0, i, j] of its integral is that of f_i f_j, so f_1 alone gives the
+    integral of f_1^2 at [0, 0, 0] and a signed integrand s t that of
+    the two-row table (s, t) at [0, 0, 1]."""
+    return lambda r: np.stack([f(r) for f in rows])[None]
+
+
 def test_plain_exponential():
-    res = integrate(IntegrandHandle(lambda r: np.exp(-r), 0.0, (1.0, 1.0)))
-    assert res.value == pytest.approx(1.0, rel=1e-13)
-    assert res.err_est < 1e-12
+    res = integrate(IntegrandHandle(_table(lambda r: np.exp(-0.5 * r)), (0.0,), (1.0, 1.0)))
+    assert res.value[0, 0, 0] == pytest.approx(1.0, rel=1e-13)
+    assert res.err_est[0, 0, 0] < 1e-12
 
 
 def test_gaussian_moment():
-    res = integrate(IntegrandHandle(lambda r: np.exp(-r * r), 2.0, (1.0, 2.0)))
-    assert res.value == pytest.approx(0.25 * math.sqrt(math.pi), rel=1e-12)
+    res = integrate(IntegrandHandle(_table(lambda r: np.exp(-0.5 * r * r)), (2.0,), (1.0, 2.0)))
+    assert res.value[0, 0, 0] == pytest.approx(0.25 * math.sqrt(math.pi), rel=1e-12)
 
 
 def test_endpoint_singularity():
     # r^(-1/2) e^(-r) integrates to Gamma(1/2); the weight exponent
     # carries the singular factor so tanh-sinh clusters nodes correctly.
-    res = integrate(IntegrandHandle(lambda r: np.exp(-r), -0.5, (1.0, 1.0)))
-    assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    res = integrate(IntegrandHandle(_table(lambda r: np.exp(-0.5 * r)), (-0.5,), (1.0, 1.0)))
+    assert res.value[0, 0, 0] == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 def test_without_decay_hint():
-    res = integrate(IntegrandHandle(lambda r: np.exp(-2.0 * r), 3.0, None))
-    assert res.value == pytest.approx(weighted_exp_integral(3.0, 2.0, 1.0), rel=1e-11)
+    res = integrate(IntegrandHandle(_table(lambda r: np.exp(-r)), (3.0,)))
+    assert res.value[0, 0, 0] == pytest.approx(weighted_exp_integral(3.0, 2.0, 1.0), rel=1e-11)
 
 
 def test_factored_handle_matches_plain():
+    # f^2 r^2 as the square of the row f, and as the signed product of
+    # the rows e^(-1.5 r) and (r - 0.3 r^2)^2 e^(-1.5 r).
     f = ExpPoly(((1.0, 1.0), (2.0, -0.3)), 1.5, 1.0)
-    plain = integrate(IntegrandHandle(lambda r: f(r) * f(r), 2.0, (3.0, 1.0)))
-    factored = integrate(IntegrandHandle(None, 2.0, (3.0, 1.0), rows=f))
-    assert factored.value[0, 0, 0] == pytest.approx(plain.value, rel=1e-12)
+    plain = integrate(IntegrandHandle(
+        _table(lambda r: np.exp(-1.5 * r), ExpPoly((f * f).terms, 1.5, 1.0)), (2.0,),
+        (3.0, 1.0)))
+    factored = integrate(IntegrandHandle(_table(f), (2.0,), (3.0, 1.0)))
+    assert factored.value[0, 0, 0] == pytest.approx(plain.value[0, 0, 1], rel=1e-12)
 
 
 def test_rows_absorb_a_weight_below_minus_one():
     # int (r e^-r)^2 r^-1.5 dr = Gamma(1.5) / 2^1.5: the rows vanish at the
     # origin fast enough for a weight the plain integrand could not take.
     f = ExpPoly(((1.0, 1.0),), 1.0, 1.0)
-    res = integrate(IntegrandHandle(None, -1.5, (2.0, 1.0), rows=f))
+    res = integrate(IntegrandHandle(_table(f), (-1.5,), (2.0, 1.0)))
     assert res.value.shape == (1, 1, 1)
     assert res.value[0, 0, 0] == pytest.approx(math.gamma(1.5) / 2.0**1.5, rel=1e-12)
 
 
 def test_algebraic_tail():
     # 1/(1+r)^4 integrates to 1/3 despite only polynomial decay.
-    res = integrate(IntegrandHandle(lambda r: (1.0 + r) ** -4.0, 0.0, None))
-    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-11)
+    res = integrate(IntegrandHandle(_table(lambda r: (1.0 + r) ** -2.0), (0.0,)))
+    assert res.value[0, 0, 0] == pytest.approx(1.0 / 3.0, rel=1e-11)
 
 
 def test_rel_tol_is_respected():
     spec = QuadratureSpec(rel_tol=1e-6)
-    res = integrate(IntegrandHandle(lambda r: np.exp(-r), 4.0, (1.0, 1.0)), spec)
-    assert res.value == pytest.approx(24.0, rel=1e-6)
+    res = integrate(IntegrandHandle(_table(lambda r: np.exp(-0.5 * r)), (4.0,), (1.0, 1.0)),
+                    spec)
+    assert res.value[0, 0, 0] == pytest.approx(24.0, rel=1e-6)
+
+
+def _exp_over_one_plus_r(r):
+    """The row whose square is e^-r / (1 + r)."""
+    return np.exp(-0.5 * r) / np.sqrt(1.0 + r)
 
 
 def test_determinism():
-    handle = IntegrandHandle(lambda r: np.exp(-r) / (1.0 + r), 1.0, (1.0, 1.0))
+    handle = IntegrandHandle(_table(_exp_over_one_plus_r), (1.0,), (1.0, 1.0))
     a = integrate(handle)
     b = integrate(handle)
-    assert a.value == b.value and a.err_est == b.err_est
+    assert np.array_equal(a.value, b.value) and np.array_equal(a.err_est, b.err_est)
 
 
 def test_divergent_integral_does_not_converge():
     with pytest.raises(NonConvergenceError):
-        integrate(IntegrandHandle(lambda r: 1.0 / (1.0 + r), 0.0, None))
+        integrate(IntegrandHandle(_table(lambda r: (1.0 + r) ** -0.5), (0.0,)))
 
 
 def test_non_finite_sample_reported():
     def bad(r):
-        return np.where(r > 1.0, np.nan, np.exp(-r))
+        return np.where(r > 1.0, np.nan, np.exp(-0.5 * r))
 
     with pytest.raises(NonFiniteSampleError):
-        integrate(IntegrandHandle(bad, 0.0, (1.0, 1.0)))
+        integrate(IntegrandHandle(_table(bad), (0.0,), (1.0, 1.0)))
 
 
 def test_denormal_times_huge_weight_is_rescued():
-    # Integrand values underflow to denormals at extreme nodes while the
+    # Row values underflow to denormals at extreme nodes while the
     # transformed weight overflows; the true integral is still finite.
     def steep(r):
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             return np.where(r > 0.0, np.exp(-1.0 / np.maximum(r, 1e-320)), 0.0) / (
                 1.0 + r
-            ) ** 4
-    res = integrate(IntegrandHandle(steep, 0.0, None))
-    assert np.isfinite(res.value)
-    # Reference value from 30-digit mpmath.quad.
-    assert res.value == pytest.approx(0.041247381633079506, rel=1e-9)
+            ) ** 2
+
+    res = integrate(IntegrandHandle(_table(lambda r: (1.0 + r) ** -2, steep), (0.0,)))
+    assert np.all(np.isfinite(res.value))
+    # int e^(-1/r) / (1+r)^4 dr; reference value from 30-digit mpmath.quad.
+    assert res.value[0, 0, 1] == pytest.approx(0.041247381633079506, rel=1e-9)
 
 
 def test_cancellation_reaches_mass_floor():
     # int_0^inf (1 - r) e^{-r} dr = 0 exactly: pure cancellation.
-    poly = ExpPoly(((0.0, 1.0), (1.0, -1.0)), 1.0, 1.0)
-    res = integrate(IntegrandHandle(poly, 0.0, (1.0, 1.0)))
-    assert abs(res.value) < 1e-14
+    half = ExpPoly(((0.0, 1.0),), 0.5, 1.0)
+    poly = ExpPoly(((0.0, 1.0), (1.0, -1.0)), 0.5, 1.0)
+    res = integrate(IntegrandHandle(_table(half, poly), (0.0,), (1.0, 1.0)))
+    assert abs(res.value[0, 0, 1]) < 1e-14
 
 
 def test_tail_centred_on_weighted_mass():
     # r^10 exp(-r^(1/8)) has its mass near r = 88^8 ~ 4e15, far beyond
     # the decay scale c^(-1/q) = 1.
-    res = integrate(IntegrandHandle(lambda r: np.exp(-np.power(r, 0.125)), 10.0,
-                                    (1.0, 0.125)))
-    assert res.value == pytest.approx(weighted_exp_integral(10.0, 1.0, 0.125), rel=1e-11)
+    res = integrate(IntegrandHandle(_table(lambda r: np.exp(-0.5 * np.power(r, 0.125))),
+                                    (10.0,), (1.0, 0.125)))
+    assert res.value[0, 0, 0] == pytest.approx(weighted_exp_integral(10.0, 1.0, 0.125),
+                                               rel=1e-11)
 
 
 def test_table_factors_give_every_pairwise_integral():
@@ -124,7 +145,8 @@ def test_table_factors_give_every_pairwise_integral():
     def table(r):
         return np.array([p(r) for p in polys])
 
-    res = integrate(IntegrandHandle(rows=table, weight_exponent=1.5, decay_hint=(2.0, 1.0)))
+    res = integrate(IntegrandHandle(rows=lambda r: table(r)[None], weight_exponent=(1.5,),
+                                    decay_hint=(2.0, 1.0)))
     assert res.value.shape == (1, 3, 3)
     for j, pj in enumerate(polys):
         for l, pl in enumerate(polys):
@@ -132,7 +154,7 @@ def test_table_factors_give_every_pairwise_integral():
 
 
 def test_table_factors_must_match_nodes():
-    handle = IntegrandHandle(rows=lambda r: np.ones((2, r.size + 1)))
+    handle = IntegrandHandle(rows=lambda r: np.ones((1, 2, r.size + 1)), weight_exponent=(0.0,))
     with pytest.raises(DomainError):
         integrate(handle)
 
@@ -148,7 +170,8 @@ def test_stack_matches_each_table_alone():
                                         weight_exponent=exponents, decay_hint=(2.0, 1.0)))
     assert stacked.value.shape == stacked.err_est.shape == (3, 3, 3)
     for p, value in zip(exponents, stacked.value):
-        alone = integrate(IntegrandHandle(rows=table, weight_exponent=p, decay_hint=(2.0, 1.0)))
+        alone = integrate(IntegrandHandle(rows=lambda r: table(r)[None], weight_exponent=(p,),
+                                          decay_hint=(2.0, 1.0)))
         np.testing.assert_allclose(value, alone.value[0], rtol=1e-12)
         exact = [[(pj * pl).moment(p) for pl in polys] for pj in polys]
         np.testing.assert_allclose(value, exact, rtol=1e-12)
@@ -175,35 +198,44 @@ def test_stack_must_match_its_exponents():
     with pytest.raises(DomainError):
         integrate(IntegrandHandle(rows=lambda r: np.ones((2, 1, r.size)),
                                   weight_exponent=(0.0, 1.0, 2.0)))
+
+
+def test_rows_take_one_form():
+    # A stack of tables is the only integrand: one weight exponent is the
+    # stack (p,), and a single table is returned as a stack of one.
+    rows = _table(lambda r: np.exp(-0.5 * r))
+    for weights in (0.0, 1, ()):
+        with pytest.raises(DomainError):
+            IntegrandHandle(rows, weights)
     with pytest.raises(DomainError):
-        IntegrandHandle(lambda r: np.exp(-r), weight_exponent=(0.0, 1.0))
-    with pytest.raises(DomainError):
-        IntegrandHandle(rows=lambda r: np.exp(-r), weight_exponent=())
+        integrate(IntegrandHandle(lambda r: rows(r)[0], (0.0,), (1.0, 1.0)))
+    assert integrate(IntegrandHandle(rows, (0.0,), (1.0, 1.0))).value[0, 0, 0] == \
+        pytest.approx(1.0, rel=1e-13)
 
 
 def test_tail_scale_moves_the_tail_centre_only():
     # r^8 e^-r has its mass near r = 8, beyond the peak the hint and the
     # weight give (r = 1): centred there, the same integral needs fewer nodes.
     def table(r):
-        return np.exp(8.0 * np.log(r) - r)[None, :]
+        return np.exp(8.0 * np.log(r) - r)[None, None, :]
 
-    hinted = integrate(IntegrandHandle(rows=table, decay_hint=(2.0, 1.0)))
-    centred = integrate(IntegrandHandle(rows=table, decay_hint=(2.0, 1.0), tail_scale=8.0))
+    hinted = integrate(IntegrandHandle(table, (0.0,), decay_hint=(2.0, 1.0)))
+    centred = integrate(IntegrandHandle(table, (0.0,), decay_hint=(2.0, 1.0), tail_scale=8.0))
     exact = math.factorial(16) / 2.0**17
     for res in (hinted, centred):
         assert res.value[0, 0, 0] == pytest.approx(exact, rel=1e-12)
     assert centred.nodes_used < hinted.nodes_used
     for bad in (0.0, -1.0, math.inf):
         with pytest.raises(DomainError):
-            IntegrandHandle(rows=table, tail_scale=bad)
+            IntegrandHandle(table, (0.0,), tail_scale=bad)
 
 
-def _level_by_level(handle, maps, spec):
+def _level_by_level(handle, maps):
     """Reference sums: each level's nodes alone, from the module's node
     maps, its rows in batches of 256 nodes, with the nodes so far."""
-    p = quadrature._exponents(handle)
+    p = np.asarray(handle.weight_exponent, dtype=float)
     n = 0
-    for level in range(spec.max_level + 1):
+    for level in range(quadrature._MAX_LEVEL + 1):
         grid = quadrature._grid(level, level)
         r, w = (np.concatenate(part) for part in zip(*(m.nodes(grid)[0] for m in maps)))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -211,12 +243,6 @@ def _level_by_level(handle, maps, spec):
             live = np.any(wp != 0.0, axis=0)
             r, w, wp = r[live], w[live], wp[:, live]
             n += r.size
-            if handle.rows is None:
-                f = handle.evaluator(r)
-                term = quadrature._rescue_overflow(np.where(f == 0.0, 0.0, f * wp[0]),
-                                                   f, r, w, p[0])
-                yield float(np.sum(term)), float(np.sum(np.abs(term))), n
-                continue
             total = abs_total = 0.0
             for start in range(0, r.size, 256):
                 b = slice(start, start + 256)
@@ -233,7 +259,7 @@ def _level_by_level(handle, maps, spec):
 def _reference(handle, spec, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(quadrature, "_level_sums", _level_by_level)
-        return quadrature._refine(handle, quadrature._build_maps(handle, spec.split_point), spec)
+        return integrate(handle, spec)
 
 
 def _gram_check_handle(monkeypatch):
@@ -258,17 +284,17 @@ def _stack_of_one_row():
                            weight_exponent=(1.5, -0.5, 6.0), decay_hint=(2.0, 1.0))
 
 
-@pytest.mark.parametrize("case", ["evaluator", "one-row stack", "gram stack", "early stop"])
+@pytest.mark.parametrize("case", ["one row", "one-row stack", "gram stack", "early stop"])
 def test_first_pass_matches_level_by_level(monkeypatch, case):
     spec = QuadratureSpec()
-    if case == "evaluator":
-        handle = IntegrandHandle(lambda r: np.exp(-r) / (1.0 + r), 2.0, (1.0, 1.0))
+    if case == "one row":
+        handle = IntegrandHandle(_table(_exp_over_one_plus_r), (2.0,), (1.0, 1.0))
     elif case == "one-row stack":
         handle = _stack_of_one_row()
     elif case == "gram stack":
         handle = _gram_check_handle(monkeypatch)
     else:
-        handle = IntegrandHandle(lambda r: np.exp(-r) / (1.0 + r), 0.0, (1.0, 1.0))
+        handle = IntegrandHandle(_table(_exp_over_one_plus_r), (0.0,), (1.0, 1.0))
         spec = QuadratureSpec(rel_tol=1e-4)
     res, ref = integrate(handle, spec), _reference(handle, spec, monkeypatch)
     assert np.array_equal(res.value, ref.value)
@@ -284,14 +310,13 @@ def test_non_finite_row_past_convergence_is_not_reached():
     # nan at the nodes new at level 4, which a refinement converging at a
     # coarser level never needs; the far exp-sinh nodes of every level
     # round to the split point r = 1 and stay finite.
-    handle = IntegrandHandle(rows=lambda r: np.exp(-r) / (1.0 + r), decay_hint=(2.0, 1.0))
+    handle = IntegrandHandle(_table(lambda r: np.exp(-r) / (1.0 + r)), (0.0,), (2.0, 1.0))
     grid = quadrature._grid(4, 4)
-    level4 = np.concatenate([m.nodes(grid)[0][0]
-                             for m in quadrature._build_maps(handle, 1.0)])
+    level4 = np.concatenate([m.nodes(grid)[0][0] for m in quadrature._build_maps(handle)])
     level4 = level4[level4 != 1.0]
     poisoned = IntegrandHandle(rows=lambda r: np.where(np.isin(r, level4), np.nan,
                                                        handle.rows(r)),
-                               decay_hint=(2.0, 1.0))
+                               weight_exponent=(0.0,), decay_hint=(2.0, 1.0))
     coarse = QuadratureSpec(rel_tol=1e-4)
     res = integrate(poisoned, coarse)
     assert res.levels_used < 4

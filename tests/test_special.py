@@ -94,12 +94,13 @@ def test_weighted_exp_integral_divergent():
 @settings(max_examples=60, deadline=None)
 def test_weighted_exp_integral_matches_quadrature(p, c, q):
     closed = weighted_exp_integral(p, c, q)
+    # r^p e^(-c r^q) as the one-row table e^(-c r^q / 2).
     result = integrate(IntegrandHandle(
-        evaluator=lambda r: np.exp(-c * np.power(r, q)),
-        weight_exponent=p,
+        rows=lambda r: np.exp(-0.5 * c * np.power(r, q))[None, None, :],
+        weight_exponent=(p,),
         decay_hint=(c, q),
     ))
-    assert result.value == pytest.approx(closed, rel=1e-10)
+    assert result.value[0, 0, 0] == pytest.approx(closed, rel=1e-10)
 
 
 @given(
