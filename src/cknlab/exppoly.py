@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from .errors import DivergentIntegralError, DomainError
+from .errors import DivergentIntegralError, DomainError, RangeOverflowError
 from .special import weighted_exp_integral
 
 __all__ = ["ExpPoly"]
@@ -145,7 +145,12 @@ class ExpPoly:
 
     def moment(self, p: float) -> float:
         """integral_0^inf self(r) r^p dr (requires rate > 0 and every
-        term power to satisfy g + p > -1)."""
+        term power to satisfy g + p > -1).
+
+        Raises RangeOverflowError if a coefficient is not finite: the
+        product of two polynomials with coefficients past about 1e154 has
+        coefficients that overflow to inf.
+        """
         if self.is_zero:
             return 0.0
         if self.rate == 0.0:
@@ -158,6 +163,9 @@ class ExpPoly:
                 f"moment diverges at the origin: minimum combined exponent "
                 f"{self.min_power + p} <= -1"
             )
+        if not all(math.isfinite(c) for _, c in self.terms):
+            raise RangeOverflowError(
+                "a coefficient of the moment's integrand exceeds double-precision range")
         return math.fsum(
             c * weighted_exp_integral(g + p, self.rate, self.decay_power)
             for g, c in self.terms

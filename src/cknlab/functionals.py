@@ -550,7 +550,7 @@ def _energies(
     handle = IntegrandHandle(rows=rows, weight_exponent=tuple(part[2] for part in live),
                              decay_hint=hint)
     res = integrate(handle, spec)
-    quad = res.value[:, 0, 0]
+    quad = res.value[:, 0, 0].tolist()
     energies, gaps = [], []
     for form in range(3):
         index = [i for i, part in enumerate(live) if part[0] == form]

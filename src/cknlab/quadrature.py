@@ -26,11 +26,13 @@ half line is cut at r = 1:
 Both halves share one trapezoid step h in the transformed variable; each
 refinement level halves h and reuses previous samples, so the cost of
 level m is the same as all previous levels combined.  Convergence is
-declared when successive refinements of the *sum* agree to ``rel_tol``,
-tested level by level.  The new nodes of levels 0..4, from both halves,
-are evaluated in one pass, since almost no integral stops sooner, and
-each deeper level in a pass of its own; a non-finite sample of a level
-the test never reaches is no error.  Rows are called, and weighted, on
+declared when successive refinements of the *sum* agree to ``rel_tol``.
+The new nodes of levels 0..5, from both halves, are evaluated in one
+pass, since most integrals of this package stop at level 5, and each
+deeper level in a pass of its own.  Each pass's levels are stacked on a
+leading axis and tested together, in one set of array operations, and
+the first level that passes the test is the result; a non-finite sample
+of a level the test never reaches is no error.  Rows are called, and weighted, on
 batches of at most 20480 values (tables x rows x nodes), so a stack of
 one row per table takes one call a pass while a wide Gram stack is held
 to 256 nodes at a time, which bounds the memory it takes; the first call
@@ -63,7 +65,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,10 +97,14 @@ _SPLIT_POINT = 1.0
 _FOLD_EDGE = -0.9
 # Levels 0.._FIRST_PASS are evaluated in one pass, each deeper level alone.
 # Of the 672 integrals of four rounds of library queries of the benchmark's
-# closed-forms workload (seed 11), none stops sooner: 67 stop at level 4,
-# 590 at level 5 and 15 at level 6.  So those levels always run, on a few
-# hundred nodes in all.
-_FIRST_PASS = 4
+# closed-forms workload, none stops below level 4, and 60-80 stop at level
+# 4, 574-597 at level 5 and 15-18 at level 6 (seeds 11, 41, 42 and 43).  In
+# a round of the probe workload, 6 of the 7 Gram checks and all 5 energy
+# triples stop at level 5, and the N = 4, k = 3, m = 16 check at level 6.
+# So one pass is the rule, on about a thousand nodes.
+_FIRST_PASS = 5
+_PASSES = ((0, _FIRST_PASS),) + tuple(
+    (level, level) for level in range(_FIRST_PASS + 1, _MAX_LEVEL + 1))
 # Most nodes over which one Gram product of a level is summed.
 _BATCH_NODES = 256
 # Most values (tables x rows x nodes) the rows are called on, or weighted,
@@ -192,7 +198,7 @@ class QuadratureResult:
 
     ``levels_used`` is the level the value comes from, and ``nodes_used``
     the number of nodes the integrand was evaluated at: every node of the
-    first pass (levels 0..4) even where the value comes from a coarser
+    first pass (levels 0..5) even where the value comes from a coarser
     level, and every node of each deeper level evaluated.
     """
 
@@ -329,7 +335,8 @@ def _weighted_rows(
     return g, bad
 
 
-# A level's signed and absolute sums, or the error raised if it is reached.
+# A sub-batch's signed and absolute Gram products, or the error of its
+# non-finite sample.
 _Sums = Union[Sequence[np.ndarray], NonFiniteSampleError]
 
 
@@ -374,13 +381,13 @@ def _products(
             if np.any(bad[..., sub]):
                 at = np.broadcast_to(at, bad[..., sub].shape)[bad[..., sub]][0]
                 return products + [NonFiniteSampleError(
-                    f"integrand row returned a non-finite value at r={at!r}")], per_node
+                    f"integrand row returned a non-finite value at r={float(at)!r}")], per_node
             gs = np.ascontiguousarray(g[..., sub])
             term = gs @ gs.transpose(0, 2, 1)
             if not np.all(np.isfinite(term)):
                 return products + [NonFiniteSampleError(
                     "weighted Gram table overflowed on nodes r in "
-                    f"[{at.min()!r}, {at.max()!r}]")], per_node
+                    f"[{float(at.min())!r}, {float(at.max())!r}]")], per_node
             np.abs(gs, out=gs)
             products.append((term, gs @ gs.transpose(0, 2, 1)))
         start = end
@@ -395,33 +402,40 @@ def _row_sums(
     p: np.ndarray,
     levels: List[slice],
     per_node: int,
-) -> Tuple[List[_Sums], int, int]:
-    """The Gram sums of each level of a pass, the nodes evaluated and the
-    values per node the rows returned.
+) -> Tuple[np.ndarray, Optional[NonFiniteSampleError], int, int]:
+    """The Gram sums of the levels of a pass, the error of the first level
+    with a non-finite sample (or None), the nodes evaluated and the values
+    per node the rows returned.
 
-    A level's products are summed over sub-batches of at most _BATCH_NODES
-    of its nodes.  The rows are called on runs of sub-batches of at most
-    _BATCH_VALUES values (or one sub-batch), at ``per_node`` values a node
-    until a call shows how many there are.
+    The sums are stacked as (levels, 2, T, rows, rows): each level's
+    signed sums, then its sums of magnitudes.  They stop before a level
+    with a non-finite sample.  A level's products are summed over
+    sub-batches of at most _BATCH_NODES of its nodes.  The rows are
+    called on runs of sub-batches of at most _BATCH_VALUES values (or one
+    sub-batch), at ``per_node`` values a node until a call shows how many
+    there are.
     """
     owners = [i for i, nodes in enumerate(levels)
               for _ in range(nodes.start, nodes.stop, _BATCH_NODES)]
     subs = [slice(start, min(start + _BATCH_NODES, nodes.stop)) for nodes in levels
             for start in range(nodes.start, nodes.stop, _BATCH_NODES)]
-    totals: List[_Sums] = [[0.0, 0.0] for _ in levels]
+    rows = per_node // p.size
+    totals = np.zeros((len(levels), 2, p.size, rows, rows))
     done = 0
     while done < len(subs):
         end = _run_end(subs, done, per_node)
         lo, hi = subs[done].start, subs[end - 1].stop
         products, per_node = _products(handle, r[lo:hi], w[lo:hi], wp[:, lo:hi], p,
                                        [slice(s.start - lo, s.stop - lo) for s in subs[done:end]])
+        if per_node != p.size * rows:  # the first call shows how many rows there are
+            rows = per_node // p.size
+            totals = np.zeros((len(levels), 2, p.size, rows, rows))
         for i, product in zip(owners[done:end], products):
             if isinstance(product, NonFiniteSampleError):
-                return totals[:i] + [product], hi, per_node
-            totals[i][0] = totals[i][0] + product[0]
-            totals[i][1] = totals[i][1] + product[1]
+                return totals[:i], product, hi, per_node
+            totals[i] += product
         done = end
-    return totals, r.size, per_node
+    return totals, None, r.size, per_node
 
 
 def _pass(
@@ -431,9 +445,9 @@ def _pass(
     first: int,
     last: int,
     per_node: int,
-) -> Tuple[List[_Sums], int, int]:
-    """The sums of each of levels first..last, evaluated together, the
-    nodes evaluated and the values per node of the rows (see _row_sums).
+) -> Tuple[np.ndarray, Optional[NonFiniteSampleError], int, int]:
+    """The sums of levels first..last, evaluated together, and what else
+    _row_sums returns.
 
     The nodes are ordered by level and within a level by half, as each
     level alone would have them.
@@ -447,32 +461,6 @@ def _pass(
         spans = _spans([sum(hr.size for hr, _ in halves) for halves in per_level])
         levels = _spans([int(np.count_nonzero(live[span])) for span in spans])
         return _row_sums(handle, r[live], w[live], wp[:, live], p, levels, per_node)
-
-
-def _level_sums(
-    handle: IntegrandHandle,
-    maps: Tuple[_HalfMap, ...],
-) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:
-    """Weighted Gram sums of levels 0, 1, ... in turn.
-
-    Yields the signed sums, the sums of magnitudes (the rounding floor of
-    any cancellation), one Gram matrix per table each, and the number of
-    nodes evaluated so far.  Levels 0.._FIRST_PASS are evaluated in one
-    pass, each deeper level alone; a pass ends at the first level with a
-    non-finite sample, which is raised only when that level is reached.
-    """
-    p = np.asarray(handle.weight_exponent, dtype=float)
-    n, per_node = 0, p.size  # one row per table until the rows are seen
-    passes = [(0, _FIRST_PASS)] + [(level, level)
-                                   for level in range(_FIRST_PASS + 1, _MAX_LEVEL + 1)]
-    for first, last in passes:
-        sums, evaluated, per_node = _pass(handle, maps, p, first, last, per_node)
-        n += evaluated
-        while sums:
-            entry = sums.pop(0)  # so that no level's sums outlive their use
-            if isinstance(entry, NonFiniteSampleError):
-                raise entry
-            yield (*entry, n)
 
 
 def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
@@ -493,10 +481,11 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         the truncation error for integrands in the double-exponential
         convergence class), levels and node count.  value and err_est are
         (T, rows, rows) arrays for T weight exponents; the level is the
-        deepest any entry of any table needs.  Levels 0..4 are evaluated
+        deepest any entry of any table needs.  Levels 0..5 are evaluated
         in one pass (one call of rows with one row per table), deeper
-        levels one pass each; the results equal those of evaluating
-        level by level, bit for bit.
+        levels one pass each, and each pass's levels are tested together;
+        the results equal those of evaluating and testing level by level,
+        bit for bit.
 
     Raises
     ------
@@ -507,33 +496,52 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         If the rows return nan/inf at a contributing node of a level the
         refinement reaches.
     """
-    sums = _level_sums(handle, _build_maps(handle))
-    s0, a0, n = next(sums)
-    value = _H0 * s0
-    mass = _H0 * a0
-    prev = value
-    prev_err = math.inf
-    for level, (s, a, n) in enumerate(sums, start=1):
-        h = _H0 / 2.0**level
-        value = 0.5 * prev + h * s
-        mass = 0.5 * mass + h * a
-        err = abs(value - prev)
+    maps = _build_maps(handle)
+    p = np.asarray(handle.weight_exponent, dtype=float)
+    n, per_node = 0, p.size  # one row per table until the rows are seen
+    # The running sums through the last level of the previous pass, and
+    # that level's error estimate.
+    carried = prev_err = None
+    for first, last in _PASSES:
+        sums, unreached, evaluated, per_node = _pass(handle, maps, p, first, last, per_node)
+        n += evaluated
+        if carried is None:
+            prev_err = np.full(sums.shape[2:], math.inf)  # before level 1
+        else:  # the test of level first needs level first - 1
+            sums = np.concatenate([carried[None], sums])
+            first -= 1
+        # Level L's value is h_L times the sum of levels 0..L, which is
+        # 0.5 * (level L-1's value) + h_L * (level L's sum) exactly, short
+        # of subnormal values, as h_L is a power of two; so is its mass.
+        levels = np.arange(first, first + len(sums))
+        totals = np.cumsum(sums, axis=0)
+        h = _H0 / 2.0**levels
+        value, mass = np.moveaxis(h[:, None, None, None, None] * totals, 1, 0)
+        err = abs(value[1:] - value[:-1])
+        prev = np.concatenate([prev_err[None], err])[:-1]
         # Off-diagonal Gram entries may cancel to nearly nothing; each is
         # converged relative to its absolute mass instead.  The sampled
         # mass also bounds what summation rounding allows: for
         # cancellation-dominated integrals the achievable error floor is
         # eps * mass, not eps * |value|.
-        scale = np.maximum(np.maximum(abs(value), 1e-300), mass)
+        scale = np.maximum(np.maximum(abs(value[1:]), 1e-300), mass[1:])
         floor = _EPS * scale
-        if np.all((err <= spec.rel_tol * scale) | (err <= 16.0 * floor)):
-            return QuadratureResult(value, err, level, n)
-        if np.all(err >= prev_err) and np.all(prev_err <= 1e3 * floor):
-            # Refinement hit the rounding floor: report the best level.
-            return QuadratureResult(prev, prev_err, level - 1, n)
-        prev, prev_err = value, err
+        axes = (1, 2, 3)
+        converged = np.all((err <= spec.rel_tol * scale) | (err <= 16.0 * floor), axis=axes)
+        # Refinement hit the rounding floor: the previous level is the best.
+        rounding = np.all(err >= prev, axis=axes) & np.all(prev <= 1e3 * floor, axis=axes)
+        stops = np.flatnonzero(converged | rounding)
+        if stops.size:
+            i = int(stops[0])
+            if converged[i]:
+                return QuadratureResult(value[i + 1], err[i], int(levels[i + 1]), n)
+            return QuadratureResult(value[i], prev[i], int(levels[i]), n)
+        if unreached is not None:
+            raise unreached
+        carried, prev_err = totals[-1], err[-1]
     raise NonConvergenceError(
         f"quadrature did not reach rel_tol={spec.rel_tol} within "
-        f"max_level={_MAX_LEVEL} (last error {float(np.max(err)):.3e})",
-        value=value,
-        err_est=err,
+        f"max_level={_MAX_LEVEL} (last error {float(np.max(prev_err)):.3e})",
+        value=value[-1],
+        err_est=prev_err,
     )

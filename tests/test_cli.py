@@ -94,17 +94,33 @@ def test_mode_scan_rejects_dimension_beyond_float_range(capsys, formula):
     ("quotient", "--test-function", "--n", "1" + "0" * 200),
     ("quotient", "--family", "thm1.2-1b", "--n", "1", "--alpha", "1e300"),
     ("constants", "--n", "3", "--beta", "1e300"),
+    ("quotient", "--family", "thm1.2-2", "--n", "7", "--alpha", "0.25", "--a", "1e200", "--k", "0"),
+    ("quotient", "--family", "thmA", "--n", "7", "--a", "1e300", "--k", "0"),
+    ("quotient", "--family", "thm1.2-1b", "--n", "1", "--alpha", "1e100"),
 ])
 def test_exact_value_beyond_float_range_exits_precondition(capsys, argv):
     # At N = 1e200 the exact rationals exceed double range: float() of them
     # escaped as an OverflowError traceback (exit 1).  So did the float
     # powers of a weight of 1e300 in the thm1.2-1b profile's coefficients
-    # and in the reference constants.
+    # and in the reference constants.  The closed energies square the
+    # profile's polynomial, whose coefficients then overflow to inf: their
+    # moment escaped as "ValueError: -inf + inf in fsum" (exit 1).
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
     assert "exceeds double-precision range" in err
+
+
+def test_quadrature_failure_names_nodes_as_plain_floats(capsys):
+    # An overflowing Gram table names its nodes as floats, not in numpy's
+    # np.float64(...) repr.
+    code, out, err = run(capsys, "quotient", "--family", "thmD", "--n", "7", "--alpha", "0.5",
+                         "--b", "1e-300", "--k", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: did not converge: weighted Gram table overflowed on nodes r in [")
+    assert "np.float64" not in err
 
 
 def test_mode_scan_deterministic_bytes(capsys):

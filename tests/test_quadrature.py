@@ -1,6 +1,7 @@
 """Double-exponential quadrature on half-line integrals with known values."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -100,11 +101,16 @@ def test_divergent_integral_does_not_converge():
 
 
 def test_non_finite_sample_reported():
+    # The message names the nodes as floats, not in numpy's np.float64(...)
+    # repr.
     def bad(r):
         return np.where(r > 1.0, np.nan, np.exp(-0.5 * r))
 
-    with pytest.raises(NonFiniteSampleError):
+    with pytest.raises(NonFiniteSampleError, match=r"non-finite value at r=[\d.e+-]+$"):
         integrate(IntegrandHandle(_table(bad), (0.0,), (1.0, 1.0)))
+    with pytest.raises(NonFiniteSampleError,
+                       match=r"overflowed on nodes r in \[[\d.e+-]+, [\d.e+-]+\]$"):
+        integrate(IntegrandHandle(_table(lambda r: np.full_like(r, 1e200)), (0.0,), (2.0, 1.0)))
 
 
 def test_denormal_times_huge_weight_is_rescued():
@@ -230,11 +236,12 @@ def test_tail_scale_moves_the_tail_centre_only():
             IntegrandHandle(table, (0.0,), tail_scale=bad)
 
 
-def _level_by_level(handle, maps):
-    """Reference sums: each level's nodes alone, from the module's node
-    maps, its rows in batches of 256 nodes, with the nodes so far."""
+def _level_by_level(handle):
+    """Each level's signed and absolute sums and node count: the level's
+    nodes alone, from the module's node maps, its rows in batches of 256
+    nodes."""
+    maps = quadrature._build_maps(handle)
     p = np.asarray(handle.weight_exponent, dtype=float)
-    n = 0
     for level in range(quadrature._MAX_LEVEL + 1):
         grid = quadrature._grid(level, level)
         r, w = (np.concatenate(part) for part in zip(*(m.nodes(grid)[0] for m in maps)))
@@ -242,7 +249,6 @@ def _level_by_level(handle, maps):
             wp = w * np.power(r, p[:, None])
             live = np.any(wp != 0.0, axis=0)
             r, w, wp = r[live], w[live], wp[:, live]
-            n += r.size
             total = abs_total = 0.0
             for start in range(0, r.size, 256):
                 b = slice(start, start + 256)
@@ -253,13 +259,30 @@ def _level_by_level(handle, maps):
                 total = total + g @ g.transpose(0, 2, 1)
                 g = np.abs(g)
                 abs_total = abs_total + g @ g.transpose(0, 2, 1)
-            yield total, abs_total, n
+        yield total, abs_total, r.size
 
 
-def _reference(handle, spec, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "_level_sums", _level_by_level)
-        return integrate(handle, spec)
+def _reference(handle, spec):
+    """(value, err_est, levels_used, branch) of the refinement rule applied
+    one level at a time, each value from the previous one by the trapezoid
+    recurrence; the branch is "converged", "rounding" or "none" (the level
+    cap was passed)."""
+    for level, (s, a, _) in enumerate(_level_by_level(handle)):
+        h = quadrature._H0 / 2.0**level
+        if level == 0:
+            value, mass, prev_err = h * s, h * a, math.inf
+            continue
+        prev, value = value, 0.5 * value + h * s
+        mass = 0.5 * mass + h * a
+        err = abs(value - prev)
+        scale = np.maximum(np.maximum(abs(value), 1e-300), mass)
+        floor = quadrature._EPS * scale
+        if np.all((err <= spec.rel_tol * scale) | (err <= 16.0 * floor)):
+            return value, err, level, "converged"
+        if np.all(err >= prev_err) and np.all(prev_err <= 1e3 * floor):
+            return prev, prev_err, level - 1, "rounding"
+        prev_err = err
+    return value, err, None, "none"
 
 
 def _gram_check_handle(monkeypatch):
@@ -284,26 +307,84 @@ def _stack_of_one_row():
                            weight_exponent=(1.5, -0.5, 6.0), decay_hint=(2.0, 1.0))
 
 
-@pytest.mark.parametrize("case", ["one row", "one-row stack", "gram stack", "early stop"])
+def _noisy(row, amplitude, frequency):
+    """The row with a relative ripple that no refinement resolves, so that
+    the error estimate stalls near the rounding floor."""
+    return lambda r: row(r) * (1.0 + amplitude * np.sin(np.minimum(r, 1e6) * frequency))
+
+
+def _exp(r):
+    return np.exp(-0.5 * r)
+
+
+def _gauss(r):
+    return np.exp(-0.5 * r * r)
+
+
+# case: (handle, rel_tol, level the value comes from, branch taken)
+_REFINEMENTS = {
+    "early stop": (lambda: IntegrandHandle(_table(_exp_over_one_plus_r), (0.0,), (1.0, 1.0)),
+                   1e-4, 2, "converged"),
+    "level 4": (lambda: IntegrandHandle(_table(_exp), (0.0,), (1.0, 1.0)), 1e-6, 4, "converged"),
+    "one row": (lambda: IntegrandHandle(_table(_exp_over_one_plus_r), (2.0,), (1.0, 1.0)),
+                1e-12, 5, "converged"),
+    "one-row stack": (_stack_of_one_row, 1e-12, 5, "converged"),
+    "gram stack": (None, 1e-12, 6, "converged"),
+    "level 8": (lambda: IntegrandHandle(_table(lambda r: _exp(r) * np.cos(3.0 * r)), (0.0,),
+                                        (1.0, 1.0)), 1e-12, 8, "converged"),
+    "rounding in the first pass": (
+        lambda: IntegrandHandle(_table(_noisy(_gauss, 3e-13, 1e5)), (2.0,), (1.0, 2.0)),
+        2e-15, 4, "rounding"),
+    "rounding across passes": (
+        lambda: IntegrandHandle(_table(_noisy(_gauss, 3e-13, 1e5), _noisy(_gauss, 1e-13, 3e4)),
+                                (2.0,), (1.0, 2.0)),
+        2e-15, 6, "rounding"),
+    "no convergence": (
+        lambda: IntegrandHandle(_table(_noisy(_exp, 1e-11, 1e9)), (0.0,), (1.0, 1.0)),
+        2e-15, None, "none"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFINEMENTS))
 def test_first_pass_matches_level_by_level(monkeypatch, case):
-    spec = QuadratureSpec()
-    if case == "one row":
-        handle = IntegrandHandle(_table(_exp_over_one_plus_r), (2.0,), (1.0, 1.0))
-    elif case == "one-row stack":
-        handle = _stack_of_one_row()
-    elif case == "gram stack":
-        handle = _gram_check_handle(monkeypatch)
-    else:
-        handle = IntegrandHandle(_table(_exp_over_one_plus_r), (0.0,), (1.0, 1.0))
-        spec = QuadratureSpec(rel_tol=1e-4)
-    res, ref = integrate(handle, spec), _reference(handle, spec, monkeypatch)
-    assert np.array_equal(res.value, ref.value)
-    assert np.array_equal(res.err_est, ref.err_est)
-    assert res.levels_used == ref.levels_used
+    # The passes and the array-wide convergence test give the values, error
+    # estimates and levels of the rule applied one level at a time.
+    make, rel_tol, level, branch = _REFINEMENTS[case]
+    handle = _gram_check_handle(monkeypatch) if make is None else make()
+    spec = QuadratureSpec(rel_tol=rel_tol)
+    value, err, ref_level, ref_branch = _reference(handle, spec)
+    assert (ref_level, ref_branch) == (level, branch)
+    if branch == "none":
+        with pytest.raises(NonConvergenceError) as failure:
+            integrate(handle, spec)
+        assert np.array_equal(failure.value.value, value)
+        assert np.array_equal(failure.value.err_est, err)
+        return
+    res = integrate(handle, spec)
+    assert np.array_equal(res.value, value)
+    assert np.array_equal(res.err_est, err)
+    assert res.levels_used == level
+    # The first pass evaluates every node of levels 0..5, and each deeper
+    # level tested adds its own.
+    deepest = max(level + (branch == "rounding"), quadrature._FIRST_PASS)
+    assert res.nodes_used == sum(n for *_, n in islice(_level_by_level(handle), deepest + 1))
     if case == "gram stack":
-        assert res.value.shape[1:] == (16, 16) and res.levels_used == 6
-    if case == "early stop":
-        assert res.levels_used < quadrature._FIRST_PASS
+        assert res.value.shape[1:] == (16, 16)
+
+
+def test_gram_check_reaches_level_six_in_two_passes(monkeypatch):
+    # The probe's k = 3, m = 16 Gram check needs level 6: one pass of
+    # levels 0..5 and one of level 6.
+    handle = _gram_check_handle(monkeypatch)
+    passes, original = [], quadrature._pass
+
+    def counted(handle, maps, p, first, last, per_node):
+        passes.append((first, last))
+        return original(handle, maps, p, first, last, per_node)
+
+    monkeypatch.setattr(quadrature, "_pass", counted)
+    assert integrate(handle).levels_used == 6
+    assert passes == [(0, 5), (6, 6)]
 
 
 def test_non_finite_row_past_convergence_is_not_reached():
