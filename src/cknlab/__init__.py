@@ -64,7 +64,6 @@ _NUMERIC = {
         "estimate_mode_constant",
         "make_basis",
         "minimize_quotient",
-        "quotient_gradient",
         "symmetry_breaking_scan",
     ),
 }
@@ -133,7 +132,6 @@ __all__ = [
     "one_dim_quotient",
     "profile_from_callable",
     "profile_from_exppoly",
-    "quotient_gradient",
     "reference_constants",
     "sharp_constant_closed_form",
     "symmetry_breaking_bounds",

@@ -27,9 +27,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import json
 
@@ -79,17 +79,8 @@ EXIT_CONSISTENCY = 4
 
 ENV_CONFIG = "CKNLAB_CONFIG"
 OUTPUT_FORMATS = ("csv", "json", "plot-data")
-SUBCOMMANDS = (
-    "constants",
-    "mode-scan",
-    "quotient",
-    "minimize",
-    "probe-conjecture",
-    "selftest",
-)
 
-DEFAULT_SCAN_K_MAX = 10
-PROBE_K_MAX = 3
+MODE_SCAN_K_MAX = 10
 QUOTIENT_AGREEMENT_RTOL = 1e-8
 
 _ONE_DIM_FAMILIES = ("thm1.2-1a", "thm1.2-1b")
@@ -108,7 +99,7 @@ class RunConfig:
     quadrature: Optional[QuadratureSpec] = None
     basis_sizes: Tuple[int, ...] = DEFAULT_SCAN_SIZES
     k: int = 0
-    k_max: int = DEFAULT_SCAN_K_MAX
+    k_max: int = MODE_SCAN_K_MAX
     output_format: str = "json"
     output_path: Optional[str] = None
     formula: str = FORMULA_PLAIN
@@ -119,7 +110,7 @@ class RunConfig:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.command not in SUBCOMMANDS:
+        if self.command not in _COMMANDS:
             raise PreconditionError(f"unknown command {self.command!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise PreconditionError(
@@ -131,10 +122,11 @@ class RunConfig:
 class SharpConstantReport:
     """One constant, by whichever routes produced a value.
 
-    At least one of ``closed_form``, ``quadrature_value``,
-    ``variational_estimate`` or ``bounds`` must be present.  When several
-    value routes are present they are compared; disagreement beyond the
-    declared tolerance sets ``diagnostics["discrepancy"]``.
+    Every command fills at least one of ``closed_form``,
+    ``quadrature_value``, ``variational_estimate`` or ``bounds``, or
+    raises.  When several value routes are present they are compared;
+    disagreement beyond the declared tolerance sets
+    ``diagnostics["discrepancy"]``.
     """
 
     closed_form: Optional[float] = None
@@ -143,16 +135,6 @@ class SharpConstantReport:
     bounds: Optional[Dict[str, object]] = None
     diagnostics: Dict[str, object] = field(default_factory=dict)
     provenance: Dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        present = (
-            self.closed_form,
-            self.quadrature_value,
-            self.variational_estimate,
-            self.bounds,
-        )
-        if all(v is None for v in present):
-            raise ConsistencyError("report carries no value, estimate, or bounds")
 
 
 @dataclass(frozen=True)
@@ -311,6 +293,26 @@ def _report_document(
     )
 
 
+def _table_document(
+    payload: Dict[str, object],
+    rows: Sequence[Dict[str, object]],
+    header: Tuple[str, ...],
+    plotted: Tuple[str, ...],
+) -> Document:
+    """A document whose table holds the ``header`` columns of ``rows``
+    (one record per row), with one plot series of (k, row[name]) per name
+    in ``plotted``, rows where it is None left out."""
+    return Document(
+        payload=payload,
+        table_header=header,
+        table_rows=tuple(tuple(row[name] for name in header) for row in rows),
+        series=tuple(
+            tuple((float(row["k"]), row[name]) for row in rows if row[name] is not None)
+            for name in plotted
+        ),
+    )
+
+
 def _quadrature(config: RunConfig) -> QuadratureSpec:
     from .quadrature import QuadratureSpec
 
@@ -371,24 +373,14 @@ def cmd_mode_scan(config: RunConfig) -> Document:
             q = mode_quotient_plain(params.n, k)
         else:
             q = mode_quotient_weighted(params.n, params.alpha, k)
-        rows.append(
-            (k, q.value, q.formula, k == inf.argmin_k, inf.tail_verified)
-        )
+        rows.append({"k": k, "value": q.value, "formula": q.formula,
+                     "argmin": k == inf.argmin_k, "tail_verified": inf.tail_verified})
     payload = {
         "command": "mode-scan",
         "params": _params_dict(params),
         "formula": config.formula,
         "k_max": config.k_max,
-        "rows": [
-            {
-                "k": k,
-                "value": value,
-                "formula": formula,
-                "argmin": argmin,
-                "tail_verified": tail,
-            }
-            for k, value, formula, argmin, tail in rows
-        ],
+        "rows": rows,
         "infimum": {
             "value": inf.value,
             "argmin_k": inf.argmin_k,
@@ -396,12 +388,8 @@ def cmd_mode_scan(config: RunConfig) -> Document:
             "tail_verified": inf.tail_verified,
         },
     }
-    return Document(
-        payload=payload,
-        table_header=("k", "value", "formula", "argmin", "tail_verified"),
-        table_rows=tuple(rows),
-        series=(tuple((float(k), value) for k, value, *_ in rows),),
-    )
+    return _table_document(payload, rows, ("k", "value", "formula", "argmin", "tail_verified"),
+                           ("value",))
 
 
 def _read_coefficients(path: str) -> Tuple[float, ...]:
@@ -551,15 +539,11 @@ def cmd_minimize(config: RunConfig) -> Document:
         "gradient_norm": est.final.gradient_norm,
         "iterations": est.final.iterations,
         "warnings": list(est.final.warnings),
+        "mode_lower_bound": est.lower_bound.value,
+        "mode_lower_bound_exact": (
+            str(est.lower_bound.exact) if est.lower_bound.exact is not None else None
+        ),
     }
-    try:
-        lower = mode_quotient_weighted(params.n, params.alpha, config.k)
-        diagnostics["mode_lower_bound"] = lower.value
-        diagnostics["mode_lower_bound_exact"] = (
-            str(lower.exact) if lower.exact is not None else None
-        )
-    except (DomainError, UnsupportedRegimeError, ZeroDivisionError):
-        diagnostics["mode_lower_bound"] = None
     if params.n == 4 and params.alpha == 0.0:
         diagnostics["flag"] = "conjecture-open"
     report = SharpConstantReport(
@@ -594,7 +578,7 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
     from .functionals import test_function_quotient
     from .variational import symmetry_breaking_scan
 
-    params = config.params if config.params is not None else InequalityParams(4, 0.0)
+    params = _require_params(config)
     if params.n != 4:
         raise PreconditionError(
             "the conjecture probe is specific to n=4; "
@@ -614,17 +598,7 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
         spec=spec,
     )
     bounds = _bounds_dict(4)
-    rows = tuple(
-        (
-            row.k,
-            row.raw_value,
-            row.hardy_factor,
-            row.effective_value,
-            row.full_value,
-            row.verdict_value,
-        )
-        for row in scan.rows
-    )
+    rows = [asdict(row) for row in scan.rows]
     payload = {
         "command": "probe-conjecture",
         "banner": "numerical evidence only",
@@ -639,34 +613,10 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
         "test_profile_mode1_quotient": test_function_quotient(4, spec),
         "basis_sizes": list(config.basis_sizes),
         "k_max": config.k_max,
-        "rows": [
-            {
-                "k": row.k,
-                "raw_value": row.raw_value,
-                "hardy_factor": row.hardy_factor,
-                "effective_value": row.effective_value,
-                "full_value": row.full_value,
-                "verdict_value": row.verdict_value,
-                "full_converged": row.full_converged,
-            }
-            for row in scan.rows
-        ],
+        "rows": rows,
     }
-    series_full = tuple((float(r[0]), r[5]) for r in rows)
-    series_eff = tuple((float(r[0]), r[3]) for r in rows if r[3] is not None)
-    return Document(
-        payload=payload,
-        table_header=(
-            "k",
-            "raw_value",
-            "hardy_factor",
-            "effective_value",
-            "full_value",
-            "verdict_value",
-        ),
-        table_rows=rows,
-        series=(series_full, series_eff),
-    )
+    header = ("k", "raw_value", "hardy_factor", "effective_value", "full_value", "verdict_value")
+    return _table_document(payload, rows, header, ("verdict_value", "effective_value"))
 
 
 def cmd_selftest(config: RunConfig) -> Document:
@@ -701,42 +651,75 @@ def cmd_selftest(config: RunConfig) -> Document:
     )
 
 
-_DISPATCH = {
-    "constants": cmd_constants,
-    "mode-scan": cmd_mode_scan,
-    "quotient": cmd_quotient,
-    "minimize": cmd_minimize,
-    "probe-conjecture": cmd_probe_conjecture,
-    "selftest": cmd_selftest,
+_COMMANDS = {
+    "constants": (cmd_constants, "closed-form constants, bounds, references"),
+    "mode-scan": (cmd_mode_scan, "closed-form per-mode table"),
+    "quotient": (cmd_quotient, "quotient of one profile"),
+    "minimize": (cmd_minimize, "variational estimate over nested trial spaces"),
+    "probe-conjecture": (cmd_probe_conjecture, "evidence-only probe of the open n=4 case"),
+    "selftest": (cmd_selftest, "run the acceptance suite"),
 }
 
 
 # ----------------------------------------------------------------------
-# Argument and config-file handling
+# Options: one table serves the flags and the config file
 
-_CONFIG_CASTS = {
-    "n": int,
-    "alpha": float,
-    "beta": float,
-    "k": int,
-    "kmax": int,
-    "basis": str,
-    "a": float,
-    "b": float,
-    "format": str,
-    "out": str,
-    "rel-tol": float,
-    "formula": str,
-    "family": str,
-    "coeffs": str,
-    "test-function": None,  # parsed as a boolean below
-}
+
+class _Option(NamedTuple):
+    """The long flag ``--<flag>``, also a config-file key unless it is
+    ``--config``.  ``field`` names the RunConfig field it sets, except for
+    config and for n, alpha, beta and rel_tol, which ``build_config`` turns
+    into ``params`` and ``quadrature``.  A ``cast`` of None makes it a
+    switch; a ``command`` of None offers it to every subcommand."""
+
+    flag: str
+    field: str
+    cast: Optional[type]
+    help: str
+    choices: Optional[Tuple[str, ...]] = None
+    command: Optional[str] = None
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if self.cast is None:
+            parser.add_argument(f"--{self.flag}", action="store_true", default=None,
+                                dest=self.field, help=self.help)
+            return
+        metavar = None if self.choices else self.flag.upper().replace("-", "_")
+        parser.add_argument(f"--{self.flag}", type=self.cast, choices=self.choices,
+                            dest=self.field, metavar=metavar, help=self.help)
+
+
+_OPTIONS = (
+    _Option("n", "n", int, "dimension N"),
+    _Option("alpha", "alpha", float, "weight exponent alpha"),
+    _Option("beta", "beta", float, "second weight exponent"),
+    _Option("k", "k", int, "mode index"),
+    _Option("kmax", "k_max", int, "largest mode index scanned"),
+    _Option("basis", "basis_sizes", str, "comma list of basis sizes"),
+    _Option("a", "amplitude", float, "family amplitude"),
+    _Option("b", "rate", float, "family rate"),
+    _Option("format", "output_format", str, "output format", OUTPUT_FORMATS),
+    _Option("out", "output_path", str, "output path (atomic write)"),
+    _Option("config", "config", str, "key=value config file"),
+    _Option("rel-tol", "rel_tol", float, "quadrature relative tolerance"),
+    _Option("formula", "formula", str, "which per-mode formula to scan",
+            (FORMULA_PLAIN, FORMULA_WEIGHTED), "mode-scan"),
+    _Option("family", "family", str, "extremal family id", FAMILY_IDS, "quotient"),
+    _Option("test-function", "test_function", None,
+            "use the explicit first-harmonic test profile", command="quotient"),
+    _Option("coeffs", "coeffs_path", str, "file of trial-basis coefficients",
+            command="quotient"),
+)
+_CONFIG_KEYS = {opt.flag: opt for opt in _OPTIONS if opt.flag != "config"}
+# Where probe-conjecture's defaults differ from RunConfig's: the open case n = 4, modes 0..3.
+_PROBE_DEFAULTS = {"n": 4, "k_max": 3}
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def _parse_config_file(path: str) -> Dict[str, object]:
+    """The option values of a config file, keyed by their ``_Option.field``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -753,22 +736,18 @@ def _parse_config_file(path: str) -> Dict[str, object]:
             )
         key, _, raw = text.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_CASTS:
+        opt = _CONFIG_KEYS.get(key)
+        if opt is None:
             raise PreconditionError(f"{path}:{lineno}: unknown config key {key!r}")
-        cast = _CONFIG_CASTS[key]
-        if cast is None:
-            low = raw.lower()
-            if low in _TRUE_WORDS:
-                values[key] = True
-            elif low in _FALSE_WORDS:
-                values[key] = False
-            else:
+        if opt.cast is None:
+            if raw.lower() not in _TRUE_WORDS + _FALSE_WORDS:
                 raise PreconditionError(
                     f"{path}:{lineno}: {key!r} expects a boolean, got {raw!r}"
                 )
+            values[opt.field] = raw.lower() in _TRUE_WORDS
             continue
         try:
-            values[key] = cast(raw)
+            values[opt.field] = opt.cast(raw)
         except ValueError:
             raise PreconditionError(
                 f"{path}:{lineno}: bad value for {key!r}: {raw!r}"
@@ -787,106 +766,44 @@ def _parse_basis(text: str) -> Tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, help="dimension N")
-    common.add_argument("--alpha", type=float, help="weight exponent alpha")
-    common.add_argument("--beta", type=float, help="second weight exponent")
-    common.add_argument("--k", type=int, help="mode index")
-    common.add_argument("--kmax", type=int, help="largest mode index scanned")
-    common.add_argument("--basis", type=str, help="comma list of basis sizes")
-    common.add_argument("--a", type=float, help="family amplitude")
-    common.add_argument("--b", type=float, help="family rate")
-    common.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
-    common.add_argument("--out", type=str, help="output path (atomic write)")
-    common.add_argument("--config", type=str, help="key=value config file")
-    common.add_argument("--rel-tol", type=float, dest="rel_tol",
-                        help="quadrature relative tolerance")
-
     parser = argparse.ArgumentParser(
         prog="cknlab",
         description="Sharp constants, mode quotients and extremal families "
         "of second-order weighted uncertainty inequalities.",
     )
+    common = argparse.ArgumentParser(add_help=False)  # built once, copied into each subcommand
+    for opt in _OPTIONS:
+        if opt.command is None:
+            opt.add_to(common)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("constants", parents=[common],
-                   help="closed-form constants, bounds, references")
-    scan = sub.add_parser("mode-scan", parents=[common],
-                          help="closed-form per-mode table")
-    scan.add_argument("--formula", choices=(FORMULA_PLAIN, FORMULA_WEIGHTED),
-                      help="which per-mode formula to scan")
-    quot = sub.add_parser("quotient", parents=[common],
-                          help="quotient of one profile")
-    quot.add_argument("--family", choices=FAMILY_IDS, help="extremal family id")
-    quot.add_argument("--test-function", action="store_true", default=None,
-                      dest="test_function",
-                      help="use the explicit first-harmonic test profile")
-    quot.add_argument("--coeffs", type=str, dest="coeffs",
-                      help="file of trial-basis coefficients")
-    sub.add_parser("minimize", parents=[common],
-                   help="variational estimate over nested trial spaces")
-    sub.add_parser("probe-conjecture", parents=[common],
-                   help="evidence-only probe of the open n=4 case")
-    sub.add_parser("selftest", parents=[common],
-                   help="run the acceptance suite")
+    for command, (_, help_text) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, parents=[common], help=help_text)
+        for opt in _OPTIONS:
+            if opt.command == command:
+                opt.add_to(command_parser)
     return parser
 
 
-def _merge(args: argparse.Namespace, file_cfg: Dict[str, object]):
-    def pick(flag_name: str, file_key: str, default):
-        value = getattr(args, flag_name, None)
-        if value is not None:
-            return value
-        if file_key in file_cfg:
-            return file_cfg[file_key]
-        return default
-
-    return pick
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, config file, and per-command defaults into a RunConfig."""
-    config_path = args.config or os.environ.get(ENV_CONFIG)
-    file_cfg = _parse_config_file(config_path) if config_path else {}
-    pick = _merge(args, file_cfg)
-
-    command = args.command
-    n = pick("n", "n", 4 if command == "probe-conjecture" else None)
-    alpha = pick("alpha", "alpha", 0.0)
-    beta = pick("beta", "beta", None)
-    params = InequalityParams(n, float(alpha), beta) if n is not None else None
-
-    basis = pick("basis", "basis", None)
-    if isinstance(basis, str):
-        basis_sizes = _parse_basis(basis)
-    elif basis is None:
-        basis_sizes = DEFAULT_SCAN_SIZES
-    else:
-        basis_sizes = tuple(basis)
-
-    rel_tol = pick("rel_tol", "rel-tol", None)
-    quadrature = None
-    if rel_tol is not None:
+    """A RunConfig from the flags, then the config file, then the defaults:
+    RunConfig's and InequalityParams', or ``_PROBE_DEFAULTS`` first for
+    probe-conjecture."""
+    flags = dict(vars(args))
+    command = flags.pop("command")
+    config_path = flags.pop("config") or os.environ.get(ENV_CONFIG)
+    values = dict(_PROBE_DEFAULTS) if command == "probe-conjecture" else {}
+    if config_path:
+        values.update(_parse_config_file(config_path))
+    values.update((name, value) for name, value in flags.items() if value is not None)
+    given = {name: values.pop(name) for name in ("n", "alpha", "beta") if name in values}
+    params = InequalityParams(**given) if "n" in given else None
+    if "basis_sizes" in values:
+        values["basis_sizes"] = _parse_basis(values["basis_sizes"])
+    if "rel_tol" in values:
         from .quadrature import QuadratureSpec
 
-        quadrature = QuadratureSpec(rel_tol=rel_tol)
-
-    default_k_max = PROBE_K_MAX if command == "probe-conjecture" else DEFAULT_SCAN_K_MAX
-    return RunConfig(
-        command=command,
-        params=params,
-        quadrature=quadrature,
-        basis_sizes=basis_sizes,
-        k=pick("k", "k", 0),
-        k_max=pick("kmax", "kmax", default_k_max),
-        output_format=pick("format", "format", "json"),
-        output_path=pick("out", "out", None),
-        formula=pick("formula", "formula", FORMULA_PLAIN),
-        family=pick("family", "family", None),
-        test_function=bool(pick("test_function", "test-function", False)),
-        coeffs_path=pick("coeffs", "coeffs", None),
-        amplitude=pick("a", "a", 1.0),
-        rate=pick("b", "b", 1.0),
-    )
+        values["quadrature"] = QuadratureSpec(rel_tol=values.pop("rel_tol"))
+    return RunConfig(command=command, params=params, **values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -895,7 +812,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-        document = _DISPATCH[config.command](config)
+        document = _COMMANDS[config.command][0](config)
         text = render(document, config.output_format)
         if config.output_path:
             write_atomic(config.output_path, text)

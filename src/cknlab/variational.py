@@ -49,6 +49,7 @@ import numpy as np
 from .constants import (
     DEFAULT_SCAN_SIZES,
     InequalityParams,
+    ModeQuotient,
     hardy_step_factor,
     mode_quotient_weighted,
 )
@@ -57,6 +58,7 @@ from .errors import (
     DivergentIntegralError,
     DomainError,
     NonConvergenceError,
+    RangeOverflowError,
     UnsupportedRegimeError,
     VerificationMismatchError,
 )
@@ -72,7 +74,6 @@ __all__ = [
     "ScanReport",
     "make_basis",
     "build_gram",
-    "quotient_gradient",
     "minimize_quotient",
     "estimate_mode_constant",
     "symmetry_breaking_scan",
@@ -314,6 +315,7 @@ class ModeConstantEstimate:
     basis_sizes: Tuple[int, ...]
     trace: Tuple[float, ...]
     final: MinimizationResult
+    lower_bound: ModeQuotient  # the proven K(N, alpha, k) the estimate was checked against
 
     @property
     def value(self) -> float:
@@ -401,7 +403,7 @@ def _gauss_parts(
     """int f_j f_l r^power dr for all j, l, for every (form, factor, power,
     coef) in ``live``: each by its own exact Gauss-Laguerre rule, the rules
     built together and the Laguerre tables evaluated once on all their
-    nodes."""
+    nodes.  A part that is not finite raises ``RangeOverflowError``."""
     q, m = basis.decay_q, basis.m
     exponents = []
     for _, fac, power, _ in live:
@@ -412,12 +414,18 @@ def _gauss_parts(
                 f"{power} diverge at the origin (rule exponent {s} <= -1)"
             )
         exponents.append(s)
-    y, w = _gauss_laguerre(m + _GAUSS_EXTRA_NODES, tuple(exponents))
-    lag = _laguerre_tables(m, a, y, max(fac.order for _, fac, _, _ in live))
-    parts = []
-    for i, ((_, fac, _, _), s) in enumerate(zip(live, exponents)):
-        values = basis.factor_values(fac, y[i] / 2.0, lag[:, :, i])
-        parts.append((values * (w[i] * 2.0 ** (-s - 1.0) / q)) @ values.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, w = _gauss_laguerre(m + _GAUSS_EXTRA_NODES, tuple(exponents))
+        lag = _laguerre_tables(m, a, y, max(fac.order for _, fac, _, _ in live))
+        parts = []
+        for i, ((_, fac, _, _), s) in enumerate(zip(live, exponents)):
+            values = basis.factor_values(fac, y[i] / 2.0, lag[:, :, i])
+            parts.append((values * (w[i] * 2.0 ** (-s - 1.0) / q)) @ values.T)
+            if not np.all(np.isfinite(parts[-1])):
+                raise RangeOverflowError(
+                    f"the Gauss-Laguerre Gram part of derivative order {fac.order} "
+                    f"(rule exponent {float(s)!r}) exceeds double-precision range"
+                )
     return parts
 
 
@@ -510,7 +518,7 @@ def build_gram(
             if not rel[j, l] <= SPOT_CHECK_RTOL:
                 raise VerificationMismatchError(
                     f"Gram entry check failed for matrix {name}[{j},{l}]: "
-                    f"Gauss-Laguerre {mat[j, l]!r} vs quadrature {quad[j, l]!r} "
+                    f"Gauss-Laguerre {float(mat[j, l])!r} vs quadrature {float(quad[j, l])!r} "
                     f"(rel {rel[j, l]:.3e})"
                 )
             worst = max(worst, float(rel[j, l]))
@@ -531,24 +539,6 @@ def build_gram(
         basis=basis,
         diagnostics=diagnostics,
     )
-
-
-def quotient_gradient(
-    gram: GramTriple, coeffs: Sequence[float]
-) -> Tuple[float, np.ndarray]:
-    """The quotient value and the gradient of its logarithm at ``coeffs``."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (gram.m,):
-        raise DomainError(f"coefficient vector must have shape ({gram.m},)")
-    ac, bc, cc = gram.m_a @ c, gram.m_b @ c, gram.m_c @ c
-    a, b, q_c = float(c @ ac), float(c @ bc), float(c @ cc)
-    if min(a, b, q_c) <= 0.0:
-        raise DomainError(
-            "quotient undefined: a quadratic form is nonpositive at these coefficients"
-        )
-    value = a * b / q_c**2
-    grad = 2.0 * ac / a + 2.0 * bc / b - 4.0 * cc / q_c
-    return value, grad
 
 
 def _symmetric(mat: np.ndarray) -> np.ndarray:
@@ -698,11 +688,11 @@ def estimate_mode_constant(
                 f"when the trial space grew to m={size}"
             )
         trace.append(result.value)
-    bound = mode_quotient_weighted(params.n, params.alpha, k).value
-    if result.value < bound * (1.0 - LOWER_BOUND_SLACK):
+    bound = mode_quotient_weighted(params.n, params.alpha, k)
+    if result.value < bound.value * (1.0 - LOWER_BOUND_SLACK):
         raise ConsistencyError(
             f"estimate {result.value!r} lies below the proven per-mode lower bound "
-            f"K({params.n}, {params.alpha}, {k}) = {bound!r}"
+            f"K({params.n}, {params.alpha}, {k}) = {bound.value!r}"
         )
     return ModeConstantEstimate(
         params=params,
@@ -711,6 +701,7 @@ def estimate_mode_constant(
         basis_sizes=sizes,
         trace=tuple(trace),
         final=result,
+        lower_bound=bound,
     )
 
 

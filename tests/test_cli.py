@@ -97,6 +97,9 @@ def test_mode_scan_rejects_dimension_beyond_float_range(capsys, formula):
     ("quotient", "--family", "thm1.2-2", "--n", "7", "--alpha", "0.25", "--a", "1e200", "--k", "0"),
     ("quotient", "--family", "thmA", "--n", "7", "--a", "1e300", "--k", "0"),
     ("quotient", "--family", "thm1.2-1b", "--n", "1", "--alpha", "1e100"),
+    ("minimize", "--n", "170", "--k", "1"),
+    ("minimize", "--n", "1" + "0" * 200, "--k", "1"),
+    ("minimize", "--n", "9", "--alpha", "-0.95", "--k", "1"),
 ])
 def test_exact_value_beyond_float_range_exits_precondition(capsys, argv):
     # At N = 1e200 the exact rationals exceed double range: float() of them
@@ -104,7 +107,10 @@ def test_exact_value_beyond_float_range_exits_precondition(capsys, argv):
     # powers of a weight of 1e300 in the thm1.2-1b profile's coefficients
     # and in the reference constants.  The closed energies square the
     # profile's polynomial, whose coefficients then overflow to inf: their
-    # moment escaped as "ValueError: -inf + inf in fsum" (exit 1).
+    # moment escaped as "ValueError: -inf + inf in fsum" (exit 1).  The
+    # Gauss-Laguerre weights of a Gram part overflow at rule exponents near
+    # 170: that part was inf or nan and failed the quadrature check (exit 3
+    # or 4, after numpy RuntimeWarnings).
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -451,6 +457,60 @@ def test_minimize_below_lower_bound_exits_consistency(capsys, monkeypatch):
     code, _, err = run(capsys, "minimize", "--n", "5", "--k", "1", "--basis", "4")
     assert code == 4
     assert "lower bound" in err
+
+
+def test_gram_mismatch_exits_consistency_with_plain_floats(capsys, monkeypatch):
+    import cknlab.variational as variational
+
+    original = variational._gauss_parts
+
+    def perturbed(*args):
+        parts = original(*args)
+        return [parts[0] * (1.0 + 1e-6)] + parts[1:]
+
+    monkeypatch.setattr(variational, "_gauss_parts", perturbed)
+    code, out, err = run(capsys, "minimize", "--n", "5", "--k", "1", "--basis", "4")
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: consistency check failed: Gram entry check failed")
+    assert "np.float64" not in err
+
+
+# One sample value per config key: its flag and its config-file line.
+_OPTION_SAMPLES = {
+    "n": "5", "alpha": "0.25", "beta": "0.5", "k": "2", "kmax": "7", "basis": "4,8",
+    "a": "2", "b": "0.5", "format": "csv", "out": "report.json", "rel-tol": "1e-9",
+    "formula": "K", "family": "thmA", "test-function": "yes", "coeffs": "c.txt",
+}
+# A second value of each, which the config file holds when the flag is given too.
+_OPTION_OTHERS = {
+    "n": "6", "alpha": "0.5", "beta": "1.5", "k": "3", "kmax": "9", "basis": "4,16",
+    "a": "3", "b": "0.25", "format": "plot-data", "out": "other.json", "rel-tol": "1e-8",
+    "formula": "J", "family": "thmB", "test-function": "off", "coeffs": "d.txt",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_OPTION_SAMPLES))
+def test_config_key_matches_its_flag(tmp_path, key):
+    # Every config key is a long flag (bar --config) and sets what the flag sets.
+    assert set(_OPTION_SAMPLES) == set(cli._CONFIG_KEYS)
+    command = cli._CONFIG_KEYS[key].command or "minimize"
+    switch = cli._CONFIG_KEYS[key].cast is None
+    flag = [f"--{key}"] if switch else [f"--{key}", _OPTION_SAMPLES[key]]
+    base = [] if key == "n" else ["--n", "3"]  # alpha and beta act only with n
+
+    def config(argv, text=None):
+        if text is not None:
+            (tmp_path / "run.cfg").write_text(text)
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        return cli.build_config(cli.build_parser().parse_args([command, *base, *argv]))
+
+    from_flag = config(flag)
+    assert from_flag != config([])
+    assert config([], f"{key} = {_OPTION_SAMPLES[key]}\n") == from_flag
+    assert config(flag, f"{key} = {_OPTION_OTHERS[key]}\n") == from_flag
+    assert config([], f"{key} = {_OPTION_OTHERS[key]}\n") != from_flag
 
 
 def test_minimizer_has_no_seed(capsys, tmp_path):

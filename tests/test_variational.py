@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 import cknlab.variational as variational
 from cknlab.constants import InequalityParams, mode_quotient_weighted
 from cknlab.exppoly import ExpPoly
-from cknlab.errors import ConsistencyError, PreconditionError, UnsupportedRegimeError
+from cknlab.errors import (
+    ConsistencyError,
+    DomainError,
+    PreconditionError,
+    UnsupportedRegimeError,
+)
 from cknlab.functionals import form_parts
 from cknlab.variational import (
     BasisSpec,
@@ -21,7 +26,6 @@ from cknlab.variational import (
     estimate_mode_constant,
     make_basis,
     minimize_quotient,
-    quotient_gradient,
     symmetry_breaking_scan,
 )
 
@@ -270,6 +274,17 @@ def test_scan_preconditions():
         symmetry_breaking_scan(1, 0.0)
     with pytest.raises(PreconditionError):
         symmetry_breaking_scan(4, 0.0, k_max=0)
+
+
+def quotient_gradient(gram, coeffs):
+    """Q at ``coeffs`` and the gradient of log Q there: the route of
+    ``_lbfgs_minimum``, independent of the minimiser's eigenvalue search."""
+    c = np.asarray(coeffs, dtype=float)
+    ac, bc, cc = gram.m_a @ c, gram.m_b @ c, gram.m_c @ c
+    a, b, q_c = float(c @ ac), float(c @ bc), float(c @ cc)
+    if min(a, b, q_c) <= 0.0:
+        raise DomainError("quotient undefined: a quadratic form is nonpositive here")
+    return a * b / q_c**2, 2.0 * ac / a + 2.0 * bc / b - 4.0 * cc / q_c
 
 
 def _lbfgs_minimum(gram, starts=6):
