@@ -223,21 +223,29 @@ def render(document: Document, output_format: str) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write a report so that the target never holds a partial file."""
+    """Write a report so that the target never holds a partial file.
+
+    A target that cannot be written, such as one in a missing directory,
+    is a bad argument; the message leaves out the temporary file's random
+    name, so that it is the same on every run.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    handle, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".cknlab-", suffix=".tmp"
-    )
     try:
-        with os.fdopen(handle, "w") as fh:
-            fh.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
+        handle, tmp_path = tempfile.mkstemp(
+            dir=directory, prefix=".cknlab-", suffix=".tmp"
+        )
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(handle, "w") as fh:
+                fh.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 # ----------------------------------------------------------------------

@@ -32,17 +32,16 @@ pass, since most integrals of this package stop at level 5, and each
 deeper level in a pass of its own.  Each pass's levels are stacked on a
 leading axis and tested together, in one set of array operations, and
 the first level that passes the test is the result; a non-finite sample
-of a level the test never reaches is no error.  Rows are called, and weighted, on
-batches of at most 20480 values (tables x rows x nodes), so a stack of
-one row per table takes one call a pass while a wide Gram stack is held
-to 256 nodes at a time, which bounds the memory it takes; the first call
-counts one row per table, and only its unweighted rows may exceed the
-bound.  Each level's products are summed over its own sub-batches of at
-most 256 nodes, so the sums, and every result, are bit for bit those of
-evaluating each level alone.
+of a level the test never reaches is no error.  Each level's nodes are
+cut into sub-batches of at most 256, and its products are summed one
+sub-batch at a time, so the sums, and every result, are bit for bit
+those of evaluating each level alone.  The rows are called, and
+weighted, on groups of at most 16 consecutive sub-batches (4096 nodes):
+a first pass holds at most nine, so it takes one call, and only a level
+from 8 on may take more than one.
 
 All tables share one node ladder and one refinement loop, which
-evaluates the callable once on each batch of new nodes, so the parts of
+evaluates the callable once on each group of new nodes, so the parts of
 one form triple share their nodes and whatever the tables have in
 common.  Each row is multiplied by sqrt(w r^p) before the
 product, so rows may take any finite weight exponent: rows that vanish
@@ -65,7 +64,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,11 +106,11 @@ _PASSES = ((0, _FIRST_PASS),) + tuple(
     (level, level) for level in range(_FIRST_PASS + 1, _MAX_LEVEL + 1))
 # Most nodes over which one Gram product of a level is summed.
 _BATCH_NODES = 256
-# Most values (tables x rows x nodes) the rows are called on, or weighted,
-# at once, unless one sub-batch of _BATCH_NODES nodes holds more: those of
-# 256 nodes of a Gram check of 16 trial functions over five parts.  A stack
-# of one row per table is then evaluated a whole pass at a time.
-_BATCH_VALUES = 256 * 16 * 5
+# Most sub-batches the rows are called on, and weighted, at once.  A first
+# pass (levels 0..5) holds at most 1+1+1+1+2+3 = 9 sub-batches, so every
+# integral, energy or Gram, takes one call for its first pass, while the
+# memory of a call on a deep level is held to that of 4096 nodes.
+_CALL_BATCHES = 16
 
 
 @dataclass(frozen=True)
@@ -197,9 +196,11 @@ class QuadratureResult:
     (T, rows, rows) arrays for T weight exponents.
 
     ``levels_used`` is the level the value comes from, and ``nodes_used``
-    the number of nodes the integrand was evaluated at: every node of the
-    first pass (levels 0..5) even where the value comes from a coarser
-    level, and every node of each deeper level evaluated.
+    the number of nodes the rows were called on: every node of the first
+    pass (levels 0..5) even where the value comes from a coarser level,
+    and every node of each deeper level evaluated.  A pass that meets a
+    non-finite sample stops there, and counts the nodes of its calls up
+    to and including the one that met it.
     """
 
     value: np.ndarray
@@ -335,122 +336,24 @@ def _weighted_rows(
     return g, bad
 
 
-# A sub-batch's signed and absolute Gram products, or the error of its
-# non-finite sample.
-_Sums = Union[Sequence[np.ndarray], NonFiniteSampleError]
-
-
-def _run_end(subs: Sequence[slice], start: int, per_node: int) -> int:
-    """The end of the run of consecutive sub-batches from ``start`` that
-    holds at most _BATCH_VALUES values at ``per_node`` values a node, or
-    of the one sub-batch at ``start``."""
-    end = start + 1
-    while end < len(subs) and (subs[end].stop - subs[start].start) * per_node <= _BATCH_VALUES:
-        end += 1
-    return end
-
-
-def _products(
-    handle: IntegrandHandle,
-    r: np.ndarray,
-    w: np.ndarray,
-    wp: np.ndarray,
-    p: np.ndarray,
-    subs: List[slice],
-) -> Tuple[List[_Sums], int]:
-    """The signed and absolute Gram products of each sub-batch ``subs``
-    of r, from one call of the rows on r, and the values per node the
-    rows returned.
-
-    The rows are weighted in runs of sub-batches bounded like a call, so
-    a first call, made before the rows were seen, holds no more than one
-    run of weighted values at a time.  The list ends early with the
-    NonFiniteSampleError of the first sub-batch that has a non-finite
-    value or product.
-    """
-    vals = _row_tables(handle, r, p.size)
-    per_node = vals.shape[0] * vals.shape[1]
-    products: List[_Sums] = []
-    start = 0
-    while start < len(subs):
-        end = _run_end(subs, start, per_node)
-        run = slice(subs[start].start, subs[end - 1].stop)
-        g, bad = _weighted_rows(vals[..., run], r[run], w[run], wp[:, run], p)
-        for part in subs[start:end]:
-            at, sub = r[part], slice(part.start - run.start, part.stop - run.start)
-            if np.any(bad[..., sub]):
-                at = np.broadcast_to(at, bad[..., sub].shape)[bad[..., sub]][0]
-                return products + [NonFiniteSampleError(
-                    f"integrand row returned a non-finite value at r={float(at)!r}")], per_node
-            gs = np.ascontiguousarray(g[..., sub])
-            term = gs @ gs.transpose(0, 2, 1)
-            if not np.all(np.isfinite(term)):
-                return products + [NonFiniteSampleError(
-                    "weighted Gram table overflowed on nodes r in "
-                    f"[{float(at.min())!r}, {float(at.max())!r}]")], per_node
-            np.abs(gs, out=gs)
-            products.append((term, gs @ gs.transpose(0, 2, 1)))
-        start = end
-    return products, per_node
-
-
-def _row_sums(
-    handle: IntegrandHandle,
-    r: np.ndarray,
-    w: np.ndarray,
-    wp: np.ndarray,
-    p: np.ndarray,
-    levels: List[slice],
-    per_node: int,
-) -> Tuple[np.ndarray, Optional[NonFiniteSampleError], int, int]:
-    """The Gram sums of the levels of a pass, the error of the first level
-    with a non-finite sample (or None), the nodes evaluated and the values
-    per node the rows returned.
-
-    The sums are stacked as (levels, 2, T, rows, rows): each level's
-    signed sums, then its sums of magnitudes.  They stop before a level
-    with a non-finite sample.  A level's products are summed over
-    sub-batches of at most _BATCH_NODES of its nodes.  The rows are
-    called on runs of sub-batches of at most _BATCH_VALUES values (or one
-    sub-batch), at ``per_node`` values a node until a call shows how many
-    there are.
-    """
-    owners = [i for i, nodes in enumerate(levels)
-              for _ in range(nodes.start, nodes.stop, _BATCH_NODES)]
-    subs = [slice(start, min(start + _BATCH_NODES, nodes.stop)) for nodes in levels
-            for start in range(nodes.start, nodes.stop, _BATCH_NODES)]
-    rows = per_node // p.size
-    totals = np.zeros((len(levels), 2, p.size, rows, rows))
-    done = 0
-    while done < len(subs):
-        end = _run_end(subs, done, per_node)
-        lo, hi = subs[done].start, subs[end - 1].stop
-        products, per_node = _products(handle, r[lo:hi], w[lo:hi], wp[:, lo:hi], p,
-                                       [slice(s.start - lo, s.stop - lo) for s in subs[done:end]])
-        if per_node != p.size * rows:  # the first call shows how many rows there are
-            rows = per_node // p.size
-            totals = np.zeros((len(levels), 2, p.size, rows, rows))
-        for i, product in zip(owners[done:end], products):
-            if isinstance(product, NonFiniteSampleError):
-                return totals[:i], product, hi, per_node
-            totals[i] += product
-        done = end
-    return totals, None, r.size, per_node
-
-
 def _pass(
     handle: IntegrandHandle,
     maps: Tuple[_HalfMap, ...],
     p: np.ndarray,
     first: int,
     last: int,
-    per_node: int,
-) -> Tuple[np.ndarray, Optional[NonFiniteSampleError], int, int]:
-    """The sums of levels first..last, evaluated together, and what else
-    _row_sums returns.
+) -> Tuple[np.ndarray, Optional[NonFiniteSampleError], int]:
+    """The Gram sums of levels first..last, evaluated together, the error
+    of the first level with a non-finite sample (or None) and the nodes
+    evaluated.
 
-    The nodes are ordered by level and within a level by half, as each
-    level alone would have them.
+    The sums are stacked as (levels, 2, T, rows, rows): each level's
+    signed sums, then its sums of magnitudes.  They stop before a level
+    with a non-finite sample.  The live nodes are ordered by level and
+    within a level by half, as each level alone would have them; each
+    level's products are summed over sub-batches of at most _BATCH_NODES
+    of its nodes, and the rows are called, and weighted, on groups of at
+    most _CALL_BATCHES consecutive sub-batches.
     """
     per_level = list(zip(*(m.nodes(_grid(first, last)) for m in maps)))
     r = np.concatenate([hr for halves in per_level for hr, _ in halves])
@@ -460,7 +363,33 @@ def _pass(
         live = np.any(wp != 0.0, axis=0)
         spans = _spans([sum(hr.size for hr, _ in halves) for halves in per_level])
         levels = _spans([int(np.count_nonzero(live[span])) for span in spans])
-        return _row_sums(handle, r[live], w[live], wp[:, live], p, levels, per_node)
+        r, w, wp = r[live], w[live], wp[:, live]
+        subs = [(i, slice(start, min(start + _BATCH_NODES, nodes.stop)))
+                for i, nodes in enumerate(levels)
+                for start in range(nodes.start, nodes.stop, _BATCH_NODES)]
+        for done in range(0, len(subs), _CALL_BATCHES):
+            group = subs[done:done + _CALL_BATCHES]
+            call = slice(group[0][1].start, group[-1][1].stop)
+            g, bad = _weighted_rows(_row_tables(handle, r[call], p.size), r[call], w[call],
+                                    wp[:, call], p)
+            if done == 0:
+                sums = np.zeros((len(levels), 2) + g.shape[:2] + g.shape[1:2])
+            for i, sub in group:
+                at, part = r[sub], slice(sub.start - call.start, sub.stop - call.start)
+                if np.any(bad[..., part]):
+                    at = np.broadcast_to(at, bad[..., part].shape)[bad[..., part]][0]
+                    return sums[:i], NonFiniteSampleError(
+                        f"integrand row returned a non-finite value at r={float(at)!r}"), call.stop
+                gs = np.ascontiguousarray(g[..., part])
+                term = gs @ gs.transpose(0, 2, 1)
+                if not np.all(np.isfinite(term)):
+                    return sums[:i], NonFiniteSampleError(
+                        "weighted Gram table overflowed on nodes r in "
+                        f"[{float(at.min())!r}, {float(at.max())!r}]"), call.stop
+                np.abs(gs, out=gs)
+                sums[i, 0] += term
+                sums[i, 1] += gs @ gs.transpose(0, 2, 1)
+    return sums, None, r.size
 
 
 def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
@@ -482,10 +411,10 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         convergence class), levels and node count.  value and err_est are
         (T, rows, rows) arrays for T weight exponents; the level is the
         deepest any entry of any table needs.  Levels 0..5 are evaluated
-        in one pass (one call of rows with one row per table), deeper
-        levels one pass each, and each pass's levels are tested together;
-        the results equal those of evaluating and testing level by level,
-        bit for bit.
+        in one pass, which is one call of rows, deeper levels one pass
+        each, and each pass's levels are tested together; the results
+        equal those of evaluating and testing level by level, bit for
+        bit.
 
     Raises
     ------
@@ -498,12 +427,12 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
     """
     maps = _build_maps(handle)
     p = np.asarray(handle.weight_exponent, dtype=float)
-    n, per_node = 0, p.size  # one row per table until the rows are seen
+    n = 0
     # The running sums through the last level of the previous pass, and
     # that level's error estimate.
     carried = prev_err = None
     for first, last in _PASSES:
-        sums, unreached, evaluated, per_node = _pass(handle, maps, p, first, last, per_node)
+        sums, unreached, evaluated = _pass(handle, maps, p, first, last)
         n += evaluated
         if carried is None:
             prev_err = np.full(sums.shape[2:], math.inf)  # before level 1

@@ -118,6 +118,20 @@ def test_exact_value_beyond_float_range_exits_precondition(capsys, argv):
     assert "exceeds double-precision range" in err
 
 
+@pytest.mark.parametrize("target", ["nodir/x.json", "adir"])
+def test_unwritable_output_exits_precondition(capsys, tmp_path, monkeypatch, target):
+    # An --out path in a missing directory escaped as a FileNotFoundError
+    # traceback from the temporary file (exit 1); a directory as the target
+    # fails only at the final rename, after the temporary file was written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    code, out, err = run(capsys, "constants", "--n", "3", "--out", target)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {target!r}: ")
+    assert list(tmp_path.rglob(".cknlab-*.tmp")) == []
+
+
 def test_quadrature_failure_names_nodes_as_plain_floats(capsys):
     # An overflowing Gram table names its nodes as floats, not in numpy's
     # np.float64(...) repr.

@@ -1,5 +1,6 @@
 """Double-exponential quadrature on half-line integrals with known values."""
 
+import dataclasses
 import math
 from itertools import islice
 
@@ -378,13 +379,42 @@ def test_gram_check_reaches_level_six_in_two_passes(monkeypatch):
     handle = _gram_check_handle(monkeypatch)
     passes, original = [], quadrature._pass
 
-    def counted(handle, maps, p, first, last, per_node):
+    def counted(handle, maps, p, first, last):
         passes.append((first, last))
-        return original(handle, maps, p, first, last, per_node)
+        return original(handle, maps, p, first, last)
 
     monkeypatch.setattr(quadrature, "_pass", counted)
     assert integrate(handle).levels_used == 6
     assert passes == [(0, 5), (6, 6)]
+
+
+def test_rows_are_called_on_groups_of_sub_batches(monkeypatch):
+    # The probe's k = 3, m = 16 Gram check calls its rows once on every
+    # live node of levels 0..5 and once on those of level 6.  No call
+    # holds more than _CALL_BATCHES sub-batches: a level 8 takes one call,
+    # and the levels 9..12 of a refinement that never converges are split.
+    call_cap = quadrature._CALL_BATCHES * quadrature._BATCH_NODES
+
+    def calls(handle, spec):
+        sizes, rows = [], handle.rows
+        recorded = dataclasses.replace(handle, rows=lambda r: sizes.append(r.size) or rows(r))
+        try:
+            assert integrate(recorded, spec).nodes_used == sum(sizes)
+        except NonConvergenceError:
+            pass
+        assert max(sizes) <= call_cap
+        return sizes
+
+    gram = _gram_check_handle(monkeypatch)
+    counts = [n for *_, n in islice(_level_by_level(gram), 7)]
+    assert calls(gram, QuadratureSpec()) == [sum(counts[:6]), counts[6]]
+    for case, deepest in (("level 8", 8), ("no convergence", quadrature._MAX_LEVEL)):
+        make, rel_tol, *_ = _REFINEMENTS[case]
+        handle = make()
+        counts = [n for *_, n in islice(_level_by_level(handle), deepest + 1)]
+        deep = [min(call_cap, n - start) for n in counts[6:] for start in range(0, n, call_cap)]
+        assert calls(handle, QuadratureSpec(rel_tol=rel_tol)) == [sum(counts[:6])] + deep
+    assert max(counts) > 2 * call_cap
 
 
 def test_non_finite_row_past_convergence_is_not_reached():
