@@ -8,20 +8,22 @@ weighted gradient term:
         >=  C  *  (int |grad u|^2 / |x|^(alpha+1))^2 .
 
 Decomposing u into spherical-harmonic modes turns the sharp constant into
-an infimum over the mode index k of explicit rational expressions in
-(N, k, alpha).  Two per-mode formulas appear:
+an infimum over the mode index k of one explicit rational expression
+E(N, alpha, beta, k), the two-weight lower bound of Duong-Nguyen with a
+second weight exponent beta on the gradient term.  Its tags name the
+specialisations:
 
-* tag ``"J"``  - the unweighted case (alpha = 0),
-* tag ``"K"``  - the weighted case, reducing to "J" at alpha = 0,
+* tag ``"DN-general"`` - E itself,
+* tag ``"K"``  - the weighted quotient, E at beta = 0,
+* tag ``"J"``  - the unweighted quotient of Cazacu-Flynn-Lam, K at
+  alpha = 0.
 
-plus tag ``"DN-general"`` for a catch-all lower bound valid for a second
-weight exponent beta on the gradient term.
-
-All formulas are rational, so they are evaluated exactly with
-``fractions.Fraction`` (binary floats convert exactly) and reported as
-floats with the exact rational attached.  The k = 0 expressions are 0/0
-at isolated parameter values (N = 3 for "J", alpha = N - 3 for "K"); the
-limit value ((N + 2k + 3 alpha + 1)/2)^2 is used uniformly at k = 0.
+One evaluator (``_mode_value``) computes E, exactly with
+``fractions.Fraction`` (binary floats convert exactly) for every reported
+value, which is a float with the exact rational attached, and in floats
+for the candidate net of the infima.  It is written in polynomial form,
+so it stays defined where N + 2k - alpha - 3 = 0 (K(2, 1, 1) = 0); the
+k = 0 value is the limit ((N + 3 alpha - beta + 1)/2)^2.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from .errors import (
     ConsistencyError,
@@ -180,21 +182,54 @@ def exact_to_float(exact: Fraction, what: str) -> float:
         raise RangeOverflowError(f"{what} exceeds double-precision range") from None
 
 
+_VALUE_NAMES = {
+    FORMULA_PLAIN: "J(N, {k})",
+    FORMULA_WEIGHTED: "K(N, alpha, {k})",
+    FORMULA_GENERAL: "the DN-general quotient (k={k})",
+}
+
+
+def _mode_value(n, a, b, k: int):
+    """The per-mode value E(N, alpha, beta, k) of "DN-general":
+
+        E = [1 + min(0, 8 b k / t1^2)] t2^4 s^2 / (4 [t2^2 + max(0, 4 (a+b+1) k)]^2)
+
+    with t1 = N+2k-2b-2, t2 = N+2k-a-b-3 and s = N+2k+3a-b+1, and the
+    limit (s/2)^2 at k = 0.  "K" is the case b = 0 and "J" the case
+    a = b = 0.  The polynomial form stays defined where t2 = 0, and the
+    correction is 1 unless b < 0, where t1 > 0.  Exact for ``Fraction``
+    weights and an int n; with floats it is the candidate net of
+    ``_mode_infimum``, and at b = 0.0 it performs the float operations
+    of the K formula alone (subtracting 0.0 and multiplying by 1 are
+    exact), so K's t2^4 still overflows where it did, near N = 1e77.
+    """
+    m = n + 2 * k
+    s = m + 3 * a - b + 1
+    if k == 0:
+        return (s / 2) ** 2
+    t2 = m - a - b - 3
+    gap = t2**2 + max(0, 4 * (a + b + 1) * k)
+    correction = 1 + 8 * b * k / (m - 2 * b - 2) ** 2 if b < 0 else 1
+    return correction * t2**4 * s**2 / (4 * gap**2)
+
+
+def _mode_quotient(formula: str, params: InequalityParams, k: int) -> ModeQuotient:
+    """The exact per-mode value of ``formula`` at ``params`` (beta None
+    read as 0), reported as a float."""
+    exact = _mode_value(params.n, Fraction(params.alpha), Fraction(params.beta or 0), k)
+    return ModeQuotient(k, exact_to_float(exact, _VALUE_NAMES[formula].format(k=k)), formula,
+                        params, exact)
+
+
 def mode_quotient_plain(n: int, k: int) -> ModeQuotient:
     """Per-mode quotient of the unweighted (alpha = 0) inequality, tag "J".
 
-    J(N, k) = (N+2k-3)^4 (N+2k+1)^2 / (4 [(N+2k-3)^2 + 4k]^2) for k >= 1;
-    the k = 0 value is the radial constant (N+1)^2 / 4 (limit convention
-    covers the 0/0 at N = 3).
+    J(N, k) = (N+2k-3)^4 (N+2k+1)^2 / (4 [(N+2k-3)^2 + 4k]^2) for k >= 1,
+    the "K" formula at alpha = 0; the k = 0 value is the radial constant
+    (N+1)^2 / 4.
     """
     _require_mode_args(n, k)
-    if k == 0:
-        exact = Fraction((n + 1) ** 2, 4)
-    else:
-        t = n + 2 * k - 3
-        exact = Fraction(t**4 * (n + 2 * k + 1) ** 2, 4 * (t**2 + 4 * k) ** 2)
-    return ModeQuotient(k, exact_to_float(exact, f"J(N, {k})"), FORMULA_PLAIN,
-                        InequalityParams(n), exact)
+    return _mode_quotient(FORMULA_PLAIN, InequalityParams(n), k)
 
 
 def mode_quotient_weighted(n: int, alpha: float, k: int) -> ModeQuotient:
@@ -203,38 +238,14 @@ def mode_quotient_weighted(n: int, alpha: float, k: int) -> ModeQuotient:
     K(N, alpha, k) = (N+2k-alpha-3)^4 (N+2k+3 alpha+1)^2
                      / (4 [(N+2k-alpha-3)^2 + 4 (alpha+1) k]^2)
 
-    for k >= 1; the k = 0 value is (N+3 alpha+1)^2 / 4.  Reduces exactly
-    to the "J" formula at alpha = 0.  Requires alpha > -1 (the weighted
-    energies are defined only there), n >= 2.
+    for k >= 1, the "DN-general" formula at beta = 0; the k = 0 value is
+    (N+3 alpha+1)^2 / 4.  Requires alpha > -1 (the weighted energies are
+    defined only there), n >= 2.
     """
     _require_mode_args(n, k)
     if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > -1.0):
         raise DomainError(f"alpha must be finite and > -1, got {alpha!r}")
-    a = Fraction(alpha)
-    if k == 0:
-        exact = ((n + 3 * a + 1) / 2) ** 2
-    else:
-        t = n + 2 * k - a - 3
-        den = t**2 + 4 * (a + 1) * k
-        exact = t**4 * (n + 2 * k + 3 * a + 1) ** 2 / (4 * den**2)
-    return ModeQuotient(k, exact_to_float(exact, f"K(N, alpha, {k})"), FORMULA_WEIGHTED,
-                        InequalityParams(n, float(alpha)), exact)
-
-
-def _weighted_float(n: int, alpha: float, k: int) -> float:
-    """Float evaluation of the "K" formula (k = 0 is the limit value)."""
-    if k == 0:
-        return ((n + 3.0 * alpha + 1.0) / 2.0) ** 2
-    t = n + 2.0 * k - alpha - 3.0
-    den = t**2 + 4.0 * (alpha + 1.0) * k
-    return t**4 * (n + 2.0 * k + 3.0 * alpha + 1.0) ** 2 / (4.0 * den**2)
-
-
-def _near_minimal(values: Sequence[float]) -> List[int]:
-    """The indices whose float value is within 1e-6 relative of the float
-    minimum: the candidates an exact re-evaluation decides between."""
-    fmin = min(values)
-    return [k for k, v in enumerate(values) if v <= fmin * (1.0 + 1e-6)]
+    return _mode_quotient(FORMULA_WEIGHTED, InequalityParams(n, float(alpha)), k)
 
 
 def hardy_step_factor(n: int, alpha: float, k: int) -> Optional[float]:
@@ -279,63 +290,69 @@ def tail_certificate(n: int, alpha: float) -> bool:
     return t0 * (t0 - 4 * m) * (t0 + 2 * m) + 12 * m * t0 + 32 * m**2 >= 0
 
 
+def _mode_infimum(formula: str, params: InequalityParams, k_max: int,
+                  tail_gate: bool) -> ModeInfimumResult:
+    """The exact minimum of ``formula``'s per-mode value at ``params``
+    (validated) over k in {0..k_max}, with ``tail_certificate`` run where
+    ``tail_gate`` holds.
+
+    The scan runs in floats; every k whose float value is within 1e-6
+    relative of the float minimum is then re-evaluated exactly, and the
+    exact minimum of that candidate set (smallest k on ties) is returned.
+    Float arithmetic on these rationals is accurate to ~1e-15, so the
+    1e-6 net cannot miss the true argmin.
+    """
+    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
+        raise DomainError(f"k_max must be an integer >= 1, got {k_max!r}")
+    n, alpha, beta = params.n, float(params.alpha), float(params.beta or 0.0)
+    try:
+        n_float = float(n)
+        floats = [_mode_value(n_float, alpha, beta, k) for k in range(k_max + 1)]
+    except OverflowError:
+        raise DomainError(
+            f"n={n} is too large: the per-mode quotients overflow double precision"
+        ) from None
+    cutoff = min(floats) * (1.0 + 1e-6)
+    best = min((_mode_quotient(formula, params, k)
+                for k, value in enumerate(floats) if value <= cutoff),
+               key=lambda q: (q.exact, q.k))
+    if tail_gate and not tail_certificate(n, alpha):
+        raise ConsistencyError(
+            f"continuous extension of {formula!r} decreases on the tail "
+            f"for params {params!r}; contradicts the expected tail monotonicity"
+        )
+    return ModeInfimumResult(best, best.k, tail_gate, k_max)
+
+
 def mode_infimum(
     formula: str,
     params: InequalityParams,
     k_max: int = DEFAULT_K_MAX,
 ) -> ModeInfimumResult:
-    """Infimum over k in {0..k_max} of a per-mode quotient formula.
+    """Infimum over k in {0..k_max} of the "J" or "K" per-mode quotient.
 
-    The scan runs in floats; every k whose float value is within 1e-6
-    relative of the float minimum is then re-evaluated exactly and the
-    exact minimum of that candidate set is returned (float arithmetic on
-    these rationals is accurate to ~1e-15, so the 1e-6 net cannot miss
-    the true argmin).
-
+    The minimum over the scanned modes is exact (see ``_mode_infimum``).
     In the regimes where the quotient formula is eventually monotone in
     the mode index (always for "J" with N >= 2; for "K" when alpha > -1
     and N >= 5 alpha + 5), ``tail_certificate`` additionally proves
     exactly that no k beyond the scan range can undercut the reported
     infimum; ``tail_verified`` records whether that certificate ran and
-    passed.
+    passed.  "J" is the alpha = 0 case and rejects any other alpha.
 
     Raises ConsistencyError if the certificate was expected to hold but
     fails.
     """
-    if not isinstance(k_max, int) or k_max < 1:
-        raise DomainError(f"k_max must be an integer >= 1, got {k_max!r}")
     n, alpha = params.n, float(params.alpha)
     if formula == FORMULA_PLAIN:
         _require_mode_args(n, 0)
-        alpha = 0.0
-        exact_of = lambda k: mode_quotient_plain(n, k)
-        tail_applicable = True
-    elif formula == FORMULA_WEIGHTED:
-        mode_quotient_weighted(n, alpha, 0)  # validates n, alpha
-        exact_of = lambda k: mode_quotient_weighted(n, alpha, k)
-        tail_applicable = n >= 5 * alpha + 5
-    else:
-        raise DomainError(f"unknown formula tag {formula!r}; expected 'J' or 'K'")
-
-    try:
-        floats = [_weighted_float(n, alpha, k) for k in range(k_max + 1)]
-    except OverflowError:
-        raise DomainError(
-            f"n={n} is too large: the per-mode quotients overflow double precision"
-        ) from None
-    candidates = _near_minimal(floats)
-    best = min((exact_of(k) for k in candidates), key=lambda q: (q.exact, q.k))
-
-    tail_verified = False
-    if tail_applicable:
-        if not tail_certificate(n, alpha):
-            raise ConsistencyError(
-                f"continuous extension of {formula!r} decreases on the tail "
-                f"for params {params!r}; contradicts the expected tail monotonicity"
-            )
-        tail_verified = True
-
-    return ModeInfimumResult(best, best.k, tail_verified, k_max)
+        if alpha != 0:
+            raise DomainError(f"formula 'J' is the alpha = 0 case, got alpha={alpha!r}; use 'K'")
+        return _mode_infimum(formula, InequalityParams(n), k_max, True)
+    if formula == FORMULA_WEIGHTED:
+        # Validates n and alpha, and that K(N, alpha, 0) lies in float range.
+        mode_quotient_weighted(n, alpha, 0)
+        return _mode_infimum(formula, InequalityParams(n, alpha), k_max, n >= 5 * alpha + 5)
+    raise DomainError(f"unknown formula tag {formula!r}; expected 'J' or 'K'")
 
 
 def sharp_constant_closed_form(params: InequalityParams) -> ClosedFormConstant:
@@ -374,7 +391,7 @@ def sharp_constant_closed_form(params: InequalityParams) -> ClosedFormConstant:
             f"N >= 5 alpha + 5 violated (N={n}, alpha={alpha}): no closed form is "
             f"proven; use symmetry_breaking_bounds / the variational scan"
         )
-    exact = ((n + 3 * a + 1) / 2) ** 2
+    exact = _mode_value(n, a, Fraction(0), 0)
     return ClosedFormConstant(exact_to_float(exact, "the sharp constant"), exact,
                               "radial-weighted", "thm1.2-2", params)
 
@@ -405,7 +422,7 @@ def symmetry_breaking_bounds(n: int) -> BoundsReport:
             f"N >= 5 use sharp_constant_closed_form"
         )
     lower = mode_quotient_plain(n, 1).exact
-    conjectured = Fraction((n + 1) ** 2, 4)
+    conjectured = mode_quotient_plain(n, 0).exact
     if n == 4:
         upper = conjectured
         flag = "conjecture-open"
@@ -482,9 +499,9 @@ def dn_general_lower_bound(
            / [1 + max(0, 4 (alpha+beta+1) k / (N+2k-alpha-beta-3)^2)]^2
            * ((N+2k+3 alpha-beta+1)/2)^2,
 
-    minimised over k in {0..k_max}.  ``params.beta`` of None means
-    beta = 0 (plain gradient), in which case E(k) coincides exactly with
-    the "K" formula.
+    minimised exactly over k in {0..k_max} (see ``_mode_infimum``).
+    ``params.beta`` of None means beta = 0 (plain gradient), in which
+    case E(k) is the "K" formula.
 
     Preconditions (all must hold; the error lists every failure):
     N >= 2, N - 2 alpha > 0, N - 2 beta > 0, N - alpha - beta - 1 > 0,
@@ -509,42 +526,5 @@ def dn_general_lower_bound(
         raise PreconditionError(
             "general lower bound preconditions violated: " + "; ".join(failures)
         )
-    if not isinstance(k_max, int) or k_max < 1:
-        raise DomainError(f"k_max must be an integer >= 1, got {k_max!r}")
-
-    a, b = Fraction(alpha), Fraction(beta)
-
-    def exact_of(k: int) -> Fraction:
-        if k == 0:
-            return ((n + 3 * a - b + 1) / 2) ** 2
-        num_corr = 1 + min(Fraction(0), 8 * b * k / (n + 2 * k - 2 * b - 2) ** 2)
-        den_corr = (1 + max(Fraction(0), 4 * (a + b + 1) * k / (n + 2 * k - a - b - 3) ** 2)) ** 2
-        return num_corr / den_corr * ((n + 2 * k + 3 * a - b + 1) / 2) ** 2
-
-    def float_of(k: int) -> float:
-        if k == 0:
-            return ((n + 3.0 * alpha - beta + 1.0) / 2.0) ** 2
-        # t1, t2 > 0 exactly for k >= 1; one rounds to 0.0 only when its
-        # numerator is positive, and then +inf is the limit of the term.
-        t1 = n + 2.0 * k - 2.0 * beta - 2.0
-        t2 = n + 2.0 * k - alpha - beta - 3.0
-        num_corr = 1.0 + min(0.0, 8.0 * beta * k / t1**2 if t1 else math.inf)
-        den_corr = (1.0 + max(0.0, 4.0 * (alpha + beta + 1.0) * k / t2**2
-                              if t2 else math.inf)) ** 2
-        return num_corr / den_corr * ((n + 2.0 * k + 3.0 * alpha - beta + 1.0) / 2.0) ** 2
-
-    cands = _near_minimal([float_of(k) for k in range(k_max + 1)])
-    best_k = min(cands, key=lambda kk: (exact_of(kk), kk))
-    exact = exact_of(best_k)
-
-    tail_verified = False
-    if beta == 0.0 and n >= 5 * alpha + 5:
-        if not tail_certificate(n, alpha):
-            raise ConsistencyError(
-                f"tail certificate failed for DN-general at beta=0, params {params!r}"
-            )
-        tail_verified = True
-
-    quotient = ModeQuotient(best_k, exact_to_float(exact, f"the DN-general quotient (k={best_k})"),
-                            FORMULA_GENERAL, InequalityParams(n, alpha, beta), exact)
-    return ModeInfimumResult(quotient, best_k, tail_verified, k_max)
+    return _mode_infimum(FORMULA_GENERAL, InequalityParams(n, alpha, beta), k_max,
+                         beta == 0.0 and n >= 5 * alpha + 5)

@@ -31,7 +31,8 @@ class UnsupportedRegimeError(PreconditionError):
 
 
 class RangeOverflowError(CknLabError, OverflowError):
-    """The exact result exceeds double-precision range.
+    """The exact result exceeds double-precision range, or a nonzero
+    product underflows to zero in it.
 
     Raised instead of silently returning ``inf``.
     """

@@ -129,6 +129,13 @@ class ExpPoly:
             )
         dp = self.decay_power if self.rate != 0.0 else other.decay_power
         new = [(g1 + g2, c1 * c2) for g1, c1 in self.terms for g2, c2 in other.terms]
+        if new and not any(c for _, c in new):
+            # Building would drop every term: a zero polynomial for a
+            # product of two nonzero ones.
+            raise RangeOverflowError(
+                "every coefficient of the product underflows double-precision range "
+                f"(the largest factors are {max(abs(c) for _, c in self.terms)!r} and "
+                f"{max(abs(c) for _, c in other.terms)!r})")
         return ExpPoly(tuple(new), self.rate + other.rate, dp)
 
     def scaled(self, s: float) -> "ExpPoly":

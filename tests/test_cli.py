@@ -88,6 +88,26 @@ def test_mode_scan_rejects_dimension_beyond_float_range(capsys, formula):
     assert err.count("\n") == 1 and err.startswith("error:") and "too large" in err
 
 
+@pytest.mark.parametrize("family", [("thmD", "--alpha", "0.5"), ("thmB",)])
+def test_tiny_rate_exits_precondition(capsys, family):
+    # Squaring the derivative polynomials of a rate of 1e-300 underflowed
+    # every coefficient to 0: ExpPoly dropped them all, the closed route
+    # read a zero polynomial and quadrature overflowed (exit 3).
+    code, out, err = run(capsys, "quotient", "--family", family[0], "--n", "7", *family[1:],
+                         "--b", "1e-300", "--k", "0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "underflows" in err
+
+
+def test_mode_scan_rejects_alpha_for_plain_formula(capsys):
+    # J is the alpha = 0 case: the scan printed J values under "alpha": 0.5.
+    code, out, err = run(capsys, "mode-scan", "--formula", "J", "--n", "3", "--alpha", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "alpha" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("constants", "--n", "1" + "0" * 200),
     ("mode-scan", "--formula", "K", "--kmax", "3", "--n", "1" + "0" * 200),
@@ -132,11 +152,18 @@ def test_unwritable_output_exits_precondition(capsys, tmp_path, monkeypatch, tar
     assert list(tmp_path.rglob(".cknlab-*.tmp")) == []
 
 
-def test_quadrature_failure_names_nodes_as_plain_floats(capsys):
+def test_quadrature_failure_names_nodes_as_plain_floats(capsys, monkeypatch):
     # An overflowing Gram table names its nodes as floats, not in numpy's
-    # np.float64(...) repr.
+    # np.float64(...) repr.  The quotient's integrate call is handed rows
+    # whose products overflow.
+    import numpy as np
+    from cknlab import functionals
+    from cknlab.quadrature import IntegrandHandle, integrate
+
+    huge = IntegrandHandle(lambda r: np.full((1, 1, r.size), 1e200), (0.0,), (2.0, 1.0))
+    monkeypatch.setattr(functionals, "integrate", lambda handle, spec: integrate(huge, spec))
     code, out, err = run(capsys, "quotient", "--family", "thmD", "--n", "7", "--alpha", "0.5",
-                         "--b", "1e-300", "--k", "0")
+                         "--k", "0")
     assert code == 3
     assert out == ""
     assert err.startswith("error: did not converge: weighted Gram table overflowed on nodes r in [")

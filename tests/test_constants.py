@@ -43,6 +43,37 @@ def test_plain_formula_generic_k():
     assert mode_quotient_plain(3, 2).exact == Fraction(4**4 * 8**2, 4 * 24**2)
 
 
+def _plain_literal(n, k):
+    """J(N, k) as written for the unweighted inequality, evaluated exactly."""
+    if k == 0:
+        return Fraction((n + 1) ** 2, 4)
+    t = n + 2 * k - 3
+    return Fraction(t**4 * (n + 2 * k + 1) ** 2, 4 * (t**2 + 4 * k) ** 2)
+
+
+def _weighted_literal(n, a, k):
+    """K(N, alpha, k) as written for the weighted inequality, evaluated exactly."""
+    if k == 0:
+        return ((n + 3 * a + 1) / 2) ** 2
+    t = n + 2 * k - a - 3
+    return t**4 * (n + 2 * k + 3 * a + 1) ** 2 / (4 * (t**2 + 4 * (a + 1) * k) ** 2)
+
+
+def test_mode_quotients_match_the_literal_formulas():
+    # The grid reaches t = N + 2k - alpha - 3 <= 0, where the polynomial
+    # form must still hold: K(2, 1, 1) has t = 0.
+    assert mode_quotient_weighted(2, 1.0, 1).exact == 0
+    nonpositive = 0
+    for n in range(2, 13):
+        for k in range(9):
+            assert mode_quotient_plain(n, k).exact == _plain_literal(n, k)
+            for j in range(-15, 49):
+                a = Fraction(j, 16)
+                nonpositive += k >= 1 and n + 2 * k - a - 3 <= 0
+                assert mode_quotient_weighted(n, float(a), k).exact == _weighted_literal(n, a, k)
+    assert nonpositive > 20
+
+
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=30))
 @settings(max_examples=150)
 def test_weighted_reduces_to_plain_at_zero_weight(n, k):
@@ -169,6 +200,32 @@ def test_mode_infimum_requires_enough_modes():
         mode_infimum(FORMULA_PLAIN, InequalityParams(3), k_max=0)
 
 
+def test_plain_infimum_rejects_a_weight():
+    # "J" is the alpha = 0 case; it returned the alpha = 0 infimum silently.
+    with pytest.raises(DomainError, match="alpha"):
+        mode_infimum(FORMULA_PLAIN, InequalityParams(3, 0.5))
+
+
+_INFIMA = {
+    "mode_infimum": lambda params, k_max: mode_infimum(FORMULA_PLAIN, params, k_max),
+    "dn_general_lower_bound": dn_general_lower_bound,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INFIMA))
+@pytest.mark.parametrize("n, k_max, message", [
+    (10**200, 64, "too large"),
+    (3, True, "k_max"),
+    (3, 0, "k_max"),
+    (3, 2.0, "k_max"),
+])
+def test_infimum_input_errors(entry, n, k_max, message):
+    # The float net of the DN-general bound overflowed at N = 1e200 as a
+    # bare OverflowError, and k_max=True was accepted as 1.
+    with pytest.raises(DomainError, match=message):
+        _INFIMA[entry](InequalityParams(n, 0.0, 0.5), k_max)
+
+
 def test_sharp_constant_cases():
     assert sharp_constant_closed_form(InequalityParams(5, 0.0)).exact == Fraction(9)
     assert sharp_constant_closed_form(InequalityParams(1, -0.75)).exact == Fraction(9, 64)
@@ -206,7 +263,7 @@ def test_dn_general_reduces_to_weighted_at_zero_beta():
     for n, alpha in ((6, 0.2), (9, -0.4), (14, 1.0)):
         general = dn_general_lower_bound(InequalityParams(n, alpha, 0.0))
         weighted = mode_infimum(FORMULA_WEIGHTED, InequalityParams(n, alpha), k_max=64)
-        assert general.value == pytest.approx(weighted.value, rel=1e-12)
+        assert general.exact == weighted.exact and general.argmin_k == weighted.argmin_k
 
 
 def test_params_validation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cknlab.errors import RangeOverflowError
 from cknlab.exppoly import ExpPoly
 from cknlab.special import weighted_exp_integral
 
@@ -39,9 +40,27 @@ def test_derivative_matches_finite_differences(p):
 def test_product_is_pointwise(p, q):
     if p.decay_power != q.decay_power:
         return
+    if p.terms and q.terms and all(c1 * c2 == 0.0 for _, c1 in p.terms for _, c2 in q.terms):
+        # A product whose every coefficient underflows is an error, not the
+        # zero polynomial.
+        with pytest.raises(RangeOverflowError, match="underflows"):
+            p * q
+        return
     prod = p * q
     r = np.geomspace(0.1, 4.0, 9)
     assert np.allclose(prod(r), p(r) * q(r), rtol=1e-12, atol=1e-12)
+
+
+def test_product_underflow_is_an_error():
+    # Squaring a derivative with coefficients near 3e-300 (the profiles of
+    # rate 1e-300) underflowed every coefficient to 0: ExpPoly dropped them
+    # all and the closed energy route read a zero polynomial.
+    d = ExpPoly(((0.0, -3e-300), (1.0, 1e-300)), 1e-300, 1.0)
+    with pytest.raises(RangeOverflowError, match="underflows double-precision range"):
+        d * d
+    # Where some coefficient survives, only the underflowing terms are dropped.
+    assert (d * ExpPoly(((0.0, 1e-300), (2.0, 1.0)), 1.0, 1.0)).terms == (
+        (2.0, -3e-300), (3.0, 1e-300))
 
 
 def test_moment_equals_weighted_exp_integral():
