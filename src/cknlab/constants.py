@@ -290,6 +290,11 @@ def tail_certificate(n: int, alpha: float) -> bool:
     return t0 * (t0 - 4 * m) * (t0 + 2 * m) + 12 * m * t0 + 32 * m**2 >= 0
 
 
+def _too_large(n: int) -> DomainError:
+    """The error for a dimension whose per-mode quotients overflow floats."""
+    return DomainError(f"n={n} is too large: the per-mode quotients overflow double precision")
+
+
 def _mode_infimum(formula: str, params: InequalityParams, k_max: int,
                   tail_gate: bool) -> ModeInfimumResult:
     """The exact minimum of ``formula``'s per-mode value at ``params``
@@ -309,9 +314,7 @@ def _mode_infimum(formula: str, params: InequalityParams, k_max: int,
         n_float = float(n)
         floats = [_mode_value(n_float, alpha, beta, k) for k in range(k_max + 1)]
     except OverflowError:
-        raise DomainError(
-            f"n={n} is too large: the per-mode quotients overflow double precision"
-        ) from None
+        raise _too_large(n) from None
     cutoff = min(floats) * (1.0 + 1e-6)
     best = min((_mode_quotient(formula, params, k)
                 for k, value in enumerate(floats) if value <= cutoff),
@@ -509,19 +512,23 @@ def dn_general_lower_bound(
     """
     n, alpha = params.n, float(params.alpha)
     beta = float(params.beta) if params.beta is not None else 0.0
+    try:
+        nf = float(n)
+    except OverflowError:
+        raise _too_large(n) from None
     failures = []
     if n < 2:
         failures.append(f"N >= 2 (got N={n})")
-    if not n - 2 * alpha > 0:
-        failures.append(f"N - 2 alpha > 0 (got {n - 2 * alpha})")
-    if not n - 2 * beta > 0:
-        failures.append(f"N - 2 beta > 0 (got {n - 2 * beta})")
-    if not n - alpha - beta - 1 > 0:
-        failures.append(f"N - alpha - beta - 1 > 0 (got {n - alpha - beta - 1})")
+    if not nf - 2 * alpha > 0:
+        failures.append(f"N - 2 alpha > 0 (got {nf - 2 * alpha})")
+    if not nf - 2 * beta > 0:
+        failures.append(f"N - 2 beta > 0 (got {nf - 2 * beta})")
+    if not nf - alpha - beta - 1 > 0:
+        failures.append(f"N - alpha - beta - 1 > 0 (got {nf - alpha - beta - 1})")
     if not alpha - beta + 1 > 0:
         failures.append(f"alpha - beta + 1 > 0 (got {alpha - beta + 1})")
-    if not n + 2 * alpha > 0:
-        failures.append(f"N + 2 alpha > 0 (got {n + 2 * alpha})")
+    if not nf + 2 * alpha > 0:
+        failures.append(f"N + 2 alpha > 0 (got {nf + 2 * alpha})")
     if failures:
         raise PreconditionError(
             "general lower bound preconditions violated: " + "; ".join(failures)

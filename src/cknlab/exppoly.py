@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, RangeOverflowError
 from .special import weighted_exp_integral
 
-__all__ = ["ExpPoly"]
+__all__ = ["ExpPoly", "evaluate"]
 
 # Powers/coefficients closer than this are merged/dropped when building.
 _MERGE_TOL = 1e-12
@@ -83,29 +83,7 @@ class ExpPoly:
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            acc = np.zeros_like(r)
-            for g, c in self.terms:
-                acc += c * np.power(r, g)
-            if self.rate != 0.0:
-                acc *= np.exp(-self.rate * np.power(r, self.decay_power))
-            bad = ~np.isfinite(acc)
-            if np.any(bad):
-                # Overflowing power against underflowing exponential
-                # (inf * 0): redo those nodes termwise in log space, where
-                # the exponential's -inf wins as it should.
-                rb = np.atleast_1d(r)[np.atleast_1d(bad)]
-                logs = np.log(rb)
-                decay = self.rate * np.power(rb, self.decay_power) if self.rate else 0.0
-                fix = np.zeros_like(rb)
-                for g, c in self.terms:
-                    fix += c * np.exp(g * logs - decay)
-                if acc.ndim == 0:
-                    acc = fix.reshape(())
-                else:
-                    acc[bad] = fix
-        return acc
+        return evaluate((self,), r)[0]
 
     # -- algebra ---------------------------------------------------------
 
@@ -117,6 +95,12 @@ class ExpPoly:
             if self.rate != 0.0:
                 new.append((g + self.decay_power - 1.0,
                             -c * self.rate * self.decay_power))
+        if new and not any(c for _, c in new):
+            raise RangeOverflowError(
+                "every coefficient c g and -c rate q of the derivative underflows "
+                f"double-precision range (the largest |c| is "
+                f"{max(abs(c) for _, c in self.terms)!r}, rate {self.rate!r}, "
+                f"q {self.decay_power!r})")
         return ExpPoly(tuple(new), self.rate, self.decay_power)
 
     def __mul__(self, other: "ExpPoly") -> "ExpPoly":
@@ -177,3 +161,28 @@ class ExpPoly:
             c * weighted_exp_integral(g + p, self.rate, self.decay_power)
             for g, c in self.terms
         )
+
+
+def evaluate(polys: Iterable[ExpPoly], r) -> List[np.ndarray]:
+    """The values at r > 0 of exponential polynomials, each term as
+    c exp(g log r - rate r^q) and a g = 0 term as c exp(-rate r^q).
+
+    log r, and rate r^q for each distinct (rate, q), are computed once
+    for all of them.  Where r^g would overflow against an underflowing
+    exponential the exponent is -inf, so the value is 0, not inf * 0.
+    """
+    r = np.asarray(r, dtype=float)
+    values = []
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        log_r = np.log(r)
+        decays: Dict[Tuple[float, float], np.ndarray] = {}
+        for poly in polys:
+            key = (poly.rate, poly.decay_power)
+            if key not in decays:
+                decays[key] = poly.rate * np.power(r, poly.decay_power) if poly.rate else 0.0
+            decay = decays[key]
+            acc = np.zeros_like(log_r)
+            for g, c in poly.terms:
+                acc += c * np.exp(g * log_r - decay if g else -decay)
+            values.append(acc)
+    return values

@@ -51,7 +51,7 @@ from .errors import (
     RangeOverflowError,
     ZeroDenominatorError,
 )
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, evaluate
 from .quadrature import IntegrandHandle, QuadratureSpec, integrate
 from .special import log_gamma, regularized_gamma_p, regularized_gamma_q
 
@@ -254,8 +254,7 @@ def _evaluator_from_polys(poly_v: ExpPoly, poly_d1: ExpPoly, poly_d2: ExpPoly) -
     """The (v, v', v'') evaluator of closed forms."""
 
     def ev(r):
-        r = np.asarray(r, dtype=float)
-        return poly_v(r), poly_d1(r), poly_d2(r)
+        return tuple(evaluate((poly_v, poly_d1, poly_d2), r))
 
     return ev
 
@@ -279,7 +278,7 @@ def _tail_profile(
     def ev(r):
         r = np.asarray(r, dtype=float)
         v = -(c / s) * _gamma_prefactor(g, kappa) * regularized_gamma_q(g, kappa * np.power(r, s))
-        return v, poly_d1(r), poly_d2(r)
+        return (v, *evaluate((poly_d1, poly_d2), r))
 
     return RadialProfile(
         evaluator=ev,
@@ -371,6 +370,11 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
                 f"a coefficient of the {fid} profile's derivatives exceeds "
                 "double-precision range"
             ) from None
+        for name, formula, poly in (("v'", "-a b^2 m", poly_d1), ("v''", "a b^3 m^2", poly_d2)):
+            if poly.is_zero:
+                raise RangeOverflowError(
+                    f"the coefficient {formula} of the {fid} profile's {name} underflows "
+                    f"double-precision range (a={a!r}, b={b!r}, m={m!r})")
         return RadialProfile(
             evaluator=_evaluator_from_polys(poly_v, poly_d1, poly_d2),
             decay_hint=(b, m),
@@ -504,8 +508,8 @@ def _energies(
     The quadrature route is one ``integrate`` call on the stack of every
     live part, each weighted by its own power of r: on each batch of
     nodes every component of v the parts read is evaluated once, from
-    its closed form where there is one, else by one call of the
-    profile's evaluator.  Before it, each part whose component has a
+    its closed form where there is one (the closed forms together, in one
+    ``exppoly.evaluate``), else by one call of the profile's evaluator.  Before it, each part whose component has a
     known leading power at the origin (``_origin_power``) is checked to
     converge there.
     """
@@ -535,12 +539,14 @@ def _energies(
                 f"int |v^({order})|^2 r^{power} dr behaves like r^{2.0 * lead + power}"
             )
     orders = sorted({order for _, order, _, _ in live})
-    evaluated = any(polys[order] is None for order in orders)
+    closed_orders = [order for order in orders if polys[order] is not None]
+    evaluated = len(closed_orders) < len(orders)
 
     def rows(r):
-        full = profile.evaluator(r) if evaluated else None
-        comps = {order: full[order] if polys[order] is None else polys[order](r)
-                 for order in orders}
+        comps = dict(zip(closed_orders, evaluate([polys[order] for order in closed_orders], r)))
+        if evaluated:
+            full = profile.evaluator(r)
+            comps.update((order, full[order]) for order in orders if order not in comps)
         return np.stack([comps[order] for _, order, _, _ in live])[:, None, :]
 
     hint = None

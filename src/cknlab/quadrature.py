@@ -32,18 +32,21 @@ pass, since most integrals of this package stop at level 5, and each
 deeper level in a pass of its own.  Each pass's levels are stacked on a
 leading axis and tested together, in one set of array operations, and
 the first level that passes the test is the result; a non-finite sample
-of a level the test never reaches is no error.  Each level's nodes are
-cut into sub-batches of at most 256, and its products are summed one
-sub-batch at a time, so the sums, and every result, are bit for bit
-those of evaluating each level alone.  The rows are called, and
-weighted, on groups of at most 16 consecutive sub-batches (4096 nodes):
-a first pass holds at most nine, so it takes one call, and only a level
-from 8 on may take more than one.
+of a level the test never reaches is no error.  The nodes of a pass come
+from a cached layout, which holds the tanh-sinh half (it does not depend
+on the scale) and the order of the nodes, level by level; a pass computes
+only the exp-sinh map.  The rows are called, and weighted, on at most
+4096 nodes at a time: a first pass holds at most 1178, so it takes one
+call, and only a level from 9 on takes more than one.  Each level's sums
+are one signed and one absolute product on each call, so the sums, and
+every result, are bit for bit those of evaluating each level alone, 4096
+nodes at a time.
 
 All tables share one node ladder and one refinement loop, which
-evaluates the callable once on each group of new nodes, so the parts of
+evaluates the callable once on each call's nodes, so the parts of
 one form triple share their nodes and whatever the tables have in
-common.  Each row is multiplied by sqrt(w r^p) before the
+common.  Each row is multiplied by sqrt(w r^p) = exp(L/2), with
+L = log w + p log r, before the
 product, so rows may take any finite weight exponent: rows that vanish
 at the origin absorb a weight at or below -1.  A row weight at or below
 -0.9 is centred in the tail transform as weight 0, the peak of the rows'
@@ -53,9 +56,10 @@ farthest out.
 Weights that underflow to zero are masked before the integrand is
 evaluated: at extreme nodes the integrand itself may overflow double
 range even though its weighted contribution is exactly negligible, and
-evaluating it there would poison the sum with inf * 0.  A node is
-evaluated when any table's weight is alive there, and a table ignores
-whatever it returns at nodes where its own weight underflows.
+evaluating it there would poison the sum with inf * 0.  A weight w r^p
+is alive where exp(L) is nonzero, a node is evaluated when any table's
+weight is alive there, and a table ignores whatever it returns at nodes
+where its own weight underflows.
 """
 
 from __future__ import annotations
@@ -63,17 +67,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    DivergentIntegralError,
-    DomainError,
-    NonConvergenceError,
-    NonFiniteSampleError,
-)
+from .errors import (DivergentIntegralError, DomainError, NonConvergenceError,
+                     NonFiniteSampleError)
 
 __all__ = [
     "QuadratureSpec",
@@ -104,13 +103,14 @@ _FOLD_EDGE = -0.9
 _FIRST_PASS = 5
 _PASSES = ((0, _FIRST_PASS),) + tuple(
     (level, level) for level in range(_FIRST_PASS + 1, _MAX_LEVEL + 1))
-# Most nodes over which one Gram product of a level is summed.
-_BATCH_NODES = 256
-# Most sub-batches the rows are called on, and weighted, at once.  A first
-# pass (levels 0..5) holds at most 1+1+1+1+2+3 = 9 sub-batches, so every
-# integral, energy or Gram, takes one call for its first pass, while the
-# memory of a call on a deep level is held to that of 4096 nodes.
-_CALL_BATCHES = 16
+# exp(L) is nonzero exactly where L is at least this, the least double
+# above log(2^-1075), half the least denormal.
+_LOG_LIVE = -745.1332191019411
+# Most nodes the rows are called on, and weighted, at once.  A first pass
+# (levels 0..5) holds at most 1178 nodes, so every integral, energy or Gram,
+# takes one call for its first pass; a deeper level past this size is cut
+# into calls of this size, so that memory does not grow with the level.
+_CALL_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -225,24 +225,26 @@ def _steps(level: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _grid(first: int, last: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                                          List[slice]]:
-    """(sinh t, cosh t) for the nodes new at levels first..last, level by
-    level, the tanh-sinh nodes sigmoid(pi sinh t) and weights on (0, 1],
-    which the split point scales, and the span of each level."""
+def _layout(first: int, last: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                            np.ndarray, np.ndarray]:
+    """The node layout of levels first..last, which does not depend on the
+    tail scale: (sinh t, cosh t) of the new steps, level by level; the
+    tanh-sinh nodes sigmoid(pi sinh t) on (0, 1], and their weights, that
+    are positive; the gather index that puts these nodes followed by every
+    exp-sinh node in level order, each level's tanh-sinh half first; and
+    the start of each level in that order."""
     steps = [_steps(level) for level in range(first, last + 1)]
     t = np.concatenate(steps)
     sinh_t, cosh_t = np.sinh(t), np.cosh(t)
     u2 = math.pi * sinh_t  # 2 * (pi/2) sinh t
     sig = _sigmoid(u2)
-    return sinh_t, cosh_t, sig, math.pi * cosh_t * sig * _sigmoid(-u2), _spans(
-        [step.size for step in steps])
-
-
-def _spans(sizes: List[int]) -> List[slice]:
-    """Consecutive slices of the given sizes."""
-    ends = list(accumulate(sizes))
-    return [slice(end - size, end) for size, end in zip(sizes, ends)]
+    r = _SPLIT_POINT * sig
+    w = _SPLIT_POINT * (math.pi * cosh_t * sig * _sigmoid(-u2))
+    keep = np.isfinite(w) & (r > 0.0) & (w > 0.0)
+    level = np.repeat(np.arange(len(steps)), [step.size for step in steps])
+    order = np.argsort(np.concatenate([level[keep], level]), kind="stable")
+    sizes = np.bincount(level[keep], minlength=len(steps)) + [step.size for step in steps]
+    return sinh_t, cosh_t, r[keep], w[keep], order, np.cumsum(sizes) - sizes
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -255,31 +257,8 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return out
 
 
-class _HalfMap:
-    """One transformed half of the integration range: produces the finite
-    (r, w) node/weight arrays with positive weight of each level of a
-    grid."""
-
-    def __init__(self, kind: str, scale: float, kappa: float):
-        self.kind = kind
-        self.scale = scale
-        self.kappa = kappa
-
-    def nodes(self, grid: tuple) -> List[Tuple[np.ndarray, np.ndarray]]:
-        sinh_t, cosh_t, unit_r, unit_w, spans = grid
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            if self.kind == "tanh-sinh":
-                r = _SPLIT_POINT * unit_r
-                w = _SPLIT_POINT * unit_w
-            else:  # exp-sinh
-                g = self.scale * np.exp(self.kappa * sinh_t)
-                r = _SPLIT_POINT + g
-                w = self.kappa * cosh_t * g
-            keep = np.isfinite(r) & (r > 0.0) & np.isfinite(w) & (w > 0.0)
-        return [(r[span][keep[span]], w[span][keep[span]]) for span in spans]
-
-
-def _build_maps(handle: IntegrandHandle) -> Tuple[_HalfMap, _HalfMap]:
+def _tail(handle: IntegrandHandle) -> Tuple[float, float]:
+    """The scale s and rate kappa of the exp-sinh map r = 1 + s exp(kappa sinh t)."""
     if handle.decay_hint is not None:
         c, q = handle.decay_hint
         p = np.asarray(handle.weight_exponent, dtype=float)
@@ -292,7 +271,22 @@ def _build_maps(handle: IntegrandHandle) -> Tuple[_HalfMap, _HalfMap]:
         kappa = 0.5 * math.pi
     if handle.tail_scale is not None:
         scale = handle.tail_scale
-    return _HalfMap("tanh-sinh", 1.0, 0.0), _HalfMap("exp-sinh", scale, kappa)
+    return scale, kappa
+
+
+def _nodes(tail: Tuple[float, float], first: int, last: int
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes r and log weights log w of levels first..last in level
+    order, and the start of each level.  An exp-sinh node whose weight
+    overflows gets log w = -inf, so that no weight exponent makes it live."""
+    sinh_t, cosh_t, unit_r, unit_w, order, starts = _layout(first, last)
+    scale, kappa = tail
+    with np.errstate(over="ignore", divide="ignore"):
+        g = scale * np.exp(kappa * sinh_t)
+        w = kappa * cosh_t * g
+        w[w == math.inf] = 0.0
+        return (np.concatenate([unit_r, _SPLIT_POINT + g])[order],
+                np.log(np.concatenate([unit_w, w])[order]), starts)
 
 
 def _row_tables(handle: IntegrandHandle, r: np.ndarray, tables: int) -> np.ndarray:
@@ -306,90 +300,83 @@ def _row_tables(handle: IntegrandHandle, r: np.ndarray, tables: int) -> np.ndarr
     return vals
 
 
-def _weighted_rows(
-    vals: np.ndarray, r: np.ndarray, w: np.ndarray, wp: np.ndarray, p: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Each table's rows times sqrt(w r^p_i), zero where that weight is,
-    and the mask of values that are not finite where their table's weight
-    is alive.
+def _weighted_rows(vals: np.ndarray, log_wp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each table's rows times sqrt(w r^p_i) = exp(L_i / 2), zero where
+    that weight is dead, and the mask of values that are not finite where
+    their table's weight is alive.
 
-    ``wp`` holds w r^p_i, one row per table.  A tiny (denormal) row value
-    times a huge transformed weight overflows or turns into nan even
-    though the true product is negligible, so non-finite products of
+    ``log_wp`` holds L_i = log w + p_i log r, one row per table, and the
+    weight is alive where exp(L_i) is nonzero.  A tiny (denormal) row
+    value times a huge transformed weight overflows or turns into nan
+    even though the true product is negligible, so non-finite products of
     finite parts are recomputed in log space.  Genuinely divergent nodes
     stay non-finite and are reported by the caller.
     """
-    live = (wp != 0.0)[:, None, :]
-    bad = live & ~np.isfinite(vals)
-    g = vals * np.sqrt(wp)[:, None, :]
-    g[~live | (vals == 0.0)] = 0.0
+    alive = (log_wp >= _LOG_LIVE)[:, None, :]
+    half = 0.5 * log_wp[:, None, :]
+    bad = alive & ~np.isfinite(vals)
+    g = vals * np.exp(half)
+    g[~alive | (vals == 0.0)] = 0.0
     over = ~np.isfinite(g)
-    if np.any(over):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                         under="ignore"):
-            rb = np.broadcast_to(r, g.shape)[over]
-            wb = np.broadcast_to(w, g.shape)[over]
-            pb = np.broadcast_to(p[:, None, None], g.shape)[over]
+    if over.any():
+        with np.errstate(divide="ignore"):
             fb = vals[over]
-            g[over] = np.sign(fb) * np.exp(0.5 * (np.log(wb) + pb * np.log(rb))
+            g[over] = np.sign(fb) * np.exp(np.broadcast_to(half, g.shape)[over]
                                            + np.log(np.abs(fb)))
     return g, bad
 
 
-def _pass(
-    handle: IntegrandHandle,
-    maps: Tuple[_HalfMap, ...],
-    p: np.ndarray,
-    first: int,
-    last: int,
-) -> Tuple[np.ndarray, Optional[NonFiniteSampleError], int]:
+def _pass(handle: IntegrandHandle, tail: Tuple[float, float], p: np.ndarray, first: int,
+          last: int) -> Tuple[np.ndarray, Optional[NonFiniteSampleError], int]:
     """The Gram sums of levels first..last, evaluated together, the error
     of the first level with a non-finite sample (or None) and the nodes
     evaluated.
 
     The sums are stacked as (levels, 2, T, rows, rows): each level's
     signed sums, then its sums of magnitudes.  They stop before a level
-    with a non-finite sample.  The live nodes are ordered by level and
-    within a level by half, as each level alone would have them; each
-    level's products are summed over sub-batches of at most _BATCH_NODES
-    of its nodes, and the rows are called, and weighted, on groups of at
-    most _CALL_BATCHES consecutive sub-batches.
+    with a non-finite sample.  A node is live where any table's weight
+    w r^p = exp(log w + p log r) is nonzero.  The live nodes are called,
+    and weighted, at most _CALL_NODES at a time, and each level's part of
+    a call is one signed and one absolute product.
     """
-    per_level = list(zip(*(m.nodes(_grid(first, last)) for m in maps)))
-    r = np.concatenate([hr for halves in per_level for hr, _ in halves])
-    w = np.concatenate([hw for halves in per_level for _, hw in halves])
+    r, log_w, starts = _nodes(tail, first, last)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        wp = w * np.power(r, p[:, None])
-        live = np.any(wp != 0.0, axis=0)
-        spans = _spans([sum(hr.size for hr, _ in halves) for halves in per_level])
-        levels = _spans([int(np.count_nonzero(live[span])) for span in spans])
-        r, w, wp = r[live], w[live], wp[:, live]
-        subs = [(i, slice(start, min(start + _BATCH_NODES, nodes.stop)))
-                for i, nodes in enumerate(levels)
-                for start in range(nodes.start, nodes.stop, _BATCH_NODES)]
-        for done in range(0, len(subs), _CALL_BATCHES):
-            group = subs[done:done + _CALL_BATCHES]
-            call = slice(group[0][1].start, group[-1][1].stop)
-            g, bad = _weighted_rows(_row_tables(handle, r[call], p.size), r[call], w[call],
-                                    wp[:, call], p)
-            if done == 0:
+        log_wp = log_w + p[:, None] * np.log(r)
+        # The overflowing exp-sinh nodes, with log w = -inf and log r = inf,
+        # are nan or -inf in every table, so their maximum leaves them dead.
+        live = np.flatnonzero(log_wp.max(axis=0) >= _LOG_LIVE)
+        bounds = np.searchsorted(live, starts).tolist() + [live.size]
+        levels = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        r, log_wp = r[live], log_wp.take(live, axis=1)
+        cut, unreached = len(levels), None
+        for start in range(0, max(r.size, 1), _CALL_NODES):
+            call = slice(start, min(start + _CALL_NODES, r.size))
+            g, bad = _weighted_rows(_row_tables(handle, r[call], p.size), log_wp[:, call])
+            if start == 0:
                 sums = np.zeros((len(levels), 2) + g.shape[:2] + g.shape[1:2])
-            for i, sub in group:
-                at, part = r[sub], slice(sub.start - call.start, sub.stop - call.start)
-                if np.any(bad[..., part]):
-                    at = np.broadcast_to(at, bad[..., part].shape)[bad[..., part]][0]
-                    return sums[:i], NonFiniteSampleError(
-                        f"integrand row returned a non-finite value at r={float(at)!r}"), call.stop
-                gs = np.ascontiguousarray(g[..., part])
-                term = gs @ gs.transpose(0, 2, 1)
-                if not np.all(np.isfinite(term)):
-                    return sums[:i], NonFiniteSampleError(
-                        "weighted Gram table overflowed on nodes r in "
-                        f"[{float(at.min())!r}, {float(at.max())!r}]"), call.stop
-                np.abs(gs, out=gs)
-                sums[i, 0] += term
-                sums[i, 1] += gs @ gs.transpose(0, 2, 1)
-    return sums, None, r.size
+            parts = [(i, slice(max(span.start, start) - start, min(span.stop, call.stop) - start))
+                     for i, span in enumerate(levels)
+                     if span.start < call.stop and span.stop > start]
+            if bad.any():
+                i, part = next(pt for pt in parts if bad[..., pt[1]].any())
+                at = np.broadcast_to(r[call][part], bad[..., part].shape)[bad[..., part]][0]
+                cut, unreached = i, NonFiniteSampleError(
+                    f"integrand row returned a non-finite value at r={float(at)!r}")
+                parts = [pt for pt in parts if pt[0] < i]
+            for i, part in parts:
+                sums[i, 0] += g[..., part] @ g[..., part].transpose(0, 2, 1)
+            np.abs(g, out=g)
+            for i, part in parts:
+                sums[i, 1] += g[..., part] @ g[..., part].transpose(0, 2, 1)
+            if unreached is not None:
+                break
+        finite = np.isfinite(sums[:cut, 0]).all(axis=(1, 2, 3))
+        if not finite.all():
+            cut = int(np.argmin(finite))
+            at = r[levels[cut]]
+            unreached = NonFiniteSampleError("weighted Gram table overflowed on nodes r in "
+                                             f"[{float(at.min())!r}, {float(at.max())!r}]")
+        return sums[:cut], unreached, call.stop
 
 
 def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
@@ -412,9 +399,10 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         (T, rows, rows) arrays for T weight exponents; the level is the
         deepest any entry of any table needs.  Levels 0..5 are evaluated
         in one pass, which is one call of rows, deeper levels one pass
-        each, and each pass's levels are tested together; the results
-        equal those of evaluating and testing level by level, bit for
-        bit.
+        each, called on at most 4096 nodes at a time, and each pass's
+        levels are tested together; the results equal, bit for bit, those
+        of evaluating each level alone, 4096 nodes at a time, and testing
+        level by level.
 
     Raises
     ------
@@ -425,14 +413,14 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         If the rows return nan/inf at a contributing node of a level the
         refinement reaches.
     """
-    maps = _build_maps(handle)
+    tail = _tail(handle)
     p = np.asarray(handle.weight_exponent, dtype=float)
     n = 0
     # The running sums through the last level of the previous pass, and
     # that level's error estimate.
     carried = prev_err = None
     for first, last in _PASSES:
-        sums, unreached, evaluated = _pass(handle, maps, p, first, last)
+        sums, unreached, evaluated = _pass(handle, tail, p, first, last)
         n += evaluated
         if carried is None:
             prev_err = np.full(sums.shape[2:], math.inf)  # before level 1

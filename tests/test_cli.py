@@ -100,6 +100,27 @@ def test_tiny_rate_exits_precondition(capsys, family):
     assert err.count("\n") == 1 and err.startswith("error:") and "underflows" in err
 
 
+@pytest.mark.parametrize("argv, coefficient", [
+    (("thmA", "--b", "1e-200"), "coefficient -a b^2 m of the thmA profile's v' "),
+    (("thm1.2-2", "--alpha", "0.25", "--b", "1e-165"),
+     "coefficient -a b^2 m of the thm1.2-2 profile's v' "),
+    (("thm1.2-2", "--alpha", "-0.5", "--b", "1e-120"),
+     "coefficient a b^3 m^2 of the thm1.2-2 profile's v'' "),
+    (("thmB", "--a", "1e-300", "--b", "1e-100"),
+     "every coefficient c g and -c rate q of the derivative "),
+])
+def test_underflowing_derivative_coefficient_is_named(capsys, argv, coefficient):
+    # At rates of 1e-165 and below the derivative coefficients underflowed
+    # to 0 and were dropped, so the command exited 2 with a misleading
+    # "denominator energy C = 0.0 is zero".
+    code, out, err = run(capsys, "quotient", "--family", *argv, "--n", "7", "--k", "0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: the " if "every" not in coefficient
+                                                     else "error: every")
+    assert coefficient + "underflows double-precision range" in err
+
+
 def test_mode_scan_rejects_alpha_for_plain_formula(capsys):
     # J is the alpha = 0 case: the scan printed J values under "alpha": 0.5.
     code, out, err = run(capsys, "mode-scan", "--formula", "J", "--n", "3", "--alpha", "0.5")

@@ -215,13 +215,15 @@ _INFIMA = {
 @pytest.mark.parametrize("entry", sorted(_INFIMA))
 @pytest.mark.parametrize("n, k_max, message", [
     (10**200, 64, "too large"),
+    (10**400, 64, "too large"),
     (3, True, "k_max"),
     (3, 0, "k_max"),
     (3, 2.0, "k_max"),
 ])
 def test_infimum_input_errors(entry, n, k_max, message):
     # The float net of the DN-general bound overflowed at N = 1e200 as a
-    # bare OverflowError, and k_max=True was accepted as 1.
+    # bare OverflowError, its preconditions did at N = 1e400 (beyond float
+    # range), and k_max=True was accepted as 1.
     with pytest.raises(DomainError, match=message):
         _INFIMA[entry](InequalityParams(n, 0.0, 0.5), k_max)
 

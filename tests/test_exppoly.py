@@ -1,12 +1,13 @@
 """Exponential-polynomial algebra: derivatives, products, moments."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cknlab.errors import RangeOverflowError
-from cknlab.exppoly import ExpPoly
+from cknlab.exppoly import ExpPoly, evaluate
 from cknlab.special import weighted_exp_integral
 
 coeff = st.floats(min_value=-3.0, max_value=3.0)
@@ -63,6 +64,17 @@ def test_product_underflow_is_an_error():
         (2.0, -3e-300), (3.0, 1e-300))
 
 
+def test_derivative_underflow_is_an_error():
+    # -c rate q of 1e-300 e^(-1e-100 r^2), its only coefficient, underflows:
+    # the derivative of a nonzero polynomial would read as zero.
+    with pytest.raises(RangeOverflowError, match="derivative underflows"):
+        ExpPoly(((0.0, 1e-300),), 1e-100, 2.0).derivative()
+    # A constant without decay has the zero derivative, and where some
+    # coefficient survives only the underflowing ones are dropped.
+    assert ExpPoly(((0.0, 1e-300),), 0.0, 1.0).derivative().is_zero
+    assert ExpPoly(((2.0, 1e-300),), 1e-30, 1.0).derivative().terms == ((1.0, 2e-300),)
+
+
 def test_moment_equals_weighted_exp_integral():
     p = ExpPoly(((2.0, 3.0),), 1.5, 1.0)
     # int 3 r^2 * r^4 e^{-1.5 r} dr
@@ -96,6 +108,47 @@ def test_log_space_fallback_at_large_radius():
     vals = p(np.array([1e3, 1e6, 1e150]))
     assert np.all(np.isfinite(vals))
     assert np.all(vals == 0.0)
+
+
+@pytest.mark.parametrize("poly", [
+    ExpPoly(((-0.5, 1.5), (0.0, 2.0), (1.25, 0.75), (60.0, 3e-20)), 1.0, 0.5),
+    ExpPoly(((0.0, 1.0), (2.0, 0.5), (7.5, 1e-3)), 0.8, 1.0),
+    ExpPoly(((1.0, 1.0), (3.0, 2.0)), 2.0, 2.0),
+])
+def test_log_form_matches_mpmath(poly):
+    # Each term is c exp(g log r - rate r^q): on a log grid over 1e-300..1e6
+    # the values agree with 40-digit ones to 1e-13 relative wherever those
+    # are normal doubles, and underflow where those are smaller still.  The
+    # r^60 term overflows past r = 1e5 against an exponential that
+    # underflows past r = 5e5, and its product stays exact.
+    mpmath.mp.dps = 40
+    r = np.geomspace(1e-300, 1e6, 201)
+    for x, value in zip(r.tolist(), poly(r).tolist()):
+        x = mpmath.mpf(x)
+        exact = mpmath.exp(-poly.rate * x**poly.decay_power) * mpmath.fsum(
+            c * x**g for g, c in poly.terms)
+        if exact > 1e-290:
+            assert abs(value - exact) <= 1e-13 * exact, (x, value, exact)
+        else:
+            assert 0.0 <= value <= 1e-289, (x, value, exact)
+
+
+def test_log_form_edges():
+    # r^400 overflows and e^-r underflows: the value is 0, not inf * 0 = nan.
+    far = np.array([1e4, 1e6, 1e100, 1e300])
+    assert np.array_equal(ExpPoly(((400.0, 1.0),), 1.0, 1.0)(far), np.zeros(4))
+    # A g = 0 term is c e^(-rate r^q) exactly, and c itself without decay,
+    # at the origin too.
+    r = np.array([0.0, 1e-300, 0.3, 1.0, 7.0, 1e6])
+    assert np.array_equal(ExpPoly(((0.0, 2.5),), 0.75, 1.5)(r),
+                          2.5 * np.exp(-0.75 * np.power(r, 1.5)))
+    assert np.array_equal(ExpPoly(((0.0, 2.5),), 0.0, 1.0)(r), np.full(6, 2.5))
+    # Polynomials evaluated together share log r and the exponential's
+    # argument, and give each one's values alone.
+    p, q = ExpPoly(((0.0, 1.0), (1.5, -2.0)), 1.0, 1.5), ExpPoly(((0.5, 3.0),), 1.0, 1.5)
+    for together, alone in zip(evaluate((p, q, p.derivative()), r[1:]),
+                               (p(r[1:]), q(r[1:]), p.derivative()(r[1:]))):
+        assert np.array_equal(together, alone)
 
 
 def test_zero_poly():

@@ -239,28 +239,39 @@ def test_tail_scale_moves_the_tail_centre_only():
 
 def _level_by_level(handle):
     """Each level's signed and absolute sums and node count: the level's
-    nodes alone, from the module's node maps, its rows in batches of 256
-    nodes."""
-    maps = quadrature._build_maps(handle)
+    nodes alone, on the module's node layout, with one product a level
+    (a level of more than 4096 live nodes one product per 4096, summed in
+    order)."""
+    tail = quadrature._tail(handle)
     p = np.asarray(handle.weight_exponent, dtype=float)
+    cap = quadrature._CALL_NODES
     for level in range(quadrature._MAX_LEVEL + 1):
-        grid = quadrature._grid(level, level)
-        r, w = (np.concatenate(part) for part in zip(*(m.nodes(grid)[0] for m in maps)))
+        r, log_w, _ = quadrature._nodes(tail, level, level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            wp = w * np.power(r, p[:, None])
-            live = np.any(wp != 0.0, axis=0)
-            r, w, wp = r[live], w[live], wp[:, live]
+            log_wp = log_w + p[:, None] * np.log(r)
+            live = np.any(np.exp(log_wp) > 0.0, axis=0)
+            r, log_wp = r[live], log_wp[:, live]
             total = abs_total = 0.0
-            for start in range(0, r.size, 256):
-                b = slice(start, start + 256)
+            for start in range(0, r.size, cap):
+                b = slice(start, start + cap)
                 vals = quadrature._row_tables(handle, r[b], p.size)
-                g, bad = quadrature._weighted_rows(vals, r[b], w[b], wp[:, b], p)
+                g, bad = quadrature._weighted_rows(vals, log_wp[:, b])
                 if np.any(bad):
                     raise NonFiniteSampleError(f"non-finite row at level {level}")
                 total = total + g @ g.transpose(0, 2, 1)
                 g = np.abs(g)
                 abs_total = abs_total + g @ g.transpose(0, 2, 1)
         yield total, abs_total, r.size
+
+
+def test_live_weights_are_those_whose_exponential_is_nonzero():
+    # A weight exp(L) is alive where L >= _LOG_LIVE: exactly where exp(L)
+    # does not underflow to zero.
+    edge = quadrature._LOG_LIVE
+    below = np.nextafter(edge, -np.inf)
+    with np.errstate(under="ignore"):
+        assert np.exp(edge) > 0.0 and np.exp(below) == 0.0
+        assert np.array_equal(np.exp(np.array([below, edge] * 4)) > 0.0, [False, True] * 4)
 
 
 def _reference(handle, spec):
@@ -288,7 +299,7 @@ def _reference(handle, spec):
 
 def _gram_check_handle(monkeypatch):
     """The handle of the m = 16 Gram check of N = 4, alpha = 0, k = 3,
-    which refines to level 6 in several batches a level."""
+    which refines to level 6."""
     handles = []
 
     def record(handle, spec):
@@ -388,12 +399,12 @@ def test_gram_check_reaches_level_six_in_two_passes(monkeypatch):
     assert passes == [(0, 5), (6, 6)]
 
 
-def test_rows_are_called_on_groups_of_sub_batches(monkeypatch):
+def test_rows_are_called_once_a_pass_and_a_deep_level_per_4096_nodes(monkeypatch):
     # The probe's k = 3, m = 16 Gram check calls its rows once on every
-    # live node of levels 0..5 and once on those of level 6.  No call
-    # holds more than _CALL_BATCHES sub-batches: a level 8 takes one call,
-    # and the levels 9..12 of a refinement that never converges are split.
-    call_cap = quadrature._CALL_BATCHES * quadrature._BATCH_NODES
+    # live node of levels 0..5 and once on those of level 6.  A level 8
+    # takes one call, and each of the levels 9..12 of a refinement that
+    # never converges is cut into calls of at most 4096 nodes.
+    call_cap = quadrature._CALL_NODES
 
     def calls(handle, spec):
         sizes, rows = [], handle.rows
@@ -414,7 +425,7 @@ def test_rows_are_called_on_groups_of_sub_batches(monkeypatch):
         counts = [n for *_, n in islice(_level_by_level(handle), deepest + 1)]
         deep = [min(call_cap, n - start) for n in counts[6:] for start in range(0, n, call_cap)]
         assert calls(handle, QuadratureSpec(rel_tol=rel_tol)) == [sum(counts[:6])] + deep
-    assert max(counts) > 2 * call_cap
+    assert counts[8] <= call_cap < 2 * call_cap < max(counts)
 
 
 def test_non_finite_row_past_convergence_is_not_reached():
@@ -422,8 +433,7 @@ def test_non_finite_row_past_convergence_is_not_reached():
     # coarser level never needs; the far exp-sinh nodes of every level
     # round to the split point r = 1 and stay finite.
     handle = IntegrandHandle(_table(lambda r: np.exp(-r) / (1.0 + r)), (0.0,), (2.0, 1.0))
-    grid = quadrature._grid(4, 4)
-    level4 = np.concatenate([m.nodes(grid)[0][0] for m in quadrature._build_maps(handle)])
+    level4 = quadrature._nodes(quadrature._tail(handle), 4, 4)[0]
     level4 = level4[level4 != 1.0]
     poisoned = IntegrandHandle(rows=lambda r: np.where(np.isin(r, level4), np.nan,
                                                        handle.rows(r)),
