@@ -38,6 +38,12 @@ def _normalize(terms: Iterable[Tuple[float, float]]) -> Tuple[Tuple[float, float
         c = float(c)
         if c == 0.0:
             continue
+        # A finite key equal to g absorbs it: no earlier key is within
+        # tolerance of it, or it would have absorbed the key itself.  (An
+        # infinite power matches no key in the scan, as inf - inf is nan.)
+        if g in merged and math.isfinite(g):
+            merged[g] += c
+            continue
         # Merge powers that are equal up to rounding of exponent arithmetic.
         for key in merged:
             if abs(key - g) <= _MERGE_TOL * max(1.0, abs(key)):

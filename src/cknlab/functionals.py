@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -528,9 +528,12 @@ def _energies(
             for form, parts in enumerate(form_parts(params.n, params.alpha, k))
             for order, power, coef in parts if coef != 0.0]
     polys = [profile.component_poly(name) for name in _COMPONENTS]
-    closed = [(polys[order] * polys[order]).moment(power)
-              if closed_route and polys[order] is not None else None
-              for _, order, power, _ in live]
+    squares: Dict[int, ExpPoly] = {}  # each component squared once, where first read
+    closed = []
+    for _, order, power, _ in live:
+        if closed_route and polys[order] is not None and order not in squares:
+            squares[order] = polys[order] * polys[order]
+        closed.append(squares[order].moment(power) if order in squares else None)
     for form, order, power, _ in live:
         lead = _origin_power(profile, order)
         if lead is not None and 2.0 * lead + power <= -1.0:

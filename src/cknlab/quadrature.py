@@ -38,9 +38,10 @@ on the scale) and the order of the nodes, level by level; a pass computes
 only the exp-sinh map.  The rows are called, and weighted, on at most
 4096 nodes at a time: a first pass holds at most 1178, so it takes one
 call, and only a level from 9 on takes more than one.  Each level's sums
-are one signed and one absolute product on each call, so the sums, and
-every result, are bit for bit those of evaluating each level alone, 4096
-nodes at a time.
+are one signed product on each call, and one absolute product where a
+table has more than one row (a single row's magnitudes |g| |g| are its
+g g exactly), so the sums, and every result, are bit for bit those of
+evaluating each level alone, 4096 nodes at a time.
 
 All tables share one node ladder and one refinement loop, which
 evaluates the callable once on each call's nodes, so the parts of
@@ -261,9 +262,8 @@ def _tail(handle: IntegrandHandle) -> Tuple[float, float]:
     """The scale s and rate kappa of the exp-sinh map r = 1 + s exp(kappa sinh t)."""
     if handle.decay_hint is not None:
         c, q = handle.decay_hint
-        p = np.asarray(handle.weight_exponent, dtype=float)
-        p = np.where(p <= _FOLD_EDGE, 0.0, p)
-        peak = (float(np.max(p)) + 1.0) / (c * q)
+        peak = (max(0.0 if p <= _FOLD_EDGE else float(p) for p in handle.weight_exponent)
+                + 1.0) / (c * q)
         scale = max(c ** (-1.0 / q), peak ** (1.0 / q))
         kappa = 0.5 * math.pi / q
     else:
@@ -303,7 +303,7 @@ def _row_tables(handle: IntegrandHandle, r: np.ndarray, tables: int) -> np.ndarr
 def _weighted_rows(vals: np.ndarray, log_wp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Each table's rows times sqrt(w r^p_i) = exp(L_i / 2), zero where
     that weight is dead, and the mask of values that are not finite where
-    their table's weight is alive.
+    their table's weight is alive (None where every product is finite).
 
     ``log_wp`` holds L_i = log w + p_i log r, one row per table, and the
     weight is alive where exp(L_i) is nonzero.  A tiny (denormal) row
@@ -314,11 +314,12 @@ def _weighted_rows(vals: np.ndarray, log_wp: np.ndarray) -> Tuple[np.ndarray, np
     """
     alive = (log_wp >= _LOG_LIVE)[:, None, :]
     half = 0.5 * log_wp[:, None, :]
-    bad = alive & ~np.isfinite(vals)
     g = vals * np.exp(half)
     g[~alive | (vals == 0.0)] = 0.0
     over = ~np.isfinite(g)
+    bad = None  # a non-finite value of a live weight leaves g non-finite
     if over.any():
+        bad = alive & ~np.isfinite(vals)
         with np.errstate(divide="ignore"):
             fb = vals[over]
             g[over] = np.sign(fb) * np.exp(np.broadcast_to(half, g.shape)[over]
@@ -337,7 +338,9 @@ def _pass(handle: IntegrandHandle, tail: Tuple[float, float], p: np.ndarray, fir
     with a non-finite sample.  A node is live where any table's weight
     w r^p = exp(log w + p log r) is nonzero.  The live nodes are called,
     and weighted, at most _CALL_NODES at a time, and each level's part of
-    a call is one signed and one absolute product.
+    a call is one signed product, with the call's transpose taken once; a
+    table of more than one row also takes an absolute product, and one of
+    a single row copies its signed sums as its magnitudes.
     """
     r, log_w, starts = _nodes(tail, first, last)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -357,19 +360,23 @@ def _pass(handle: IntegrandHandle, tail: Tuple[float, float], p: np.ndarray, fir
             parts = [(i, slice(max(span.start, start) - start, min(span.stop, call.stop) - start))
                      for i, span in enumerate(levels)
                      if span.start < call.stop and span.stop > start]
-            if bad.any():
+            if bad is not None and bad.any():
                 i, part = next(pt for pt in parts if bad[..., pt[1]].any())
                 at = np.broadcast_to(r[call][part], bad[..., part].shape)[bad[..., part]][0]
                 cut, unreached = i, NonFiniteSampleError(
                     f"integrand row returned a non-finite value at r={float(at)!r}")
                 parts = [pt for pt in parts if pt[0] < i]
+            gt = g.transpose(0, 2, 1)
             for i, part in parts:
-                sums[i, 0] += g[..., part] @ g[..., part].transpose(0, 2, 1)
-            np.abs(g, out=g)
-            for i, part in parts:
-                sums[i, 1] += g[..., part] @ g[..., part].transpose(0, 2, 1)
+                sums[i, 0] += g[..., part] @ gt[:, part]
+            if g.shape[1] > 1:
+                np.abs(g, out=g)
+                for i, part in parts:
+                    sums[i, 1] += g[..., part] @ gt[:, part]
             if unreached is not None:
                 break
+        if sums.shape[3] == 1:  # |g| |g| = g g exactly
+            sums[:, 1] = sums[:, 0]
         finite = np.isfinite(sums[:cut, 0]).all(axis=(1, 2, 3))
         if not finite.all():
             cut = int(np.argmin(finite))
@@ -400,9 +407,9 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         deepest any entry of any table needs.  Levels 0..5 are evaluated
         in one pass, which is one call of rows, deeper levels one pass
         each, called on at most 4096 nodes at a time, and each pass's
-        levels are tested together; the results equal, bit for bit, those
-        of evaluating each level alone, 4096 nodes at a time, and testing
-        level by level.
+        levels are tested together, on a flat (levels, 2, entries) view of
+        its sums; the results equal, bit for bit, those of evaluating each
+        level alone, 4096 nodes at a time, and testing level by level.
 
     Raises
     ------
@@ -417,13 +424,15 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
     p = np.asarray(handle.weight_exponent, dtype=float)
     n = 0
     # The running sums through the last level of the previous pass, and
-    # that level's error estimate.
+    # that level's error estimate, flat over the entries of every table.
     carried = prev_err = None
     for first, last in _PASSES:
         sums, unreached, evaluated = _pass(handle, tail, p, first, last)
         n += evaluated
+        shape = sums.shape[2:]
+        sums = sums.reshape(len(sums), 2, math.prod(shape))
         if carried is None:
-            prev_err = np.full(sums.shape[2:], math.inf)  # before level 1
+            prev_err = np.full(sums.shape[2], math.inf)  # before level 1
         else:  # the test of level first needs level first - 1
             sums = np.concatenate([carried[None], sums])
             first -= 1
@@ -432,8 +441,8 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         # of subnormal values, as h_L is a power of two; so is its mass.
         levels = np.arange(first, first + len(sums))
         totals = np.cumsum(sums, axis=0)
-        h = _H0 / 2.0**levels
-        value, mass = np.moveaxis(h[:, None, None, None, None] * totals, 1, 0)
+        scaled = (_H0 / 2.0**levels)[:, None, None] * totals
+        value, mass = scaled[:, 0], scaled[:, 1]
         err = abs(value[1:] - value[:-1])
         prev = np.concatenate([prev_err[None], err])[:-1]
         # Off-diagonal Gram entries may cancel to nearly nothing; each is
@@ -443,22 +452,20 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         # eps * mass, not eps * |value|.
         scale = np.maximum(np.maximum(abs(value[1:]), 1e-300), mass[1:])
         floor = _EPS * scale
-        axes = (1, 2, 3)
-        converged = np.all((err <= spec.rel_tol * scale) | (err <= 16.0 * floor), axis=axes)
+        converged = ((err <= spec.rel_tol * scale) | (err <= 16.0 * floor)).all(1)
         # Refinement hit the rounding floor: the previous level is the best.
-        rounding = np.all(err >= prev, axis=axes) & np.all(prev <= 1e3 * floor, axis=axes)
+        rounding = (err >= prev).all(1) & (prev <= 1e3 * floor).all(1)
         stops = np.flatnonzero(converged | rounding)
         if stops.size:
             i = int(stops[0])
-            if converged[i]:
-                return QuadratureResult(value[i + 1], err[i], int(levels[i + 1]), n)
-            return QuadratureResult(value[i], prev[i], int(levels[i]), n)
+            j, est = (i + 1, err[i]) if converged[i] else (i, prev[i])
+            return QuadratureResult(value[j].reshape(shape), est.reshape(shape), int(levels[j]), n)
         if unreached is not None:
             raise unreached
         carried, prev_err = totals[-1], err[-1]
     raise NonConvergenceError(
         f"quadrature did not reach rel_tol={spec.rel_tol} within "
         f"max_level={_MAX_LEVEL} (last error {float(np.max(prev_err)):.3e})",
-        value=value[-1],
-        err_est=prev_err,
+        value=value[-1].reshape(shape),
+        err_est=prev_err.reshape(shape),
     )

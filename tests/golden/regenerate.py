@@ -1,4 +1,4 @@
-"""Golden corpus of the exact CLI commands, and the script that rewrites it.
+"""Golden corpora of CLI commands, and the script that rewrites them.
 
 Each record of ``exact_commands.json`` holds one argv of ``cknlab
 constants`` or ``cknlab mode-scan``, the config files that argv reads, and
@@ -7,13 +7,23 @@ These commands compute in ``Fraction`` arithmetic and print floats by
 ``repr``, so their bytes are the same on every machine;
 ``tests/test_golden.py`` compares them byte for byte.
 
-After a deliberate change of output, rewrite the corpus from the
+Each record of ``numeric_commands.json`` holds one argv of the commands
+that compute in floats (``quotient``, ``minimize``, ``probe-conjecture``)
+and its files, exit code and stderr as above, with stdout parsed as the
+JSON document it is.  Their last digits may move with the platform's
+libm and BLAS, so ``tests/test_golden.py`` compares every float of the
+document to ``NUMERIC_REL_TOL`` relative (a float of rounding-noise size,
+such as a gradient norm or a route gap near 1e-16, to ``NUMERIC_ABS_TOL``
+absolute) and every other field exactly.
+
+After a deliberate change of output, rewrite both corpora from the
 repository root with
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
 and list every record it changed.  ``--help`` is left out: its wrapping
-depends on the terminal width and its wording on the Python version.
+depends on the terminal width and its wording on the Python version;
+``selftest`` is left out as it times itself.
 """
 
 from __future__ import annotations
@@ -25,9 +35,12 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 CORPUS = Path(__file__).with_name("exact_commands.json")
+NUMERIC_CORPUS = Path(__file__).with_name("numeric_commands.json")
+NUMERIC_REL_TOL = 1e-10
+NUMERIC_ABS_TOL = 1e-12
 
 BIG80 = "1" + "0" * 80
 BIG200 = "1" + "0" * 200
@@ -107,6 +120,45 @@ CASES = [
 ]
 
 
+COEFFS = {"coeffs.txt": "1.0 -0.5 0.25\n"}
+
+NUMERIC_CASES = [
+    # Every extremal family at modes 0 and 1 (the one-dimensional families
+    # have no modes).
+    (("quotient", "--family", "thmA", "--n", "7", "--k", "0"), {}),
+    (("quotient", "--family", "thmA", "--n", "7", "--k", "1"), {}),
+    (("quotient", "--family", "thm1.2-1a", "--n", "1", "--alpha", "-0.5"), {}),
+    (("quotient", "--family", "thm1.2-1b", "--n", "1", "--alpha", "0.5"), {}),
+    (("quotient", "--family", "thm1.2-2", "--n", "7", "--alpha", "0.25", "--k", "0"), {}),
+    (("quotient", "--family", "thm1.2-2", "--n", "7", "--alpha", "0.25", "--k", "1"), {}),
+    (("quotient", "--family", "thmB", "--n", "5", "--beta", "0.5", "--k", "0"), {}),
+    (("quotient", "--family", "thmB", "--n", "5", "--beta", "0.5", "--k", "1"), {}),
+    (("quotient", "--family", "thmC-1", "--n", "5", "--beta", "0.5", "--k", "0"), {}),
+    (("quotient", "--family", "thmC-1", "--n", "5", "--beta", "0.5", "--k", "1"), {}),
+    (("quotient", "--family", "thmC-2", "--n", "5", "--beta", "1.5", "--b", "-1", "--k", "0"),
+     {}),
+    (("quotient", "--family", "thmC-2", "--n", "5", "--beta", "1.5", "--b", "-1", "--k", "1"),
+     {}),
+    (("quotient", "--family", "thmD", "--n", "7", "--alpha", "0.5", "--k", "0"), {}),
+    (("quotient", "--family", "thmD", "--n", "7", "--alpha", "0.5", "--k", "1"), {}),
+    # The exp-profile test function, symmetry breaking at N = 2, 3 and not
+    # at N = 5, and coefficient profiles.
+    (("quotient", "--test-function", "--n", "2"), {}),
+    (("quotient", "--test-function", "--n", "3"), {}),
+    (("quotient", "--test-function", "--n", "5"), {}),
+    (("quotient", "--coeffs", "coeffs.txt", "--n", "6", "--alpha", "0.25", "--k", "0"), COEFFS),
+    (("quotient", "--coeffs", "coeffs.txt", "--n", "6", "--alpha", "0.25", "--k", "2"), COEFFS),
+    # The probe workload's commands of bench seeds 1-5.
+    (("probe-conjecture",), {}),
+    (("minimize", "--n", "5", "--alpha", "0.0", "--k", "0"), {}),
+    (("minimize", "--n", "3", "--alpha", "0.0", "--k", "1"), {}),
+    (("minimize", "--n", "7", "--alpha", "0.375", "--k", "1"), {}),
+    (("minimize", "--n", "6", "--alpha", "0.125", "--k", "1"), {}),
+    (("minimize", "--n", "7", "--alpha", "0.25", "--k", "0"), {}),
+    (("minimize", "--n", "7", "--alpha", "0.0", "--k", "0"), {}),
+]
+
+
 def run(argv: Sequence[str], files: Dict[str, str]) -> Dict[str, object]:
     """One record: ``cli.main(argv)`` run in a fresh working directory that
     holds ``files``, with the config environment variable unset."""
@@ -131,14 +183,25 @@ def run(argv: Sequence[str], files: Dict[str, str]) -> Dict[str, object]:
             "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def main() -> None:
-    records = [run(argv, files) for argv, files in CASES]
-    old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []
+def run_numeric(argv: Sequence[str], files: Dict[str, str]) -> Dict[str, object]:
+    """One numeric record: ``run`` with stdout parsed as JSON."""
+    record = run(argv, files)
+    record["stdout"] = json.loads(record["stdout"])
+    return record
+
+
+def _write(corpus: Path, records: List[Dict[str, object]]) -> None:
+    old = json.loads(corpus.read_text(encoding="utf-8")) if corpus.exists() else []
     before = {json.dumps([r["argv"], r["files"]]): r for r in old}
     for record in records:
         if before.get(json.dumps([record["argv"], record["files"]])) != record:
             print("changed:", " ".join(record["argv"]), file=sys.stderr)
-    CORPUS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    corpus.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+
+
+def main() -> None:
+    _write(CORPUS, [run(argv, files) for argv, files in CASES])
+    _write(NUMERIC_CORPUS, [run_numeric(argv, files) for argv, files in NUMERIC_CASES])
 
 
 if __name__ == "__main__":

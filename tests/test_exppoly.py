@@ -1,5 +1,7 @@
 """Exponential-polynomial algebra: derivatives, products, moments."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cknlab.errors import RangeOverflowError
-from cknlab.exppoly import ExpPoly, evaluate
+from cknlab.exppoly import ExpPoly, _normalize, evaluate
 from cknlab.special import weighted_exp_integral
 
 coeff = st.floats(min_value=-3.0, max_value=3.0)
@@ -155,3 +157,53 @@ def test_zero_poly():
     z = ExpPoly((), 1.0, 1.0)
     assert z.is_zero
     assert z.moment(3.0) == 0.0
+
+
+def _normalize_by_scan(terms):
+    """The tolerance scan alone: each power merges into the first earlier
+    key within 1e-12 relative to that key, or becomes a key."""
+    merged = {}
+    for g, c in terms:
+        g = float(g)
+        c = float(c)
+        if c == 0.0:
+            continue
+        for key in merged:
+            if abs(key - g) <= 1e-12 * max(1.0, abs(key)):
+                merged[key] += c
+                break
+        else:
+            merged[g] = c
+    return tuple(sorted((g, c) for g, c in merged.items() if c != 0.0))
+
+
+_BASE_POWERS = (st.sampled_from([0.0, -0.0, 1.0, 2.5, -0.5, 1e-13, 7.0, 1e300, -1e300,
+                                 math.inf, -math.inf])
+                | st.floats(allow_nan=False))
+_COEFFS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+           | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _term_lists(draw):
+    """Terms on a few base powers: exact repeats, and near repeats shifted
+    by k 1e-13 relative, inside the merge tolerance for |k| <= 10."""
+    bases = draw(st.lists(_BASE_POWERS, min_size=1, max_size=4))
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        g = draw(st.sampled_from(bases))
+        shift = draw(st.sampled_from([0, 0, 0, 1, -1, 5, -9, 11]))
+        if shift and math.isfinite(g):
+            g += shift * 1e-13 * max(1.0, abs(g))
+        terms.append((g, draw(_COEFFS)))
+    return terms
+
+
+@given(_term_lists())
+@example([(math.inf, 1.0), (math.inf, 2.0)])  # an infinite power never merges: the last wins
+@example([(-0.0, 1.0), (0.0, 2.0), (1e-13, 4.0)])
+@example([(1.0, 1.0), (1.0 + 9e-13, 2.0), (1.0 + 1.8e-12, 4.0), (1.0 + 1.8e-12, 8.0)])
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_the_tolerance_scan(terms):
+    # The exact key lookup before the scan changes no term, bit for bit.
+    assert repr(_normalize(terms)) == repr(_normalize_by_scan(terms))

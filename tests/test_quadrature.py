@@ -366,6 +366,14 @@ def test_first_pass_matches_level_by_level(monkeypatch, case):
     spec = QuadratureSpec(rel_tol=rel_tol)
     value, err, ref_level, ref_branch = _reference(handle, spec)
     assert (ref_level, ref_branch) == (level, branch)
+    # The first pass's signed and magnitude sums are each level's alone, bit
+    # for bit, also where a one-row table takes its signed sums as magnitudes.
+    sums, _, _ = quadrature._pass(handle, quadrature._tail(handle),
+                                  np.asarray(handle.weight_exponent, dtype=float),
+                                  0, quadrature._FIRST_PASS)
+    assert [(s.tobytes(), m.tobytes()) for s, m in sums] == [
+        (s.tobytes(), m.tobytes())
+        for s, m, _ in islice(_level_by_level(handle), quadrature._FIRST_PASS + 1)]
     if branch == "none":
         with pytest.raises(NonConvergenceError) as failure:
             integrate(handle, spec)
