@@ -273,9 +273,8 @@ def _check_10() -> Tuple[bool, str]:
         if v.is_zero:
             continue
         s = float(rng.uniform(2.0, 8.0))
-        left = (v * v).moment(s - 2.0)
-        d = v.derivative()
-        right = (2.0 / (s - 1.0)) ** 2 * (d * d).moment(s)
+        left, = v.square_moments([s - 2.0])
+        right = (2.0 / (s - 1.0)) ** 2 * v.derivative().square_moments([s])[0]
         if not _fail(msgs, left <= right * (1.0 + 1e-12),
                      f"Hardy step violated: {left} > {right} at s={s:.3f}"):
             break

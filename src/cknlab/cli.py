@@ -406,10 +406,15 @@ def _read_coefficients(path: str) -> Tuple[float, ...]:
             text = fh.read()
     except OSError as exc:
         raise PreconditionError(f"cannot read coefficient file: {exc}") from None
+    tokens = text.replace(",", " ").split()
     try:
-        values = tuple(float(tok) for tok in text.replace(",", " ").split())
+        values = tuple(float(tok) for tok in tokens)
     except ValueError as exc:
         raise PreconditionError(f"bad coefficient file {path!r}: {exc}") from None
+    for tok, value in zip(tokens, values):
+        if not math.isfinite(value):
+            raise PreconditionError(
+                f"bad coefficient file {path!r}: coefficient {tok!r} is not a finite number")
     if not values:
         raise PreconditionError(f"coefficient file {path!r} is empty")
     return values

@@ -3,12 +3,21 @@
 Every closed-form radial profile in this package (the extremal families,
 the variational basis functions, their derivatives) lives in this class,
 which is closed under differentiation, pointwise products (rates add)
-and dilation, and whose weighted moments
+and dilation.  Its weighted moments
 
     integral_0^inf  poly(r) r^p dr
 
-reduce termwise to :func:`cknlab.special.weighted_exp_integral`.  That is
-what makes the dual closed-form/quadrature energy paths cheap.
+are sums over ladders: terms whose powers g0 + m q differ by whole steps
+of the decay power q.  Since Gamma(s + 1) = s Gamma(s), the moments of a
+ladder's terms are W(g0 + p) (s0)_m b^(-m), s0 = (g0 + p + 1)/q, with W
+:func:`cknlab.special.weighted_exp_integral` and (s0)_m the rising
+factorial, so a ladder takes one Gamma factor times a rising-factorial
+sum.  The square of a one-ladder polynomial is again one ladder, whose
+coefficients are the autoconvolution of the polynomial's:
+``square_moments`` gives its moments without building the product.  A
+sum whose rounding could reach ``_LADDER_RTOL`` of its value (one that
+cancels) is redone exactly.  That is what makes the dual
+closed-form/quadrature energy paths cheap.
 
 Real (non-integer) powers are allowed; evaluation is only ever requested
 at r > 0.
@@ -18,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +38,18 @@ __all__ = ["ExpPoly", "evaluate"]
 
 # Powers/coefficients closer than this are merged/dropped when building.
 _MERGE_TOL = 1e-12
+# A ladder takes terms up to this many steps q above its lowest power; a
+# term further up starts a ladder of its own, so that the rising factorial
+# takes few steps.
+_MAX_RUNG = 64
+# A float ladder sum whose rounding bound exceeds this, relative to its
+# value, is redone exactly.  The energies of a profile are checked against
+# quadrature at 1e-9 and the golden corpus compares them at 1e-10, so a sum
+# that could be wrong in its eleventh digit is one that cancels; sums that
+# do not cancel stay well below it (at most 5e-12 on the benchmark's
+# profiles) and stay in floats.
+_LADDER_RTOL = 1e-11
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _normalize(terms: Iterable[Tuple[float, float]]) -> Tuple[Tuple[float, float], ...]:
@@ -54,6 +75,129 @@ def _normalize(terms: Iterable[Tuple[float, float]]) -> Tuple[Tuple[float, float
     return tuple(sorted((g, c) for g, c in merged.items() if c != 0.0))
 
 
+def _check_product_powers(terms1, terms2) -> None:
+    """Raise if a power of the product of two term lists overflows.  Terms
+    ascend in power, so the extreme sums are those of the ends."""
+    if terms1 and terms2:
+        for g1, g2 in ((terms1[0][0], terms2[0][0]), (terms1[-1][0], terms2[-1][0])):
+            if not math.isfinite(g1 + g2):
+                raise RangeOverflowError(
+                    f"the power {g1!r} + {g2!r} of the product exceeds double-precision range")
+
+
+def _ladders(terms: Tuple[Tuple[float, float], ...], q: float) -> List[Tuple[float, List[float]]]:
+    """Terms in ascending power grouped into ladders: (g0, [c_0, c_1, ...])
+    with c_m the coefficient of r^(g0 + m q), g0 the ladder's lowest power.
+    A power within the merge tolerance of a rung is taken to be on it."""
+    ladders: List[Tuple[float, List[float]]] = []
+    for g, c in terms:
+        for base, coefs in ladders:
+            steps = (g - base) / q
+            if steps <= _MAX_RUNG + 0.5:
+                m = round(steps)
+                if abs(g - (base + m * q)) <= _MERGE_TOL * max(1.0, abs(g)):
+                    coefs.extend([0.0] * (m + 1 - len(coefs)))
+                    coefs[m] += c
+                    break
+        else:
+            ladders.append((g, [c]))
+    return ladders
+
+
+def _autoconvolution(coefs: List[float]) -> Tuple[List[float], List[float]]:
+    """h[m] = sum_(i+j=m) c_i c_j in floats, and the sums of the products'
+    magnitudes, which bound |h[m]| and its rounding."""
+    n = len(coefs)
+    h, mag = [0.0] * (2 * n - 1), [0.0] * (2 * n - 1)
+    for i, c in enumerate(coefs):
+        if c:
+            t = c * c
+            h[2 * i] += t
+            mag[2 * i] += abs(t)
+            twice = 2.0 * c
+            for j in range(i + 1, n):
+                t = twice * coefs[j]
+                h[i + j] += t
+                mag[i + j] += abs(t)
+    return h, mag
+
+
+def _exact_rungs(coefs: List[float], window: Optional[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """The rung coefficients exactly, as integers over one common
+    denominator: those of ``coefs``, or for a ``window`` (lead, count) rungs
+    lead to lead + count - 1 of their autoconvolution."""
+    ratios = [c.as_integer_ratio() for c in coefs]
+    den = max(d for _, d in ratios)  # powers of two, so each one divides den
+    ints = [n * (den // d) for n, d in ratios]
+    if window is None:
+        return ints, den
+    lead, count = window
+    last = len(ints) - 1
+    square = [sum(ints[i] * ints[m - i] for i in range(max(0, m - last), min(m, last) + 1))
+              for m in range(lead, lead + count)]
+    return square, den * den
+
+
+def _exact_ladder_sum(ints: List[int], den: int, s0: float, rate: float) -> float:
+    """sum_m (ints[m] / den) (s0)_m rate^(-m), rounded once.  In integers,
+    from the exact dyadic values of the floats s0 and rate, by Horner's rule
+    from the top rung: h_0 + x_0 (h_1 + x_1 (h_2 + ...)), x_m = (s0 + m)/rate."""
+    s_num, s_den = s0.as_integer_ratio()
+    r_num, r_den = rate.as_integer_ratio()
+    step = s_den * r_num  # the denominator of every x_m
+    top = len(ints) - 1
+    num = 0
+    for m in range(top, -1, -1):
+        num = ints[m] * step ** (top - m) + (s_num + m * s_den) * r_den * num
+    try:
+        return num / (den * step**top)  # int / int: correctly rounded
+    except OverflowError:
+        raise RangeOverflowError(
+            "the exact sum of a moment's ladder exceeds double-precision range") from None
+
+
+# One ladder of a moment's integrand: (g0, h, mag, slack, coefs, window) for
+# sum_m h[m] r^(g0 + m q) in floats, |h[m]| <= mag[m], the rounding of each
+# h[m] at most slack * 2^-53 mag[m], and the exact h from ``_exact_rungs(coefs,
+# window)``.
+_Ladder = Tuple[float, List[float], List[float], int, List[float], Optional[Tuple[int, int]]]
+
+
+def _ladder_moment(ladder: _Ladder, p: float, rate: float, q: float) -> float:
+    """integral_0^inf sum_m h[m] r^(g0 + m q) exp(-rate r^q) r^p dr
+    = W(g0 + p) sum_m h[m] (s0)_m rate^(-m), s0 = (g0 + p + 1)/q.
+
+    The sum is taken in floats, with f_m = (s0)_m rate^(-m) by its
+    recurrence (three roundings a step), and redone exactly when its
+    rounding bound exceeds ``_LADDER_RTOL`` of its value.  That bound is
+    2 (slack + 4 M) 2^-53 sum_m mag[m] f_m over M rungs: to first order in
+    2^-53, each term is off by slack roundings of mag[m] from h[m], and by
+    at most 3 M roundings of f_m, one of the product and M of the additions
+    of its share; the factor 2 covers the higher orders and the rounding of
+    the bound itself.
+    """
+    base, h, mag, slack, coefs, window = ladder
+    low = base + p
+    w0 = weighted_exp_integral(low, rate, q)
+    s0 = (low + 1.0) / q
+    total, size = h[0], mag[0]
+    f = 1.0
+    for m in range(len(h) - 1):
+        f = f * (s0 + m) / rate
+        total += h[m + 1] * f
+        size += mag[m + 1] * f
+    if not math.isfinite(size):  # a coefficient is not finite, or a term overflows
+        raise RangeOverflowError(
+            "a coefficient or term of the moment's integrand exceeds double-precision range")
+    if 2.0 * (slack + 4 * len(h)) * _UNIT_ROUNDOFF * size > _LADDER_RTOL * abs(total):
+        total = _exact_ladder_sum(*_exact_rungs(coefs, window), s0, rate)
+    value = w0 * total
+    if not math.isfinite(value):
+        raise RangeOverflowError(
+            f"the moment of weight r^{p!r} exceeds double-precision range")
+    return value
+
+
 @dataclass(frozen=True)
 class ExpPoly:
     """sum_j c_j r^(g_j) * exp(-rate * r^(decay_power)).
@@ -69,6 +213,9 @@ class ExpPoly:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", _normalize(self.terms))
+        for g, _ in self.terms:
+            if not math.isfinite(g):
+                raise DomainError(f"term powers must be finite, got {g!r}")
         if not (math.isfinite(self.rate) and self.rate >= 0.0):
             raise DomainError(f"rate must be finite and >= 0, got {self.rate!r}")
         if not (math.isfinite(self.decay_power) and self.decay_power > 0.0):
@@ -94,6 +241,11 @@ class ExpPoly:
     # -- algebra ---------------------------------------------------------
 
     def derivative(self) -> "ExpPoly":
+        if self.rate != 0.0 and self.terms and not math.isfinite(
+                self.terms[-1][0] + self.decay_power - 1.0):
+            raise RangeOverflowError(
+                f"the power {self.terms[-1][0]!r} + q - 1 of the derivative exceeds "
+                f"double-precision range (q {self.decay_power!r})")
         new = []
         for g, c in self.terms:
             if g != 0.0:
@@ -118,6 +270,7 @@ class ExpPoly:
                 f"({self.decay_power} vs {other.decay_power})"
             )
         dp = self.decay_power if self.rate != 0.0 else other.decay_power
+        _check_product_powers(self.terms, other.terms)
         new = [(g1 + g2, c1 * c2) for g1, c1 in self.terms for g2, c2 in other.terms]
         if new and not any(c for _, c in new):
             # Building would drop every term: a zero polynomial for a
@@ -142,7 +295,8 @@ class ExpPoly:
 
     def moment(self, p: float) -> float:
         """integral_0^inf self(r) r^p dr (requires rate > 0 and every
-        term power to satisfy g + p > -1).
+        term power to satisfy g + p > -1), one ladder at a time (see the
+        module docstring).
 
         Raises RangeOverflowError if a coefficient is not finite: the
         product of two polynomials with coefficients past about 1e154 has
@@ -150,23 +304,67 @@ class ExpPoly:
         """
         if self.is_zero:
             return 0.0
+        self._check_rate()
+        p = float(p)
+        self._check_origin(self.min_power + p)
+        return math.fsum(
+            _ladder_moment((base, coefs, [abs(c) for c in coefs], 0, coefs, None),
+                           p, self.rate, self.decay_power)
+            for base, coefs in _ladders(self.terms, self.decay_power))
+
+    def square_moments(self, powers: Sequence[float]) -> List[float]:
+        """[integral_0^inf self(r)^2 r^p dr for p in powers], in order.
+
+        On one ladder, the square's coefficients are the autoconvolution of
+        self's and each moment takes one Gamma factor (see the module
+        docstring); otherwise the square is built as ``self * self``.  The
+        errors are those of ``(self * self).moment(p)``.
+        """
+        ladders = _ladders(self.terms, self.decay_power)
+        if len(ladders) != 1:
+            square = self * self
+            return [square.moment(p) for p in powers]
+        _check_product_powers(self.terms, self.terms)
+        (base, coefs), = ladders
+        h, mag = _autoconvolution(coefs)
+        lead, count = 0, len(h)
+        if not (h[0] and h[-1]):  # rungs whose every product underflows
+            nonzero = [m for m, t in enumerate(h) if t]
+            if not nonzero:
+                # The product would drop every term: a zero polynomial for
+                # the square of a nonzero one.
+                largest = max(abs(c) for c in coefs)
+                raise RangeOverflowError(
+                    "every coefficient of the product underflows double-precision range "
+                    f"(the largest factors are {largest!r} and {largest!r})")
+            lead, count = nonzero[0], nonzero[-1] + 1 - nonzero[0]
+            h, mag = h[lead:lead + count], mag[lead:lead + count]
+        self._check_rate()
+        low = base + base + lead * self.decay_power
+        # Each h[m] sums at most len(coefs) products, one rounding each.
+        ladder = (low, h, mag, len(coefs), coefs, (lead, count))
+        rate = 2.0 * self.rate
+        moments = []
+        for p in powers:
+            p = float(p)
+            self._check_origin(low + p)
+            moments.append(_ladder_moment(ladder, p, rate, self.decay_power))
+        return moments
+
+    def _check_rate(self) -> None:
         if self.rate == 0.0:
             raise DivergentIntegralError(
                 "moment of a pure polynomial (rate = 0) diverges at infinity"
             )
-        p = float(p)
-        if self.min_power + p <= -1.0:
+
+    @staticmethod
+    def _check_origin(lowest: float) -> None:
+        """A moment whose lowest combined exponent is ``lowest`` converges
+        at the origin."""
+        if lowest <= -1.0:
             raise DivergentIntegralError(
-                f"moment diverges at the origin: minimum combined exponent "
-                f"{self.min_power + p} <= -1"
+                f"moment diverges at the origin: minimum combined exponent {lowest} <= -1"
             )
-        if not all(math.isfinite(c) for _, c in self.terms):
-            raise RangeOverflowError(
-                "a coefficient of the moment's integrand exceeds double-precision range")
-        return math.fsum(
-            c * weighted_exp_integral(g + p, self.rate, self.decay_power)
-            for g, c in self.terms
-        )
 
 
 def evaluate(polys: Iterable[ExpPoly], r) -> List[np.ndarray]:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -505,13 +505,16 @@ def _energies(
     """The energy triple of ``form_parts``; parts with a zero coefficient
     are skipped.
 
-    The quadrature route is one ``integrate`` call on the stack of every
-    live part, each weighted by its own power of r: on each batch of
-    nodes every component of v the parts read is evaluated once, from
-    its closed form where there is one (the closed forms together, in one
-    ``exppoly.evaluate``), else by one call of the profile's evaluator.  Before it, each part whose component has a
-    known leading power at the origin (``_origin_power``) is checked to
-    converge there.
+    The closed route takes every part of one component from one
+    ``ExpPoly.square_moments`` call: on the exponent ladder, one Gamma
+    factor a part and no product polynomial.  The quadrature route is one
+    ``integrate`` call on the stack of every live part, each weighted by
+    its own power of r: on each batch of nodes every component of v the
+    parts read is evaluated once, from its closed form where there is one
+    (the closed forms together, in one ``exppoly.evaluate``), else by one
+    call of the profile's evaluator.  Before it, each part whose component
+    has a known leading power at the origin (``_origin_power``) is checked
+    to converge there.
     """
     if method not in ("auto", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
@@ -528,12 +531,19 @@ def _energies(
             for form, parts in enumerate(form_parts(params.n, params.alpha, k))
             for order, power, coef in parts if coef != 0.0]
     polys = [profile.component_poly(name) for name in _COMPONENTS]
-    squares: Dict[int, ExpPoly] = {}  # each component squared once, where first read
-    closed = []
-    for _, order, power, _ in live:
-        if closed_route and polys[order] is not None and order not in squares:
-            squares[order] = polys[order] * polys[order]
-        closed.append(squares[order].moment(power) if order in squares else None)
+    closed: List[Optional[float]] = [None] * len(live)
+    if closed_route:
+        # The parts read v'', v' and v in that order, so taking each
+        # component's parts together keeps the order of the moments: the
+        # first part that fails is the one that raises.
+        reads: Dict[int, List[int]] = {}
+        for i, part in enumerate(live):
+            reads.setdefault(part[1], []).append(i)
+        for order, index in reads.items():
+            if polys[order] is not None:
+                moments = polys[order].square_moments([live[i][2] for i in index])
+                for i, value in zip(index, moments):
+                    closed[i] = value
     for form, order, power, _ in live:
         lead = _origin_power(profile, order)
         if lead is not None and 2.0 * lead + power <= -1.0:

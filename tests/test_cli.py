@@ -4,6 +4,7 @@ import ast
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -248,6 +249,60 @@ def test_quotient_coefficient_file(capsys, tmp_path):
     doc = run_json(capsys, "quotient", "--coeffs", str(path), "--n", "5",
                    "--alpha", "0", "--k", "1")
     assert doc["report"]["quadrature_value"] > 10.24  # exact k=1 bound
+
+
+@pytest.mark.parametrize("text", ["1 nan\n", "1 inf\n"])
+def test_non_finite_coefficient_is_rejected_at_the_file(capsys, tmp_path, text):
+    # Such a file exited 2 with "a coefficient of the moment's integrand
+    # exceeds double-precision range", which blamed overflow for bad input.
+    path = tmp_path / "coeffs.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "quotient", "--coeffs", str(path), "--n", "3")
+    assert code == 2
+    assert out == ""
+    token = text.split()[1]
+    assert err.count("\n") == 1 and err.startswith("error: bad coefficient file")
+    assert f"coefficient {token!r} is not a finite number" in err
+
+
+def _laguerre_minimiser_in_monomials():
+    """The m = 14 minimiser of N = 3, k = 1 (Laguerre parameter a = 1,
+    gamma0 = 0), v = sum_j c_j e^-r L_j^(1)(2r), expanded exactly into
+    r^i e^-r, each coefficient rounded once."""
+    from fractions import Fraction
+
+    from cknlab.constants import InequalityParams
+    from cknlab.variational import build_gram, make_basis, minimize_quotient
+
+    params = InequalityParams(3, 0.0)
+    basis = make_basis(params, 1, 14)
+    gram = build_gram(params, 1, basis, verify=False)
+    assert (basis.gamma0, basis.decay_q, gram.diagnostics["laguerre_a"]) == (0.0, 1.0, 1.0)
+    coeffs = [Fraction(float(c)) for c in minimize_quotient(gram).coeffs]
+    mono = [Fraction(0)] * len(coeffs)
+    for j, c in enumerate(coeffs):
+        # L_j^(1)(y) = sum_i (-1)^i C(j+1, j-i) y^i / i!, at y = 2r
+        for i in range(j + 1):
+            mono[i] += c * (-2) ** i * math.comb(j + 1, j - i) / Fraction(math.factorial(i))
+    return params, [float(x) for x in mono]
+
+
+def test_cancelling_coefficient_profile_passes_the_energy_check(capsys, tmp_path):
+    # The monomial coefficients span 1.5e10 and their squares' moments
+    # cancel: the float sum of the closed energies was 3.2e-8 off the
+    # quadrature ones, and the command exited 4.  The closed side now redoes
+    # such a sum exactly.
+    from cknlab.exppoly import ExpPoly
+    from cknlab.functionals import mode_energies, profile_from_exppoly
+
+    params, mono = _laguerre_minimiser_in_monomials()
+    assert 1.4e10 < max(map(abs, mono)) / min(map(abs, mono)) < 1.6e10
+    path = tmp_path / "coeffs.txt"
+    path.write_text("\n".join(repr(c) for c in mono) + "\n")
+    code, _, err = run(capsys, "quotient", "--coeffs", str(path), "--n", "3", "--k", "1")
+    assert code == 0, err
+    poly = ExpPoly(tuple((float(j), c) for j, c in enumerate(mono)), 1.0, 1.0)
+    assert mode_energies(profile_from_exppoly(poly), params, 1).rel_gap <= 1e-12
 
 
 def test_quotient_selector_is_exclusive(capsys):

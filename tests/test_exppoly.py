@@ -1,6 +1,8 @@
 """Exponential-polynomial algebra: derivatives, products, moments."""
 
 import math
+from fractions import Fraction
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cknlab.errors import RangeOverflowError
+from cknlab import exppoly
+from cknlab.errors import DivergentIntegralError, DomainError, RangeOverflowError
 from cknlab.exppoly import ExpPoly, _normalize, evaluate
 from cknlab.special import weighted_exp_integral
 
@@ -207,3 +210,143 @@ def _term_lists(draw):
 def test_normalize_matches_the_tolerance_scan(terms):
     # The exact key lookup before the scan changes no term, bit for bit.
     assert repr(_normalize(terms)) == repr(_normalize_by_scan(terms))
+
+
+def test_non_finite_powers_are_rejected():
+    # A repeated infinite power kept only its last coefficient, a nan power
+    # was kept as it was, and the square of r^1e308 had the power inf.
+    with pytest.raises(DomainError, match="powers must be finite, got inf"):
+        ExpPoly(((math.inf, 1.0), (math.inf, 2.0)), 1.0, 1.0)
+    with pytest.raises(DomainError, match="powers must be finite, got nan"):
+        ExpPoly(((math.nan, 1.0),), 1.0, 1.0)
+    huge = ExpPoly(((1e308, 1.0),), 1.0, 1.0)
+    for square in (lambda: huge * huge, lambda: huge.square_moments([1.0])):
+        with pytest.raises(RangeOverflowError, match="power 1e\\+308 \\+ 1e\\+308 of the product"):
+            square()
+    with pytest.raises(RangeOverflowError, match="of the derivative exceeds"):
+        ExpPoly(((1.7e308, 1.0),), 1.0, 1e308).derivative()
+
+
+def _rising(s, m):
+    out = Fraction(1)
+    for i in range(m):
+        out *= s + i
+    return out
+
+
+@st.composite
+def _ladder_profiles(draw):
+    """(g0, coefficients, rate, q, p) of sum_j c_j r^(g0 + j q) exp(-rate r^q):
+    small dyadic coefficients, coefficients spanning up to 1e10, or those of
+    the Laguerre polynomial L_(n-1)(2 rate r^q), whose squares' ladder sums
+    cancel (by up to 1.6e4 at n = 6)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    q = draw(st.sampled_from([0.25, 0.5, 1.0, 1.1, 1.375, 3.0]))
+    rate = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    kind = draw(st.sampled_from(["dyadic", "span", "laguerre"]))
+    if kind == "dyadic":
+        coefs = [draw(st.integers(min_value=-16, max_value=16).filter(bool)) / 8.0
+                 for _ in range(n)]
+    elif kind == "span":
+        coefs = [draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(min_value=1.0, max_value=8.0))
+                 * 10.0 ** -draw(st.integers(min_value=0, max_value=10)) for _ in range(n)]
+    else:
+        coefs = [(-2.0 * rate) ** j * math.comb(n - 1, j) / math.factorial(j) for j in range(n)]
+    g0 = draw(st.sampled_from([0.0, 0.5, 1.25, 2.0]))
+    p = draw(st.sampled_from([-0.5, 0.0, 1.0, 2.5, 4.0, 7.0]))
+    return g0, coefs, rate, q, p
+
+
+@given(_ladder_profiles())
+@example((0.0, [1.0, -10.0, 20.0, -40 / 3, 10 / 3, -4 / 15], 1.0, 1.0, 0.0))  # L_5(2r)
+@settings(max_examples=300, deadline=None)
+def test_square_moments_match_exact_ladder_sum(profile):
+    # The moment of the square is W(2 g0 + p; 2 rate, q) S with S the ladder
+    # sum of the autoconvolution h; here S is exact, in rationals, from the
+    # floats' values.  Every result is within the float sum's rounding
+    # bound, relative to the absolute terms; a sum whose stated bound exceeds
+    # 1e-11 of its value is redone exactly, and then only the final product
+    # with W rounds.
+    g0, coefs, rate, q, p = profile
+    poly = ExpPoly(tuple((g0 + j * q, c) for j, c in enumerate(coefs)), rate, q)
+    exact_runs = []
+    original = exppoly._exact_ladder_sum
+
+    def counted(*args):
+        exact_runs.append(args)
+        return original(*args)
+
+    with patch.object(exppoly, "_exact_ladder_sum", counted):
+        got, = poly.square_moments([p])
+    low = g0 + g0 + p
+    w0 = weighted_exp_integral(low, 2.0 * rate, q)
+    s0, step = Fraction((low + 1.0) / q), Fraction(2.0 * rate)
+    h = [sum(Fraction(coefs[i]) * Fraction(coefs[m - i]) for i in range(len(coefs))
+             if 0 <= m - i < len(coefs)) for m in range(2 * len(coefs) - 1)]
+    terms = [hm * _rising(s0, m) / step**m for m, hm in enumerate(h)]
+    ref = w0 * float(sum(terms))
+    size = w0 * float(sum(abs(t) for t in terms))
+    eps = 2.0**-53
+    err = abs(got - ref)
+    assert err <= 2 * eps * abs(ref) + 8 * (len(coefs) + 4 * len(h)) * eps * size
+    assert err <= (1.1e-11 + 2 * eps) * abs(ref)
+    if exact_runs:
+        assert err <= 2 * eps * abs(ref)
+    if 2 * (len(coefs) + 4 * len(h)) * eps * size > 2e-11 * abs(ref):
+        assert exact_runs
+
+
+@st.composite
+def _hardy_polys(draw):
+    """The polynomials of the acceptance Hardy check: powers 1 + j + u_j on
+    different ladders, and the same on one ladder (u_j = 0)."""
+    shifts = draw(st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        shifts = [0.0] * 3
+    coefs = st.floats(min_value=-2.0, max_value=2.0).filter(lambda c: abs(c) >= 1e-6)
+    terms = tuple((1.0 + j + u, draw(coefs)) for j, u in enumerate(shifts))
+    return ExpPoly(terms, draw(st.floats(min_value=0.5, max_value=2.0)), 1.0)
+
+
+@given(_hardy_polys(), st.floats(min_value=2.0, max_value=8.0))
+@settings(max_examples=100, deadline=None)
+def test_square_moments_equal_the_product_moment(poly, s):
+    for v in (poly, poly.derivative()):
+        if v.is_zero:
+            continue
+        got = v.square_moments([s - 2.0, s])
+        square = v * v
+        for value, p in zip(got, (s - 2.0, s)):
+            want = square.moment(p)
+            size = sum(abs(c) * weighted_exp_integral(g + p, square.rate, 1.0)
+                       for g, c in square.terms)
+            assert abs(value - want) <= 1e-14 * size
+
+
+@given(exppolys(), st.sampled_from([0.0, 0.5, 2.0, 5.0]))
+@settings(max_examples=100, deadline=None)
+def test_moment_matches_termwise_sum(poly, p):
+    # The ladders of a moment give the sum of its terms' closed forms.
+    if poly.is_zero:
+        return
+    terms = [c * weighted_exp_integral(g + p, poly.rate, poly.decay_power)
+             for g, c in poly.terms]
+    assert abs(poly.moment(p) - math.fsum(terms)) <= 1e-14 * math.fsum(map(abs, terms))
+
+
+def test_square_moments_keep_the_product_errors():
+    # Every coefficient of the square underflows: the error of the product.
+    tiny = ExpPoly(((0.0, -3e-300), (1.0, 1e-300)), 1e-300, 1.0)
+    with pytest.raises(RangeOverflowError, match="every coefficient of the product underflows"):
+        tiny.square_moments([1.0])
+    # A coefficient of the square overflows.
+    with pytest.raises(RangeOverflowError, match="exceeds double-precision range"):
+        ExpPoly(((0.0, 1e200), (1.0, 1.0)), 1.0, 1.0).square_moments([1.0])
+    # A part that diverges at the origin, after the parts before it.
+    poly = ExpPoly(((0.5, 1.0), (1.5, 2.0)), 1.0, 1.0)
+    with pytest.raises(DivergentIntegralError, match="diverges at the origin"):
+        poly.square_moments([0.0, -2.5])
+    # A square whose lowest coefficient underflows starts at the next rung.
+    lopsided = ExpPoly(((0.0, 1e-170), (1.0, 1.0)), 1.0, 1.0)
+    assert lopsided.square_moments([-1.5]) == pytest.approx(
+        [(lopsided * lopsided).moment(-1.5)], rel=1e-14)
