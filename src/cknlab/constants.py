@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     ConsistencyError,
@@ -60,6 +60,7 @@ __all__ = [
     "dn_general_lower_bound",
     "tail_certificate",
     "hardy_step_factor",
+    "form_parts",
     "FAMILY_IDS",
     "DEFAULT_SCAN_SIZES",
 ]
@@ -261,6 +262,29 @@ def hardy_step_factor(n: int, alpha: float, k: int) -> Optional[float]:
     if t <= 0.0:
         return None
     return 1.0 + 4.0 * (alpha + 1.0) * k / t**2
+
+
+def form_parts(
+    n: int, alpha: float, k: int
+) -> Tuple[Tuple[Tuple[int, float, float], ...], ...]:
+    """The parts of the A, B and C forms of mode k.
+
+    Each part is (derivative order, weight exponent, coefficient), and a
+    form is the sum over its parts of coefficient * int |v^(order)|^2
+    r^exponent dr for the radial profile v of the mode (see the
+    ``functionals`` module docstring).  At N = 1, k = 0 both extra
+    coefficients vanish, leaving the one-dimensional forms.  The energies
+    (``functionals``) and the Gram matrices (``variational``) both read
+    the forms from here.
+    """
+    alpha = float(alpha)
+    return (
+        ((2, n + 2 * k - 2 * alpha - 1.0, 1.0),
+         (1, n + 2 * k - 2 * alpha - 3.0, (2 * alpha + 1.0) * (n + 2 * k - 1.0))),
+        ((1, n + 2 * k - 1.0, 1.0),),
+        ((1, n + 2 * k - alpha - 2.0, 1.0),
+         (0, n + 2 * k - alpha - 4.0, (alpha + 1.0) * k)),
+    )
 
 
 def tail_certificate(n: int, alpha: float) -> bool:

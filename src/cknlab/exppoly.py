@@ -285,11 +285,26 @@ class ExpPoly:
         return ExpPoly(tuple((g, c * s) for g, c in self.terms), self.rate, self.decay_power)
 
     def dilated(self, lam: float) -> "ExpPoly":
-        """The profile r -> self(lam * r)."""
+        """The profile r -> self(lam * r).
+
+        Raises RangeOverflowError where a power lam^g of a term or the
+        dilated rate leaves double-precision range, a rate that underflows
+        to zero included: that profile would silently lose its decay.
+        """
         if not (math.isfinite(lam) and lam > 0):
             raise DomainError(f"dilation factor must be finite and > 0, got {lam!r}")
-        new = tuple((g, c * lam**g) for g, c in self.terms)
-        return ExpPoly(new, self.rate * lam**self.decay_power, self.decay_power)
+        try:
+            new = tuple((g, c * lam**g) for g, c in self.terms)
+            rate = self.rate * lam**self.decay_power
+        except OverflowError:
+            raise RangeOverflowError(
+                f"a power lam^g or lam^q of the dilation factor lam = {lam!r} exceeds "
+                "double-precision range") from None
+        if not math.isfinite(rate) or (self.rate != 0.0 and rate == 0.0):
+            raise RangeOverflowError(
+                f"the rate {self.rate!r} dilated by {lam!r} (q {self.decay_power!r}) leaves "
+                "double-precision range")
+        return ExpPoly(new, rate, self.decay_power)
 
     # -- moments ---------------------------------------------------------
 

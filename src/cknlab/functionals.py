@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .constants import FAMILY_IDS, InequalityParams, exponential_profile_quotient
+from .constants import FAMILY_IDS, InequalityParams, exponential_profile_quotient, form_parts
 from .errors import (
     ConsistencyError,
     DivergentIntegralError,
@@ -473,26 +473,6 @@ def _combine(pairs, coefs) -> Tuple[float, Optional[float]]:
         return value, None
     quad_total = sum(coef * quad for (_, quad), coef in zip(pairs, coefs))
     return value, abs(value - quad_total) / max(abs(value), abs(quad_total), 1e-300)
-
-
-def form_parts(
-    n: int, alpha: float, k: int
-) -> Tuple[Tuple[Tuple[int, float, float], ...], ...]:
-    """The parts of the A, B and C forms of mode k.
-
-    Each part is (derivative order, weight exponent, coefficient), and a
-    form is the sum over its parts of coefficient * int |v^(order)|^2
-    r^exponent dr (see the module docstring).  At N = 1, k = 0 both extra
-    coefficients vanish, leaving the one-dimensional forms.
-    """
-    alpha = float(alpha)
-    return (
-        ((2, n + 2 * k - 2 * alpha - 1.0, 1.0),
-         (1, n + 2 * k - 2 * alpha - 3.0, (2 * alpha + 1.0) * (n + 2 * k - 1.0))),
-        ((1, n + 2 * k - 1.0, 1.0),),
-        ((1, n + 2 * k - alpha - 2.0, 1.0),
-         (0, n + 2 * k - alpha - 4.0, (alpha + 1.0) * k)),
-    )
 
 
 def _energies(

@@ -11,7 +11,7 @@ is minimized over the trial spaces
 which span the same nested spaces as r^(gamma0 + j*q) exp(-r^q) but keep
 the Gram matrices well-conditioned (the monomial ones are Hilbert-like).
 The trial functions stand for the radial profile v, and M_A, M_B, M_C are
-the Gram matrices of the forms of ``functionals.form_parts``, the
+the Gram matrices of the forms of ``constants.form_parts``, the
 zero-order mode term of C included, so the minimum over the full space is
 the per-mode constant itself.  Every derivative of a trial function is
 r^g exp(-x) E_j(x) with E_j a polynomial, so a Gauss-Laguerre rule of
@@ -50,6 +50,7 @@ from .constants import (
     DEFAULT_SCAN_SIZES,
     InequalityParams,
     ModeQuotient,
+    form_parts,
     hardy_step_factor,
     mode_quotient_weighted,
 )
@@ -62,7 +63,6 @@ from .errors import (
     UnsupportedRegimeError,
     VerificationMismatchError,
 )
-from .functionals import ExtremalFamily, extremal_profile, form_parts, mode_energies
 from .quadrature import IntegrandHandle, QuadratureSpec, integrate
 
 __all__ = [
@@ -708,7 +708,11 @@ def estimate_mode_constant(
 def _checked_raw_value(params: InequalityParams, k: int, spec: Optional[QuadratureSpec]) -> float:
     """K(N+2k, alpha, 0), the constant of mode k without the zero-order part
     of C, checked against the energies of its extremal in dimension N + 2k:
-    their ratio and their closed-vs-quadrature gap within SPOT_CHECK_RTOL."""
+    their ratio and their closed-vs-quadrature gap within SPOT_CHECK_RTOL.
+    The energy layer loads here, on the scan path only: an estimate never
+    reads it."""
+    from .functionals import ExtremalFamily, extremal_profile, mode_energies
+
     radial = InequalityParams(params.n + 2 * k, params.alpha)
     exact = mode_quotient_weighted(radial.n, radial.alpha, 0).value
     extremal = extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1.0, radial))

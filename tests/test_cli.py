@@ -444,11 +444,20 @@ def test_cli_import_leaves_out_scipy_linalg_and_optimize():
         "'--basis', '4,8'])",
         "from cknlab.cli import main; main(['quotient', '--test-function', '--n', '3'])",
     )
-    for statement in numeric_path:
-        loaded = _modules_loaded_by(statement)
+    package, estimate, energies = map(_modules_loaded_by, numeric_path)
+    for statement, loaded in zip(numeric_path, (package, estimate, energies)):
         assert "numpy" in loaded and "cknlab.quadrature" in loaded, statement
         assert not any(m.startswith(("scipy", "numpy.polynomial")) for m in loaded), statement
-    assert numeric <= _modules_loaded_by(numeric_path[0])
+    # A numeric name read from the package loads the whole layer; each
+    # command loads only the layers it runs.  An estimate never reads the
+    # energy layer (functionals, exppoly, special), whose cold compile took
+    # about a tenth of a cold minimize, and one profile's energies need no
+    # Gram matrices.
+    assert numeric <= package
+    assert {m for m in estimate if m.startswith("cknlab")} == {
+        "cknlab", "cknlab.cli", "cknlab.constants", "cknlab.errors", "cknlab.quadrature",
+        "cknlab.variational"}
+    assert "cknlab.variational" not in energies
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cknlab import exppoly
-from cknlab.errors import DivergentIntegralError, DomainError, RangeOverflowError
+from cknlab.errors import CknLabError, DivergentIntegralError, DomainError, RangeOverflowError
 from cknlab.exppoly import ExpPoly, _normalize, evaluate
 from cknlab.special import weighted_exp_integral
 
@@ -98,6 +98,50 @@ def test_dilated_is_pointwise(p, lam):
     r = np.geomspace(0.2, 3.0, 7)
     magnitude = ExpPoly(tuple((g, abs(c)) for g, c in p.terms), p.rate, p.decay_power)(lam * r)
     assert np.all(np.abs(p.dilated(lam)(r) - p(lam * r)) <= 1e-12 * magnitude + 1e-300)
+
+
+def test_dilation_beyond_range_is_an_error():
+    # 1e3^400 overflowed as a bare OverflowError from the float power.
+    with pytest.raises(RangeOverflowError, match="dilation factor lam = 1000.0 exceeds"):
+        ExpPoly(((400.0, 1.0),), 1.0, 1.0).dilated(1e3)
+    with pytest.raises(RangeOverflowError, match="dilation factor"):
+        ExpPoly(((1.0, 1.0),), 1.0, 400.0).dilated(1e3)
+    # A rate that overflows, or underflows to no decay at all.
+    with pytest.raises(RangeOverflowError, match="rate 1e\\+300 dilated by 1e\\+100"):
+        ExpPoly(((1.0, 1.0),), 1e300, 1.0).dilated(1e100)
+    with pytest.raises(RangeOverflowError, match="rate 1e-300 dilated by 1e-100"):
+        ExpPoly(((1.0, 1.0),), 1e-300, 1.0).dilated(1e-100)
+    # A polynomial without decay stays one.
+    assert ExpPoly(((1.0, 1.0),), 0.0, 1.0).dilated(2.0) == ExpPoly(((1.0, 2.0),), 0.0, 1.0)
+
+
+_EXTREME = st.one_of(st.floats(min_value=-4.0, max_value=4.0),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _extreme_exppolys(draw):
+    """Any finite powers, coefficients, rates and decay powers, from
+    ordinary ones to the ends of double-precision range."""
+    terms = draw(st.lists(st.tuples(_EXTREME, _EXTREME), min_size=1, max_size=3))
+    rate = draw(st.one_of(st.just(0.0), _EXTREME.map(abs)))
+    q = draw(_EXTREME.map(abs).filter(bool))
+    return ExpPoly(tuple(terms), rate, q)
+
+
+@given(_extreme_exppolys(), _extreme_exppolys(), st.floats(), st.floats(),
+       st.sampled_from(["dilated", "scaled", "derivative", "mul"]))
+@settings(max_examples=300, deadline=None)
+def test_algebra_raises_only_package_errors(p, other, lam, s, op):
+    # Overflow, underflow and out-of-domain factors end in a CknLabError
+    # (exit 2 at the CLI), never in a bare OverflowError or ValueError.
+    operations = {"dilated": lambda: p.dilated(lam), "scaled": lambda: p.scaled(s),
+                  "derivative": p.derivative, "mul": lambda: p * other}
+    try:
+        result = operations[op]()
+    except CknLabError:
+        return
+    assert isinstance(result, ExpPoly)
 
 
 def test_scaled():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cknlab.functionals as functionals
 import cknlab.variational as variational
 from cknlab.constants import InequalityParams, mode_quotient_weighted
 from cknlab.exppoly import ExpPoly
@@ -229,13 +230,13 @@ def test_scan_raw_column_is_exact(n, alpha):
 
 
 def _perturbed_energies(monkeypatch, **changes):
-    original = variational.mode_energies
+    original = functionals.mode_energies
 
     def perturbed(*args, **kwargs):
         e = original(*args, **kwargs)
         return replace(e, **{key: change(e) for key, change in changes.items()})
 
-    monkeypatch.setattr(variational, "mode_energies", perturbed)
+    monkeypatch.setattr(functionals, "mode_energies", perturbed)
 
 
 def test_scan_rejects_a_raw_value_its_energy_ratio_contradicts(monkeypatch):
