@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -86,14 +85,7 @@ QUOTIENT_AGREEMENT_RTOL = 1e-8
 _ONE_DIM_FAMILIES = ("thm1.2-1a", "thm1.2-1b")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One reproducible run: subcommand plus every knob it reads.
-
-    ``quadrature`` of None means the default ``QuadratureSpec()``, built
-    only by the commands that integrate (see ``_quadrature``).
-    """
-
+class _RunConfig(NamedTuple):
     command: str
     params: Optional[InequalityParams] = None
     quadrature: Optional[QuadratureSpec] = None
@@ -109,36 +101,71 @@ class RunConfig:
     amplitude: float = 1.0
     rate: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunConfig):
+    """One reproducible run: subcommand plus every knob it reads.
+
+    ``quadrature`` of None means the default ``QuadratureSpec()``, built
+    only by the commands that integrate (see ``_quadrature``).  A
+    construction, a ``_replace`` and an unpickling all validate.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RunConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.command not in _COMMANDS:
             raise PreconditionError(f"unknown command {self.command!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise PreconditionError(
                 f"format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "RunConfig":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SharpConstantReport:
+class _SharpConstantReport(NamedTuple):
+    closed_form: Optional[float]
+    quadrature_value: Optional[float]
+    variational_estimate: Optional[float]
+    bounds: Optional[Dict[str, object]]
+    diagnostics: Dict[str, object]
+    provenance: Dict[str, str]
+
+
+class SharpConstantReport(_SharpConstantReport):
     """One constant, by whichever routes produced a value.
 
     Every command fills at least one of ``closed_form``,
     ``quadrature_value``, ``variational_estimate`` or ``bounds``, or
     raises.  When several value routes are present they are compared;
     disagreement beyond the declared tolerance sets
-    ``diagnostics["discrepancy"]``.
+    ``diagnostics["discrepancy"]``.  ``diagnostics`` and ``provenance``
+    default to a fresh dict each.
     """
 
-    closed_form: Optional[float] = None
-    quadrature_value: Optional[float] = None
-    variational_estimate: Optional[float] = None
-    bounds: Optional[Dict[str, object]] = None
-    diagnostics: Dict[str, object] = field(default_factory=dict)
-    provenance: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        closed_form: Optional[float] = None,
+        quadrature_value: Optional[float] = None,
+        variational_estimate: Optional[float] = None,
+        bounds: Optional[Dict[str, object]] = None,
+        diagnostics: Optional[Dict[str, object]] = None,
+        provenance: Optional[Dict[str, str]] = None,
+    ) -> "SharpConstantReport":
+        return super().__new__(
+            cls, closed_form, quadrature_value, variational_estimate, bounds,
+            {} if diagnostics is None else diagnostics,
+            {} if provenance is None else provenance,
+        )
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A rendered-format-independent command result."""
 
     payload: Dict[str, object]
@@ -164,8 +191,13 @@ def _to_jsonable(obj):
     np = sys.modules.get("numpy")  # no numpy value exists unless numpy is loaded
     if np is not None and isinstance(obj, (np.generic, np.ndarray)):
         return _to_jsonable(obj.tolist())
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    # The numeric layer's records are dataclasses: none exists unless
+    # dataclasses is loaded.
+    dataclasses = sys.modules.get("dataclasses")
+    if dataclasses is not None and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):  # a NamedTuple record
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {str(key): _to_jsonable(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -588,6 +620,8 @@ def cmd_minimize(config: RunConfig) -> Document:
 
 def cmd_probe_conjecture(config: RunConfig) -> Document:
     """Evidence-only probe of the open four-dimensional case."""
+    from dataclasses import asdict
+
     from .functionals import test_function_quotient
     from .variational import symmetry_breaking_scan
 

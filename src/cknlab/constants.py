@@ -29,9 +29,8 @@ k = 0 value is the limit ((N + 3 alpha - beta + 1)/2)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import (
     ConsistencyError,
@@ -88,31 +87,39 @@ FAMILY_IDS = (
 DEFAULT_SCAN_SIZES = (4, 8, 16)
 
 
-@dataclass(frozen=True)
-class InequalityParams:
-    """Parameters (N, alpha, beta) of one inequality instance.
-
-    ``beta`` is the optional second weight exponent used only by the
-    general lower bound and the weighted-gradient reference constants.
-    """
-
+class _InequalityParams(NamedTuple):
     n: int
     alpha: float = 0.0
     beta: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError(f"dimension n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must be a finite real, got {self.alpha!r}")
-        if self.beta is not None and not (
-            isinstance(self.beta, (int, float)) and math.isfinite(self.beta)
-        ):
-            raise DomainError(f"beta must be a finite real or None, got {self.beta!r}")
+
+class InequalityParams(_InequalityParams):
+    """Parameters (N, alpha, beta) of one inequality instance.
+
+    ``beta`` is the optional second weight exponent used only by the
+    general lower bound and the weighted-gradient reference constants.
+    A construction, a ``_replace`` and an unpickling all validate.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "InequalityParams":
+        self = super().__new__(cls, *args, **kwargs)
+        n, alpha, beta = self
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise DomainError(f"dimension n must be an integer >= 1, got {n!r}")
+        if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+            raise DomainError(f"alpha must be a finite real, got {alpha!r}")
+        if beta is not None and not (isinstance(beta, (int, float)) and math.isfinite(beta)):
+            raise DomainError(f"beta must be a finite real or None, got {beta!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "InequalityParams":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ModeQuotient:
+class ModeQuotient(NamedTuple):
     """One per-mode quotient value with its exact rational form."""
 
     k: int
@@ -122,8 +129,7 @@ class ModeQuotient:
     exact: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class ModeInfimumResult:
+class ModeInfimumResult(NamedTuple):
     """Infimum of a per-mode formula over k in {0, ..., k_max}."""
 
     quotient: ModeQuotient
@@ -140,8 +146,7 @@ class ModeInfimumResult:
         return self.quotient.exact
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Rigorous two-sided bounds on the sharp constant for N in {2, 3, 4},
     where no closed form is known."""
 
@@ -155,8 +160,7 @@ class BoundsReport:
     flag: Optional[str] = None  # "conjecture-open" for N = 4
 
 
-@dataclass(frozen=True)
-class ClosedFormConstant:
+class ClosedFormConstant(NamedTuple):
     """A closed-form sharp constant with its case label and extremal
     family id."""
 

@@ -75,6 +75,15 @@ def _normalize(terms: Iterable[Tuple[float, float]]) -> Tuple[Tuple[float, float
     return tuple(sorted((g, c) for g, c in merged.items() if c != 0.0))
 
 
+def _check_coefficients(terms: Sequence[Tuple[float, float]], what: str) -> None:
+    """Raise if a coefficient of ``what``, computed from finite ones, has
+    overflowed."""
+    for _, c in terms:
+        if not math.isfinite(c):
+            raise RangeOverflowError(
+                f"a coefficient of {what} exceeds double-precision range")
+
+
 def _check_product_powers(terms1, terms2) -> None:
     """Raise if a power of the product of two term lists overflows.  Terms
     ascend in power, so the extreme sums are those of the ends."""
@@ -202,9 +211,9 @@ def _ladder_moment(ladder: _Ladder, p: float, rate: float, q: float) -> float:
 class ExpPoly:
     """sum_j c_j r^(g_j) * exp(-rate * r^(decay_power)).
 
-    ``terms`` holds (power, coefficient) pairs; an empty tuple is the
-    zero function.  ``rate`` = 0 means no exponential factor (then
-    ``decay_power`` is irrelevant but kept for algebra).
+    ``terms`` holds (power, coefficient) pairs, given finite; an empty
+    tuple is the zero function.  ``rate`` = 0 means no exponential factor
+    (then ``decay_power`` is irrelevant but kept for algebra).
     """
 
     terms: Tuple[Tuple[float, float], ...]
@@ -212,10 +221,17 @@ class ExpPoly:
     decay_power: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _normalize(self.terms))
-        for g, _ in self.terms:
+        raw = self.terms
+        object.__setattr__(self, "terms", _normalize(raw))
+        for g, c in self.terms:
             if not math.isfinite(g):
                 raise DomainError(f"term powers must be finite, got {g!r}")
+            if not math.isfinite(c):
+                # A nan or inf given is bad input; a sum of finite
+                # coefficients beyond range is left to the moments.
+                for _, given in raw:
+                    if not math.isfinite(given):
+                        raise DomainError(f"term coefficients must be finite, got {given!r}")
         if not (math.isfinite(self.rate) and self.rate >= 0.0):
             raise DomainError(f"rate must be finite and >= 0, got {self.rate!r}")
         if not (math.isfinite(self.decay_power) and self.decay_power > 0.0):
@@ -259,6 +275,7 @@ class ExpPoly:
                 f"double-precision range (the largest |c| is "
                 f"{max(abs(c) for _, c in self.terms)!r}, rate {self.rate!r}, "
                 f"q {self.decay_power!r})")
+        _check_coefficients(new, "the derivative")
         return ExpPoly(tuple(new), self.rate, self.decay_power)
 
     def __mul__(self, other: "ExpPoly") -> "ExpPoly":
@@ -272,6 +289,12 @@ class ExpPoly:
         dp = self.decay_power if self.rate != 0.0 else other.decay_power
         _check_product_powers(self.terms, other.terms)
         new = [(g1 + g2, c1 * c2) for g1, c1 in self.terms for g2, c2 in other.terms]
+        _check_coefficients(new, "the product")
+        rate = self.rate + other.rate
+        if not math.isfinite(rate):
+            raise RangeOverflowError(
+                f"the rate {self.rate!r} + {other.rate!r} of the product exceeds "
+                "double-precision range")
         if new and not any(c for _, c in new):
             # Building would drop every term: a zero polynomial for a
             # product of two nonzero ones.
@@ -279,17 +302,22 @@ class ExpPoly:
                 "every coefficient of the product underflows double-precision range "
                 f"(the largest factors are {max(abs(c) for _, c in self.terms)!r} and "
                 f"{max(abs(c) for _, c in other.terms)!r})")
-        return ExpPoly(tuple(new), self.rate + other.rate, dp)
+        return ExpPoly(tuple(new), rate, dp)
 
     def scaled(self, s: float) -> "ExpPoly":
-        return ExpPoly(tuple((g, c * s) for g, c in self.terms), self.rate, self.decay_power)
+        if not math.isfinite(s):
+            raise DomainError(f"scale factor must be finite, got {s!r}")
+        new = tuple((g, c * s) for g, c in self.terms)
+        _check_coefficients(new, "the scaled polynomial")
+        return ExpPoly(new, self.rate, self.decay_power)
 
     def dilated(self, lam: float) -> "ExpPoly":
         """The profile r -> self(lam * r).
 
-        Raises RangeOverflowError where a power lam^g of a term or the
-        dilated rate leaves double-precision range, a rate that underflows
-        to zero included: that profile would silently lose its decay.
+        Raises RangeOverflowError where a power lam^g of a term, its
+        coefficient c lam^g or the dilated rate leaves double-precision
+        range, a rate that underflows to zero included: that profile would
+        silently lose its decay.
         """
         if not (math.isfinite(lam) and lam > 0):
             raise DomainError(f"dilation factor must be finite and > 0, got {lam!r}")
@@ -304,6 +332,7 @@ class ExpPoly:
             raise RangeOverflowError(
                 f"the rate {self.rate!r} dilated by {lam!r} (q {self.decay_power!r}) leaves "
                 "double-precision range")
+        _check_coefficients(new, "the dilated polynomial")
         return ExpPoly(new, rate, self.decay_power)
 
     # -- moments ---------------------------------------------------------
@@ -313,9 +342,9 @@ class ExpPoly:
         term power to satisfy g + p > -1), one ladder at a time (see the
         module docstring).
 
-        Raises RangeOverflowError if a coefficient is not finite: the
-        product of two polynomials with coefficients past about 1e154 has
-        coefficients that overflow to inf.
+        Raises RangeOverflowError where a coefficient (a sum of finite
+        ones on one power), a term of a ladder's sum or the moment itself
+        exceeds double-precision range.
         """
         if self.is_zero:
             return 0.0

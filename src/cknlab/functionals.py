@@ -357,19 +357,19 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
             m = 1.0
         # v = a (1 + b r^m) e^{-b r^m}; the r^(2m-1) form of v' below is
         # the telescoped derivative (the r^(m-1) terms cancel).
-        poly_v = ExpPoly(((0.0, a), (m, a * b)), b, m)
         try:
-            poly_d1 = ExpPoly(((2.0 * m - 1.0, -a * b**2 * m),), b, m)
-            poly_d2 = ExpPoly(
-                ((2.0 * m - 2.0, -a * b**2 * m * (2.0 * m - 1.0)),
-                 (3.0 * m - 2.0, a * b**3 * m**2)),
-                b, m,
-            )
+            coefs = (a * b, -a * b**2 * m, -a * b**2 * m * (2.0 * m - 1.0), a * b**3 * m**2)
+            if not all(map(math.isfinite, coefs)):
+                raise OverflowError
         except OverflowError:
             raise RangeOverflowError(
-                f"a coefficient of the {fid} profile's derivatives exceeds "
+                f"a coefficient of the {fid} profile or its derivatives exceeds "
                 "double-precision range"
             ) from None
+        v1, d1, d2_low, d2_high = coefs
+        poly_v = ExpPoly(((0.0, a), (m, v1)), b, m)
+        poly_d1 = ExpPoly(((2.0 * m - 1.0, d1),), b, m)
+        poly_d2 = ExpPoly(((2.0 * m - 2.0, d2_low), (3.0 * m - 2.0, d2_high)), b, m)
         for name, formula, poly in (("v'", "-a b^2 m", poly_d1), ("v''", "a b^3 m^2", poly_d2)):
             if poly.is_zero:
                 raise RangeOverflowError(

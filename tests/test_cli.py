@@ -142,6 +142,7 @@ def test_mode_scan_rejects_alpha_for_plain_formula(capsys):
     ("minimize", "--n", "170", "--k", "1"),
     ("minimize", "--n", "1" + "0" * 200, "--k", "1"),
     ("minimize", "--n", "9", "--alpha", "-0.95", "--k", "1"),
+    ("quotient", "--family", "thm1.2-2", "--n", "7", "--a", "1e300", "--b", "1e10", "--k", "0"),
 ])
 def test_exact_value_beyond_float_range_exits_precondition(capsys, argv):
     # At N = 1e200 the exact rationals exceed double range: float() of them
@@ -152,7 +153,8 @@ def test_exact_value_beyond_float_range_exits_precondition(capsys, argv):
     # moment escaped as "ValueError: -inf + inf in fsum" (exit 1).  The
     # Gauss-Laguerre weights of a Gram part overflow at rule exponents near
     # 170: that part was inf or nan and failed the quadrature check (exit 3
-    # or 4, after numpy RuntimeWarnings).
+    # or 4, after numpy RuntimeWarnings).  A profile coefficient a b = 1e310
+    # is beyond range too, not a non-finite coefficient given.
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -405,13 +407,13 @@ def test_selftest_json_stdout_is_one_document(capsys, monkeypatch):
 
 
 def _modules_loaded_by(statement):
-    """The numpy, scipy and cknlab modules a fresh interpreter holds after
-    running ``statement``."""
+    """The numpy, scipy, dataclasses and cknlab modules a fresh interpreter
+    holds after running ``statement``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (f"import sys, contextlib, io\nwith contextlib.redirect_stdout(io.StringIO()):\n"
              f"    {statement}\nprint(sorted(m for m in sys.modules "
-             "if m.partition('.')[0] in ('numpy', 'scipy', 'cknlab')))")
+             "if m.partition('.')[0] in ('numpy', 'scipy', 'dataclasses', 'cknlab')))")
     done = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120, check=True)
@@ -422,7 +424,9 @@ def test_cli_import_leaves_out_scipy_linalg_and_optimize():
     # scipy is a test dependency only: importing scipy.special alone took
     # more than half of a cold CLI start and about 25 MB of peak RSS.  The
     # exact commands load no numpy either, which took about half of the
-    # rest of it.
+    # rest of it.  Nor do they load dataclasses, whose import (with inspect,
+    # ast, dis and tokenize) and eight record classes took about a sixth of
+    # a cold constants command.
     exact_path = (
         "import cknlab",
         "import cknlab.cli",
@@ -436,6 +440,7 @@ def test_cli_import_leaves_out_scipy_linalg_and_optimize():
         loaded = _modules_loaded_by(statement)
         assert not any(m.startswith(("numpy", "scipy")) for m in loaded), statement
         assert not numeric & loaded, statement
+        assert "dataclasses" not in loaded, statement
     # The numeric commands load numpy, but neither scipy nor
     # numpy.polynomial, whose import took about 4 ms of each of them.
     numeric_path = (

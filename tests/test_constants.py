@@ -1,5 +1,6 @@
 """Closed-form mode quotients, infima, and regime dispatch."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from cknlab.constants import (
     symmetry_breaking_bounds,
     tail_certificate,
 )
+from cknlab.cli import RunConfig, SharpConstantReport
 from cknlab.errors import DomainError, PreconditionError, UnsupportedRegimeError
 
 
@@ -273,3 +275,38 @@ def test_params_validation():
         InequalityParams(0)
     with pytest.raises(DomainError):
         mode_quotient_plain(3, -1)
+
+
+def test_records_keep_their_dataclass_contract():
+    # The records are NamedTuples: InequalityParams and RunConfig validate
+    # in the __new__ of a subclass, which without __slots__ = () would take
+    # new attributes, and whose _replace builds through _make, which skips
+    # __new__ unless redirected.  A dataclass unpickled without validating.
+    for record, bad, error in (
+        (InequalityParams(4, 0.5), {"n": 0}, DomainError),
+        (RunConfig("constants", InequalityParams(3)), {"output_format": "xml"},
+         PreconditionError),
+    ):
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        invalid = dict(record._asdict(), **bad)
+        with pytest.raises(error):
+            type(record)(**invalid)
+        with pytest.raises(error):
+            record._replace(**bad)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+        unchecked = pickle.dumps(tuple.__new__(type(record), invalid.values()))
+        with pytest.raises(error):
+            pickle.loads(unchecked)
+    assert repr(InequalityParams(4)) == "InequalityParams(n=4, alpha=0.0, beta=None)"
+    with pytest.raises(DomainError, match="beta must be a finite real or None, got nan"):
+        InequalityParams(4, 0.0, float("nan"))
+    with pytest.raises(PreconditionError, match="unknown command 'nope'"):
+        RunConfig("nope")
+    first, second = SharpConstantReport(), SharpConstantReport()
+    first.diagnostics["discrepancy"] = True
+    assert second.diagnostics == {} and second.provenance is not first.provenance

@@ -33,6 +33,13 @@ def exppolys(draw):
 @given(exppolys())
 @settings(max_examples=100, deadline=None)
 def test_derivative_matches_finite_differences(p):
+    if p.terms and all(c * g == 0.0 and c * p.rate * p.decay_power == 0.0
+                       for g, c in p.terms):
+        # A derivative whose every coefficient underflows (c = 5e-324 at
+        # g = 0, q = 0.5) is an error, not the zero polynomial.
+        with pytest.raises(RangeOverflowError, match="derivative underflows"):
+            p.derivative()
+        return
     r = np.geomspace(0.2, 5.0, 7)
     h = 1e-7 * r
     fd = (p(r + h) - p(r - h)) / (2.0 * h)
@@ -270,6 +277,39 @@ def test_non_finite_powers_are_rejected():
     with pytest.raises(RangeOverflowError, match="of the derivative exceeds"):
         ExpPoly(((1.7e308, 1.0),), 1.0, 1e308).derivative()
 
+
+
+def test_non_finite_coefficients_are_rejected():
+    # They built, and their moment blamed the double-precision range.
+    one = ExpPoly(((0.0, 1.0),), 1.0, 1.0)
+    with pytest.raises(DomainError, match="coefficients must be finite, got nan"):
+        ExpPoly(((0.0, math.nan), (1.0, 1.0)), 1.0, 1.0)
+    with pytest.raises(DomainError, match="coefficients must be finite, got -inf"):
+        ExpPoly(((0.0, 1.0), (0.0, -math.inf)), 1.0, 1.0)
+    for s in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="scale factor must be finite"):
+            one.scaled(s)
+    # A coefficient that finite ones overflow into is beyond range, not bad input.
+    big = ExpPoly(((0.0, 1e200), (1.0, 1.0)), 1.0, 1.0)
+    for overflow, what in ((lambda: big * big, "of the product"),
+                           (lambda: big.scaled(1e200), "of the scaled polynomial"),
+                           (lambda: ExpPoly(((3.0, 1e308),), 1.0, 1.0).derivative(),
+                            "of the derivative"),
+                           (lambda: ExpPoly(((300.0, 1e300),), 1.0, 1.0).dilated(10.0),
+                            "of the dilated polynomial"),
+                           (lambda: ExpPoly(((0.0, 1e308), (0.0, 1e308)), 1.0, 1.0).moment(0.0),
+                            "of the moment's integrand")):
+        with pytest.raises(RangeOverflowError, match=f"{what} exceeds double-precision range"):
+            overflow()
+
+
+def test_product_rate_beyond_range_is_an_error():
+    # The constructor rejected the rate inf as bad input.
+    fast = ExpPoly(((0.0, 1.0),), 1e308, 1.0)
+    with pytest.raises(RangeOverflowError,
+                       match="rate 1e\\+308 \\+ 1e\\+308 of the product exceeds"):
+        fast * fast
+    assert (fast * ExpPoly(((1.0, 2.0),), 0.0, 1.0)).rate == 1e308
 
 def _rising(s, m):
     out = Fraction(1)
