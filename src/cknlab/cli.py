@@ -191,11 +191,6 @@ def _to_jsonable(obj):
     np = sys.modules.get("numpy")  # no numpy value exists unless numpy is loaded
     if np is not None and isinstance(obj, (np.generic, np.ndarray)):
         return _to_jsonable(obj.tolist())
-    # The numeric layer's records are dataclasses: none exists unless
-    # dataclasses is loaded.
-    dataclasses = sys.modules.get("dataclasses")
-    if dataclasses is not None and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, tuple) and hasattr(obj, "_asdict"):  # a NamedTuple record
         obj = obj._asdict()
     if isinstance(obj, dict):
@@ -620,8 +615,6 @@ def cmd_minimize(config: RunConfig) -> Document:
 
 def cmd_probe_conjecture(config: RunConfig) -> Document:
     """Evidence-only probe of the open four-dimensional case."""
-    from dataclasses import asdict
-
     from .functionals import test_function_quotient
     from .variational import symmetry_breaking_scan
 
@@ -645,7 +638,7 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
         spec=spec,
     )
     bounds = _bounds_dict(4)
-    rows = [asdict(row) for row in scan.rows]
+    rows = [row._asdict() for row in scan.rows]
     payload = {
         "command": "probe-conjecture",
         "banner": "numerical evidence only",

@@ -172,26 +172,37 @@ class RadialProfile:
         )
 
     def dilated(self, lam: float) -> "RadialProfile":
-        """The profile r -> v(lam * r)."""
+        """The profile r -> v(lam * r).
+
+        Raises RangeOverflowError where lam^2 or the power lam^q of the
+        decay hint exceeds double-precision range, as ``ExpPoly.dilated``
+        does for the closed forms.
+        """
         if not (math.isfinite(lam) and lam > 0.0):
             raise DomainError(f"dilation factor must be finite and > 0, got {lam!r}")
         ev = self.evaluator
+        hint = self.decay_hint
+        try:
+            lam2 = lam**2
+            if hint is not None:
+                c, q = hint
+                hint = (c * lam**q, q)
+        except OverflowError:
+            raise RangeOverflowError(
+                f"a power lam^2 or lam^q of the dilation factor lam = {lam!r} exceeds "
+                "double-precision range") from None
 
         def dilated_ev(r):
             v, d1, d2 = ev(lam * np.asarray(r, dtype=float))
-            return v, lam * d1, lam**2 * d2
+            return v, lam * d1, lam2 * d2
 
-        hint = self.decay_hint
-        if hint is not None:
-            c, q = hint
-            hint = (c * lam**q, q)
         return replace(
             self,
             evaluator=dilated_ev,
             decay_hint=hint,
             poly_v=None if self.poly_v is None else self.poly_v.dilated(lam),
             poly_d1=None if self.poly_d1 is None else self.poly_d1.dilated(lam).scaled(lam),
-            poly_d2=None if self.poly_d2 is None else self.poly_d2.dilated(lam).scaled(lam**2),
+            poly_d2=None if self.poly_d2 is None else self.poly_d2.dilated(lam).scaled(lam2),
             family=None,
         )
 

@@ -66,9 +66,8 @@ where its own weight underflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -114,27 +113,44 @@ _LOG_LIVE = -745.1332191019411
 _CALL_NODES = 4096
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class _QuadratureSpec(NamedTuple):
+    rel_tol: float = 1e-12
+
+
+class QuadratureSpec(_QuadratureSpec):
     """Tolerance for :func:`integrate`.
 
     Attributes
     ----------
     rel_tol : float
         Relative tolerance on the integral; must lie in (1e-15, 1e-3).
+
+    A construction, a ``_replace`` and an unpickling all validate.
     """
 
-    rel_tol: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "QuadratureSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if not (isinstance(self.rel_tol, float) and 1e-15 < self.rel_tol < 1e-3):
             raise DomainError(
                 f"rel_tol must be a float in (1e-15, 1e-3), got {self.rel_tol!r}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "QuadratureSpec":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class IntegrandHandle:
+class _IntegrandHandle(NamedTuple):
+    rows: Callable[[np.ndarray], np.ndarray]
+    weight_exponent: Tuple[float, ...]
+    decay_hint: Optional[Tuple[float, float]] = None
+    tail_scale: Optional[float] = None
+
+
+class IntegrandHandle(_IntegrandHandle):
     """The Gram matrices of rows under a stack of weights r^p_i.
 
     Attributes
@@ -166,33 +182,37 @@ class IntegrandHandle:
         the turning point of an oscillating row); it replaces the scale
         derived from the decay hint and the weights, and kappa still
         follows the hint.
+
+    A construction, a ``_replace`` and an unpickling all validate.
     """
 
-    rows: Callable[[np.ndarray], np.ndarray]
-    weight_exponent: Tuple[float, ...]
-    decay_hint: Optional[Tuple[float, float]] = None
-    tail_scale: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not callable(self.rows):
+    def __new__(cls, *args, **kwargs) -> "IntegrandHandle":
+        self = super().__new__(cls, *args, **kwargs)
+        rows, weight_exponent, decay_hint, tail_scale = self
+        if not callable(rows):
             raise DomainError("rows must be callable")
-        if not (isinstance(self.weight_exponent, tuple) and self.weight_exponent):
+        if not (isinstance(weight_exponent, tuple) and weight_exponent):
             raise DomainError("weight_exponent must be a non-empty tuple of exponents, "
-                              f"got {self.weight_exponent!r}")
-        for p in self.weight_exponent:
+                              f"got {weight_exponent!r}")
+        for p in weight_exponent:
             if not (isinstance(p, (int, float)) and math.isfinite(p)):
                 raise DivergentIntegralError(f"weight_exponent must be finite, got {p!r}")
-        if self.decay_hint is not None:
-            c, q = self.decay_hint
+        if decay_hint is not None:
+            c, q = decay_hint
             if not (math.isfinite(c) and c > 0 and math.isfinite(q) and q > 0):
-                raise DomainError(f"decay_hint must be (c > 0, q > 0), got {self.decay_hint!r}")
-        if self.tail_scale is not None and not (math.isfinite(self.tail_scale)
-                                                and self.tail_scale > 0):
-            raise DomainError(f"tail_scale must be finite and > 0, got {self.tail_scale!r}")
+                raise DomainError(f"decay_hint must be (c > 0, q > 0), got {decay_hint!r}")
+        if tail_scale is not None and not (math.isfinite(tail_scale) and tail_scale > 0):
+            raise DomainError(f"tail_scale must be finite and > 0, got {tail_scale!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "IntegrandHandle":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Converged Gram matrices with their refinement error estimate, both
     (T, rows, rows) arrays for T weight exponents.
 

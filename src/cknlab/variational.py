@@ -40,9 +40,8 @@ form and checks it against that extremal's energies in dimension N + 2k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,8 +92,7 @@ _SEARCH_TOL = 1e-8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class _Factor:
+class _Factor(NamedTuple):
     """The ``order``-th derivative of every trial function as
     r^power exp(-x) E_j(x), E_j = sum_d coefs[d](x) P_j^(d)(x), row d of
     ``coefs`` holding the ascending coefficients of coefs[d]; powers of x
@@ -106,8 +104,13 @@ class _Factor:
     coefs: np.ndarray
 
 
-@dataclass(frozen=True)
-class BasisSpec:
+class _BasisSpec(NamedTuple):
+    m: int
+    gamma0: float
+    decay_q: float
+
+
+class BasisSpec(_BasisSpec):
     """Trial space phi_j = r^gamma0 e^(-x) P_j(x), P_j(x) = L_j^(a)(2x),
     x = r^q, j < m.
 
@@ -117,23 +120,25 @@ class BasisSpec:
     invariant, so the rate is a gauge choice.  The Laguerre parameter a
     sets the conditioning but not the span; ``build_gram`` derives it from
     the quadratic forms and records it as ``diagnostics["laguerre_a"]``.
+    A construction, a ``_replace`` and an unpickling all validate.
     """
 
-    m: int
-    gamma0: float
-    decay_q: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise DomainError(f"basis size m must be an integer >= 1, got {self.m!r}")
-        if not (isinstance(self.gamma0, (int, float)) and math.isfinite(self.gamma0)):
-            raise DomainError(f"gamma0 must be a finite real, got {self.gamma0!r}")
-        if not (
-            isinstance(self.decay_q, (int, float))
-            and math.isfinite(self.decay_q)
-            and self.decay_q > 0
-        ):
-            raise DomainError(f"decay_q must be a finite real > 0, got {self.decay_q!r}")
+    def __new__(cls, *args, **kwargs) -> "BasisSpec":
+        self = super().__new__(cls, *args, **kwargs)
+        m, gamma0, decay_q = self
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise DomainError(f"basis size m must be an integer >= 1, got {m!r}")
+        if not (isinstance(gamma0, (int, float)) and math.isfinite(gamma0)):
+            raise DomainError(f"gamma0 must be a finite real, got {gamma0!r}")
+        if not (isinstance(decay_q, (int, float)) and math.isfinite(decay_q) and decay_q > 0):
+            raise DomainError(f"decay_q must be a finite real > 0, got {decay_q!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "BasisSpec":
+        return cls(*iterable)
 
     def factor(self, order: int) -> _Factor:
         """The polynomial factors of the ``order``-th derivatives."""
@@ -235,23 +240,43 @@ def _gauss_laguerre(nodes: int, exponents: Tuple[float, ...]) -> Tuple[np.ndarra
     return y, w
 
 
-@dataclass(frozen=True, eq=False)
-class GramTriple:
-    """Gram matrices of the three quadratic forms on one trial space.
-
-    ``m_a``, ``m_b``, ``m_c`` are symmetric by construction.  ``m_b`` and
-    ``m_c`` are checked positive definite; ``m_a`` may be indefinite when
-    the sign of its zero-order coefficient is negative, which is recorded
-    in ``diagnostics`` rather than rejected.
-    """
-
+class _GramTriple(NamedTuple):
     m_a: np.ndarray
     m_b: np.ndarray
     m_c: np.ndarray
     params: InequalityParams
     k: int
     basis: BasisSpec
-    diagnostics: Dict[str, object] = field(default_factory=dict)
+    diagnostics: Dict[str, object]
+
+
+class GramTriple(_GramTriple):
+    """Gram matrices of the three quadratic forms on one trial space.
+
+    ``m_a``, ``m_b``, ``m_c`` are symmetric by construction.  ``m_b`` and
+    ``m_c`` are checked positive definite; ``m_a`` may be indefinite when
+    the sign of its zero-order coefficient is negative, which is recorded
+    in ``diagnostics`` rather than rejected.  ``diagnostics`` defaults to a
+    fresh dict.  Triples compare and hash by identity, never by their
+    arrays.
+    """
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    __lt__, __le__, __gt__, __ge__ = object.__lt__, object.__le__, object.__gt__, object.__ge__
+
+    def __new__(
+        cls,
+        m_a: np.ndarray,
+        m_b: np.ndarray,
+        m_c: np.ndarray,
+        params: InequalityParams,
+        k: int,
+        basis: BasisSpec,
+        diagnostics: Optional[Dict[str, object]] = None,
+    ) -> "GramTriple":
+        return super().__new__(cls, m_a, m_b, m_c, params, k, basis,
+                               {} if diagnostics is None else diagnostics)
 
     @property
     def m(self) -> int:
@@ -265,7 +290,7 @@ class GramTriple:
         Its diagnostics name the size it was cut from
         (``leading_block_of_m``) and repeat no check count or conditioning
         measured on the whole."""
-        basis = replace(self.basis, m=size)  # rejects a size that is not an integer >= 1
+        basis = self.basis._replace(m=size)  # rejects a size that is not an integer >= 1
         if size > self.m:
             raise DomainError(f"block size {size} exceeds the trial space size {self.m}")
         if size == self.m:
@@ -285,8 +310,7 @@ class GramTriple:
         )
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(NamedTuple):
     """Outcome of one quotient minimization.
 
     ``coeffs`` (Laguerre basis, a in the Gram diagnostics) has c^T M_C c = 1,
@@ -305,8 +329,7 @@ class MinimizationResult:
     warnings: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ModeConstantEstimate:
+class ModeConstantEstimate(NamedTuple):
     """Nested-basis estimate of one per-mode constant with its trace."""
 
     params: InequalityParams
@@ -322,8 +345,7 @@ class ModeConstantEstimate:
         return self.final.value
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """Per-mode line of a symmetry-breaking scan.
 
     ``raw_value`` is the constant of mode k without the zero-order part of
@@ -345,8 +367,7 @@ class ScanRow:
     full_converged: bool
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Scan outcome: per-mode rows plus the verdict they support."""
 
     params: InequalityParams

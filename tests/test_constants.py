@@ -24,6 +24,8 @@ from cknlab.constants import (
 )
 from cknlab.cli import RunConfig, SharpConstantReport
 from cknlab.errors import DomainError, PreconditionError, UnsupportedRegimeError
+from cknlab.quadrature import IntegrandHandle, QuadratureSpec
+from cknlab.variational import BasisSpec, GramTriple
 
 
 FROZEN_K1 = {2: Fraction(1, 4), 3: Fraction(9, 4), 4: Fraction(3969, 676)}
@@ -278,14 +280,17 @@ def test_params_validation():
 
 
 def test_records_keep_their_dataclass_contract():
-    # The records are NamedTuples: InequalityParams and RunConfig validate
-    # in the __new__ of a subclass, which without __slots__ = () would take
-    # new attributes, and whose _replace builds through _make, which skips
+    # The records are NamedTuples: those that validate do so in the __new__
+    # of a subclass, which without __slots__ = () would take new
+    # attributes, and whose _replace builds through _make, which skips
     # __new__ unless redirected.  A dataclass unpickled without validating.
     for record, bad, error in (
         (InequalityParams(4, 0.5), {"n": 0}, DomainError),
         (RunConfig("constants", InequalityParams(3)), {"output_format": "xml"},
          PreconditionError),
+        (QuadratureSpec(), {"rel_tol": 1e-2}, DomainError),
+        (BasisSpec(4, 0.0, 1.0), {"m": 0}, DomainError),
+        (IntegrandHandle(np.exp, (0.0,), (1.0, 1.0)), {"tail_scale": -1.0}, DomainError),
     ):
         field = record._fields[0]
         with pytest.raises(AttributeError):
@@ -303,6 +308,11 @@ def test_records_keep_their_dataclass_contract():
         with pytest.raises(error):
             pickle.loads(unchecked)
     assert repr(InequalityParams(4)) == "InequalityParams(n=4, alpha=0.0, beta=None)"
+    assert repr(QuadratureSpec()) == "QuadratureSpec(rel_tol=1e-12)"
+    assert repr(BasisSpec(4, 0.0, 1.0)) == "BasisSpec(m=4, gamma0=0.0, decay_q=1.0)"
+    assert repr(IntegrandHandle(np.exp, (0.0,), (1.0, 1.0))) == (
+        "IntegrandHandle(rows=<ufunc 'exp'>, weight_exponent=(0.0,), decay_hint=(1.0, 1.0), "
+        "tail_scale=None)")
     with pytest.raises(DomainError, match="beta must be a finite real or None, got nan"):
         InequalityParams(4, 0.0, float("nan"))
     with pytest.raises(PreconditionError, match="unknown command 'nope'"):
@@ -310,3 +320,12 @@ def test_records_keep_their_dataclass_contract():
     first, second = SharpConstantReport(), SharpConstantReport()
     first.diagnostics["discrepancy"] = True
     assert second.diagnostics == {} and second.provenance is not first.provenance
+    # A Gram triple gets fresh diagnostics too, and compares and hashes by
+    # identity: comparing its arrays would raise.
+    eye = np.eye(2)
+    first, second = (GramTriple(eye, eye, eye, InequalityParams(5), 1, BasisSpec(2, 0.0, 1.0))
+                     for _ in range(2))
+    first.diagnostics["laguerre_a"] = 1.0
+    assert second.diagnostics == {}
+    assert first == first and first != second and hash(first) != hash(second)
+    assert first._replace(m_a=eye) != first

@@ -1,6 +1,5 @@
 """Per-mode energies, quotients, and the closed-form extremal families."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -15,11 +14,13 @@ from cknlab.errors import (
     ConsistencyError,
     DivergentIntegralError,
     DomainError,
+    RangeOverflowError,
     ZeroDenominatorError,
 )
 from cknlab.exppoly import ExpPoly
 from cknlab.functionals import (
     ExtremalFamily,
+    RadialProfile,
     extremal_profile,
     exponential_profile,
     laplace_beltrami_eigenvalue,
@@ -108,8 +109,7 @@ def test_energies_take_one_call_of_the_rows_a_pass(monkeypatch):
 
     def counted(handle, spec):
         rows = handle.rows
-        return original(dataclasses.replace(
-            handle, rows=lambda r: sizes.append(r.size) or rows(r)), spec)
+        return original(handle._replace(rows=lambda r: sizes.append(r.size) or rows(r)), spec)
 
     monkeypatch.setattr(functionals, "integrate", counted)
     params = InequalityParams(5, 0.0)
@@ -293,6 +293,17 @@ def test_dilation_invariance(coeffs, lam):
     base = mode_quotient(prof, params, 1)
     dilated = mode_quotient(prof.dilated(lam), params, 1)
     assert dilated == pytest.approx(base, rel=1e-9)
+
+
+def test_profile_dilation_beyond_range_is_an_error():
+    # lam^2 = 1e320 scales v'' and lam^400 the decay hint: each escaped as
+    # a bare OverflowError, not the package's range error.
+    slow = extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1e-150, InequalityParams(7, 0.0)))
+    with pytest.raises(RangeOverflowError, match="lam = 1e\\+160"):
+        slow.dilated(1e160)
+    hinted = RadialProfile(lambda r: (r, r, r), decay_hint=(1.0, 400.0))
+    with pytest.raises(RangeOverflowError, match="lam = 1000.0"):
+        hinted.dilated(1e3)
 
 
 @given(coeffs3, st.sampled_from([-3.0, 0.1, 7.0]))

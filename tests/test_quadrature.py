@@ -1,6 +1,5 @@
 """Double-exponential quadrature on half-line integrals with known values."""
 
-import dataclasses
 import math
 from itertools import islice
 
@@ -416,7 +415,7 @@ def test_rows_are_called_once_a_pass_and_a_deep_level_per_4096_nodes(monkeypatch
 
     def calls(handle, spec):
         sizes, rows = [], handle.rows
-        recorded = dataclasses.replace(handle, rows=lambda r: sizes.append(r.size) or rows(r))
+        recorded = handle._replace(rows=lambda r: sizes.append(r.size) or rows(r))
         try:
             assert integrate(recorded, spec).nodes_used == sum(sizes)
         except NonConvergenceError:

@@ -535,7 +535,7 @@ def test_estimate_below_proven_bound_is_rejected(monkeypatch):
 
     def halved_a(*args, **kwargs):
         gram = original(*args, **kwargs)
-        return replace(gram, m_a=gram.m_a / 2.0)
+        return gram._replace(m_a=gram.m_a / 2.0)
 
     monkeypatch.setattr(variational, "build_gram", halved_a)
     with pytest.raises(ConsistencyError, match="lower bound"):
@@ -545,4 +545,4 @@ def test_estimate_below_proven_bound_is_rejected(monkeypatch):
 def test_indefinite_a_form_is_rejected():
     gram = build_gram(P5, 1, make_basis(P5, 1, 4), verify=False)
     with pytest.raises(UnsupportedRegimeError, match="needs a >= 0"):
-        minimize_quotient(replace(gram, m_a=-gram.m_a))
+        minimize_quotient(gram._replace(m_a=-gram.m_a))
