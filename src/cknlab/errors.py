@@ -71,4 +71,5 @@ class ConsistencyError(CknLabError, RuntimeError):
 
 
 class VerificationMismatchError(ConsistencyError):
-    """A Gram entry disagreed with its double-exponential quadrature value."""
+    """A Gauss-Laguerre energy of an estimate's argmin, or its quotient,
+    disagreed with the double-exponential quadrature witness."""

@@ -1,17 +1,14 @@
 """Adaptive double-exponential quadrature on the half line.
 
-The integrals this package needs are Gram matrices of rows,
+The integrals this package needs are energies of rows,
 
-    integral_0^inf  f(r) f(r)^T r^p  dr,
+    integral_0^inf  f(r)^2 r^p  dr,
 
 one per weight exponent p of a stack (p_1, ..., p_T): the integrand is a
-callable returning T tables, table i weighted by r^p_i, each with one row
-per function, and its integral holds all pairwise products of that
-table's rows.  An energy integral |v|^2 r^p is a 1 x 1 table, and a
-signed integrand s(r) t(r) r^p an off-diagonal entry of the two-row
-table (s, t).  The rows are smooth on (0, inf), may behave like a power
-at the origin and decay (usually like exp(-c r^q)) at infinity.  The
-half line is cut at r = 1:
+callable returning T tables of one row each, row i weighted by r^p_i.
+The rows are smooth on (0, inf), may behave like a power at the origin
+and decay (usually like exp(-c r^q)) at infinity.  The half line is cut
+at r = 1:
 
 * (0, 1]   tanh-sinh transform  r = sigmoid(pi * sinh t), which resolves
   algebraic endpoint behaviour at 0 to full precision;
@@ -38,21 +35,18 @@ on the scale) and the order of the nodes, level by level; a pass computes
 only the exp-sinh map.  The rows are called, and weighted, on at most
 4096 nodes at a time: a first pass holds at most 1178, so it takes one
 call, and only a level from 9 on takes more than one.  Each level's sums
-are one signed product on each call, and one absolute product where a
-table has more than one row (a single row's magnitudes |g| |g| are its
-g g exactly), so the sums, and every result, are bit for bit those of
-evaluating each level alone, 4096 nodes at a time.
+are one product on each call, so the sums, and every result, are bit for
+bit those of evaluating each level alone, 4096 nodes at a time.
 
 All tables share one node ladder and one refinement loop, which
 evaluates the callable once on each call's nodes, so the parts of
 one form triple share their nodes and whatever the tables have in
 common.  Each row is multiplied by sqrt(w r^p) = exp(L/2), with
-L = log w + p log r, before the
-product, so rows may take any finite weight exponent: rows that vanish
-at the origin absorb a weight at or below -1.  A row weight at or below
--0.9 is centred in the tail transform as weight 0, the peak of the rows'
-own mass, and a stack is centred on its largest weight, whose mass lies
-farthest out.
+L = log w + p log r, before it is squared, so rows may take any finite
+weight exponent: rows that vanish at the origin absorb a weight at or
+below -1.  A row weight at or below -0.9 is centred in the tail transform
+as weight 0, the peak of the rows' own mass, and a stack is centred on
+its largest weight, whose mass lies farthest out.
 
 Weights that underflow to zero are masked before the integrand is
 evaluated: at extreme nodes the integrand itself may overflow double
@@ -97,9 +91,9 @@ _FOLD_EDGE = -0.9
 # Of the 672 integrals of four rounds of library queries of the benchmark's
 # closed-forms workload, none stops below level 4, and 60-80 stop at level
 # 4, 574-597 at level 5 and 15-18 at level 6 (seeds 11, 41, 42 and 43).  In
-# a round of the probe workload, 6 of the 7 Gram checks and all 5 energy
-# triples stop at level 5, and the N = 4, k = 3, m = 16 check at level 6.
-# So one pass is the rule, on about a thousand nodes.
+# a round of the probe workload, all 7 estimate witnesses and all 5 energy
+# triples stop at level 5.  So one pass is the rule, on about a thousand
+# nodes.
 _FIRST_PASS = 5
 _PASSES = ((0, _FIRST_PASS),) + tuple(
     (level, level) for level in range(_FIRST_PASS + 1, _MAX_LEVEL + 1))
@@ -107,9 +101,9 @@ _PASSES = ((0, _FIRST_PASS),) + tuple(
 # above log(2^-1075), half the least denormal.
 _LOG_LIVE = -745.1332191019411
 # Most nodes the rows are called on, and weighted, at once.  A first pass
-# (levels 0..5) holds at most 1178 nodes, so every integral, energy or Gram,
-# takes one call for its first pass; a deeper level past this size is cut
-# into calls of this size, so that memory does not grow with the level.
+# (levels 0..5) holds at most 1178 nodes, so every integral takes one call
+# for its first pass; a deeper level past this size is cut into calls of
+# this size, so that memory does not grow with the level.
 _CALL_NODES = 4096
 
 
@@ -151,17 +145,16 @@ class _IntegrandHandle(NamedTuple):
 
 
 class IntegrandHandle(_IntegrandHandle):
-    """The Gram matrices of rows under a stack of weights r^p_i.
+    """The energies of rows under a stack of weights r^p_i.
 
     Attributes
     ----------
     rows : callable
         Accepts a float ndarray of n radii (all > 0) and returns an array
-        of shape (T, rows, n): one table per weight exponent and one row
-        per function, table i to be weighted by r^p_i.  The integral of a
-        table is the (rows, rows) matrix of all pairwise products of its
-        rows, each entry converged to ``rel_tol`` relative to its
-        absolute mass (the integral of |f_i f_j| r^p).  Every row is
+        of shape (T, 1, n): one table of one row per weight exponent,
+        table i to be weighted by r^p_i.  The integral of a table is the
+        1 x 1 matrix of the integral of its row squared, converged to
+        ``rel_tol`` relative to its value.  Every row is
         multiplied by sqrt(w r^p) first, which cannot overflow for
         convergent integrals even where f alone, or r^p, would exceed
         double range near a singular endpoint.  Values a table returns
@@ -170,7 +163,7 @@ class IntegrandHandle(_IntegrandHandle):
     weight_exponent : tuple of floats
         The non-empty stack (p_1, ..., p_T) of powers of the explicit
         weights, each finite; the rows must vanish fast enough at the
-        origin for their products to converge.  A weight at or below
+        origin for their squares to converge.  A weight at or below
         -0.9 is centred in the tail transform as weight 0.
     decay_hint : (c, q) or None
         Optional tail scale: the integrand decays roughly like
@@ -213,8 +206,8 @@ class IntegrandHandle(_IntegrandHandle):
 
 
 class QuadratureResult(NamedTuple):
-    """Converged Gram matrices with their refinement error estimate, both
-    (T, rows, rows) arrays for T weight exponents.
+    """Converged energies with their refinement error estimate, both
+    (T, 1, 1) arrays for T weight exponents.
 
     ``levels_used`` is the level the value comes from, and ``nodes_used``
     the number of nodes the rows were called on: every node of the first
@@ -310,12 +303,12 @@ def _nodes(tail: Tuple[float, float], first: int, last: int
 
 
 def _row_tables(handle: IntegrandHandle, r: np.ndarray, tables: int) -> np.ndarray:
-    """The rows at r as a (tables, rows, len(r)) array."""
+    """The rows at r as a (tables, 1, len(r)) array."""
     vals = np.asarray(handle.rows(r), dtype=float)
-    if vals.ndim != 3 or vals.shape[0] != tables or vals.shape[-1] != r.size:
+    if vals.shape != (tables, 1, r.size):
         raise DomainError(
             "rows must return one table per weight exponent, each with one row "
-            "per function and one column per radius"
+            "and one column per radius"
         )
     return vals
 
@@ -349,18 +342,15 @@ def _weighted_rows(vals: np.ndarray, log_wp: np.ndarray) -> Tuple[np.ndarray, np
 
 def _pass(handle: IntegrandHandle, tail: Tuple[float, float], p: np.ndarray, first: int,
           last: int) -> Tuple[np.ndarray, Optional[NonFiniteSampleError], int]:
-    """The Gram sums of levels first..last, evaluated together, the error
-    of the first level with a non-finite sample (or None) and the nodes
+    """The sums of levels first..last, evaluated together, the error of
+    the first level with a non-finite sample (or None) and the nodes
     evaluated.
 
-    The sums are stacked as (levels, 2, T, rows, rows): each level's
-    signed sums, then its sums of magnitudes.  They stop before a level
+    The sums are stacked as (levels, T, 1, 1) and stop before a level
     with a non-finite sample.  A node is live where any table's weight
     w r^p = exp(log w + p log r) is nonzero.  The live nodes are called,
     and weighted, at most _CALL_NODES at a time, and each level's part of
-    a call is one signed product, with the call's transpose taken once; a
-    table of more than one row also takes an absolute product, and one of
-    a single row copies its signed sums as its magnitudes.
+    a call is one product, with the call's transpose taken once.
     """
     r, log_w, starts = _nodes(tail, first, last)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -372,11 +362,10 @@ def _pass(handle: IntegrandHandle, tail: Tuple[float, float], p: np.ndarray, fir
         levels = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         r, log_wp = r[live], log_wp.take(live, axis=1)
         cut, unreached = len(levels), None
+        sums = np.zeros((len(levels), p.size, 1, 1))
         for start in range(0, max(r.size, 1), _CALL_NODES):
             call = slice(start, min(start + _CALL_NODES, r.size))
             g, bad = _weighted_rows(_row_tables(handle, r[call], p.size), log_wp[:, call])
-            if start == 0:
-                sums = np.zeros((len(levels), 2) + g.shape[:2] + g.shape[1:2])
             parts = [(i, slice(max(span.start, start) - start, min(span.stop, call.stop) - start))
                      for i, span in enumerate(levels)
                      if span.start < call.stop and span.stop > start]
@@ -388,16 +377,10 @@ def _pass(handle: IntegrandHandle, tail: Tuple[float, float], p: np.ndarray, fir
                 parts = [pt for pt in parts if pt[0] < i]
             gt = g.transpose(0, 2, 1)
             for i, part in parts:
-                sums[i, 0] += g[..., part] @ gt[:, part]
-            if g.shape[1] > 1:
-                np.abs(g, out=g)
-                for i, part in parts:
-                    sums[i, 1] += g[..., part] @ gt[:, part]
+                sums[i] += g[..., part] @ gt[:, part]
             if unreached is not None:
                 break
-        if sums.shape[3] == 1:  # |g| |g| = g g exactly
-            sums[:, 1] = sums[:, 0]
-        finite = np.isfinite(sums[:cut, 0]).all(axis=(1, 2, 3))
+        finite = np.isfinite(sums[:cut]).all(axis=(1, 2, 3))
         if not finite.all():
             cut = int(np.argmin(finite))
             at = r[levels[cut]]
@@ -407,8 +390,7 @@ def _pass(handle: IntegrandHandle, tail: Tuple[float, float], p: np.ndarray, fir
 
 
 def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
-    """Integrate the Gram matrices of the rows over (0, inf) to relative
-    tolerance.
+    """Integrate the squared rows over (0, inf) to relative tolerance.
 
     Parameters
     ----------
@@ -423,13 +405,13 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         value, err_est (last refinement difference; an upper estimate of
         the truncation error for integrands in the double-exponential
         convergence class), levels and node count.  value and err_est are
-        (T, rows, rows) arrays for T weight exponents; the level is the
-        deepest any entry of any table needs.  Levels 0..5 are evaluated
-        in one pass, which is one call of rows, deeper levels one pass
-        each, called on at most 4096 nodes at a time, and each pass's
-        levels are tested together, on a flat (levels, 2, entries) view of
-        its sums; the results equal, bit for bit, those of evaluating each
-        level alone, 4096 nodes at a time, and testing level by level.
+        (T, 1, 1) arrays for T weight exponents; the level is the deepest
+        any table needs.  Levels 0..5 are evaluated in one pass, which is
+        one call of rows, deeper levels one pass each, called on at most
+        4096 nodes at a time, and each pass's levels are tested together,
+        on a flat (levels, T) view of its sums; the results equal, bit for
+        bit, those of evaluating each level alone, 4096 nodes at a time,
+        and testing level by level.
 
     Raises
     ------
@@ -444,33 +426,29 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
     p = np.asarray(handle.weight_exponent, dtype=float)
     n = 0
     # The running sums through the last level of the previous pass, and
-    # that level's error estimate, flat over the entries of every table.
+    # that level's error estimate, flat over the tables.
     carried = prev_err = None
+    shape = (p.size, 1, 1)
     for first, last in _PASSES:
         sums, unreached, evaluated = _pass(handle, tail, p, first, last)
         n += evaluated
-        shape = sums.shape[2:]
-        sums = sums.reshape(len(sums), 2, math.prod(shape))
+        sums = sums.reshape(len(sums), p.size)
         if carried is None:
-            prev_err = np.full(sums.shape[2], math.inf)  # before level 1
+            prev_err = np.full(p.size, math.inf)  # before level 1
         else:  # the test of level first needs level first - 1
             sums = np.concatenate([carried[None], sums])
             first -= 1
         # Level L's value is h_L times the sum of levels 0..L, which is
         # 0.5 * (level L-1's value) + h_L * (level L's sum) exactly, short
-        # of subnormal values, as h_L is a power of two; so is its mass.
+        # of subnormal values, as h_L is a power of two.
         levels = np.arange(first, first + len(sums))
         totals = np.cumsum(sums, axis=0)
-        scaled = (_H0 / 2.0**levels)[:, None, None] * totals
-        value, mass = scaled[:, 0], scaled[:, 1]
+        value = (_H0 / 2.0**levels)[:, None] * totals
         err = abs(value[1:] - value[:-1])
         prev = np.concatenate([prev_err[None], err])[:-1]
-        # Off-diagonal Gram entries may cancel to nearly nothing; each is
-        # converged relative to its absolute mass instead.  The sampled
-        # mass also bounds what summation rounding allows: for
-        # cancellation-dominated integrals the achievable error floor is
-        # eps * mass, not eps * |value|.
-        scale = np.maximum(np.maximum(abs(value[1:]), 1e-300), mass[1:])
+        # A value is a sum of squares, so it is its own absolute mass, and
+        # eps times it is the floor summation rounding allows.
+        scale = np.maximum(value[1:], 1e-300)
         floor = _EPS * scale
         converged = ((err <= spec.rel_tol * scale) | (err <= 16.0 * floor)).all(1)
         # Refinement hit the rounding floor: the previous level is the best.

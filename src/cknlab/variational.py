@@ -18,11 +18,9 @@ r^g exp(-x) E_j(x) with E_j a polynomial, so a Gauss-Laguerre rule of
 m + 3 nodes gives every Gram entry exactly.  The rules of all parts of a
 triple are built together (one stacked eigenvalue call, one Newton
 polish), and one Laguerre table, every derivative order at once, serves
-all their nodes.  As a second route, every entry is integrated again by
-double-exponential quadrature in r: one refinement loop for the whole
-triple, whose nodes each part shares, whose Laguerre tables are evaluated
-once per node for every part's E_j, and whose tail transform is centred
-where the top trial function stops oscillating.
+all their nodes.  As a second route, a witness integrates the argmin's
+profile v = sum_j c_j phi_j by double-exponential quadrature in r: its
+energies must match c^T M c, and their quotient the reported value.
 
 By AM-GM, ab = min over t > 0 of ((t a + b/t)/2)^2, so min Q over a trial
 space is min over u = log t of (lambda_1(e^u M_A + e^-u M_B ; M_C) / 2)^2,
@@ -69,6 +67,7 @@ __all__ = [
     "GramTriple",
     "MinimizationResult",
     "ModeConstantEstimate",
+    "Witness",
     "ScanRow",
     "ScanReport",
     "make_basis",
@@ -87,6 +86,8 @@ LOWER_BOUND_SLACK = 1e-12
 
 _MAX_GAMMA0_BUMPS = 8
 _GAUSS_EXTRA_NODES = 3
+# Rule exponents up to this diverge: -1 may round up (N = 2, alpha = 0.1).
+_DIVERGENT_EXPONENT = -1.0 + 1e-12
 _SEARCH_GRID = 16
 _SEARCH_TOL = 1e-8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -286,9 +287,8 @@ class GramTriple(_GramTriple):
         """The triple of the first ``size`` trial functions, cut from this one.
 
         Nested trial spaces share their functions, so its matrices are the
-        leading ``size`` x ``size`` blocks, checked when this triple was.
-        Its diagnostics name the size it was cut from
-        (``leading_block_of_m``) and repeat no check count or conditioning
+        leading ``size`` x ``size`` blocks.  Its diagnostics name the size it
+        was cut from (``leading_block_of_m``) and repeat no conditioning
         measured on the whole."""
         basis = self.basis._replace(m=size)  # rejects a size that is not an integer >= 1
         if size > self.m:
@@ -329,6 +329,14 @@ class MinimizationResult(NamedTuple):
     warnings: Tuple[str, ...] = ()
 
 
+class Witness(NamedTuple):
+    """Worst relative gap, level and nodes of an estimate's quadrature witness."""
+
+    worst_rel: float
+    levels_used: int
+    nodes_used: int
+
+
 class ModeConstantEstimate(NamedTuple):
     """Nested-basis estimate of one per-mode constant with its trace."""
 
@@ -339,6 +347,7 @@ class ModeConstantEstimate(NamedTuple):
     trace: Tuple[float, ...]
     final: MinimizationResult
     lower_bound: ModeQuotient  # the proven K(N, alpha, k) the estimate was checked against
+    witness: Witness
 
     @property
     def value(self) -> float:
@@ -386,6 +395,14 @@ def _rule_exponent(fac_power: float, power: float, q: float) -> float:
     return (2.0 * fac_power + power + 1.0) / q - 1.0
 
 
+def _live_parts(params: InequalityParams, k: int, basis: BasisSpec) -> List[tuple]:
+    """(form, factor, weight exponent, coefficient) of every nonzero part
+    of the forms of ``constants.form_parts``."""
+    return [(form, basis.factor(order), power, coef)
+            for form, parts in enumerate(form_parts(params.n, params.alpha, k))
+            for order, power, coef in parts if coef != 0.0]
+
+
 def make_basis(params: InequalityParams, k: int, size: int) -> BasisSpec:
     """A trial space of ``size`` functions whose Gram integrals converge.
 
@@ -401,15 +418,10 @@ def make_basis(params: InequalityParams, k: int, size: int) -> BasisSpec:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
     q = params.alpha + 1.0
     g0 = 0.0
-    all_parts = form_parts(params.n, params.alpha, k)
     for _ in range(_MAX_GAMMA0_BUMPS + 1):
         basis = BasisSpec(size, g0, q)
-        if all(
-            _rule_exponent(basis.factor(order).power, power, q) > -1.0
-            for parts in all_parts
-            for order, power, coef in parts
-            if coef != 0.0
-        ):
+        if all(_rule_exponent(fac.power, power, q) > _DIVERGENT_EXPONENT
+               for _, fac, power, _ in _live_parts(params, k, basis)):
             return basis
         g0 += q / 2.0
     raise DivergentIntegralError(
@@ -429,7 +441,7 @@ def _gauss_parts(
     exponents = []
     for _, fac, power, _ in live:
         s = _rule_exponent(fac.power, power, q)
-        if s <= -1.0:
+        if s <= _DIVERGENT_EXPONENT:
             raise DivergentIntegralError(
                 f"Gram entries of derivative order {fac.order} with weight exponent "
                 f"{power} diverge at the origin (rule exponent {s} <= -1)"
@@ -465,34 +477,16 @@ def _pd_check(mat: np.ndarray, name: str, diagnostics: Dict[str, object]) -> Non
     diagnostics[f"cond_{name}"] = float(eigs[-1] / eigs[0])
 
 
-def build_gram(
-    params: InequalityParams,
-    k: int,
-    basis: BasisSpec,
-    spec: Optional[QuadratureSpec] = None,
-    verify: bool = True,
-) -> GramTriple:
+def build_gram(params: InequalityParams, k: int, basis: BasisSpec) -> GramTriple:
     """Gram matrices of the A, B, C forms on the trial space.
 
     Each part of each form is assembled exactly as V^T diag(w) V on its
     own Gauss-Laguerre rule; the rules of all parts come from one batched
     computation, and one Laguerre table at the highest derivative order
-    is evaluated on all their nodes.  When ``verify`` is set, every entry
-    of all three matrices is integrated again by double-exponential
-    quadrature in r and must agree within 1e-10, or
-    ``VerificationMismatchError`` is raised.  The check is one
-    ``integrate`` call on the stack of every live part's table, each
-    weighted by its own power of r; on each batch of nodes the Laguerre
-    tables are evaluated once, at the highest derivative order, and every
-    part's E_j is built from them.  Its tail transform is centred at the
-    turning point of the top trial function, x_c = 2(m-1) + a + 1 (tail
-    scale x_c^(1/q)); for N = 4, alpha = 0, k = 0..3 at m = 16 that takes
-    810 + 797 + 780 + 1538 nodes, against 3237 + 1592 + 1559 + 1538
-    centred on the peak of r^(p+1) e^(-2x).  Its refinement depth is
-    recorded as ``diagnostics["spot_check_levels_used"]`` and
-    ``diagnostics["spot_check_nodes_used"]``.  ``DivergentIntegralError``
-    names a diverging part, and ``ConsistencyError`` a failed positive
-    definiteness check of M_B, M_C.
+    is evaluated on all their nodes (the witness of
+    ``estimate_mode_constant`` checks them along its argmin).
+    ``DivergentIntegralError`` names a diverging part, and
+    ``ConsistencyError`` a failed positive definiteness check of M_B, M_C.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
@@ -502,51 +496,16 @@ def build_gram(
     # Laguerre parameter a = the rule exponent of C's zero-order (last) part,
     # even where k = 0 drops it: that part is then diagonal.
     a = _rule_exponent(float(basis.gamma0), all_parts[2][-1][1], float(basis.decay_q))
-    m = basis.m
-    matrices = tuple(np.zeros((m, m)) for _ in range(3))
-    scale_diags = tuple(np.zeros(m) for _ in range(3))
-    live = [(form, basis.factor(order), power, coef)
-            for form, parts in enumerate(all_parts)
-            for order, power, coef in parts if coef != 0.0]
+    matrices = tuple(np.zeros((basis.m, basis.m)) for _ in range(3))
+    live = _live_parts(params, k, basis)
     for (form, _, _, coef), part in zip(live, _gauss_parts(basis, live, a)):
         matrices[form][:] += coef * part
-        scale_diags[form][:] += abs(coef) * np.diag(part)
     for mat in matrices:
         mat[:] = _symmetric(mat)
     diagnostics: Dict[str, object] = {
         "indefinite_a_allowed": any(coef < 0.0 for *_, coef in all_parts[0]),
         "laguerre_a": a,
     }
-    if verify:
-        facs = [fac for _, fac, _, _ in live]
-        handle = IntegrandHandle(rows=lambda r: basis.evaluate(facs, r, a),
-                                 weight_exponent=tuple(power for _, _, power, _ in live),
-                                 decay_hint=(2.0, basis.decay_q),
-                                 tail_scale=(2.0 * (m - 1) + a + 1.0) ** (1.0 / basis.decay_q))
-        res = integrate(handle, spec if spec is not None else QuadratureSpec())
-        quads = tuple(np.zeros((m, m)) for _ in range(3))
-        for (form, _, _, coef), table in zip(live, res.value):
-            quads[form][:] += coef * table
-        worst = 0.0
-        for name, mat, quad, scale_diag in zip("ABC", matrices, quads, scale_diags):
-            # Relative to the larger value and to the Cauchy-Schwarz scale
-            # sqrt(S_jj S_ll), S summing |coef| times each part's Gram
-            # matrix: a bound on the integral of |f_j f_l| over the parts.
-            root = np.sqrt(scale_diag)
-            denom = np.maximum(np.maximum(abs(mat), abs(quad)), np.outer(root, root))
-            rel = np.where(np.isnan(quad), np.inf, abs(mat - quad) / denom)
-            j, l = np.unravel_index(int(np.argmax(rel)), rel.shape)
-            if not rel[j, l] <= SPOT_CHECK_RTOL:
-                raise VerificationMismatchError(
-                    f"Gram entry check failed for matrix {name}[{j},{l}]: "
-                    f"Gauss-Laguerre {float(mat[j, l])!r} vs quadrature {float(quad[j, l])!r} "
-                    f"(rel {rel[j, l]:.3e})"
-                )
-            worst = max(worst, float(rel[j, l]))
-        diagnostics["spot_checked_entries"] = 3 * m * (m + 1) // 2
-        diagnostics["spot_check_worst_rel"] = worst
-        diagnostics["spot_check_levels_used"] = res.levels_used
-        diagnostics["spot_check_nodes_used"] = res.nodes_used
     _pd_check(matrices[1], "m_b", diagnostics)
     _pd_check(matrices[2], "m_c", diagnostics)
     for mat in matrices:
@@ -684,14 +643,15 @@ def estimate_mode_constant(
     spec: Optional[QuadratureSpec] = None,
 ) -> ModeConstantEstimate:
     """Estimate of one per-mode constant over a nested sequence of trial
-    spaces, every Gram entry checked by quadrature.
+    spaces, its value checked by a quadrature witness.
 
     The spaces are nested: they share the leading exponent, the decay and
     the Laguerre parameter, which does not depend on the size.  So one
-    Gram triple is built and checked, at the largest size, and each
-    smaller space is minimised on its leading block.  The value trace
-    cannot increase beyond round-off.  A value below the proven per-mode
-    lower bound K(N, alpha, k) raises ``ConsistencyError``.
+    Gram triple is built, at the largest size, and each smaller space is
+    minimised on its leading block.  The value trace cannot increase
+    beyond round-off.  A value below the proven per-mode lower bound
+    K(N, alpha, k) raises ``ConsistencyError``.  Then a quadrature witness
+    re-derives the value from the final argmin (``_witness``).
     """
     sizes = tuple(basis_sizes)
     if not sizes:
@@ -699,7 +659,7 @@ def estimate_mode_constant(
     for prev_size, size in zip(sizes, sizes[1:]):
         if size <= prev_size:
             raise DomainError(f"basis_sizes must be strictly increasing, got {sizes}")
-    gram = build_gram(params, k, make_basis(params, k, sizes[-1]), spec=spec)
+    gram = build_gram(params, k, make_basis(params, k, sizes[-1]))
     trace = []
     for size in sizes:
         result = minimize_quotient(gram.leading_block(size))
@@ -723,7 +683,46 @@ def estimate_mode_constant(
         trace=tuple(trace),
         final=result,
         lower_bound=bound,
+        witness=_witness(gram, result, spec if spec is not None else QuadratureSpec()),
     )
+
+
+def _witness(gram: GramTriple, result: MinimizationResult, spec: QuadratureSpec) -> Witness:
+    """Check ``result`` against the energies of its profile
+    v = sum_j c_j phi_j by quadrature: one ``integrate`` call on one
+    single-row table per live part, c @ ``BasisSpec.evaluate``, its tail
+    centred at the top trial function's turning point x_c = 2(m-1) + a + 1
+    if positive (797 nodes at N = 4, alpha = 0, k = 1, m = 16; 1592 on the
+    decay hint).  Each form's energy must match c^T M c within
+    SPOT_CHECK_RTOL of its scale S = sum |coef| (part's energy), and their
+    quotient Q the value within SPOT_CHECK_RTOL of the scale those allow,
+    Q (S_A/|A| + S_B/|B| + 2 S_C/|C|), else ``VerificationMismatchError``."""
+    basis, a, c = gram.basis, gram.diagnostics["laguerre_a"], result.coeffs
+    live = _live_parts(gram.params, gram.k, basis)
+    facs = [fac for _, fac, _, _ in live]
+    turn = 2.0 * (basis.m - 1) + a + 1.0
+    res = integrate(IntegrandHandle(
+        rows=lambda r: (c @ basis.evaluate(facs, r, a))[:, None, :],
+        weight_exponent=tuple(power for _, _, power, _ in live),
+        decay_hint=(2.0, basis.decay_q),
+        tail_scale=turn ** (1.0 / basis.decay_q) if turn > 0.0 else None), spec)
+    quad, scale = np.zeros(3), np.zeros(3)
+    for (form, _, _, coef), part in zip(live, res.value[:, 0, 0]):
+        quad[form] += coef * part
+        scale[form] += abs(coef) * part
+    gauss = [float(c @ mat @ c) for mat in (gram.m_a, gram.m_b, gram.m_c)] + [result.value]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.append(scale, result.value * (scale / abs(quad)) @ (1.0, 1.0, 2.0))
+        quad = np.append(quad, quad[0] * quad[1] / quad[2] ** 2)
+        rel = abs(gauss - quad) / scale
+    i = int(np.argmin(rel <= SPOT_CHECK_RTOL))  # the first failed check, if any
+    if not rel[i] <= SPOT_CHECK_RTOL:
+        raise VerificationMismatchError(
+            f"witness check failed for the {('energy A', 'energy B', 'energy C', 'quotient')[i]}"
+            f" of the argmin: Gauss-Laguerre {gauss[i]!r} vs quadrature {float(quad[i])!r} "
+            f"(rel {rel[i]:.3e})"
+        )
+    return Witness(float(rel.max()), res.levels_used, res.nodes_used)
 
 
 def _checked_raw_value(params: InequalityParams, k: int, spec: Optional[QuadratureSpec]) -> float:

@@ -20,3 +20,25 @@ def test_acceptance_criterion(index, description):
         f"{result.description}: {result.detail}"
     )
     assert result.passed, f"criterion {index} ({description}): {result.detail}"
+
+
+def test_criterion_1_is_timed_as_its_fastest_of_five_runs(monkeypatch):
+    # A slow first run (a loaded machine) does not fail the 1 ms budget;
+    # every run is a full check, and a failing run fails the criterion.
+    import time
+
+    import cknlab.acceptance as acceptance
+
+    runs = []
+
+    def check():
+        runs.append(time.perf_counter())
+        if len(runs) == 1:
+            time.sleep(0.005)
+        return len(runs) != 7, f"run {len(runs)}"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", ((1, "one", 0.001, check),))
+    result = acceptance.run_criterion(1)
+    assert len(runs) == 5 and result.passed and result.seconds < 0.001
+    result = acceptance.run_criterion(1)
+    assert len(runs) == 7 and not result.passed and result.detail == "run 7"

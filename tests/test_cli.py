@@ -278,7 +278,7 @@ def _laguerre_minimiser_in_monomials():
 
     params = InequalityParams(3, 0.0)
     basis = make_basis(params, 1, 14)
-    gram = build_gram(params, 1, basis, verify=False)
+    gram = build_gram(params, 1, basis)
     assert (basis.gamma0, basis.decay_q, gram.diagnostics["laguerre_a"]) == (0.0, 1.0, 1.0)
     coeffs = [Fraction(float(c)) for c in minimize_quotient(gram).coeffs]
     mono = [Fraction(0)] * len(coeffs)
@@ -591,7 +591,7 @@ def test_minimize_below_lower_bound_exits_consistency(capsys, monkeypatch):
     assert "lower bound" in err
 
 
-def test_gram_mismatch_exits_consistency_with_plain_floats(capsys, monkeypatch):
+def test_witness_mismatch_exits_consistency_with_plain_floats(capsys, monkeypatch):
     import cknlab.variational as variational
 
     original = variational._gauss_parts
@@ -605,7 +605,7 @@ def test_gram_mismatch_exits_consistency_with_plain_floats(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith("error: consistency check failed: Gram entry check failed")
+    assert err.startswith("error: consistency check failed: witness check failed")
     assert "np.float64" not in err
 
 

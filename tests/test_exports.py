@@ -55,6 +55,5 @@ def test_traced_counts_are_fields_of_the_results():
     params = InequalityParams(5, 0.0)
     gram = build_gram(params, 1, make_basis(params, 1, 3))
     assert gram.m == 3
-    assert gram.diagnostics["spot_checked_entries"] == 3 * 3 * 4 // 2
     result = minimize_quotient(gram)
     assert result.iterations > 0 and isinstance(result.converged, bool)

@@ -153,17 +153,20 @@ def test_spherical_reduction_identities():
         hint = (2.0, 1.0)
 
         # |Delta u|^2 is the square of one row, |grad u|^2 the sum of
-        # the squares of two: the traces of their Gram tables.
+        # the squares of two: the sum of a stack of two one-row tables.
         def lap(r):
             val = w2(r) + (n - 1) / r * w1(r) - ck / r**2 * w(r)
             return val[None, None, :]
 
         def grad(r):
-            return np.stack([w1(r), math.sqrt(ck) * w(r) / r])[None]
+            return np.stack([w1(r), math.sqrt(ck) * w(r) / r])[:, None, :]
+
+        def grad_energy(p):
+            return integrate(IntegrandHandle(grad, (p, p), hint), spec).value.sum()
 
         a_direct = integrate(IntegrandHandle(lap, (n - 1 - 2 * alpha,), hint), spec).value[0, 0, 0]
-        b_direct = np.trace(integrate(IntegrandHandle(grad, (n - 1,), hint), spec).value[0])
-        c_direct = np.trace(integrate(IntegrandHandle(grad, (n - 2 - alpha,), hint), spec).value[0])
+        b_direct = grad_energy(n - 1)
+        c_direct = grad_energy(n - 2 - alpha)
 
         e = mode_energies(profile_from_exppoly(v), params, k, spec)
         assert a_direct == pytest.approx(e.energy_a, rel=1e-9)

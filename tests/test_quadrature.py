@@ -20,11 +20,9 @@ from cknlab.special import weighted_exp_integral
 
 
 def _table(*rows):
-    """The rows callable of one table with rows f_1, f_2, ...: entry
-    [0, i, j] of its integral is that of f_i f_j, so f_1 alone gives the
-    integral of f_1^2 at [0, 0, 0] and a signed integrand s t that of
-    the two-row table (s, t) at [0, 0, 1]."""
-    return lambda r: np.stack([f(r) for f in rows])[None]
+    """The rows callable of a stack of one-row tables f_1, f_2, ...: entry
+    [i, 0, 0] of its integral is that of f_i^2."""
+    return lambda r: np.stack([f(r) for f in rows])[:, None, :]
 
 
 def test_plain_exponential():
@@ -51,14 +49,13 @@ def test_without_decay_hint():
 
 
 def test_factored_handle_matches_plain():
-    # f^2 r^2 as the square of the row f, and as the signed product of
-    # the rows e^(-1.5 r) and (r - 0.3 r^2)^2 e^(-1.5 r).
+    # f^2 r^2 as the square of the row f under the weight r^2, and as the
+    # square of the row |f| r under no weight.
     f = ExpPoly(((1.0, 1.0), (2.0, -0.3)), 1.5, 1.0)
-    plain = integrate(IntegrandHandle(
-        _table(lambda r: np.exp(-1.5 * r), ExpPoly((f * f).terms, 1.5, 1.0)), (2.0,),
-        (3.0, 1.0)))
+    plain = integrate(IntegrandHandle(_table(lambda r: np.abs(f(r)) * r), (0.0,), (3.0, 1.0)))
     factored = integrate(IntegrandHandle(_table(f), (2.0,), (3.0, 1.0)))
-    assert factored.value[0, 0, 0] == pytest.approx(plain.value[0, 0, 1], rel=1e-12)
+    assert factored.value[0, 0, 0] == pytest.approx(plain.value[0, 0, 0], rel=1e-12)
+    assert factored.value[0, 0, 0] == pytest.approx((f * f).moment(2.0), rel=1e-12)
 
 
 def test_rows_absorb_a_weight_below_minus_one():
@@ -118,22 +115,14 @@ def test_denormal_times_huge_weight_is_rescued():
     # transformed weight overflows; the true integral is still finite.
     def steep(r):
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            return np.where(r > 0.0, np.exp(-1.0 / np.maximum(r, 1e-320)), 0.0) / (
+            return np.where(r > 0.0, np.exp(-0.5 / np.maximum(r, 1e-320)), 0.0) / (
                 1.0 + r
             ) ** 2
 
-    res = integrate(IntegrandHandle(_table(lambda r: (1.0 + r) ** -2, steep), (0.0,)))
+    res = integrate(IntegrandHandle(_table(steep), (0.0,)))
     assert np.all(np.isfinite(res.value))
     # int e^(-1/r) / (1+r)^4 dr; reference value from 30-digit mpmath.quad.
-    assert res.value[0, 0, 1] == pytest.approx(0.041247381633079506, rel=1e-9)
-
-
-def test_cancellation_reaches_mass_floor():
-    # int_0^inf (1 - r) e^{-r} dr = 0 exactly: pure cancellation.
-    half = ExpPoly(((0.0, 1.0),), 0.5, 1.0)
-    poly = ExpPoly(((0.0, 1.0), (1.0, -1.0)), 0.5, 1.0)
-    res = integrate(IntegrandHandle(_table(half, poly), (0.0,), (1.0, 1.0)))
-    assert abs(res.value[0, 0, 1]) < 1e-14
+    assert res.value[0, 0, 0] == pytest.approx(0.041247381633079506, rel=1e-9)
 
 
 def test_tail_centred_on_weighted_mass():
@@ -145,42 +134,25 @@ def test_tail_centred_on_weighted_mass():
                                                rel=1e-11)
 
 
-def test_table_factors_give_every_pairwise_integral():
-    polys = [ExpPoly(((g, 1.0), (g + 1.0, -0.5)), 1.0, 1.0) for g in (0.0, 0.5, 2.0)]
-
-    def table(r):
-        return np.array([p(r) for p in polys])
-
-    res = integrate(IntegrandHandle(rows=lambda r: table(r)[None], weight_exponent=(1.5,),
-                                    decay_hint=(2.0, 1.0)))
-    assert res.value.shape == (1, 3, 3)
-    for j, pj in enumerate(polys):
-        for l, pl in enumerate(polys):
-            assert res.value[0, j, l] == pytest.approx((pj * pl).moment(1.5), rel=1e-12)
-
-
 def test_table_factors_must_match_nodes():
-    handle = IntegrandHandle(rows=lambda r: np.ones((1, 2, r.size + 1)), weight_exponent=(0.0,))
-    with pytest.raises(DomainError):
-        integrate(handle)
+    # One row per table, one column per radius.
+    for shape in (lambda n: (1, 1, n + 1), lambda n: (1, 2, n), lambda n: (1, n)):
+        handle = IntegrandHandle(rows=lambda r: np.ones(shape(r.size)), weight_exponent=(0.0,))
+        with pytest.raises(DomainError):
+            integrate(handle)
 
 
 def test_stack_matches_each_table_alone():
     polys = [ExpPoly(((g, 1.0), (g + 1.0, -0.5)), 1.0, 1.0) for g in (0.0, 0.5, 2.0)]
     exponents = (1.5, -0.5, 6.0)
-
-    def table(r):
-        return np.array([p(r) for p in polys])
-
-    stacked = integrate(IntegrandHandle(rows=lambda r: np.array([table(r)] * 3),
-                                        weight_exponent=exponents, decay_hint=(2.0, 1.0)))
-    assert stacked.value.shape == stacked.err_est.shape == (3, 3, 3)
-    for p, value in zip(exponents, stacked.value):
-        alone = integrate(IntegrandHandle(rows=lambda r: table(r)[None], weight_exponent=(p,),
+    stacked = integrate(IntegrandHandle(rows=_table(*polys), weight_exponent=exponents,
+                                        decay_hint=(2.0, 1.0)))
+    assert stacked.value.shape == stacked.err_est.shape == (3, 1, 1)
+    for f, p, value in zip(polys, exponents, stacked.value):
+        alone = integrate(IntegrandHandle(rows=_table(f), weight_exponent=(p,),
                                           decay_hint=(2.0, 1.0)))
-        np.testing.assert_allclose(value, alone.value[0], rtol=1e-12)
-        exact = [[(pj * pl).moment(p) for pl in polys] for pj in polys]
-        np.testing.assert_allclose(value, exact, rtol=1e-12)
+        assert alone.value[0] == pytest.approx(value, rel=1e-12)
+        assert value[0, 0] == pytest.approx((f * f).moment(p), rel=1e-12)
 
 
 def test_table_may_be_non_finite_where_its_own_weight_underflows():
@@ -237,10 +209,9 @@ def test_tail_scale_moves_the_tail_centre_only():
 
 
 def _level_by_level(handle):
-    """Each level's signed and absolute sums and node count: the level's
-    nodes alone, on the module's node layout, with one product a level
-    (a level of more than 4096 live nodes one product per 4096, summed in
-    order)."""
+    """Each level's sums and node count: the level's nodes alone, on the
+    module's node layout, with one product a level (a level of more than
+    4096 live nodes one product per 4096, summed in order)."""
     tail = quadrature._tail(handle)
     p = np.asarray(handle.weight_exponent, dtype=float)
     cap = quadrature._CALL_NODES
@@ -250,7 +221,7 @@ def _level_by_level(handle):
             log_wp = log_w + p[:, None] * np.log(r)
             live = np.any(np.exp(log_wp) > 0.0, axis=0)
             r, log_wp = r[live], log_wp[:, live]
-            total = abs_total = 0.0
+            total = 0.0
             for start in range(0, r.size, cap):
                 b = slice(start, start + cap)
                 vals = quadrature._row_tables(handle, r[b], p.size)
@@ -258,9 +229,7 @@ def _level_by_level(handle):
                 if np.any(bad):
                     raise NonFiniteSampleError(f"non-finite row at level {level}")
                 total = total + g @ g.transpose(0, 2, 1)
-                g = np.abs(g)
-                abs_total = abs_total + g @ g.transpose(0, 2, 1)
-        yield total, abs_total, r.size
+        yield total, r.size
 
 
 def test_live_weights_are_those_whose_exponential_is_nonzero():
@@ -278,15 +247,14 @@ def _reference(handle, spec):
     one level at a time, each value from the previous one by the trapezoid
     recurrence; the branch is "converged", "rounding" or "none" (the level
     cap was passed)."""
-    for level, (s, a, _) in enumerate(_level_by_level(handle)):
+    for level, (s, _) in enumerate(_level_by_level(handle)):
         h = quadrature._H0 / 2.0**level
         if level == 0:
-            value, mass, prev_err = h * s, h * a, math.inf
+            value, prev_err = h * s, math.inf
             continue
         prev, value = value, 0.5 * value + h * s
-        mass = 0.5 * mass + h * a
         err = abs(value - prev)
-        scale = np.maximum(np.maximum(abs(value), 1e-300), mass)
+        scale = np.maximum(value, 1e-300)
         floor = quadrature._EPS * scale
         if np.all((err <= spec.rel_tol * scale) | (err <= 16.0 * floor)):
             return value, err, level, "converged"
@@ -297,18 +265,18 @@ def _reference(handle, spec):
 
 
 def _gram_check_handle(monkeypatch):
-    """The handle of the m = 16 Gram check of N = 4, alpha = 0, k = 3,
-    which refines to level 6."""
+    """The handle of the witness that checks the m = 16 Gram triple of
+    N = 4, alpha = 0, k = 3 along its argmin: one one-row table per live
+    part."""
     handles = []
 
     def record(handle, spec):
         handles.append(handle)
         return integrate(handle, spec)
 
-    params = InequalityParams(4, 0.0)
     with monkeypatch.context() as patch:
         patch.setattr(variational, "integrate", record)
-        variational.build_gram(params, 3, variational.make_basis(params, 3, 16))
+        variational.estimate_mode_constant(InequalityParams(4, 0.0), 3, (16,))
     return handles[0]
 
 
@@ -340,7 +308,7 @@ _REFINEMENTS = {
     "one row": (lambda: IntegrandHandle(_table(_exp_over_one_plus_r), (2.0,), (1.0, 1.0)),
                 1e-12, 5, "converged"),
     "one-row stack": (_stack_of_one_row, 1e-12, 5, "converged"),
-    "gram stack": (None, 1e-12, 6, "converged"),
+    "gram stack": (None, 1e-12, 5, "converged"),
     "level 8": (lambda: IntegrandHandle(_table(lambda r: _exp(r) * np.cos(3.0 * r)), (0.0,),
                                         (1.0, 1.0)), 1e-12, 8, "converged"),
     "rounding in the first pass": (
@@ -348,7 +316,7 @@ _REFINEMENTS = {
         2e-15, 4, "rounding"),
     "rounding across passes": (
         lambda: IntegrandHandle(_table(_noisy(_gauss, 3e-13, 1e5), _noisy(_gauss, 1e-13, 3e4)),
-                                (2.0,), (1.0, 2.0)),
+                                (2.0, 2.0), (1.0, 2.0)),
         2e-15, 6, "rounding"),
     "no convergence": (
         lambda: IntegrandHandle(_table(_noisy(_exp, 1e-11, 1e9)), (0.0,), (1.0, 1.0)),
@@ -365,14 +333,12 @@ def test_first_pass_matches_level_by_level(monkeypatch, case):
     spec = QuadratureSpec(rel_tol=rel_tol)
     value, err, ref_level, ref_branch = _reference(handle, spec)
     assert (ref_level, ref_branch) == (level, branch)
-    # The first pass's signed and magnitude sums are each level's alone, bit
-    # for bit, also where a one-row table takes its signed sums as magnitudes.
+    # The first pass's sums are each level's alone, bit for bit.
     sums, _, _ = quadrature._pass(handle, quadrature._tail(handle),
                                   np.asarray(handle.weight_exponent, dtype=float),
                                   0, quadrature._FIRST_PASS)
-    assert [(s.tobytes(), m.tobytes()) for s, m in sums] == [
-        (s.tobytes(), m.tobytes())
-        for s, m, _ in islice(_level_by_level(handle), quadrature._FIRST_PASS + 1)]
+    assert [s.tobytes() for s in sums] == [
+        s.tobytes() for s, _ in islice(_level_by_level(handle), quadrature._FIRST_PASS + 1)]
     if branch == "none":
         with pytest.raises(NonConvergenceError) as failure:
             integrate(handle, spec)
@@ -387,29 +353,12 @@ def test_first_pass_matches_level_by_level(monkeypatch, case):
     # level tested adds its own.
     deepest = max(level + (branch == "rounding"), quadrature._FIRST_PASS)
     assert res.nodes_used == sum(n for *_, n in islice(_level_by_level(handle), deepest + 1))
-    if case == "gram stack":
-        assert res.value.shape[1:] == (16, 16)
+    assert res.value.shape == (len(handle.weight_exponent), 1, 1)
 
 
-def test_gram_check_reaches_level_six_in_two_passes(monkeypatch):
-    # The probe's k = 3, m = 16 Gram check needs level 6: one pass of
-    # levels 0..5 and one of level 6.
-    handle = _gram_check_handle(monkeypatch)
-    passes, original = [], quadrature._pass
-
-    def counted(handle, maps, p, first, last):
-        passes.append((first, last))
-        return original(handle, maps, p, first, last)
-
-    monkeypatch.setattr(quadrature, "_pass", counted)
-    assert integrate(handle).levels_used == 6
-    assert passes == [(0, 5), (6, 6)]
-
-
-def test_rows_are_called_once_a_pass_and_a_deep_level_per_4096_nodes(monkeypatch):
-    # The probe's k = 3, m = 16 Gram check calls its rows once on every
-    # live node of levels 0..5 and once on those of level 6.  A level 8
-    # takes one call, and each of the levels 9..12 of a refinement that
+def test_rows_are_called_once_a_pass_and_a_deep_level_per_4096_nodes():
+    # The rows are called once on every live node of levels 0..5.  A level
+    # 8 takes one call, and each of the levels 9..12 of a refinement that
     # never converges is cut into calls of at most 4096 nodes.
     call_cap = quadrature._CALL_NODES
 
@@ -423,9 +372,6 @@ def test_rows_are_called_once_a_pass_and_a_deep_level_per_4096_nodes(monkeypatch
         assert max(sizes) <= call_cap
         return sizes
 
-    gram = _gram_check_handle(monkeypatch)
-    counts = [n for *_, n in islice(_level_by_level(gram), 7)]
-    assert calls(gram, QuadratureSpec()) == [sum(counts[:6]), counts[6]]
     for case, deepest in (("level 8", 8), ("no convergence", quadrature._MAX_LEVEL)):
         make, rel_tol, *_ = _REFINEMENTS[case]
         handle = make()

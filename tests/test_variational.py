@@ -18,6 +18,7 @@ from cknlab.errors import (
     DomainError,
     PreconditionError,
     UnsupportedRegimeError,
+    VerificationMismatchError,
 )
 from cknlab.functionals import form_parts
 from cknlab.variational import (
@@ -50,9 +51,11 @@ def test_make_basis_defaults():
 
 
 def test_make_basis_bumps_away_from_divergence():
-    # At N=2 the A entries diverge for gamma0 = 0.
-    basis = make_basis(InequalityParams(2, 0.0), 0, 3)
-    assert basis.gamma0 > 0.0
+    # At N=2 the A entries diverge for gamma0 = 0, also at alpha = 0.1,
+    # where their rule exponent -1 rounds to -1 + 2.2e-16.
+    for alpha in (0.0, 0.1):
+        basis = make_basis(InequalityParams(2, alpha), 0, 3)
+        assert basis.gamma0 > 0.0
 
 
 def test_make_basis_rejects_low_alpha():
@@ -67,12 +70,14 @@ def test_gram_anchor_entry():
 
 
 def test_gram_matrices_are_read_only_and_spot_checked():
+    # The witness of an estimate checks its Gram triple along the argmin.
     basis = make_basis(P5, 0, 3)
     gram = build_gram(P5, 0, basis)
     with pytest.raises(ValueError):
         gram.m_b[0, 0] = 1.0
-    assert gram.diagnostics["spot_checked_entries"] > 0
-    assert gram.diagnostics["spot_check_worst_rel"] < 1e-10
+    witness = estimate_mode_constant(P5, 0, (3,)).witness
+    assert witness.worst_rel < 1e-10
+    assert witness.levels_used > 0 and witness.nodes_used > 0
 
 
 def test_gram_requires_multidimensional_params():
@@ -162,7 +167,7 @@ def test_leading_block_is_the_smaller_gram():
         scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
         assert np.max(np.abs(mat - ref) / scale) < 1e-12
     assert block.diagnostics["leading_block_of_m"] == 16
-    for key in ("spot_checked_entries", "spot_check_levels_used", "spot_check_nodes_used"):
+    for key in ("cond_m_b", "cond_m_c"):
         assert key in gram.diagnostics
         assert key not in block.diagnostics
     assert gram.leading_block(16) is gram
@@ -316,7 +321,7 @@ def _lbfgs_minimum(gram, starts=6):
 def test_exact_minimum_never_above_lbfgs(n, alpha, k, formulation):
     params, k = _problem(n, alpha, k, formulation)
     for m in (2, 4, 8):
-        gram = build_gram(params, k, make_basis(params, k, m), verify=False)
+        gram = build_gram(params, k, make_basis(params, k, m))
         exact = minimize_quotient(gram).value
         assert exact <= _lbfgs_minimum(gram) * (1.0 + 1e-12)
 
@@ -333,7 +338,7 @@ def test_search_matches_dense_scan(n, alpha, k, formulation):
 
     params, k = _problem(n, alpha, k, formulation)
     for m in (16, 32):
-        gram = build_gram(params, k, make_basis(params, k, m), verify=False)
+        gram = build_gram(params, k, make_basis(params, k, m))
         d = 1.0 / np.sqrt(np.diag(gram.m_c))
         a, b, c = (mat * np.outer(d, d) for mat in (gram.m_a, gram.m_b, gram.m_c))
         ratios = eigh(b, a, eigvals_only=True)
@@ -373,7 +378,7 @@ def test_laguerre_gram_is_monomial_gram_transformed(n, alpha, k, formulation):
     # route amplifies an exponent's rounding by the cancellation in T.
     params, k = _problem(n, alpha, k, formulation)
     basis = make_basis(params, k, 6)
-    gram = build_gram(params, k, basis, verify=False)
+    gram = build_gram(params, k, basis)
     q = basis.decay_q
     t = _laguerre_monomials_mp(6, gram.diagnostics["laguerre_a"])
     monomials = [ExpPoly(((basis.gamma0 + i * q, 1.0),), 1.0, q) for i in range(6)]
@@ -415,21 +420,16 @@ def test_derivative_factors_match_exppoly_derivatives(gamma0, q, a):
 @pytest.mark.parametrize("n, k", [(4, 1), (3, 1), (5, 0)])
 def test_gram_conditioning_stays_bounded(n, k):
     params = InequalityParams(n, 0.0)
-    gram = build_gram(params, k, make_basis(params, k, 32),
-                      verify=False)
+    gram = build_gram(params, k, make_basis(params, k, 32))
     assert gram.diagnostics["cond_m_c"] <= 1e4
-
-
-def test_every_gram_entry_is_checked():
-    basis = make_basis(P5, 1, 5)
-    gram = build_gram(P5, 1, basis)
-    assert gram.diagnostics["spot_checked_entries"] == 3 * 5 * 6 // 2
 
 
 @pytest.mark.parametrize("n, alpha, k", [(5, 0.0, 1), (4, 0.0, 0), (3, -0.5, 2)])
 def test_gram_check_is_one_refinement_loop(monkeypatch, n, alpha, k):
+    # The Gram triple is checked along the argmin by the estimate's witness:
+    # one integrate call on a single-row table per live part.  Building the
+    # triple integrates nothing.
     params = InequalityParams(n, alpha)
-    basis = make_basis(params, k, 6)
     results, original = [], variational.integrate
 
     def counted(handle, spec):
@@ -437,14 +437,48 @@ def test_gram_check_is_one_refinement_loop(monkeypatch, n, alpha, k):
         return results[-1]
 
     monkeypatch.setattr(variational, "integrate", counted)
-    gram = build_gram(params, k, basis)
+    build_gram(params, k, make_basis(params, k, 6))
+    assert results == []
+    est = estimate_mode_constant(params, k, (3, 6))
     assert len(results) == 1
     live = sum(coef != 0.0 for parts in form_parts(n, alpha, k) for *_, coef in parts)
-    assert results[0].value.shape == (live, 6, 6)
-    assert gram.diagnostics["spot_check_levels_used"] == results[0].levels_used
-    assert gram.diagnostics["spot_check_nodes_used"] == results[0].nodes_used
-    build_gram(params, k, basis, verify=False)
-    assert len(results) == 1
+    assert results[0].value.shape == (live, 1, 1)
+    assert est.witness.levels_used == results[0].levels_used
+    assert est.witness.nodes_used == results[0].nodes_used
+
+
+@pytest.mark.parametrize("n, alpha, k", [
+    (2, 0.0, 1), (3, -0.5, 2), (4, 0.0, 1), (5, -0.75, 0), (6, 0.5, 3), (9, 2.0, 1),
+])
+def test_witness_gap_is_within_1e_12(n, alpha, k):
+    # Each form's energy and the quotient of the argmin's profile, by
+    # quadrature, agree with the Gauss-Laguerre values far inside
+    # SPOT_CHECK_RTOL.
+    est = estimate_mode_constant(InequalityParams(n, alpha), k, (8, 16))
+    assert est.witness.worst_rel <= 1e-12
+
+
+@pytest.mark.parametrize("n, alpha, k, sizes", [(2, -0.875, 0, (4, 8, 16)), (3, 3.0, 0, (1,))])
+def test_witness_allows_a_cancelling_form_and_a_single_trial_function(n, alpha, k, sizes):
+    # At N = 2, alpha = -7/8, k = 0 the A form cancels about 57-fold, so its
+    # quotient's gap is judged against the scale the energies allow; one
+    # trial function at alpha = 3, k = 0 has no positive turning point, so
+    # the tail is centred on the decay hint.
+    est = estimate_mode_constant(InequalityParams(n, alpha), k, sizes)
+    assert est.witness.worst_rel <= variational.SPOT_CHECK_RTOL
+
+
+def test_witness_rejects_a_value_its_energies_contradict(monkeypatch):
+    # The energies of the argmin match c^T M c, but not a reported value.
+    original = variational.minimize_quotient
+
+    def raised(gram):
+        result = original(gram)
+        return result._replace(value=result.value * (1.0 + 1e-6))
+
+    monkeypatch.setattr(variational, "minimize_quotient", raised)
+    with pytest.raises(VerificationMismatchError, match="witness check failed for the quotient"):
+        estimate_mode_constant(P5, 1, (4,))
 
 
 def _rule_exponents(params, k, basis):
@@ -505,13 +539,12 @@ def test_stacked_laguerre_tables_match_the_single_order_recurrence(a):
 
 
 def test_probe_gram_checks_centre_on_the_top_trial_function():
-    # probe-conjecture checks the Grams of N = 4, alpha = 0, k = 0..3 at
-    # m = 16.  Centred on the peak of r^(p+1) e^(-2x) they took 3237 +
-    # 1592 + 1559 + 1538 nodes; centred on the turning point of the top
-    # trial function, x = 2(m-1) + a + 1, they take fewer than 4000.
+    # probe-conjecture checks the estimates of N = 4, alpha = 0, k = 0..3 at
+    # m = 16 by their witnesses.  Centred on the turning point of the top
+    # trial function, x = 2(m-1) + a + 1, they take 810 + 797 + 780 + 770
+    # nodes; centred on the decay hint, the k = 1 witness alone takes 1592.
     params = InequalityParams(4, 0.0)
-    used = [build_gram(params, k, make_basis(params, k, 16)).diagnostics["spot_check_nodes_used"]
-            for k in range(4)]
+    used = [estimate_mode_constant(params, k, (4, 8, 16)).witness.nodes_used for k in range(4)]
     assert sum(used) <= 4000
 
 
@@ -543,6 +576,6 @@ def test_estimate_below_proven_bound_is_rejected(monkeypatch):
 
 
 def test_indefinite_a_form_is_rejected():
-    gram = build_gram(P5, 1, make_basis(P5, 1, 4), verify=False)
+    gram = build_gram(P5, 1, make_basis(P5, 1, 4))
     with pytest.raises(UnsupportedRegimeError, match="needs a >= 0"):
         minimize_quotient(gram._replace(m_a=-gram.m_a))
