@@ -51,7 +51,7 @@ _NUMERIC = {
         "profile_from_exppoly",
         "test_function_quotient",
     ),
-    "quadrature": ("IntegrandHandle", "QuadratureResult", "QuadratureSpec", "integrate"),
+    "quadrature": ("QuadratureResult", "QuadratureSpec", "integrate"),
     "special": ("gamma", "log_gamma", "weighted_exp_integral"),
     "variational": (
         "BasisSpec",
@@ -100,7 +100,6 @@ __all__ = [
     "FORMULA_WEIGHTED",
     "GramTriple",
     "InequalityParams",
-    "IntegrandHandle",
     "MinimizationResult",
     "ModeConstantEstimate",
     "ModeEnergy",

@@ -33,7 +33,7 @@ from .functionals import (
     one_dim_quotient,
     test_function_quotient,
 )
-from .quadrature import IntegrandHandle, integrate
+from .quadrature import integrate
 from .special import gamma, weighted_exp_integral
 from .variational import (
     build_gram,
@@ -233,13 +233,10 @@ def _check_9() -> Tuple[bool, str]:
         c = float(rng.uniform(0.05, 8.0))
         q = float(rng.uniform(0.2, 3.0))
         closed = weighted_exp_integral(p, c, q)
-        # r^p e^(-c r^q) as the one-row table e^(-c r^q / 2).
-        res = integrate(IntegrandHandle(
-            rows=lambda r, c=c, q=q: np.exp(-0.5 * c * np.power(r, q))[None, None, :],
-            weight_exponent=(p,),
-            decay_hint=(c, q),
-        ))
-        rel = abs(res.value[0, 0, 0] - closed) / closed
+        # r^p e^(-c r^q) as the row e^(-c r^q / 2).
+        res = integrate(lambda r, c=c, q=q: np.exp(-0.5 * c * np.power(r, q))[None, :], (p,),
+                        decay_hint=(c, q))
+        rel = abs(res.value[0] - closed) / closed
         worst = max(worst, rel)
         if not _fail(msgs, rel <= 1e-10,
                      f"p={p:.4f}, c={c:.4f}, q={q:.4f}: rel {rel:.3e}"):

@@ -52,7 +52,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .exppoly import ExpPoly, evaluate
-from .quadrature import IntegrandHandle, QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate
 from .special import log_gamma, regularized_gamma_p, regularized_gamma_q
 
 __all__ = [
@@ -551,16 +551,14 @@ def _energies(
         if evaluated:
             full = profile.evaluator(r)
             comps.update((order, full[order]) for order in orders if order not in comps)
-        return np.stack([comps[order] for _, order, _, _ in live])[:, None, :]
+        return np.stack([comps[order] for _, order, _, _ in live])
 
     hint = None
     if profile.decay_hint is not None:
         c, q = profile.decay_hint
         hint = (2.0 * c, q)
-    handle = IntegrandHandle(rows=rows, weight_exponent=tuple(part[2] for part in live),
-                             decay_hint=hint)
-    res = integrate(handle, spec)
-    quad = res.value[:, 0, 0].tolist()
+    res = integrate(rows, tuple(part[2] for part in live), spec, decay_hint=hint)
+    quad = res.value.tolist()
     energies, gaps = [], []
     for form in range(3):
         index = [i for i, part in enumerate(live) if part[0] == form]

@@ -5,7 +5,7 @@ The integrals this package needs are energies of rows,
     integral_0^inf  f(r)^2 r^p  dr,
 
 one per weight exponent p of a stack (p_1, ..., p_T): the integrand is a
-callable returning T tables of one row each, row i weighted by r^p_i.
+callable returning T rows, row i weighted by r^p_i.
 The rows are smooth on (0, inf), may behave like a power at the origin
 and decay (usually like exp(-c r^q)) at infinity.  The half line is cut
 at r = 1:
@@ -18,7 +18,7 @@ at r = 1:
   of r^(p+1) exp(-c r^q) (in log r), so the transformed integrand is well
   centred however slow or fast the tail decays and however far out a
   large weight pushes its mass.  A caller that knows better where the
-  mass ends gives the scale itself (``IntegrandHandle.tail_scale``).
+  mass ends gives the scale itself (``tail_scale`` of :func:`integrate`).
 
 Both halves share one trapezoid step h in the transformed variable; each
 refinement level halves h and reuses previous samples, so the cost of
@@ -38,9 +38,9 @@ call, and only a level from 9 on takes more than one.  Each level's sums
 are one product on each call, so the sums, and every result, are bit for
 bit those of evaluating each level alone, 4096 nodes at a time.
 
-All tables share one node ladder and one refinement loop, which
+All rows share one node ladder and one refinement loop, which
 evaluates the callable once on each call's nodes, so the parts of
-one form triple share their nodes and whatever the tables have in
+one form triple share their nodes and whatever the rows have in
 common.  Each row is multiplied by sqrt(w r^p) = exp(L/2), with
 L = log w + p log r, before it is squared, so rows may take any finite
 weight exponent: rows that vanish at the origin absorb a weight at or
@@ -52,8 +52,8 @@ Weights that underflow to zero are masked before the integrand is
 evaluated: at extreme nodes the integrand itself may overflow double
 range even though its weighted contribution is exactly negligible, and
 evaluating it there would poison the sum with inf * 0.  A weight w r^p
-is alive where exp(L) is nonzero, a node is evaluated when any table's
-weight is alive there, and a table ignores whatever it returns at nodes
+is alive where exp(L) is nonzero, a node is evaluated when any row's
+weight is alive there, and a row ignores whatever it returns at nodes
 where its own weight underflows.
 """
 
@@ -70,7 +70,6 @@ from .errors import (DivergentIntegralError, DomainError, NonConvergenceError,
 
 __all__ = [
     "QuadratureSpec",
-    "IntegrandHandle",
     "QuadratureResult",
     "integrate",
 ]
@@ -137,77 +136,9 @@ class QuadratureSpec(_QuadratureSpec):
         return cls(*iterable)
 
 
-class _IntegrandHandle(NamedTuple):
-    rows: Callable[[np.ndarray], np.ndarray]
-    weight_exponent: Tuple[float, ...]
-    decay_hint: Optional[Tuple[float, float]] = None
-    tail_scale: Optional[float] = None
-
-
-class IntegrandHandle(_IntegrandHandle):
-    """The energies of rows under a stack of weights r^p_i.
-
-    Attributes
-    ----------
-    rows : callable
-        Accepts a float ndarray of n radii (all > 0) and returns an array
-        of shape (T, 1, n): one table of one row per weight exponent,
-        table i to be weighted by r^p_i.  The integral of a table is the
-        1 x 1 matrix of the integral of its row squared, converged to
-        ``rel_tol`` relative to its value.  Every row is
-        multiplied by sqrt(w r^p) first, which cannot overflow for
-        convergent integrals even where f alone, or r^p, would exceed
-        double range near a singular endpoint.  Values a table returns
-        where its own weight underflows to zero are ignored, even if not
-        finite.
-    weight_exponent : tuple of floats
-        The non-empty stack (p_1, ..., p_T) of powers of the explicit
-        weights, each finite; the rows must vanish fast enough at the
-        origin for their squares to converge.  A weight at or below
-        -0.9 is centred in the tail transform as weight 0.
-    decay_hint : (c, q) or None
-        Optional tail scale: the integrand decays roughly like
-        exp(-c r^q).  Used only to centre the tail transform; wrong hints
-        cost accuracy per level, not correctness.
-    tail_scale : float or None
-        Optional scale s of the tail transform r = 1 + s exp(kappa sinh t),
-        for a caller that knows where its integrand's mass ends (such as
-        the turning point of an oscillating row); it replaces the scale
-        derived from the decay hint and the weights, and kappa still
-        follows the hint.
-
-    A construction, a ``_replace`` and an unpickling all validate.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "IntegrandHandle":
-        self = super().__new__(cls, *args, **kwargs)
-        rows, weight_exponent, decay_hint, tail_scale = self
-        if not callable(rows):
-            raise DomainError("rows must be callable")
-        if not (isinstance(weight_exponent, tuple) and weight_exponent):
-            raise DomainError("weight_exponent must be a non-empty tuple of exponents, "
-                              f"got {weight_exponent!r}")
-        for p in weight_exponent:
-            if not (isinstance(p, (int, float)) and math.isfinite(p)):
-                raise DivergentIntegralError(f"weight_exponent must be finite, got {p!r}")
-        if decay_hint is not None:
-            c, q = decay_hint
-            if not (math.isfinite(c) and c > 0 and math.isfinite(q) and q > 0):
-                raise DomainError(f"decay_hint must be (c > 0, q > 0), got {decay_hint!r}")
-        if tail_scale is not None and not (math.isfinite(tail_scale) and tail_scale > 0):
-            raise DomainError(f"tail_scale must be finite and > 0, got {tail_scale!r}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "IntegrandHandle":
-        return cls(*iterable)
-
-
 class QuadratureResult(NamedTuple):
     """Converged energies with their refinement error estimate, both
-    (T, 1, 1) arrays for T weight exponents.
+    (T,) arrays for T weight exponents, one entry per row.
 
     ``levels_used`` is the level the value comes from, and ``nodes_used``
     the number of nodes the rows were called on: every node of the first
@@ -271,19 +202,19 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail(handle: IntegrandHandle) -> Tuple[float, float]:
+def _tail(p: np.ndarray, decay_hint: Optional[Tuple[float, float]],
+          tail_scale: Optional[float]) -> Tuple[float, float]:
     """The scale s and rate kappa of the exp-sinh map r = 1 + s exp(kappa sinh t)."""
-    if handle.decay_hint is not None:
-        c, q = handle.decay_hint
-        peak = (max(0.0 if p <= _FOLD_EDGE else float(p) for p in handle.weight_exponent)
-                + 1.0) / (c * q)
+    if decay_hint is not None:
+        c, q = decay_hint
+        peak = (max(0.0 if x <= _FOLD_EDGE else float(x) for x in p) + 1.0) / (c * q)
         scale = max(c ** (-1.0 / q), peak ** (1.0 / q))
         kappa = 0.5 * math.pi / q
     else:
         scale = 1.0
         kappa = 0.5 * math.pi
-    if handle.tail_scale is not None:
-        scale = handle.tail_scale
+    if tail_scale is not None:
+        scale = tail_scale
     return scale, kappa
 
 
@@ -302,10 +233,11 @@ def _nodes(tail: Tuple[float, float], first: int, last: int
                 np.log(np.concatenate([unit_w, w])[order]), starts)
 
 
-def _row_tables(handle: IntegrandHandle, r: np.ndarray, tables: int) -> np.ndarray:
-    """The rows at r as a (tables, 1, len(r)) array."""
-    vals = np.asarray(handle.rows(r), dtype=float)
-    if vals.shape != (tables, 1, r.size):
+def _row_tables(rows: Callable[[np.ndarray], np.ndarray], r: np.ndarray, tables: int
+                ) -> np.ndarray:
+    """The rows at r as a (tables, len(r)) array."""
+    vals = np.asarray(rows(r), dtype=float)
+    if vals.shape != (tables, r.size):
         raise DomainError(
             "rows must return one table per weight exponent, each with one row "
             "and one column per radius"
@@ -314,19 +246,19 @@ def _row_tables(handle: IntegrandHandle, r: np.ndarray, tables: int) -> np.ndarr
 
 
 def _weighted_rows(vals: np.ndarray, log_wp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each table's rows times sqrt(w r^p_i) = exp(L_i / 2), zero where
-    that weight is dead, and the mask of values that are not finite where
-    their table's weight is alive (None where every product is finite).
+    """Each row times sqrt(w r^p_i) = exp(L_i / 2), zero where that
+    weight is dead, and the mask of values that are not finite where
+    their row's weight is alive (None where every product is finite).
 
-    ``log_wp`` holds L_i = log w + p_i log r, one row per table, and the
+    ``log_wp`` holds L_i = log w + p_i log r, one row per weight, and the
     weight is alive where exp(L_i) is nonzero.  A tiny (denormal) row
     value times a huge transformed weight overflows or turns into nan
     even though the true product is negligible, so non-finite products of
     finite parts are recomputed in log space.  Genuinely divergent nodes
     stay non-finite and are reported by the caller.
     """
-    alive = (log_wp >= _LOG_LIVE)[:, None, :]
-    half = 0.5 * log_wp[:, None, :]
+    alive = log_wp >= _LOG_LIVE
+    half = 0.5 * log_wp
     g = vals * np.exp(half)
     g[~alive | (vals == 0.0)] = 0.0
     over = ~np.isfinite(g)
@@ -335,52 +267,50 @@ def _weighted_rows(vals: np.ndarray, log_wp: np.ndarray) -> Tuple[np.ndarray, np
         bad = alive & ~np.isfinite(vals)
         with np.errstate(divide="ignore"):
             fb = vals[over]
-            g[over] = np.sign(fb) * np.exp(np.broadcast_to(half, g.shape)[over]
-                                           + np.log(np.abs(fb)))
+            g[over] = np.sign(fb) * np.exp(half[over] + np.log(np.abs(fb)))
     return g, bad
 
 
-def _pass(handle: IntegrandHandle, tail: Tuple[float, float], p: np.ndarray, first: int,
-          last: int) -> Tuple[np.ndarray, Optional[NonFiniteSampleError], int]:
+def _pass(rows: Callable[[np.ndarray], np.ndarray], tail: Tuple[float, float], p: np.ndarray,
+          first: int, last: int) -> Tuple[np.ndarray, Optional[NonFiniteSampleError], int]:
     """The sums of levels first..last, evaluated together, the error of
     the first level with a non-finite sample (or None) and the nodes
     evaluated.
 
-    The sums are stacked as (levels, T, 1, 1) and stop before a level
-    with a non-finite sample.  A node is live where any table's weight
+    The sums are stacked as (levels, T) and stop before a level with a
+    non-finite sample.  A node is live where any row's weight
     w r^p = exp(log w + p log r) is nonzero.  The live nodes are called,
     and weighted, at most _CALL_NODES at a time, and each level's part of
-    a call is one product, with the call's transpose taken once.
+    a call is one (T, 1, k) @ (T, k, 1) product.
     """
     r, log_w, starts = _nodes(tail, first, last)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         log_wp = log_w + p[:, None] * np.log(r)
         # The overflowing exp-sinh nodes, with log w = -inf and log r = inf,
-        # are nan or -inf in every table, so their maximum leaves them dead.
+        # are nan or -inf in every row, so their maximum leaves them dead.
         live = np.flatnonzero(log_wp.max(axis=0) >= _LOG_LIVE)
         bounds = np.searchsorted(live, starts).tolist() + [live.size]
         levels = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         r, log_wp = r[live], log_wp.take(live, axis=1)
         cut, unreached = len(levels), None
-        sums = np.zeros((len(levels), p.size, 1, 1))
+        sums = np.zeros((len(levels), p.size))
         for start in range(0, max(r.size, 1), _CALL_NODES):
             call = slice(start, min(start + _CALL_NODES, r.size))
-            g, bad = _weighted_rows(_row_tables(handle, r[call], p.size), log_wp[:, call])
+            g, bad = _weighted_rows(_row_tables(rows, r[call], p.size), log_wp[:, call])
             parts = [(i, slice(max(span.start, start) - start, min(span.stop, call.stop) - start))
                      for i, span in enumerate(levels)
                      if span.start < call.stop and span.stop > start]
             if bad is not None and bad.any():
-                i, part = next(pt for pt in parts if bad[..., pt[1]].any())
-                at = np.broadcast_to(r[call][part], bad[..., part].shape)[bad[..., part]][0]
+                i, part = next(pt for pt in parts if bad[:, pt[1]].any())
+                at = np.broadcast_to(r[call][part], bad[:, part].shape)[bad[:, part]][0]
                 cut, unreached = i, NonFiniteSampleError(
                     f"integrand row returned a non-finite value at r={float(at)!r}")
                 parts = [pt for pt in parts if pt[0] < i]
-            gt = g.transpose(0, 2, 1)
             for i, part in parts:
-                sums[i] += g[..., part] @ gt[:, part]
+                sums[i] += (g[:, None, part] @ g[:, part, None])[:, 0, 0]
             if unreached is not None:
                 break
-        finite = np.isfinite(sums[:cut]).all(axis=(1, 2, 3))
+        finite = np.isfinite(sums[:cut]).all(axis=1)
         if not finite.all():
             cut = int(np.argmin(finite))
             at = r[levels[cut]]
@@ -389,15 +319,48 @@ def _pass(handle: IntegrandHandle, tail: Tuple[float, float], p: np.ndarray, fir
         return sums[:cut], unreached, call.stop
 
 
-def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
+def _positive(x) -> bool:
+    """Whether x is a finite real number above 0."""
+    try:
+        return math.isfinite(x) and x > 0
+    except TypeError:
+        return False
+
+
+def integrate(rows: Callable[[np.ndarray], np.ndarray], weight_exponent: Tuple[float, ...],
+              spec: QuadratureSpec = QuadratureSpec(),
+              decay_hint: Optional[Tuple[float, float]] = None,
+              tail_scale: Optional[float] = None) -> QuadratureResult:
     """Integrate the squared rows over (0, inf) to relative tolerance.
 
     Parameters
     ----------
-    handle : IntegrandHandle
-        The rows and their stack of weights.
+    rows : callable
+        Accepts a float ndarray of n radii (all > 0) and returns an array
+        of shape (T, n): one row per weight exponent, row i to be weighted
+        by r^p_i.  The integral of a row is that of its square, converged
+        to ``rel_tol`` relative to its value.  Every row is multiplied by
+        sqrt(w r^p) first, which cannot overflow for convergent integrals
+        even where f alone, or r^p, would exceed double range near a
+        singular endpoint.  Values a row returns where its own weight
+        underflows to zero are ignored, even if not finite.
+    weight_exponent : tuple of floats
+        The non-empty stack (p_1, ..., p_T) of powers of the explicit
+        weights, each finite; the rows must vanish fast enough at the
+        origin for their squares to converge.  A weight at or below
+        -0.9 is centred in the tail transform as weight 0.
     spec : QuadratureSpec
         Tolerance.
+    decay_hint : (c, q) or None
+        Optional tail scale: the integrand decays roughly like
+        exp(-c r^q).  Used only to centre the tail transform; wrong hints
+        cost accuracy per level, not correctness.
+    tail_scale : float or None
+        Optional scale s of the tail transform r = 1 + s exp(kappa sinh t),
+        for a caller that knows where its integrand's mass ends (such as
+        the turning point of an oscillating row); it replaces the scale
+        derived from the decay hint and the weights, and kappa still
+        follows the hint.
 
     Returns
     -------
@@ -405,16 +368,20 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         value, err_est (last refinement difference; an upper estimate of
         the truncation error for integrands in the double-exponential
         convergence class), levels and node count.  value and err_est are
-        (T, 1, 1) arrays for T weight exponents; the level is the deepest
-        any table needs.  Levels 0..5 are evaluated in one pass, which is
-        one call of rows, deeper levels one pass each, called on at most
-        4096 nodes at a time, and each pass's levels are tested together,
-        on a flat (levels, T) view of its sums; the results equal, bit for
-        bit, those of evaluating each level alone, 4096 nodes at a time,
-        and testing level by level.
+        (T,) arrays for T weight exponents; the level is the deepest any
+        row needs.  Levels 0..5 are evaluated in one pass, which is one
+        call of rows, deeper levels one pass each, called on at most 4096
+        nodes at a time, and each pass's levels are tested together, on a
+        (levels, T) array of its sums; the results equal, bit for bit,
+        those of evaluating each level alone, 4096 nodes at a time, and
+        testing level by level.
 
     Raises
     ------
+    DomainError
+        If an argument, or the shape rows returns, is malformed.
+    DivergentIntegralError
+        If a weight exponent is not finite.
     NonConvergenceError
         If level 12 is passed without convergence; carries the partial
         value/err_est.
@@ -422,17 +389,32 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         If the rows return nan/inf at a contributing node of a level the
         refinement reaches.
     """
-    tail = _tail(handle)
-    p = np.asarray(handle.weight_exponent, dtype=float)
+    if not callable(rows):
+        raise DomainError("rows must be callable")
+    if not (isinstance(weight_exponent, tuple) and weight_exponent):
+        raise DomainError("weight_exponent must be a non-empty tuple of exponents, "
+                          f"got {weight_exponent!r}")
+    for p in weight_exponent:
+        if not (isinstance(p, (int, float)) and math.isfinite(p)):
+            raise DivergentIntegralError(f"weight_exponent must be finite, got {p!r}")
+    if decay_hint is not None:
+        try:
+            c, q = decay_hint
+        except (TypeError, ValueError):  # not a pair
+            c = q = math.nan
+        if not (_positive(c) and _positive(q)):
+            raise DomainError(f"decay_hint must be (c > 0, q > 0), got {decay_hint!r}")
+    if tail_scale is not None and not _positive(tail_scale):
+        raise DomainError(f"tail_scale must be finite and > 0, got {tail_scale!r}")
+    p = np.asarray(weight_exponent, dtype=float)
+    tail = _tail(p, decay_hint, tail_scale)
     n = 0
     # The running sums through the last level of the previous pass, and
-    # that level's error estimate, flat over the tables.
+    # that level's error estimate.
     carried = prev_err = None
-    shape = (p.size, 1, 1)
     for first, last in _PASSES:
-        sums, unreached, evaluated = _pass(handle, tail, p, first, last)
+        sums, unreached, evaluated = _pass(rows, tail, p, first, last)
         n += evaluated
-        sums = sums.reshape(len(sums), p.size)
         if carried is None:
             prev_err = np.full(p.size, math.inf)  # before level 1
         else:  # the test of level first needs level first - 1
@@ -457,13 +439,13 @@ def integrate(handle: IntegrandHandle, spec: QuadratureSpec = QuadratureSpec()) 
         if stops.size:
             i = int(stops[0])
             j, est = (i + 1, err[i]) if converged[i] else (i, prev[i])
-            return QuadratureResult(value[j].reshape(shape), est.reshape(shape), int(levels[j]), n)
+            return QuadratureResult(value[j], est, int(levels[j]), n)
         if unreached is not None:
             raise unreached
         carried, prev_err = totals[-1], err[-1]
     raise NonConvergenceError(
         f"quadrature did not reach rel_tol={spec.rel_tol} within "
         f"max_level={_MAX_LEVEL} (last error {float(np.max(prev_err)):.3e})",
-        value=value[-1].reshape(shape),
-        err_est=prev_err.reshape(shape),
+        value=value[-1],
+        err_est=prev_err,
     )

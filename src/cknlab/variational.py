@@ -60,7 +60,7 @@ from .errors import (
     UnsupportedRegimeError,
     VerificationMismatchError,
 )
-from .quadrature import IntegrandHandle, QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate
 
 __all__ = [
     "BasisSpec",
@@ -690,7 +690,7 @@ def estimate_mode_constant(
 def _witness(gram: GramTriple, result: MinimizationResult, spec: QuadratureSpec) -> Witness:
     """Check ``result`` against the energies of its profile
     v = sum_j c_j phi_j by quadrature: one ``integrate`` call on one
-    single-row table per live part, c @ ``BasisSpec.evaluate``, its tail
+    row per live part, c @ ``BasisSpec.evaluate``, its tail
     centred at the top trial function's turning point x_c = 2(m-1) + a + 1
     if positive (797 nodes at N = 4, alpha = 0, k = 1, m = 16; 1592 on the
     decay hint).  Each form's energy must match c^T M c within
@@ -701,13 +701,12 @@ def _witness(gram: GramTriple, result: MinimizationResult, spec: QuadratureSpec)
     live = _live_parts(gram.params, gram.k, basis)
     facs = [fac for _, fac, _, _ in live]
     turn = 2.0 * (basis.m - 1) + a + 1.0
-    res = integrate(IntegrandHandle(
-        rows=lambda r: (c @ basis.evaluate(facs, r, a))[:, None, :],
-        weight_exponent=tuple(power for _, _, power, _ in live),
-        decay_hint=(2.0, basis.decay_q),
-        tail_scale=turn ** (1.0 / basis.decay_q) if turn > 0.0 else None), spec)
+    res = integrate(lambda r: c @ basis.evaluate(facs, r, a),
+                    tuple(power for _, _, power, _ in live), spec,
+                    decay_hint=(2.0, basis.decay_q),
+                    tail_scale=turn ** (1.0 / basis.decay_q) if turn > 0.0 else None)
     quad, scale = np.zeros(3), np.zeros(3)
-    for (form, _, _, coef), part in zip(live, res.value[:, 0, 0]):
+    for (form, _, _, coef), part in zip(live, res.value):
         quad[form] += coef * part
         scale[form] += abs(coef) * part
     gauss = [float(c @ mat @ c) for mat in (gram.m_a, gram.m_b, gram.m_c)] + [result.value]

@@ -182,10 +182,12 @@ def test_quadrature_failure_names_nodes_as_plain_floats(capsys, monkeypatch):
     # whose products overflow.
     import numpy as np
     from cknlab import functionals
-    from cknlab.quadrature import IntegrandHandle, integrate
+    from cknlab.quadrature import integrate
 
-    huge = IntegrandHandle(lambda r: np.full((1, 1, r.size), 1e200), (0.0,), (2.0, 1.0))
-    monkeypatch.setattr(functionals, "integrate", lambda handle, spec: integrate(huge, spec))
+    def huge(rows, weight_exponent, spec, decay_hint=None):
+        return integrate(lambda r: np.full((1, r.size), 1e200), (0.0,), spec, (2.0, 1.0))
+
+    monkeypatch.setattr(functionals, "integrate", huge)
     code, out, err = run(capsys, "quotient", "--family", "thmD", "--n", "7", "--alpha", "0.5",
                          "--k", "0")
     assert code == 3

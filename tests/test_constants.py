@@ -24,7 +24,7 @@ from cknlab.constants import (
 )
 from cknlab.cli import RunConfig, SharpConstantReport
 from cknlab.errors import DomainError, PreconditionError, UnsupportedRegimeError
-from cknlab.quadrature import IntegrandHandle, QuadratureSpec
+from cknlab.quadrature import QuadratureSpec
 from cknlab.variational import BasisSpec, GramTriple
 
 
@@ -290,7 +290,6 @@ def test_records_keep_their_dataclass_contract():
          PreconditionError),
         (QuadratureSpec(), {"rel_tol": 1e-2}, DomainError),
         (BasisSpec(4, 0.0, 1.0), {"m": 0}, DomainError),
-        (IntegrandHandle(np.exp, (0.0,), (1.0, 1.0)), {"tail_scale": -1.0}, DomainError),
     ):
         field = record._fields[0]
         with pytest.raises(AttributeError):
@@ -310,9 +309,6 @@ def test_records_keep_their_dataclass_contract():
     assert repr(InequalityParams(4)) == "InequalityParams(n=4, alpha=0.0, beta=None)"
     assert repr(QuadratureSpec()) == "QuadratureSpec(rel_tol=1e-12)"
     assert repr(BasisSpec(4, 0.0, 1.0)) == "BasisSpec(m=4, gamma0=0.0, decay_q=1.0)"
-    assert repr(IntegrandHandle(np.exp, (0.0,), (1.0, 1.0))) == (
-        "IntegrandHandle(rows=<ufunc 'exp'>, weight_exponent=(0.0,), decay_hint=(1.0, 1.0), "
-        "tail_scale=None)")
     with pytest.raises(DomainError, match="beta must be a finite real or None, got nan"):
         InequalityParams(4, 0.0, float("nan"))
     with pytest.raises(PreconditionError, match="unknown command 'nope'"):

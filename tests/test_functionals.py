@@ -31,7 +31,7 @@ from cknlab.functionals import (
     profile_from_exppoly,
 )
 from cknlab.functionals import test_function_quotient as harmonic_test_quotient
-from cknlab.quadrature import IntegrandHandle, QuadratureSpec, integrate
+from cknlab.quadrature import QuadratureSpec, integrate
 from cknlab.special import weighted_exp_integral as wei
 
 
@@ -77,8 +77,8 @@ def test_energies_are_one_refinement_loop(monkeypatch, method, k):
     params = InequalityParams(4, 0.25)
     results, original = [], functionals.integrate
 
-    def counted(handle, spec):
-        results.append(original(handle, spec))
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(functionals, "integrate", counted)
@@ -90,7 +90,7 @@ def test_energies_are_one_refinement_loop(monkeypatch, method, k):
                    for *_, coef in parts)
         assert len(results) == 1
         res = results.pop()
-        assert res.value.shape == (live, 1, 1)
+        assert res.value.shape == (live,)
         assert (e.levels_used, e.nodes_used) == (res.levels_used, res.nodes_used) != (0, 0)
         assert min(e.energy_a, e.energy_b, e.energy_c) > 0.0
 
@@ -107,9 +107,8 @@ def test_energies_take_one_call_of_the_rows_a_pass(monkeypatch):
     # rows; nodes_used counts every node the rows were evaluated at.
     sizes, original = [], functionals.integrate
 
-    def counted(handle, spec):
-        rows = handle.rows
-        return original(handle._replace(rows=lambda r: sizes.append(r.size) or rows(r)), spec)
+    def counted(rows, *args, **kwargs):
+        return original(lambda r: sizes.append(r.size) or rows(r), *args, **kwargs)
 
     monkeypatch.setattr(functionals, "integrate", counted)
     params = InequalityParams(5, 0.0)
@@ -153,18 +152,18 @@ def test_spherical_reduction_identities():
         hint = (2.0, 1.0)
 
         # |Delta u|^2 is the square of one row, |grad u|^2 the sum of
-        # the squares of two: the sum of a stack of two one-row tables.
+        # the squares of two.
         def lap(r):
             val = w2(r) + (n - 1) / r * w1(r) - ck / r**2 * w(r)
-            return val[None, None, :]
+            return val[None, :]
 
         def grad(r):
-            return np.stack([w1(r), math.sqrt(ck) * w(r) / r])[:, None, :]
+            return np.stack([w1(r), math.sqrt(ck) * w(r) / r])
 
         def grad_energy(p):
-            return integrate(IntegrandHandle(grad, (p, p), hint), spec).value.sum()
+            return integrate(grad, (p, p), spec, hint).value.sum()
 
-        a_direct = integrate(IntegrandHandle(lap, (n - 1 - 2 * alpha,), hint), spec).value[0, 0, 0]
+        a_direct = integrate(lap, (n - 1 - 2 * alpha,), spec, hint).value[0]
         b_direct = grad_energy(n - 1)
         c_direct = grad_energy(n - 2 - alpha)
 

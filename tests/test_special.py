@@ -15,7 +15,7 @@ from cknlab.errors import (
     NonConvergenceError,
     RangeOverflowError,
 )
-from cknlab.quadrature import IntegrandHandle, integrate
+from cknlab.quadrature import integrate
 from cknlab.special import (
     gamma,
     log_gamma,
@@ -94,13 +94,10 @@ def test_weighted_exp_integral_divergent():
 @settings(max_examples=60, deadline=None)
 def test_weighted_exp_integral_matches_quadrature(p, c, q):
     closed = weighted_exp_integral(p, c, q)
-    # r^p e^(-c r^q) as the one-row table e^(-c r^q / 2).
-    result = integrate(IntegrandHandle(
-        rows=lambda r: np.exp(-0.5 * c * np.power(r, q))[None, None, :],
-        weight_exponent=(p,),
-        decay_hint=(c, q),
-    ))
-    assert result.value[0, 0, 0] == pytest.approx(closed, rel=1e-10)
+    # r^p e^(-c r^q) as the row e^(-c r^q / 2).
+    result = integrate(lambda r: np.exp(-0.5 * c * np.power(r, q))[None, :], (p,),
+                       decay_hint=(c, q))
+    assert result.value[0] == pytest.approx(closed, rel=1e-10)
 
 
 @given(

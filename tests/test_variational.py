@@ -69,7 +69,7 @@ def test_gram_anchor_entry():
     assert gram.m_b[0, 0] == pytest.approx(math.gamma(5) / 2**5, rel=1e-12)
 
 
-def test_gram_matrices_are_read_only_and_spot_checked():
+def test_gram_matrices_are_read_only_and_witnessed():
     # The witness of an estimate checks its Gram triple along the argmin.
     basis = make_basis(P5, 0, 3)
     gram = build_gram(P5, 0, basis)
@@ -425,15 +425,15 @@ def test_gram_conditioning_stays_bounded(n, k):
 
 
 @pytest.mark.parametrize("n, alpha, k", [(5, 0.0, 1), (4, 0.0, 0), (3, -0.5, 2)])
-def test_gram_check_is_one_refinement_loop(monkeypatch, n, alpha, k):
+def test_witness_is_one_refinement_loop(monkeypatch, n, alpha, k):
     # The Gram triple is checked along the argmin by the estimate's witness:
-    # one integrate call on a single-row table per live part.  Building the
-    # triple integrates nothing.
+    # one integrate call on one row per live part.  Building the triple
+    # integrates nothing.
     params = InequalityParams(n, alpha)
     results, original = [], variational.integrate
 
-    def counted(handle, spec):
-        results.append(original(handle, spec))
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(variational, "integrate", counted)
@@ -442,7 +442,7 @@ def test_gram_check_is_one_refinement_loop(monkeypatch, n, alpha, k):
     est = estimate_mode_constant(params, k, (3, 6))
     assert len(results) == 1
     live = sum(coef != 0.0 for parts in form_parts(n, alpha, k) for *_, coef in parts)
-    assert results[0].value.shape == (live, 1, 1)
+    assert results[0].value.shape == (live,)
     assert est.witness.levels_used == results[0].levels_used
     assert est.witness.nodes_used == results[0].nodes_used
 
@@ -538,7 +538,7 @@ def test_stacked_laguerre_tables_match_the_single_order_recurrence(a):
                               variational._laguerre_tables(12, a + 1.5 * i, y[i], 2))
 
 
-def test_probe_gram_checks_centre_on_the_top_trial_function():
+def test_probe_witnesses_centre_on_the_top_trial_function():
     # probe-conjecture checks the estimates of N = 4, alpha = 0, k = 0..3 at
     # m = 16 by their witnesses.  Centred on the turning point of the top
     # trial function, x = 2(m-1) + a + 1, they take 810 + 797 + 780 + 770
