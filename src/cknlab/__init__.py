@@ -47,7 +47,6 @@ _NUMERIC = {
         "mode_energies",
         "mode_quotient",
         "one_dim_quotient",
-        "profile_from_callable",
         "profile_from_exppoly",
         "test_function_quotient",
     ),
@@ -129,7 +128,6 @@ __all__ = [
     "mode_quotient_plain",
     "mode_quotient_weighted",
     "one_dim_quotient",
-    "profile_from_callable",
     "profile_from_exppoly",
     "reference_constants",
     "sharp_constant_closed_form",

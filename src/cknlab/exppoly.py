@@ -38,6 +38,12 @@ __all__ = ["ExpPoly", "evaluate"]
 
 # Powers/coefficients closer than this are merged/dropped when building.
 _MERGE_TOL = 1e-12
+# A power this close to a ladder's rung, relative to the larger of 1 and
+# the powers' size, is on it: that is the rounding of the exponent
+# arithmetic that made it (at most 4 units of 2^-53 on the extremal and
+# coefficient profiles and their squares at 310 weights), not a power of
+# its own, whose moment the rung's power would get wrong.
+_RUNG_TOL = 2.0**-49
 # A ladder takes terms up to this many steps q above its lowest power; a
 # term further up starts a ladder of its own, so that the rising factorial
 # takes few steps.
@@ -97,14 +103,14 @@ def _check_product_powers(terms1, terms2) -> None:
 def _ladders(terms: Tuple[Tuple[float, float], ...], q: float) -> List[Tuple[float, List[float]]]:
     """Terms in ascending power grouped into ladders: (g0, [c_0, c_1, ...])
     with c_m the coefficient of r^(g0 + m q), g0 the ladder's lowest power.
-    A power within the merge tolerance of a rung is taken to be on it."""
+    A power within rounding (``_RUNG_TOL``) of a rung is taken to be on it."""
     ladders: List[Tuple[float, List[float]]] = []
     for g, c in terms:
         for base, coefs in ladders:
             steps = (g - base) / q
             if steps <= _MAX_RUNG + 0.5:
                 m = round(steps)
-                if abs(g - (base + m * q)) <= _MERGE_TOL * max(1.0, abs(g)):
+                if abs(g - (base + m * q)) <= _RUNG_TOL * max(1.0, abs(g), abs(base)):
                     coefs.extend([0.0] * (m + 1 - len(coefs)))
                     coefs[m] += c
                     break

@@ -14,10 +14,13 @@ omitted):
 with a the weight exponent alpha, and the per-mode quotient is
 Q = A B / C^2, invariant under amplitude scaling and dilation of v.
 
-Profiles carry both a vectorised evaluator (v, v', v'') and, when they
-are exponential polynomials, their closed algebraic form; energies are
-then computed two independent ways (Gamma closed forms vs adaptive
-quadrature) and cross-checked.
+A profile gives each of v, v', v'' once: in closed form, as an
+exponential polynomial, where it has one, and otherwise from one
+vectorised evaluator of the rest (the incomplete-Gamma v of the tail
+families, every component of "thmC-2").  Where both derivatives are
+closed, the energies are computed two independent ways (Gamma closed
+forms vs adaptive quadrature) and cross-checked; a part that reads a
+component with no closed form has the quadrature route only.
 
 The closed-form extremal families are named by opaque ids (the CLI's
 --family vocabulary).  With m := alpha + 1:
@@ -38,8 +41,8 @@ The closed-form extremal families are named by opaque ids (the CLI's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +65,6 @@ __all__ = [
     "laplace_beltrami_eigenvalue",
     "extremal_profile",
     "profile_from_exppoly",
-    "profile_from_callable",
     "exponential_profile",
     "form_parts",
     "mode_energies",
@@ -124,55 +126,45 @@ class ExtremalFamily:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A radial profile with evaluator and optional closed algebraic form.
+    """A radial profile v, each of v, v', v'' given once.
 
-    ``evaluator(r)`` returns the triple (v, v', v'') as float arrays for
-    r > 0.  When the profile is an exponential polynomial the
-    corresponding ``poly_*`` fields hold its closed form (``poly_v`` may
-    be absent for tail-integral families whose derivative is closed but
-    whose value is not).  ``family`` is the closed-form family the
-    profile was built from, if any.
+    ``closed`` holds (v, v', v'') in closed form, each an ``ExpPoly`` or
+    None.  ``rest(r)`` returns the components that have none, in that
+    order, as float arrays for r > 0: the incomplete-Gamma v of a tail
+    family, or all three for "thmC-2"; it is None for a closed profile.
+    ``decay_hint`` (c, q) says that v decays like exp(-c r^q).
+    ``tail_power`` t, for a profile that decays only algebraically, says
+    that v' behaves like r^t at infinity (t < -1), so that v, v', v''
+    behave like r^(t+1), r^t, r^(t-1); dilation and scaling keep it.
     """
 
-    evaluator: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    closed: Tuple[Optional[ExpPoly], Optional[ExpPoly], Optional[ExpPoly]]
+    rest: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
     decay_hint: Optional[Tuple[float, float]] = None
-    poly_v: Optional[ExpPoly] = None
-    poly_d1: Optional[ExpPoly] = None
-    poly_d2: Optional[ExpPoly] = None
-    family: Optional[ExtremalFamily] = None
+    tail_power: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not callable(self.evaluator):
-            raise DomainError("profile evaluator must be callable")
-
-    @property
-    def has_closed_derivatives(self) -> bool:
-        return self.poly_d1 is not None and self.poly_d2 is not None
-
-    def component_poly(self, component: str) -> Optional[ExpPoly]:
-        return {"v": self.poly_v, "d1": self.poly_d1, "d2": self.poly_d2}[component]
+        if len(self.closed) != 3:
+            raise DomainError("a profile's closed forms are (v, v', v''), each an ExpPoly or None")
+        if None in self.closed and not callable(self.rest):
+            raise DomainError("a profile needs a callable rest for the components "
+                              "with no closed form")
 
     def scaled(self, s: float) -> "RadialProfile":
         """Amplitude-scaled profile s * v."""
         if not (math.isfinite(s) and s != 0.0):
             raise DomainError(f"scale must be finite and nonzero, got {s!r}")
-        ev = self.evaluator
+        rest = self.rest
+        if rest is not None:
+            def rest(r, inner=rest):
+                return [s * part for part in inner(r)]
 
-        def scaled_ev(r):
-            v, d1, d2 = ev(r)
-            return s * v, s * d1, s * d2
-
-        return replace(
-            self,
-            evaluator=scaled_ev,
-            poly_v=None if self.poly_v is None else self.poly_v.scaled(s),
-            poly_d1=None if self.poly_d1 is None else self.poly_d1.scaled(s),
-            poly_d2=None if self.poly_d2 is None else self.poly_d2.scaled(s),
-            family=None,
-        )
+        return RadialProfile(tuple(None if poly is None else poly.scaled(s)
+                                   for poly in self.closed),
+                             rest, self.decay_hint, self.tail_power)
 
     def dilated(self, lam: float) -> "RadialProfile":
-        """The profile r -> v(lam * r).
+        """The profile r -> v(lam * r): the order-j component gains lam^j.
 
         Raises RangeOverflowError where lam^2 or the power lam^q of the
         decay hint exceeds double-precision range, as ``ExpPoly.dilated``
@@ -180,10 +172,9 @@ class RadialProfile:
         """
         if not (math.isfinite(lam) and lam > 0.0):
             raise DomainError(f"dilation factor must be finite and > 0, got {lam!r}")
-        ev = self.evaluator
         hint = self.decay_hint
         try:
-            lam2 = lam**2
+            factors = (1.0, lam, lam**2)
             if hint is not None:
                 c, q = hint
                 hint = (c * lam**q, q)
@@ -191,20 +182,16 @@ class RadialProfile:
             raise RangeOverflowError(
                 f"a power lam^2 or lam^q of the dilation factor lam = {lam!r} exceeds "
                 "double-precision range") from None
+        rest = self.rest
+        if rest is not None:
+            own = [f for poly, f in zip(self.closed, factors) if poly is None]
 
-        def dilated_ev(r):
-            v, d1, d2 = ev(lam * np.asarray(r, dtype=float))
-            return v, lam * d1, lam2 * d2
+            def rest(r, inner=rest):
+                return [f * part for f, part in zip(own, inner(lam * np.asarray(r, dtype=float)))]
 
-        return replace(
-            self,
-            evaluator=dilated_ev,
-            decay_hint=hint,
-            poly_v=None if self.poly_v is None else self.poly_v.dilated(lam),
-            poly_d1=None if self.poly_d1 is None else self.poly_d1.dilated(lam).scaled(lam),
-            poly_d2=None if self.poly_d2 is None else self.poly_d2.dilated(lam).scaled(lam2),
-            family=None,
-        )
+        return RadialProfile(tuple(None if poly is None else poly.dilated(lam).scaled(f)
+                                   for poly, f in zip(self.closed, factors)),
+                             rest, hint, self.tail_power)
 
 
 @dataclass(frozen=True)
@@ -261,19 +248,8 @@ def _gamma_prefactor(g: float, kappa: float) -> float:
     return math.exp(log_pref)
 
 
-def _evaluator_from_polys(poly_v: ExpPoly, poly_d1: ExpPoly, poly_d2: ExpPoly) -> Callable:
-    """The (v, v', v'') evaluator of closed forms."""
-
-    def ev(r):
-        return tuple(evaluate((poly_v, poly_d1, poly_d2), r))
-
-    return ev
-
-
-def _tail_profile(
-    c: float, p: float, kappa: float, s: float, fam: ExtremalFamily
-) -> RadialProfile:
-    """The profile of ``fam`` with the one-term derivative
+def _tail_profile(c: float, p: float, kappa: float, s: float) -> RadialProfile:
+    """The profile with the one-term derivative
     v' = c r^p exp(-kappa r^s), kappa, s > 0.  Substituting y = kappa x^s
     turns v(r) = -int_r^inf v' into an upper incomplete Gamma:
 
@@ -282,76 +258,28 @@ def _tail_profile(
     The prefactor is taken when v is evaluated, so a v beyond double
     range fails only the forms that read v itself.
     """
-    poly_d1 = ExpPoly(((p, c),), kappa, s)
-    poly_d2 = poly_d1.derivative()
+    d1 = ExpPoly(((p, c),), kappa, s)
     g = (p + 1.0) / s
 
-    def ev(r):
-        r = np.asarray(r, dtype=float)
-        v = -(c / s) * _gamma_prefactor(g, kappa) * regularized_gamma_q(g, kappa * np.power(r, s))
-        return (v, *evaluate((poly_d1, poly_d2), r))
+    def v(r):
+        return (-(c / s) * _gamma_prefactor(g, kappa)
+                * regularized_gamma_q(g, kappa * np.power(r, s)),)
 
-    return RadialProfile(
-        evaluator=ev,
-        decay_hint=(kappa, s),
-        poly_d1=poly_d1,
-        poly_d2=poly_d2,
-        family=fam,
-    )
+    return RadialProfile((None, d1, d1.derivative()), v, (kappa, s))
 
 
-def profile_from_exppoly(
-    poly_v: ExpPoly, family: Optional[ExtremalFamily] = None
-) -> RadialProfile:
+def profile_from_exppoly(poly_v: ExpPoly) -> RadialProfile:
     """Profile from a closed-form v; derivatives are derived symbolically."""
     if poly_v.rate <= 0.0:
         raise DomainError("profile polynomials must decay (rate > 0)")
     d1 = poly_v.derivative()
-    d2 = d1.derivative()
-    return RadialProfile(
-        evaluator=_evaluator_from_polys(poly_v, d1, d2),
-        decay_hint=(poly_v.rate, poly_v.decay_power),
-        poly_v=poly_v,
-        poly_d1=d1,
-        poly_d2=d2,
-        family=family,
-    )
+    return RadialProfile((poly_v, d1, d1.derivative()), None,
+                         (poly_v.rate, poly_v.decay_power))
 
 
 def exponential_profile(rate: float = 1.0) -> RadialProfile:
     """The reference profile v = exp(-rate * r)."""
     return profile_from_exppoly(ExpPoly(((0.0, 1.0),), rate, 1.0))
-
-
-def profile_from_callable(
-    evaluator: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    decay_hint: Optional[Tuple[float, float]] = None,
-) -> RadialProfile:
-    """Wrap a user-supplied (v, v', v'') evaluator.
-
-    v' and v'' are spot-checked against central finite differences of v
-    on a log-spaced grid (relative tolerance 1e-6 with a scale floor);
-    inconsistent triples raise DomainError.
-    """
-    profile = RadialProfile(evaluator=evaluator, decay_hint=decay_hint)
-    grid = np.geomspace(0.1, 10.0, 9)
-    h = 1e-6 * grid
-    v0, d1, d2 = evaluator(grid)
-    vp, d1p, _ = evaluator(grid + h)
-    vm, d1m, _ = evaluator(grid - h)
-    fd1 = (vp - vm) / (2.0 * h)
-    fd2 = (d1p - d1m) / (2.0 * h)
-    scale1 = np.maximum(np.abs(d1), np.maximum(np.abs(v0) / grid, 1e-30))
-    scale2 = np.maximum(np.abs(d2), np.maximum(np.abs(d1) / grid, 1e-30))
-    if not (
-        np.all(np.abs(fd1 - d1) <= 1e-6 * scale1 + 1e-12)
-        and np.all(np.abs(fd2 - d2) <= 1e-6 * scale2 + 1e-12)
-    ):
-        raise DomainError(
-            "profile evaluator failed the finite-difference consistency check: "
-            "v', v'' do not match derivatives of v within 1e-6 relative"
-        )
-    return profile
 
 
 def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec()) -> RadialProfile:
@@ -386,35 +314,28 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
                 raise RangeOverflowError(
                     f"the coefficient {formula} of the {fid} profile's {name} underflows "
                     f"double-precision range (a={a!r}, b={b!r}, m={m!r})")
-        return RadialProfile(
-            evaluator=_evaluator_from_polys(poly_v, poly_d1, poly_d2),
-            decay_hint=(b, m),
-            poly_v=poly_v,
-            poly_d1=poly_d1,
-            poly_d2=poly_d2,
-            family=fam,
-        )
+        return RadialProfile((poly_v, poly_d1, poly_d2), None, (b, m))
 
     if fid == "thm1.2-1a":
         # v(r) = a * integral_r^inf e^{-b s^m} ds.
-        return _tail_profile(-a, 0.0, b, m, fam)
+        return _tail_profile(-a, 0.0, b, m)
 
     if fid == "thmB":
-        return profile_from_exppoly(ExpPoly(((0.0, a),), b, 2.0), family=fam)
+        return profile_from_exppoly(ExpPoly(((0.0, a),), b, 2.0))
 
     if fid == "thmD":
-        return profile_from_exppoly(ExpPoly(((0.0, a),), b, 2.0 * m), family=fam)
+        return profile_from_exppoly(ExpPoly(((0.0, a),), b, 2.0 * m))
 
     if fid == "thmC-1":
         s = 1.0 - float(fam.params.beta)  # > 0
         # v' = a r e^{-kappa r^s}, kappa = b / s.
-        return _tail_profile(a, 1.0, b / s, s, fam)
+        return _tail_profile(a, 1.0, b / s, s)
 
     # "thmC-2": beta > 1, b < 0, kappa = b/(1-beta) > 0 but the
     # exponential carries a *negative* power of r (decays towards the
     # origin, algebraic r^(2-N) tail at infinity) so there is no ExpPoly
-    # form.  Substituting y = kappa x^s turns the tail integral of v'
-    # into a lower incomplete Gamma:
+    # form, and v' ~ a r^(1-N) is its tail.  Substituting y = kappa x^s
+    # turns the tail integral of v' into a lower incomplete Gamma:
     #     v(r) = -(a/|s|) kappa^{-g} Gamma(g) P(g, kappa r^s),
     #     g = (2-N)/s > 0.
     # Derivatives are assembled in log space; every exponent below is
@@ -426,12 +347,10 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
     g = (2.0 - n) / s
     scale = -(a / abs(s)) * _gamma_prefactor(g, kappa)
 
-    def ev_c2(r):
+    def rest(r):
         r = np.asarray(r, dtype=float)
-        shape = np.shape(r)
-        flat = np.ravel(r)
-        pos = flat > 0.0
-        safe = np.where(pos, flat, 1.0)
+        pos = r > 0.0
+        safe = np.where(pos, r, 1.0)
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             logr = np.log(safe)
             decay = kappa * np.power(safe, s)
@@ -443,15 +362,12 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
                      + kappa * abs(s) * np.exp((s - n) * logr - decay)),
                 0.0,
             )
-        return v.reshape(shape), d1.reshape(shape), d2.reshape(shape)
+        return v, d1, d2
 
-    return RadialProfile(evaluator=ev_c2, decay_hint=None, family=fam)
+    return RadialProfile((None, None, None), rest, None, 1.0 - n)
 
 
 # -- energies and quotients -------------------------------------------------
-
-
-_COMPONENTS = ("v", "d1", "d2")
 
 
 def _origin_power(profile: RadialProfile, order: int) -> Optional[float]:
@@ -464,10 +380,10 @@ def _origin_power(profile: RadialProfile, order: int) -> Optional[float]:
     nonzero -int_0^inf v' because v' keeps its sign, so its leading power
     is 0.
     """
-    poly = profile.component_poly(_COMPONENTS[order])
+    poly = profile.closed[order]
     if poly is not None:
         return poly.min_power
-    d1 = profile.poly_d1
+    d1 = profile.closed[1]
     if order == 0 and d1 is not None and len(d1.terms) == 1 and d1.min_power > -1.0:
         return 0.0
     return None
@@ -502,26 +418,19 @@ def _energies(
     ``integrate`` call on the stack of every live part, each weighted by
     its own power of r: on each batch of nodes every component of v the
     parts read is evaluated once, from its closed form where there is one
-    (the closed forms together, in one ``exppoly.evaluate``), else by one
-    call of the profile's evaluator.  Before it, each part whose component
-    has a known leading power at the origin (``_origin_power``) is checked
-    to converge there.
+    (the closed forms together, in one ``exppoly.evaluate``), the others
+    by one call of the profile's ``rest``.  Before it, each part whose
+    component has a known leading power at the origin (``_origin_power``)
+    is checked to converge there, and a profile with a ``tail_power`` is
+    checked to converge at infinity.
     """
     if method not in ("auto", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
-    closed_route = method == "auto" and profile.has_closed_derivatives
-    fam = profile.family
-    if fam is not None and fam.family_id == "thmC-2" and params.n + 2 * k + 2 >= 2 * fam.params.n:
-        # v' ~ a r^(1-n) at infinity for the family's dimension n, and B
-        # is the first energy to diverge because alpha > -1.
-        raise DivergentIntegralError(
-            f"energy B = int v'^2 r^{params.n + 2 * k - 1} dr of the thmC-2 profile "
-            f"diverges at infinity, where v' ~ r^{1 - fam.params.n} (k={k})"
-        )
+    polys = profile.closed
+    closed_route = method == "auto" and polys[1] is not None and polys[2] is not None
     live = [(form, order, power, coef)
             for form, parts in enumerate(form_parts(params.n, params.alpha, k))
             for order, power, coef in parts if coef != 0.0]
-    polys = [profile.component_poly(name) for name in _COMPONENTS]
     closed: List[Optional[float]] = [None] * len(live)
     if closed_route:
         # The parts read v'', v' and v in that order, so taking each
@@ -542,15 +451,27 @@ def _energies(
                 f"energy {'ABC'[form]} diverges at the origin: its part "
                 f"int |v^({order})|^2 r^{power} dr behaves like r^{2.0 * lead + power}"
             )
+    if profile.tail_power is not None:
+        # v^(j) ~ r^(t+1-j) at infinity.  B's part grows fastest, as
+        # alpha > -1, so it is the one named.
+        growth, form, order, power = max(
+            (2.0 * (profile.tail_power + 1.0 - order) + power, form, order, power)
+            for form, order, power, _ in live)
+        if growth >= -1.0:
+            raise DivergentIntegralError(
+                f"energy {'ABC'[form]} diverges at infinity: its part "
+                f"int |v^({order})|^2 r^{power} dr behaves like r^{growth}, as v' ~ "
+                f"r^{profile.tail_power}"
+            )
     orders = sorted({order for _, order, _, _ in live})
     closed_orders = [order for order in orders if polys[order] is not None]
-    evaluated = len(closed_orders) < len(orders)
+    rest_orders = [order for order in range(3) if polys[order] is None]
+    call_rest = len(closed_orders) < len(orders)
 
     def rows(r):
         comps = dict(zip(closed_orders, evaluate([polys[order] for order in closed_orders], r)))
-        if evaluated:
-            full = profile.evaluator(r)
-            comps.update((order, full[order]) for order in orders if order not in comps)
+        if call_rest:
+            comps.update(zip(rest_orders, profile.rest(r)))
         return np.stack([comps[order] for _, order, _, _ in live])
 
     hint = None
@@ -604,9 +525,9 @@ def mode_energies(
 
     Raises ConsistencyError when the two routes disagree, and
     DivergentIntegralError naming the offending exponent when a requested
-    moment diverges, naming the form when a part diverges at the origin
-    (either route), or naming B for a thmC-2 profile whose algebraic tail
-    makes it diverge.
+    moment diverges, or naming the form when a part diverges at the origin
+    (either route) or, for a profile with an algebraic ``tail_power``, at
+    infinity.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")

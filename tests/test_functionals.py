@@ -27,7 +27,6 @@ from cknlab.functionals import (
     mode_energies,
     mode_quotient,
     one_dim_quotient,
-    profile_from_callable,
     profile_from_exppoly,
 )
 from cknlab.functionals import test_function_quotient as harmonic_test_quotient
@@ -252,8 +251,9 @@ def test_incomplete_gamma_profiles_integrate_their_derivative(family_id, b, n, b
         lead = 1 if family_id == "thmC-1" else 1 - n
         amp = 1.0
     prof = extremal_profile(ExtremalFamily(family_id, 1.0, b, params))
+    assert prof.closed[0] is None
     rs = np.array([0.05, 0.5, 1.0, 3.0])
-    v = prof.evaluator(rs)[0]
+    v = prof.rest(rs)[0]
     with mpmath.workdps(30):
         for r, value in zip(rs, v):
             tail = mpmath.quad(lambda x: amp * x**lead * mpmath.exp(-kappa * x**s),
@@ -303,9 +303,47 @@ def test_profile_dilation_beyond_range_is_an_error():
     slow = extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1e-150, InequalityParams(7, 0.0)))
     with pytest.raises(RangeOverflowError, match="lam = 1e\\+160"):
         slow.dilated(1e160)
-    hinted = RadialProfile(lambda r: (r, r, r), decay_hint=(1.0, 400.0))
+    hinted = RadialProfile((None, None, None), lambda r: (r, r, r), (1.0, 400.0))
     with pytest.raises(RangeOverflowError, match="lam = 1000.0"):
         hinted.dilated(1e3)
+
+
+# One profile of each family with no closed v: the rest evaluator gives v
+# of thmC-1 (read by C at k = 1) and every component of thmC-2.
+REST_PROFILES = {
+    "thm1.2-1a": (InequalityParams(1, -0.75), None),
+    "thmC-1": (InequalityParams(4, 0.0, 0.5), 1),
+    "thmC-2": (InequalityParams(6, 0.0, 1.5), 1),
+}
+
+
+@pytest.mark.parametrize("family_id", REST_PROFILES)
+@pytest.mark.parametrize("transform", [
+    lambda p: p.dilated(0.5), lambda p: p.dilated(3.0),
+    lambda p: p.scaled(-3.0), lambda p: p.scaled(7.0),
+], ids=["dilated-0.5", "dilated-3", "scaled--3", "scaled-7"])
+def test_rest_profiles_are_dilation_and_amplitude_invariant(family_id, transform):
+    params, k = REST_PROFILES[family_id]
+    b = -1.0 if family_id == "thmC-2" else 1.0
+    prof = extremal_profile(ExtremalFamily(family_id, 1.0, b, params))
+    if k is None:
+        base, moved = (one_dim_quotient(p, params.alpha) for p in (prof, transform(prof)))
+    else:
+        base, moved = (mode_quotient(p, params, k) for p in (prof, transform(prof)))
+    assert moved == pytest.approx(base, rel=1e-9)
+
+
+@pytest.mark.parametrize("transform", [lambda p: p.dilated(2.0), lambda p: p.scaled(3.0)],
+                         ids=["dilated", "scaled"])
+def test_rescaled_thmc2_profile_keeps_its_divergence_check(transform):
+    # B = int v'^2 r^(N+2k-1) dr diverges at infinity for 2k >= N - 2, where
+    # v' ~ r^(1-N), for a rescaled profile too: without the check the
+    # quadrature runs to NonConvergenceError.
+    params = InequalityParams(5, 0.0, 1.5)
+    prof = extremal_profile(ExtremalFamily("thmC-2", 1.0, -1.0, params))
+    for profile in (prof, transform(prof)):
+        with pytest.raises(DivergentIntegralError, match="energy B diverges at infinity"):
+            mode_quotient(profile, params, 2)
 
 
 @given(coeffs3, st.sampled_from([-3.0, 0.1, 7.0]))
@@ -350,35 +388,14 @@ def test_random_profiles_satisfy_mode_hardy_step(rng):
         assert lhs <= rhs * (1.0 + 1e-9)
 
 
-def test_callable_profile_validation():
-    def inconsistent(r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-r), np.exp(-r), np.exp(-r)
-
-    with pytest.raises(DomainError):
-        profile_from_callable(inconsistent)
-
-
 def test_zero_profile_denominator():
     def zero(r):
-        r = np.asarray(r, dtype=float)
         z = np.zeros_like(r)
         return z, z, z
 
-    prof = profile_from_callable(zero, decay_hint=(1.0, 1.0))
+    prof = RadialProfile((None, None, None), zero, (1.0, 1.0))
     with pytest.raises(ZeroDenominatorError):
         mode_quotient(prof, InequalityParams(5, 0.0), 0)
-
-
-def test_quotient_rejects_undecayed_callable_consistency():
-    # A profile whose reported derivatives disagree with v beyond the
-    # finite-difference tolerance must not slip through silently.
-    def skewed(r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-r), -1.001 * np.exp(-r), np.exp(-r)
-
-    with pytest.raises(DomainError):
-        profile_from_callable(skewed)
 
 
 def test_one_dim_requires_valid_weight():
