@@ -1,20 +1,25 @@
 """Exponential polynomials: finite sums  sum_j c_j r^(g_j) exp(-b r^q).
 
-Every closed-form radial profile in this package (the extremal families,
-the variational basis functions, their derivatives) lives in this class,
+Every radial profile in this package (the extremal families, the
+variational basis functions, their derivatives) lives in this class,
 which is closed under differentiation, pointwise products (rates add)
-and dilation.  Its weighted moments
+and dilation.  The decay power q takes either sign: q > 0 decays at
+infinity, q < 0 at the origin (the flat-origin "thmC-2" profiles).  Its
+weighted moments
 
     integral_0^inf  poly(r) r^p dr
 
 are sums over ladders: terms whose powers g0 + m q differ by whole steps
-of the decay power q.  Since Gamma(s + 1) = s Gamma(s), the moments of a
-ladder's terms are W(g0 + p) (s0)_m b^(-m), s0 = (g0 + p + 1)/q, with W
-:func:`cknlab.special.weighted_exp_integral` and (s0)_m the rising
-factorial, so a ladder takes one Gamma factor times a rising-factorial
-sum.  The square of a one-ladder polynomial is again one ladder, whose
-coefficients are the autoconvolution of the polynomial's:
-``square_moments`` gives its moments without building the product.  A
+of q, from the power g0 that leads where the decay does not reach (the
+lowest, at the origin, for q > 0; the highest, at infinity, for q < 0).
+Since Gamma(s + 1) = s Gamma(s), the moments of a ladder's terms are
+W(g0 + p) (s0)_m b^(-m), s0 = (g0 + p + 1)/q, which converge when
+s0 > 0, with W :func:`cknlab.special.weighted_exp_integral` and (s0)_m
+the rising factorial, so a ladder takes one Gamma factor times a
+rising-factorial sum.  The square of a one-ladder polynomial is again
+one ladder, whose coefficients are the autoconvolution of the
+polynomial's: ``square_moments`` gives its moments without building the
+product.  A
 sum whose rounding could reach ``_LADDER_RTOL`` of its value (one that
 cancels) is redone exactly.  That is what makes the dual
 closed-form/quadrature energy paths cheap.
@@ -36,16 +41,16 @@ from .special import weighted_exp_integral
 
 __all__ = ["ExpPoly", "evaluate"]
 
-# Powers/coefficients closer than this are merged/dropped when building.
-_MERGE_TOL = 1e-12
-# A power this close to a ladder's rung, relative to the larger of 1 and
-# the powers' size, is on it: that is the rounding of the exponent
-# arithmetic that made it (at most 4 units of 2^-53 on the extremal and
-# coefficient profiles and their squares at 310 weights), not a power of
-# its own, whose moment the rung's power would get wrong.
+# A power this close to another, or to a ladder's rung, relative to the
+# larger of 1 and the powers' size, is the same power: that is the
+# rounding of the exponent arithmetic that made it (at most 4 units of
+# 2^-53 on the extremal and coefficient profiles and their squares at 310
+# weights), not a power of its own, whose moment the other's would get
+# wrong.  Building merges such powers, and a ladder takes such a term on
+# its rung.
 _RUNG_TOL = 2.0**-49
-# A ladder takes terms up to this many steps q above its lowest power; a
-# term further up starts a ladder of its own, so that the rising factorial
+# A ladder takes terms up to this many steps q from its first power; a
+# term further on starts a ladder of its own, so that the rising factorial
 # takes few steps.
 _MAX_RUNG = 64
 # A float ladder sum whose rounding bound exceeds this, relative to its
@@ -73,7 +78,7 @@ def _normalize(terms: Iterable[Tuple[float, float]]) -> Tuple[Tuple[float, float
             continue
         # Merge powers that are equal up to rounding of exponent arithmetic.
         for key in merged:
-            if abs(key - g) <= _MERGE_TOL * max(1.0, abs(key)):
+            if abs(key - g) <= _RUNG_TOL * max(1.0, abs(key)):
                 merged[key] += c
                 break
         else:
@@ -102,10 +107,12 @@ def _check_product_powers(terms1, terms2) -> None:
 
 def _ladders(terms: Tuple[Tuple[float, float], ...], q: float) -> List[Tuple[float, List[float]]]:
     """Terms in ascending power grouped into ladders: (g0, [c_0, c_1, ...])
-    with c_m the coefficient of r^(g0 + m q), g0 the ladder's lowest power.
-    A power within rounding (``_RUNG_TOL``) of a rung is taken to be on it."""
+    with c_m the coefficient of r^(g0 + m q), g0 the ladder's first power,
+    its lowest for q > 0 and its highest for q < 0.  The first ladder
+    starts at the power that leads where the decay does not reach.  A
+    power within rounding (``_RUNG_TOL``) of a rung is taken to be on it."""
     ladders: List[Tuple[float, List[float]]] = []
-    for g, c in terms:
+    for g, c in (terms if q > 0.0 else reversed(terms)):
         for base, coefs in ladders:
             steps = (g - base) / q
             if steps <= _MAX_RUNG + 0.5:
@@ -218,8 +225,10 @@ class ExpPoly:
     """sum_j c_j r^(g_j) * exp(-rate * r^(decay_power)).
 
     ``terms`` holds (power, coefficient) pairs, given finite; an empty
-    tuple is the zero function.  ``rate`` = 0 means no exponential factor
-    (then ``decay_power`` is irrelevant but kept for algebra).
+    tuple is the zero function.  ``decay_power`` q is finite and nonzero:
+    the factor decays at infinity for q > 0 and at the origin for q < 0.
+    ``rate`` = 0 means no exponential factor (then q is irrelevant but
+    kept for algebra).
     """
 
     terms: Tuple[Tuple[float, float], ...]
@@ -240,8 +249,8 @@ class ExpPoly:
                         raise DomainError(f"term coefficients must be finite, got {given!r}")
         if not (math.isfinite(self.rate) and self.rate >= 0.0):
             raise DomainError(f"rate must be finite and >= 0, got {self.rate!r}")
-        if not (math.isfinite(self.decay_power) and self.decay_power > 0.0):
-            raise DomainError(f"decay_power must be finite and > 0, got {self.decay_power!r}")
+        if not (math.isfinite(self.decay_power) and self.decay_power != 0.0):
+            raise DomainError(f"decay_power must be finite and nonzero, got {self.decay_power!r}")
 
     # -- queries ---------------------------------------------------------
 
@@ -250,10 +259,13 @@ class ExpPoly:
         return not self.terms
 
     @property
-    def min_power(self) -> float:
+    def lead_power(self) -> float:
+        """The power that leads where the decay does not reach: the lowest
+        (at the origin) for q > 0, the highest (at infinity) for q < 0;
+        +inf or -inf there for the zero polynomial."""
         if not self.terms:
-            return math.inf
-        return self.terms[0][0]
+            return math.copysign(math.inf, self.decay_power)
+        return self.terms[0 if self.decay_power > 0.0 else -1][0]
 
     # -- evaluation ------------------------------------------------------
 
@@ -263,11 +275,14 @@ class ExpPoly:
     # -- algebra ---------------------------------------------------------
 
     def derivative(self) -> "ExpPoly":
-        if self.rate != 0.0 and self.terms and not math.isfinite(
-                self.terms[-1][0] + self.decay_power - 1.0):
-            raise RangeOverflowError(
-                f"the power {self.terms[-1][0]!r} + q - 1 of the derivative exceeds "
-                f"double-precision range (q {self.decay_power!r})")
+        if self.rate != 0.0 and self.terms:
+            # The power g + q - 1 of the decay's term is extreme at the
+            # highest g for q > 0 and at the lowest for q < 0.
+            end = self.terms[-1 if self.decay_power > 0.0 else 0][0]
+            if not math.isfinite(end + self.decay_power - 1.0):
+                raise RangeOverflowError(
+                    f"the power {end!r} + q - 1 of the derivative exceeds "
+                    f"double-precision range (q {self.decay_power!r})")
         new = []
         for g, c in self.terms:
             if g != 0.0:
@@ -344,9 +359,9 @@ class ExpPoly:
     # -- moments ---------------------------------------------------------
 
     def moment(self, p: float) -> float:
-        """integral_0^inf self(r) r^p dr (requires rate > 0 and every
-        term power to satisfy g + p > -1), one ladder at a time (see the
-        module docstring).
+        """integral_0^inf self(r) r^p dr (requires rate > 0 and
+        (g + p + 1)/q > 0 for every term power g), one ladder at a time
+        (see the module docstring).
 
         Raises RangeOverflowError where a coefficient (a sum of finite
         ones on one power), a term of a ladder's sum or the moment itself
@@ -356,7 +371,7 @@ class ExpPoly:
             return 0.0
         self._check_rate()
         p = float(p)
-        self._check_origin(self.min_power + p)
+        self._check_end(self.lead_power + p)
         return math.fsum(
             _ladder_moment((base, coefs, [abs(c) for c in coefs], 0, coefs, None),
                            p, self.rate, self.decay_power)
@@ -397,7 +412,7 @@ class ExpPoly:
         moments = []
         for p in powers:
             p = float(p)
-            self._check_origin(low + p)
+            self._check_end(low + p)
             moments.append(_ladder_moment(ladder, p, rate, self.decay_power))
         return moments
 
@@ -407,13 +422,16 @@ class ExpPoly:
                 "moment of a pure polynomial (rate = 0) diverges at infinity"
             )
 
-    @staticmethod
-    def _check_origin(lowest: float) -> None:
-        """A moment whose lowest combined exponent is ``lowest`` converges
-        at the origin."""
-        if lowest <= -1.0:
+    def _check_end(self, lead: float) -> None:
+        """A moment whose combined exponent ``lead`` leads where the decay
+        does not reach converges there."""
+        if self.decay_power > 0.0 and lead <= -1.0:
             raise DivergentIntegralError(
-                f"moment diverges at the origin: minimum combined exponent {lowest} <= -1"
+                f"moment diverges at the origin: minimum combined exponent {lead} <= -1"
+            )
+        if self.decay_power < 0.0 and lead >= -1.0:
+            raise DivergentIntegralError(
+                f"moment diverges at infinity: maximum combined exponent {lead} >= -1"
             )
 
 

@@ -14,13 +14,13 @@ omitted):
 with a the weight exponent alpha, and the per-mode quotient is
 Q = A B / C^2, invariant under amplitude scaling and dilation of v.
 
-A profile gives each of v, v', v'' once: in closed form, as an
-exponential polynomial, where it has one, and otherwise from one
-vectorised evaluator of the rest (the incomplete-Gamma v of the tail
-families, every component of "thmC-2").  Where both derivatives are
-closed, the energies are computed two independent ways (Gamma closed
-forms vs adaptive quadrature) and cross-checked; a part that reads a
-component with no closed form has the quadrature route only.
+A profile is three exponential polynomials, v, v' and v'' (``ExpPoly``,
+whose decay power takes either sign), except that v may be left out: it
+is then the tail integral -int_r^inf v' of a one-term v', an incomplete
+Gamma function (the families "thm1.2-1a", "thmC-1" and "thmC-2").  The
+energies are computed two independent ways, Gamma closed forms vs
+adaptive quadrature, and cross-checked; a part that reads a left-out v
+has the quadrature route only.
 
 The closed-form extremal families are named by opaque ids (the CLI's
 --family vocabulary).  With m := alpha + 1:
@@ -32,9 +32,9 @@ The closed-form extremal families are named by opaque ids (the CLI's
 * "thmB": v = a exp(-b r^2);
 * "thmC-1" (beta < 1, b > 0):  v' = a r exp(-kappa r^(1-beta)),
   kappa = b / (1 - beta); v itself is an upper incomplete Gamma;
-* "thmC-2" (beta > 1, b < 0):  v' = a r^(1-N) exp(-kappa r^(1-beta));
-  v is a lower incomplete Gamma, flat at the origin with an algebraic
-  r^(2-N) tail;
+* "thmC-2" (beta > 1, b < 0):  v' = a r^(1-N) exp(-kappa r^(1-beta)),
+  kappa = b / (1 - beta), a decay towards the origin; v is a lower
+  incomplete Gamma, flat at the origin with an algebraic r^(2-N) tail;
 * "thmD": v = a exp(-b r^(2m)).
 """
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -126,72 +126,58 @@ class ExtremalFamily:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A radial profile v, each of v, v', v'' given once.
+    """A radial profile v, given by the exponential polynomials
+    ``closed`` = (v, v', v'').
 
-    ``closed`` holds (v, v', v'') in closed form, each an ``ExpPoly`` or
-    None.  ``rest(r)`` returns the components that have none, in that
-    order, as float arrays for r > 0: the incomplete-Gamma v of a tail
-    family, or all three for "thmC-2"; it is None for a closed profile.
-    ``decay_hint`` (c, q) says that v decays like exp(-c r^q).
-    ``tail_power`` t, for a profile that decays only algebraically, says
-    that v' behaves like r^t at infinity (t < -1), so that v, v', v''
-    behave like r^(t+1), r^t, r^(t-1); dilation and scaling keep it.
+    v may be None: it is then the tail integral -int_r^inf v' of a
+    one-term v' = c r^p exp(-kappa r^s) with kappa > 0 and (p+1)/s > 0,
+    an incomplete Gamma function (``_tail_values``).  Scaling and
+    dilation act on the polynomials, so a left-out v stays the tail
+    integral of its v'.
     """
 
-    closed: Tuple[Optional[ExpPoly], Optional[ExpPoly], Optional[ExpPoly]]
-    rest: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
-    decay_hint: Optional[Tuple[float, float]] = None
-    tail_power: Optional[float] = None
+    closed: Tuple[Optional[ExpPoly], ExpPoly, ExpPoly]
 
     def __post_init__(self) -> None:
-        if len(self.closed) != 3:
-            raise DomainError("a profile's closed forms are (v, v', v''), each an ExpPoly or None")
-        if None in self.closed and not callable(self.rest):
-            raise DomainError("a profile needs a callable rest for the components "
-                              "with no closed form")
+        if not (len(self.closed) == 3 and isinstance(self.closed[0], (ExpPoly, type(None)))
+                and all(isinstance(poly, ExpPoly) for poly in self.closed[1:])):
+            raise DomainError("a profile is (v, v', v''), each an ExpPoly, with v None for "
+                              "the tail integral of v'")
+        v, d1, _ = self.closed
+        if v is None and not (len(d1.terms) == 1 and d1.rate > 0.0
+                              and (d1.terms[0][0] + 1.0) / d1.decay_power > 0.0):
+            raise DomainError("a profile without v needs a one-term v' = c r^p exp(-kappa r^s), "
+                              "kappa > 0, (p+1)/s > 0, whose tail integral is v")
+
+    @property
+    def decay_hint(self) -> Optional[Tuple[float, float]]:
+        """(rate, q) of v' where it decays at infinity (q > 0), else None."""
+        d1 = self.closed[1]
+        return (d1.rate, d1.decay_power) if d1.decay_power > 0.0 else None
 
     def scaled(self, s: float) -> "RadialProfile":
         """Amplitude-scaled profile s * v."""
         if not (math.isfinite(s) and s != 0.0):
             raise DomainError(f"scale must be finite and nonzero, got {s!r}")
-        rest = self.rest
-        if rest is not None:
-            def rest(r, inner=rest):
-                return [s * part for part in inner(r)]
-
         return RadialProfile(tuple(None if poly is None else poly.scaled(s)
-                                   for poly in self.closed),
-                             rest, self.decay_hint, self.tail_power)
+                                   for poly in self.closed))
 
     def dilated(self, lam: float) -> "RadialProfile":
         """The profile r -> v(lam * r): the order-j component gains lam^j.
 
-        Raises RangeOverflowError where lam^2 or the power lam^q of the
-        decay hint exceeds double-precision range, as ``ExpPoly.dilated``
-        does for the closed forms.
+        Raises RangeOverflowError where lam^2, or a power of lam that
+        ``ExpPoly.dilated`` takes, exceeds double-precision range.
         """
         if not (math.isfinite(lam) and lam > 0.0):
             raise DomainError(f"dilation factor must be finite and > 0, got {lam!r}")
-        hint = self.decay_hint
         try:
             factors = (1.0, lam, lam**2)
-            if hint is not None:
-                c, q = hint
-                hint = (c * lam**q, q)
         except OverflowError:
             raise RangeOverflowError(
-                f"a power lam^2 or lam^q of the dilation factor lam = {lam!r} exceeds "
+                f"the power lam^2 of the dilation factor lam = {lam!r} exceeds "
                 "double-precision range") from None
-        rest = self.rest
-        if rest is not None:
-            own = [f for poly, f in zip(self.closed, factors) if poly is None]
-
-            def rest(r, inner=rest):
-                return [f * part for f, part in zip(own, inner(lam * np.asarray(r, dtype=float)))]
-
         return RadialProfile(tuple(None if poly is None else poly.dilated(lam).scaled(f)
-                                   for poly, f in zip(self.closed, factors)),
-                             rest, hint, self.tail_power)
+                                   for poly, f in zip(self.closed, factors)))
 
 
 @dataclass(frozen=True)
@@ -248,24 +234,28 @@ def _gamma_prefactor(g: float, kappa: float) -> float:
     return math.exp(log_pref)
 
 
-def _tail_profile(c: float, p: float, kappa: float, s: float) -> RadialProfile:
-    """The profile with the one-term derivative
-    v' = c r^p exp(-kappa r^s), kappa, s > 0.  Substituting y = kappa x^s
-    turns v(r) = -int_r^inf v' into an upper incomplete Gamma:
+def _tail_values(d1: ExpPoly, r: np.ndarray) -> np.ndarray:
+    """v = -int_r^inf v' at r > 0 for a one-term v' = c r^p exp(-kappa r^s).
+    Substituting y = kappa x^s turns it into an incomplete Gamma:
 
-        v(r) = -(c/s) kappa^(-g) Gamma(g) Q(g, kappa r^s),   g = (p+1)/s.
+        v(r) = -(c/|s|) kappa^(-g) Gamma(g) R(g, kappa r^s),   g = (p+1)/s,
 
-    The prefactor is taken when v is evaluated, so a v beyond double
+    with R the upper Q for s > 0 and the lower P for s < 0, where y runs
+    the other way.  The prefactor is taken here, so a v beyond double
     range fails only the forms that read v itself.
     """
-    d1 = ExpPoly(((p, c),), kappa, s)
+    (p, c), = d1.terms
+    kappa, s = d1.rate, d1.decay_power
     g = (p + 1.0) / s
+    incomplete = regularized_gamma_q if s > 0.0 else regularized_gamma_p
+    return -(c / abs(s)) * _gamma_prefactor(g, kappa) * incomplete(g, kappa * np.power(r, s))
 
-    def v(r):
-        return (-(c / s) * _gamma_prefactor(g, kappa)
-                * regularized_gamma_q(g, kappa * np.power(r, s)),)
 
-    return RadialProfile((None, d1, d1.derivative()), v, (kappa, s))
+def _tail_profile(c: float, p: float, kappa: float, s: float) -> RadialProfile:
+    """The profile whose v is the tail integral of the one-term
+    v' = c r^p exp(-kappa r^s)."""
+    d1 = ExpPoly(((p, c),), kappa, s)
+    return RadialProfile((None, d1, d1.derivative()))
 
 
 def profile_from_exppoly(poly_v: ExpPoly) -> RadialProfile:
@@ -273,8 +263,7 @@ def profile_from_exppoly(poly_v: ExpPoly) -> RadialProfile:
     if poly_v.rate <= 0.0:
         raise DomainError("profile polynomials must decay (rate > 0)")
     d1 = poly_v.derivative()
-    return RadialProfile((poly_v, d1, d1.derivative()), None,
-                         (poly_v.rate, poly_v.decay_power))
+    return RadialProfile((poly_v, d1, d1.derivative()))
 
 
 def exponential_profile(rate: float = 1.0) -> RadialProfile:
@@ -285,7 +274,7 @@ def exponential_profile(rate: float = 1.0) -> RadialProfile:
 def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec()) -> RadialProfile:
     """The RadialProfile of a closed-form extremal family member.
 
-    Every family's v is in closed form, so ``spec`` is not used."""
+    ``spec`` is not used; it is kept for callers."""
     a, b = float(fam.a), float(fam.b)
     alpha = float(fam.params.alpha)
     m = alpha + 1.0
@@ -314,7 +303,7 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
                 raise RangeOverflowError(
                     f"the coefficient {formula} of the {fid} profile's {name} underflows "
                     f"double-precision range (a={a!r}, b={b!r}, m={m!r})")
-        return RadialProfile((poly_v, poly_d1, poly_d2), None, (b, m))
+        return RadialProfile((poly_v, poly_d1, poly_d2))
 
     if fid == "thm1.2-1a":
         # v(r) = a * integral_r^inf e^{-b s^m} ds.
@@ -331,62 +320,29 @@ def extremal_profile(fam: ExtremalFamily, spec: QuadratureSpec = QuadratureSpec(
         # v' = a r e^{-kappa r^s}, kappa = b / s.
         return _tail_profile(a, 1.0, b / s, s)
 
-    # "thmC-2": beta > 1, b < 0, kappa = b/(1-beta) > 0 but the
-    # exponential carries a *negative* power of r (decays towards the
-    # origin, algebraic r^(2-N) tail at infinity) so there is no ExpPoly
-    # form, and v' ~ a r^(1-N) is its tail.  Substituting y = kappa x^s
-    # turns the tail integral of v' into a lower incomplete Gamma:
-    #     v(r) = -(a/|s|) kappa^{-g} Gamma(g) P(g, kappa r^s),
-    #     g = (2-N)/s > 0.
-    # Derivatives are assembled in log space; every exponent below is
-    # dominated by -kappa r^s near the origin, so no overflow arises.
-    beta = float(fam.params.beta)
-    s = 1.0 - beta  # < 0
-    kappa = b / s  # > 0
-    n = fam.params.n
-    g = (2.0 - n) / s
-    scale = -(a / abs(s)) * _gamma_prefactor(g, kappa)
-
-    def rest(r):
-        r = np.asarray(r, dtype=float)
-        pos = r > 0.0
-        safe = np.where(pos, r, 1.0)
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            logr = np.log(safe)
-            decay = kappa * np.power(safe, s)
-            v = np.where(pos, scale * regularized_gamma_p(g, decay), scale)
-            d1 = np.where(pos, a * np.exp((1.0 - n) * logr - decay), 0.0)
-            d2 = np.where(
-                pos,
-                a * ((1.0 - n) * np.exp(-n * logr - decay)
-                     + kappa * abs(s) * np.exp((s - n) * logr - decay)),
-                0.0,
-            )
-        return v, d1, d2
-
-    return RadialProfile((None, None, None), rest, None, 1.0 - n)
+    # "thmC-2": beta > 1, b < 0; v' = a r^(1-N) e^{-kappa r^s} decays
+    # towards the origin, as s = 1 - beta < 0 and kappa = b / s > 0.
+    s = 1.0 - float(fam.params.beta)
+    return _tail_profile(a, 1.0 - fam.params.n, b / s, s)
 
 
 # -- energies and quotients -------------------------------------------------
 
 
-def _origin_power(profile: RadialProfile, order: int) -> Optional[float]:
-    """The leading power at the origin of the ``order``-th derivative of v,
-    or None when it is not known.
+def _lead(profile: RadialProfile, order: int) -> Tuple[float, float]:
+    """(t, q): the ``order``-th derivative of v behaves like r^t where its
+    decay power q does not reach, at the origin for q > 0 and at infinity
+    for q < 0.
 
-    It is the lowest power of the closed form.  A v with no closed form
-    but a one-term closed v' = c r^p e^(-kappa r^s), p > -1, is taken to
-    be -int_r^inf v', as ``_tail_profile`` builds it: it tends to the
-    nonzero -int_0^inf v' because v' keeps its sign, so its leading power
-    is 0.
+    A left-out v = -int_r^inf v' tends at the origin to the nonzero
+    -int_0^inf v', as v' keeps its sign, so t = 0 there; at infinity
+    t = p + 1 for v' ~ r^p.
     """
     poly = profile.closed[order]
     if poly is not None:
-        return poly.min_power
+        return poly.lead_power, poly.decay_power
     d1 = profile.closed[1]
-    if order == 0 and d1 is not None and len(d1.terms) == 1 and d1.min_power > -1.0:
-        return 0.0
-    return None
+    return (0.0 if d1.decay_power > 0.0 else d1.lead_power + 1.0), d1.decay_power
 
 
 def _combine(pairs, coefs) -> Tuple[float, Optional[float]]:
@@ -412,27 +368,43 @@ def _energies(
     """The energy triple of ``form_parts``; parts with a zero coefficient
     are skipped.
 
+    First each part is checked to converge where its component's decay
+    does not reach (``_lead``): the first part that diverges at the
+    origin is named, and of those read at infinity the fastest-growing.
     The closed route takes every part of one component from one
     ``ExpPoly.square_moments`` call: on the exponent ladder, one Gamma
     factor a part and no product polynomial.  The quadrature route is one
     ``integrate`` call on the stack of every live part, each weighted by
-    its own power of r: on each batch of nodes every component of v the
-    parts read is evaluated once, from its closed form where there is one
-    (the closed forms together, in one ``exppoly.evaluate``), the others
-    by one call of the profile's ``rest``.  Before it, each part whose
-    component has a known leading power at the origin (``_origin_power``)
-    is checked to converge there, and a profile with a ``tail_power`` is
-    checked to converge at infinity.
+    its own power of r: on each batch of nodes every component the parts
+    read is evaluated once, the polynomials together in one
+    ``exppoly.evaluate`` and a left-out v by ``_tail_values``.
     """
     if method not in ("auto", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
     polys = profile.closed
-    closed_route = method == "auto" and polys[1] is not None and polys[2] is not None
     live = [(form, order, power, coef)
             for form, parts in enumerate(form_parts(params.n, params.alpha, k))
             for order, power, coef in parts if coef != 0.0]
+    far = []
+    for form, order, power, _ in live:
+        lead, q = _lead(profile, order)
+        growth = 2.0 * lead + power
+        if q > 0.0 and growth <= -1.0:
+            raise DivergentIntegralError(
+                f"energy {'ABC'[form]} diverges at the origin: its part "
+                f"int |v^({order})|^2 r^{power} dr behaves like r^{growth}"
+            )
+        if q < 0.0:
+            far.append((growth, form, order, power))
+    if far and max(far)[0] >= -1.0:
+        growth, form, order, power = max(far)
+        raise DivergentIntegralError(
+            f"energy {'ABC'[form]} diverges at infinity: its part "
+            f"int |v^({order})|^2 r^{power} dr behaves like r^{growth}, as v' ~ "
+            f"r^{polys[1].lead_power}"
+        )
     closed: List[Optional[float]] = [None] * len(live)
-    if closed_route:
+    if method == "auto":
         # The parts read v'', v' and v in that order, so taking each
         # component's parts together keeps the order of the moments: the
         # first part that fails is the one that raises.
@@ -444,40 +416,19 @@ def _energies(
                 moments = polys[order].square_moments([live[i][2] for i in index])
                 for i, value in zip(index, moments):
                     closed[i] = value
-    for form, order, power, _ in live:
-        lead = _origin_power(profile, order)
-        if lead is not None and 2.0 * lead + power <= -1.0:
-            raise DivergentIntegralError(
-                f"energy {'ABC'[form]} diverges at the origin: its part "
-                f"int |v^({order})|^2 r^{power} dr behaves like r^{2.0 * lead + power}"
-            )
-    if profile.tail_power is not None:
-        # v^(j) ~ r^(t+1-j) at infinity.  B's part grows fastest, as
-        # alpha > -1, so it is the one named.
-        growth, form, order, power = max(
-            (2.0 * (profile.tail_power + 1.0 - order) + power, form, order, power)
-            for form, order, power, _ in live)
-        if growth >= -1.0:
-            raise DivergentIntegralError(
-                f"energy {'ABC'[form]} diverges at infinity: its part "
-                f"int |v^({order})|^2 r^{power} dr behaves like r^{growth}, as v' ~ "
-                f"r^{profile.tail_power}"
-            )
     orders = sorted({order for _, order, _, _ in live})
     closed_orders = [order for order in orders if polys[order] is not None]
-    rest_orders = [order for order in range(3) if polys[order] is None]
-    call_rest = len(closed_orders) < len(orders)
+    tail = len(closed_orders) < len(orders)
 
     def rows(r):
         comps = dict(zip(closed_orders, evaluate([polys[order] for order in closed_orders], r)))
-        if call_rest:
-            comps.update(zip(rest_orders, profile.rest(r)))
+        if tail:
+            comps[0] = _tail_values(polys[1], r)
         return np.stack([comps[order] for _, order, _, _ in live])
 
-    hint = None
-    if profile.decay_hint is not None:
-        c, q = profile.decay_hint
-        hint = (2.0 * c, q)
+    hint = profile.decay_hint
+    if hint is not None:
+        hint = (2.0 * hint[0], hint[1])
     res = integrate(rows, tuple(part[2] for part in live), spec, decay_hint=hint)
     quad = res.value.tolist()
     energies, gaps = [], []
@@ -494,7 +445,7 @@ def _energies(
             f"closed-form and quadrature energies disagree (rel gap {rel_gap:.3e} "
             f"> {ENERGY_AGREEMENT_RTOL}) for k={k}, params={params!r}"
         )
-    return ModeEnergy(*energies, k, params, "both" if closed_route else "quadrature",
+    return ModeEnergy(*energies, k, params, "both" if method == "auto" else "quadrature",
                       res.levels_used, res.nodes_used, rel_gap)
 
 
@@ -519,15 +470,13 @@ def mode_energies(
 
     ``method``:
 
-    * "auto" (default): both routes when the profile has closed
-      derivative forms (cross-checked to 1e-9 relative), else quadrature;
+    * "auto" (default): both routes, cross-checked to 1e-9 relative; a
+      part that reads a left-out v has the quadrature route only;
     * "quadrature": adaptive quadrature only.
 
     Raises ConsistencyError when the two routes disagree, and
-    DivergentIntegralError naming the offending exponent when a requested
-    moment diverges, or naming the form when a part diverges at the origin
-    (either route) or, for a profile with an algebraic ``tail_power``, at
-    infinity.
+    DivergentIntegralError naming the form when a part diverges at the
+    origin or, for a profile that decays towards the origin, at infinity.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")

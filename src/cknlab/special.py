@@ -3,7 +3,7 @@
 Everything downstream (exponential-polynomial moments, closed-form Gram
 matrices, the sharp-constant checks) reduces to integrals of the form
 
-    integral_0^inf  r^p exp(-c r^q) dr  =  Gamma((p+1)/q) / (q c^((p+1)/q)),
+    integral_0^inf  r^p exp(-c r^q) dr  =  Gamma((p+1)/q) / (|q| c^((p+1)/q)),
 
 so this module provides ``gamma``, ``log_gamma`` and that weighted
 exponential moment with careful domain and overflow handling.  It also
@@ -89,22 +89,24 @@ def log_gamma(t: float) -> float:
 def weighted_exp_integral(p: float, c: float, q: float) -> float:
     """Closed form of  integral_0^inf  r^p exp(-c r^q) dr.
 
-    Equals Gamma((p+1)/q) / (q * c^((p+1)/q)).
+    Equals Gamma((p+1)/q) / (|q| * c^((p+1)/q)), for a decay power q of
+    either sign: q > 0 decays at infinity and needs p > -1 for the
+    origin, q < 0 decays at the origin and needs p < -1 for infinity, so
+    that (p+1)/q > 0 either way.
 
     Parameters
     ----------
     p : float
-        Power weight exponent; must satisfy p > -1 (else the integral
-        diverges at the origin).
+        Power weight exponent; p > -1 when q > 0, p < -1 when q < 0.
     c : float
         Exponential rate, c > 0.
     q : float
-        Exponential power, q > 0.
+        Exponential power, finite and nonzero.
 
     Raises
     ------
     DivergentIntegralError
-        If p <= -1, c <= 0 or q <= 0.
+        If (p+1)/q <= 0, c <= 0 or q = 0.
     RangeOverflowError
         If the value exceeds double range.  Underflow to 0.0 is allowed.
     """
@@ -112,21 +114,26 @@ def weighted_exp_integral(p: float, c: float, q: float) -> float:
     for name, val in (("p", p), ("c", c), ("q", q)):
         if not math.isfinite(val):
             raise DomainError(f"weighted_exp_integral argument {name}={val!r} is not finite")
-    if p <= -1.0:
+    if q > 0.0 and p <= -1.0:
         raise DivergentIntegralError(
             f"weight exponent p={p} <= -1: integral diverges at the origin"
         )
+    if q < 0.0 and p >= -1.0:
+        raise DivergentIntegralError(
+            f"weight exponent p={p} >= -1 with decay power q={q} < 0: integral diverges "
+            "at infinity"
+        )
     if c <= 0.0:
         raise DivergentIntegralError(f"decay rate c={c} <= 0: integral diverges at infinity")
-    if q <= 0.0:
-        raise DivergentIntegralError(f"decay power q={q} <= 0: integrand does not decay")
+    if q == 0.0:
+        raise DivergentIntegralError(f"decay power q={q} is zero: integrand does not decay")
 
     s = (p + 1.0) / q
     scale = s * math.log(c)
     if s <= 171.0 and abs(scale) <= 600.0:
-        return gamma(s) / (q * c**s)
+        return gamma(s) / (abs(q) * c**s)
     # Log-space branch for extreme magnitudes.
-    lg = log_gamma(s) - scale - math.log(q)
+    lg = log_gamma(s) - scale - math.log(abs(q))
     if lg > _LOG_DBL_MAX:
         raise RangeOverflowError(
             f"weighted_exp_integral(p={p}, c={c}, q={q}) exceeds double-precision range"

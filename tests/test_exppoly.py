@@ -30,7 +30,12 @@ def exppolys(draw):
     return ExpPoly(terms, rate, q)
 
 
+# A polynomial whose decay reaches the origin (q < 0).
+_FLAT_ORIGIN = ExpPoly(((-3.0, 1.5), (-1.25, -2.0), (0.5, 0.75)), 0.75, -0.5)
+
+
 @given(exppolys())
+@example(_FLAT_ORIGIN)
 @settings(max_examples=100, deadline=None)
 def test_derivative_matches_finite_differences(p):
     if p.terms and all(c * g == 0.0 and c * p.rate * p.decay_power == 0.0
@@ -93,11 +98,15 @@ def test_moment_equals_weighted_exp_integral():
     assert p.moment(4.0) == pytest.approx(
         3.0 * weighted_exp_integral(6.0, 1.5, 1.0), rel=1e-13
     )
+    # int 3 r^-6 * r^2 e^{-1.5 r^-1/2} dr, a decay towards the origin.
+    assert ExpPoly(((-6.0, 3.0),), 1.5, -0.5).moment(2.0) == pytest.approx(
+        3.0 * weighted_exp_integral(-4.0, 1.5, -0.5), rel=1e-13)
 
 
 @given(exppolys(), st.floats(min_value=0.4, max_value=2.5))
 @example(ExpPoly(((0.0, -2.112711075913527), (1.5625, 0.5449966071625738),
                   (1.7339053164998908, 0.9892451165863516)), 1.0, 0.5), 1.5628732413326931)
+@example(_FLAT_ORIGIN, 2.25)
 @settings(max_examples=100, deadline=None)
 def test_dilated_is_pointwise(p, lam):
     # Near a sign change the terms cancel, so the rounding of each term is
@@ -128,11 +137,11 @@ _EXTREME = st.one_of(st.floats(min_value=-4.0, max_value=4.0),
 
 @st.composite
 def _extreme_exppolys(draw):
-    """Any finite powers, coefficients, rates and decay powers, from
-    ordinary ones to the ends of double-precision range."""
+    """Any finite powers, coefficients, rates and decay powers of either
+    sign, from ordinary ones to the ends of double-precision range."""
     terms = draw(st.lists(st.tuples(_EXTREME, _EXTREME), min_size=1, max_size=3))
     rate = draw(st.one_of(st.just(0.0), _EXTREME.map(abs)))
-    q = draw(_EXTREME.map(abs).filter(bool))
+    q = draw(_EXTREME.filter(bool))
     return ExpPoly(tuple(terms), rate, q)
 
 
@@ -215,7 +224,7 @@ def test_zero_poly():
 
 def _normalize_by_scan(terms):
     """The tolerance scan alone: each power merges into the first earlier
-    key within 1e-12 relative to that key, or becomes a key."""
+    key within 2^-49 relative to that key, or becomes a key."""
     merged = {}
     for g, c in terms:
         g = float(g)
@@ -223,7 +232,7 @@ def _normalize_by_scan(terms):
         if c == 0.0:
             continue
         for key in merged:
-            if abs(key - g) <= 1e-12 * max(1.0, abs(key)):
+            if abs(key - g) <= 2.0**-49 * max(1.0, abs(key)):
                 merged[key] += c
                 break
         else:
@@ -231,7 +240,7 @@ def _normalize_by_scan(terms):
     return tuple(sorted((g, c) for g, c in merged.items() if c != 0.0))
 
 
-_BASE_POWERS = (st.sampled_from([0.0, -0.0, 1.0, 2.5, -0.5, 1e-13, 7.0, 1e300, -1e300,
+_BASE_POWERS = (st.sampled_from([0.0, -0.0, 1.0, 2.5, -0.5, 1e-15, 7.0, 1e300, -1e300,
                                  math.inf, -math.inf])
                 | st.floats(allow_nan=False))
 _COEFFS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
@@ -241,22 +250,23 @@ _COEFFS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
 @st.composite
 def _term_lists(draw):
     """Terms on a few base powers: exact repeats, and near repeats shifted
-    by k 1e-13 relative, inside the merge tolerance for |k| <= 10."""
+    by k 2^-52 relative, inside the merge tolerance for |k| <= 8."""
     bases = draw(st.lists(_BASE_POWERS, min_size=1, max_size=4))
     terms = []
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
         g = draw(st.sampled_from(bases))
         shift = draw(st.sampled_from([0, 0, 0, 1, -1, 5, -9, 11]))
         if shift and math.isfinite(g):
-            g += shift * 1e-13 * max(1.0, abs(g))
+            g += shift * 2.0**-52 * max(1.0, abs(g))
         terms.append((g, draw(_COEFFS)))
     return terms
 
 
 @given(_term_lists())
 @example([(math.inf, 1.0), (math.inf, 2.0)])  # an infinite power never merges: the last wins
-@example([(-0.0, 1.0), (0.0, 2.0), (1e-13, 4.0)])
-@example([(1.0, 1.0), (1.0 + 9e-13, 2.0), (1.0 + 1.8e-12, 4.0), (1.0 + 1.8e-12, 8.0)])
+@example([(-0.0, 1.0), (0.0, 2.0), (1e-15, 4.0)])
+@example([(1.0, 1.0), (1.0 + 7 * 2.0**-52, 2.0), (1.0 + 14 * 2.0**-52, 4.0),
+          (1.0 + 14 * 2.0**-52, 8.0)])
 @settings(max_examples=300, deadline=None)
 def test_normalize_matches_the_tolerance_scan(terms):
     # The exact key lookup before the scan changes no term, bit for bit.
@@ -392,9 +402,23 @@ def _hardy_polys(draw):
     return ExpPoly(terms, draw(st.floats(min_value=0.5, max_value=2.0)), 1.0)
 
 
+def _magnitude(poly, p):
+    """The moment of weight r^p of the sum of the terms' magnitudes."""
+    return sum(abs(c) * weighted_exp_integral(g + p, poly.rate, poly.decay_power)
+               for g, c in poly.terms)
+
+
+def _mirror(poly):
+    """r -> poly(1/r): the powers and the decay power change sign, so that
+    int mirror(r) r^p dr = int poly(t) t^(-p-2) dt."""
+    return ExpPoly(tuple((-g, c) for g, c in poly.terms), poly.rate, -poly.decay_power)
+
+
 @given(_hardy_polys(), st.floats(min_value=2.0, max_value=8.0))
 @settings(max_examples=100, deadline=None)
 def test_square_moments_equal_the_product_moment(poly, s):
+    # Also for the mirror images, whose decay reaches the origin (q = -1):
+    # their moments at -p - 2 are those of the polynomial at p.
     for v in (poly, poly.derivative()):
         if v.is_zero:
             continue
@@ -402,9 +426,12 @@ def test_square_moments_equal_the_product_moment(poly, s):
         square = v * v
         for value, p in zip(got, (s - 2.0, s)):
             want = square.moment(p)
-            size = sum(abs(c) * weighted_exp_integral(g + p, square.rate, 1.0)
-                       for g, c in square.terms)
+            size = _magnitude(square, p)
             assert abs(value - want) <= 1e-14 * size
+            assert abs(v.moment(p) - _mirror(v).moment(-p - 2.0)) <= 1e-14 * _magnitude(v, p)
+            mirrored, = _mirror(v).square_moments([-p - 2.0])
+            assert abs(mirrored - value) <= 1e-14 * size
+            assert abs((_mirror(v) * _mirror(v)).moment(-p - 2.0) - want) <= 1e-14 * size
 
 
 @given(exppolys(), st.sampled_from([0.0, 0.5, 2.0, 5.0]))
@@ -433,6 +460,11 @@ def test_square_moments_keep_the_product_errors():
     poly = ExpPoly(((0.5, 1.0), (1.5, 2.0)), 1.0, 1.0)
     with pytest.raises(DivergentIntegralError, match="diverges at the origin"):
         poly.square_moments([0.0, -2.5])
+    # Its mirror decays towards the origin, and diverges at infinity instead.
+    for diverges in (lambda: _mirror(poly).square_moments([-2.0, 0.5]),
+                     lambda: _mirror(poly).moment(-0.5)):
+        with pytest.raises(DivergentIntegralError, match="moment diverges at infinity"):
+            diverges()
     # A square whose lowest coefficient underflows starts at the next rung.
     lopsided = ExpPoly(((0.0, 1e-170), (1.0, 1.0)), 1.0, 1.0)
     assert lopsided.square_moments([-1.5]) == pytest.approx(

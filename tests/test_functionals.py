@@ -253,7 +253,7 @@ def test_incomplete_gamma_profiles_integrate_their_derivative(family_id, b, n, b
     prof = extremal_profile(ExtremalFamily(family_id, 1.0, b, params))
     assert prof.closed[0] is None
     rs = np.array([0.05, 0.5, 1.0, 3.0])
-    v = prof.rest(rs)[0]
+    v = functionals._tail_values(prof.closed[1], rs)
     with mpmath.workdps(30):
         for r, value in zip(rs, v):
             tail = mpmath.quad(lambda x: amp * x**lead * mpmath.exp(-kappa * x**s),
@@ -298,18 +298,19 @@ def test_dilation_invariance(coeffs, lam):
 
 
 def test_profile_dilation_beyond_range_is_an_error():
-    # lam^2 = 1e320 scales v'' and lam^400 the decay hint: each escaped as
-    # a bare OverflowError, not the package's range error.
+    # lam^2 = 1e320 scales v'' and lam^400 the rate of a decay power 400:
+    # each escaped as a bare OverflowError, not the package's range error.
     slow = extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1e-150, InequalityParams(7, 0.0)))
     with pytest.raises(RangeOverflowError, match="lam = 1e\\+160"):
         slow.dilated(1e160)
-    hinted = RadialProfile((None, None, None), lambda r: (r, r, r), (1.0, 400.0))
+    steep = profile_from_exppoly(ExpPoly(((0.0, 1.0),), 1.0, 400.0))
     with pytest.raises(RangeOverflowError, match="lam = 1000.0"):
-        hinted.dilated(1e3)
+        steep.dilated(1e3)
 
 
-# One profile of each family with no closed v: the rest evaluator gives v
-# of thmC-1 (read by C at k = 1) and every component of thmC-2.
+# One profile of each family whose v is the tail integral of its v': the
+# tail evaluator gives v where C reads it (k = 1), an upper incomplete
+# Gamma for thmC-1 and a lower one for thmC-2.
 REST_PROFILES = {
     "thm1.2-1a": (InequalityParams(1, -0.75), None),
     "thmC-1": (InequalityParams(4, 0.0, 0.5), 1),
@@ -342,8 +343,30 @@ def test_rescaled_thmc2_profile_keeps_its_divergence_check(transform):
     params = InequalityParams(5, 0.0, 1.5)
     prof = extremal_profile(ExtremalFamily("thmC-2", 1.0, -1.0, params))
     for profile in (prof, transform(prof)):
-        with pytest.raises(DivergentIntegralError, match="energy B diverges at infinity"):
-            mode_quotient(profile, params, 2)
+        for method in ("auto", "quadrature"):
+            with pytest.raises(DivergentIntegralError, match="energy B diverges at infinity"):
+                mode_quotient(profile, params, 2, method=method)
+
+
+@pytest.mark.parametrize("n, beta, b, k", [(5, 1.5, -1.0, 0), (8, 1.25, -0.5, 2)])
+def test_thmc2_energies_take_both_routes(n, beta, b, k):
+    # v' and v'' decay towards the origin (q = 1 - beta < 0) and have
+    # closed moments; at k = 2 C also reads v, a lower incomplete Gamma,
+    # by quadrature.
+    params = InequalityParams(n, 0.0, beta)
+    e = mode_energies(extremal_profile(ExtremalFamily("thmC-2", 1.0, b, params)), params, k)
+    assert e.method == "both"
+    assert e.rel_gap <= 1e-12
+
+
+def test_profile_validation():
+    # A left-out v needs a one-term v'; each slot needs an ExpPoly.
+    v = ExpPoly(((0.0, 1.0), (2.0, 1.0)), 1.0, 1.0)
+    d1 = v.derivative()
+    assert len(d1.terms) == 3
+    for closed in ((None, d1, d1.derivative()), (v, lambda r: r, d1), (v, d1)):
+        with pytest.raises(DomainError):
+            RadialProfile(closed)
 
 
 @given(coeffs3, st.sampled_from([-3.0, 0.1, 7.0]))
@@ -389,11 +412,7 @@ def test_random_profiles_satisfy_mode_hardy_step(rng):
 
 
 def test_zero_profile_denominator():
-    def zero(r):
-        z = np.zeros_like(r)
-        return z, z, z
-
-    prof = RadialProfile((None, None, None), zero, (1.0, 1.0))
+    prof = profile_from_exppoly(ExpPoly((), 1.0, 1.0))
     with pytest.raises(ZeroDenominatorError):
         mode_quotient(prof, InequalityParams(5, 0.0), 0)
 

@@ -77,6 +77,8 @@ def test_weighted_exp_integral_known_values():
     assert weighted_exp_integral(0.0, 1.0, 2.0) == pytest.approx(
         0.5 * math.sqrt(math.pi), rel=1e-14
     )
+    # A decay towards the origin: Gamma(6) / 0.5.
+    assert weighted_exp_integral(-4.0, 1.0, -0.5) == 240.0
 
 
 def test_weighted_exp_integral_divergent():
@@ -84,6 +86,9 @@ def test_weighted_exp_integral_divergent():
         weighted_exp_integral(-1.0, 1.0, 1.0)
     with pytest.raises(DivergentIntegralError):
         weighted_exp_integral(2.0, -1.0, 1.0)
+    for p in (-1.0, 0.5):
+        with pytest.raises(DivergentIntegralError, match="diverges at infinity"):
+            weighted_exp_integral(p, 1.0, -0.5)
 
 
 @given(
