@@ -592,7 +592,7 @@ def cmd_minimize(config: RunConfig) -> Document:
         provenance={
             "estimate": "minimum of (A B)/C^2 over nested trial spaces",
             "trial_space": "r^gamma0 exp(-x) L_j^(a)(2x), x = r^q",
-            "minimizer": "grid and golden-section search over t of "
+            "minimizer": "grid and Brent search over t of "
                          "(lambda_1(t M_A + M_B/t; M_C)/2)^2",
         },
     )

@@ -329,15 +329,16 @@ def test_exact_minimum_never_above_lbfgs(n, alpha, k, formulation):
 @pytest.mark.parametrize("n, alpha, k, formulation", [
     (4, 0.0, 1, "profile"), (3, 0.0, 1, "profile"), (7, 0.0, 1, "profile"),
     (5, 0.0, 0, "profile"), (4, 0.0, 2, "profile"), (6, 0.5, 3, "profile"),
-    (11, -0.875, 1, "profile"),
+    (11, -0.875, 1, "profile"), (2, 0.0, 1, "profile"),
 ])
 def test_search_matches_dense_scan(n, alpha, k, formulation):
     # (lambda_1(u)/2)^2 bounds Q at its eigenvector from above, so the
-    # search may not end above the lowest value of a dense scan of u.
+    # search may not end above the lowest value of a dense scan of u; the
+    # k = 1 modes of N = 4 and 2 are also held to it at m = 64.
     from scipy.linalg import eigh
 
     params, k = _problem(n, alpha, k, formulation)
-    for m in (16, 32):
+    for m in (16, 32, 64) if (n, alpha, k) in ((4, 0.0, 1), (2, 0.0, 1)) else (16, 32):
         gram = build_gram(params, k, make_basis(params, k, m))
         d = 1.0 / np.sqrt(np.diag(gram.m_c))
         a, b, c = (mat * np.outer(d, d) for mat in (gram.m_a, gram.m_b, gram.m_c))
@@ -348,6 +349,23 @@ def test_search_matches_dense_scan(n, alpha, k, formulation):
             for u in np.linspace(0.5 * math.log(ratios[0]), 0.5 * math.log(ratios[-1]), 2001)
         )
         assert minimize_quotient(gram).value <= (scan / 2.0) ** 2 * (1.0 + 1e-12)
+
+
+def test_probe_minimisations_stay_within_their_evaluation_budget(monkeypatch):
+    # The twelve minimisations of the N = 4 probe (k <= 3, sizes 4, 8, 16)
+    # take 370 lambda_1 evaluations with Brent's search, 741 with golden
+    # section.
+    iterations, original = [], variational.minimize_quotient
+
+    def counted(gram):
+        result = original(gram)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(variational, "minimize_quotient", counted)
+    symmetry_breaking_scan(4, 0.0, k_max=3, basis_sizes=(4, 8, 16))
+    assert len(iterations) == 12
+    assert sum(iterations) <= 400
 
 
 def _moment_mp(poly, p):
@@ -408,13 +426,31 @@ def test_derivative_factors_match_exppoly_derivatives(gamma0, q, a):
         t = np.array(_laguerre_monomials_mp(m, a).tolist(), dtype=float)
         funcs = [ExpPoly(tuple((gamma0 + i * q, c) for i, c in enumerate(row)), 1.0, q)
                  for row in t]
-        stack = basis.evaluate([basis.factor(order) for order in range(3)], r, a)
+        facs = [basis.factor(order) for order in range(3)]
+        stack = np.stack([basis.evaluate(facs, r, a, unit) for unit in np.eye(m)], axis=1)
         assert stack.shape == (3, m, r.size)
         for table in stack:
             expected = np.array([f(r) for f in funcs])
             np.testing.assert_allclose(table, expected, rtol=1e-10,
                                        atol=1e-13 * np.max(np.abs(expected)))
             funcs = [f.derivative() for f in funcs]
+
+
+@pytest.mark.parametrize("m", [1, 16, 64])
+def test_evaluate_contracts_the_trial_functions(m):
+    # evaluate gives the derivatives of v = sum_j c_j phi_j: those of the
+    # trial functions (unit c) contracted with c, up to rounding; and each
+    # node's value bit for bit, whatever other nodes share the call.
+    basis = BasisSpec(m, 0.5, 1.25)
+    facs = [basis.factor(order) for order in range(3)]
+    c = np.random.default_rng(m).standard_normal(m)
+    r = np.geomspace(1e-3, 80.0, 301)
+    got = basis.evaluate(facs, r, 1.5, c)
+    assert got.shape == (3, r.size)
+    stack = np.stack([basis.evaluate(facs, r, 1.5, unit) for unit in np.eye(m)], axis=1)
+    assert np.all(np.abs(got - c @ stack) <= 1e-13 * (np.abs(c) @ np.abs(stack)))
+    for part in (slice(0, 1), slice(7, 9), slice(100, 237)):
+        assert np.array_equal(basis.evaluate(facs, r[part], 1.5, c), got[:, part])
 
 
 @pytest.mark.parametrize("n, k", [(4, 1), (3, 1), (5, 0)])
