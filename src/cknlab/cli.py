@@ -82,7 +82,8 @@ OUTPUT_FORMATS = ("csv", "json", "plot-data")
 MODE_SCAN_K_MAX = 10
 QUOTIENT_AGREEMENT_RTOL = 1e-8
 
-_ONE_DIM_FAMILIES = ("thm1.2-1a", "thm1.2-1b")
+# The one-dimensional families, each with the formula of the sharp constant it attains.
+_ONE_DIM_FORMULAS = {"thm1.2-1a": "alpha^2 / 4", "thm1.2-1b": "(3 alpha + 2)^2 / 4"}
 
 
 class _RunConfig(NamedTuple):
@@ -279,10 +280,6 @@ def write_atomic(path: str, text: str) -> None:
 # Commands
 
 
-def _params_dict(params: InequalityParams) -> Dict[str, object]:
-    return {"n": params.n, "alpha": params.alpha, "beta": params.beta}
-
-
 def _bounds_dict(n: int) -> Dict[str, object]:
     b = symmetry_breaking_bounds(n)
     return {
@@ -305,7 +302,7 @@ def _report_document(
 ) -> Document:
     payload = {
         "command": command,
-        "params": _params_dict(params) if params is not None else None,
+        "params": params,
         "report": report,
     }
     rows = []
@@ -333,18 +330,20 @@ def _table_document(
     rows: Sequence[Dict[str, object]],
     header: Tuple[str, ...],
     plotted: Tuple[str, ...],
+    exit_code: int = EXIT_OK,
 ) -> Document:
     """A document whose table holds the ``header`` columns of ``rows``
-    (one record per row), with one plot series of (k, row[name]) per name
-    in ``plotted``, rows where it is None left out."""
+    (one record per row), with one plot series of (x, row[name]) per name
+    in ``plotted``, x the first column and rows where it is None left out."""
     return Document(
         payload=payload,
         table_header=header,
         table_rows=tuple(tuple(row[name] for name in header) for row in rows),
         series=tuple(
-            tuple((float(row["k"]), row[name]) for row in rows if row[name] is not None)
+            tuple((float(row[header[0]]), row[name]) for row in rows if row[name] is not None)
             for name in plotted
         ),
+        exit_code=exit_code,
     )
 
 
@@ -412,7 +411,7 @@ def cmd_mode_scan(config: RunConfig) -> Document:
                      "argmin": k == inf.argmin_k, "tail_verified": inf.tail_verified})
     payload = {
         "command": "mode-scan",
-        "params": _params_dict(params),
+        "params": params,
         "formula": config.formula,
         "k_max": config.k_max,
         "rows": rows,
@@ -498,18 +497,18 @@ def cmd_quotient(config: RunConfig) -> Document:
             params=params,
         )
         profile = extremal_profile(fam, spec)
-        if config.family in _ONE_DIM_FAMILIES:
+        if config.family in _ONE_DIM_FORMULAS:
             if params.n != 1:
                 raise PreconditionError(
                     f"family {config.family!r} is one-dimensional; pass --n 1"
                 )
             value = one_dim_quotient(profile, params.alpha, spec)
-            if config.family == "thm1.2-1a":
-                closed = params.alpha**2 / 4.0
-                provenance = {"closed_formula": "alpha^2 / 4"}
-            else:
-                closed = (3.0 * params.alpha + 2.0) ** 2 / 4.0
-                provenance = {"closed_formula": "(3 alpha + 2)^2 / 4"}
+            cf = sharp_constant_closed_form(params)
+            # The family attains the sharp constant in its own case; the two
+            # cases meet at alpha = -1/2, where both formulas give 1/16.
+            if cf.family_id == config.family or params.alpha == -0.5:
+                closed = cf.value
+                provenance = {"closed_formula": _ONE_DIM_FORMULAS[config.family]}
         else:
             if params.n < 2:
                 raise PreconditionError(
@@ -517,10 +516,10 @@ def cmd_quotient(config: RunConfig) -> Document:
                 )
             value = mode_quotient(profile, params, config.k, spec)
             if config.family == "thm1.2-2" and config.k == 0:
-                closed = (params.n + 3.0 * params.alpha + 1.0) ** 2 / 4.0
+                closed = mode_quotient_weighted(params.n, params.alpha, 0).value
                 provenance = {"closed_formula": "(N + 3 alpha + 1)^2 / 4"}
         provenance["family"] = config.family
-        diagnostics["k"] = config.k if config.family not in _ONE_DIM_FAMILIES else None
+        diagnostics["k"] = config.k if config.family not in _ONE_DIM_FORMULAS else None
     else:
         if params.n < 2:
             raise PreconditionError("--coeffs requires --n >= 2")
@@ -598,19 +597,13 @@ def cmd_minimize(config: RunConfig) -> Document:
     )
     payload = {
         "command": "minimize",
-        "params": _params_dict(params),
+        "params": params,
         "k": config.k,
         "report": report,
     }
-    trace_rows = tuple(
-        (size, value) for size, value in zip(est.basis_sizes, est.trace)
-    )
-    return Document(
-        payload=payload,
-        table_header=("basis_size", "value"),
-        table_rows=trace_rows,
-        series=(tuple((float(s), v) for s, v in trace_rows),),
-    )
+    rows = [{"basis_size": size, "value": value}
+            for size, value in zip(est.basis_sizes, est.trace)]
+    return _table_document(payload, rows, ("basis_size", "value"), ("value",))
 
 
 def cmd_probe_conjecture(config: RunConfig) -> Document:
@@ -642,7 +635,7 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
     payload = {
         "command": "probe-conjecture",
         "banner": "numerical evidence only",
-        "params": _params_dict(params),
+        "params": params,
         "verdict": scan.verdict,
         "flag": scan.flag,
         "best_estimate": scan.best_value,
@@ -661,34 +654,16 @@ def cmd_probe_conjecture(config: RunConfig) -> Document:
 
 def cmd_selftest(config: RunConfig) -> Document:
     """Run the acceptance suite; one line per criterion."""
+    from dataclasses import asdict
+
     from .acceptance import run_all
 
-    results = run_all(verbose=True)
-    failed = [r for r in results if not r.passed]
-    payload = {
-        "command": "selftest",
-        "passed": not failed,
-        "results": [
-            {
-                "index": r.index,
-                "description": r.description,
-                "passed": r.passed,
-                "seconds": r.seconds,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
-    }
-    rows = tuple(
-        (r.index, r.passed, r.seconds, r.description) for r in results
-    )
-    return Document(
-        payload=payload,
-        table_header=("criterion", "passed", "seconds", "description"),
-        table_rows=rows,
-        series=(tuple((float(r.index), float(r.seconds)) for r in results),),
-        exit_code=EXIT_OK if not failed else 1,
-    )
+    results = [asdict(r) for r in run_all(verbose=True)]
+    passed = all(r["passed"] for r in results)
+    payload = {"command": "selftest", "passed": passed, "results": results}
+    rows = [dict(r, criterion=r["index"]) for r in results]
+    return _table_document(payload, rows, ("criterion", "passed", "seconds", "description"),
+                           ("seconds",), EXIT_OK if passed else 1)
 
 
 _COMMANDS = {

@@ -171,11 +171,16 @@ class ClosedFormConstant(NamedTuple):
     params: InequalityParams
 
 
+def require_mode_index(k: int) -> None:
+    """DomainError unless the mode index k is an integer >= 0."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
+
+
 def _require_mode_args(n: int, k: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"mode quotients require integer dimension n >= 2, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
+    require_mode_index(k)
 
 
 def exact_to_float(exact: Fraction, what: str) -> float:

@@ -46,7 +46,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .constants import FAMILY_IDS, InequalityParams, exponential_profile_quotient, form_parts
+from .constants import (
+    FAMILY_IDS,
+    InequalityParams,
+    exponential_profile_quotient,
+    form_parts,
+    require_mode_index,
+)
 from .errors import (
     ConsistencyError,
     DivergentIntegralError,
@@ -56,7 +62,7 @@ from .errors import (
 )
 from .exppoly import ExpPoly, evaluate
 from .quadrature import QuadratureSpec, integrate
-from .special import log_gamma, regularized_gamma_p, regularized_gamma_q
+from .special import regularized_gamma_p, regularized_gamma_q, weighted_exp_integral
 
 __all__ = [
     "ExtremalFamily",
@@ -207,48 +213,29 @@ def laplace_beltrami_eigenvalue(n: int, k: int) -> int:
     harmonic subspace of S^(N-1); N >= 2, k >= 0."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"eigenvalues require integer dimension n >= 2, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
+    require_mode_index(k)
     return k * (n + k - 2)
 
 
 # -- profile constructors --------------------------------------------------
 
 
-_LOG_DOUBLE_MAX = 709.0
-
-
-def _gamma_prefactor(g: float, kappa: float) -> float:
-    """Gamma(g) * kappa^(-g), computed in log space.
-
-    This is the origin value of a reconstructed antiderivative; when it
-    exceeds double range the profile cannot be represented, which
-    happens only with beta very close to the crossover at 1.
-    """
-    log_pref = log_gamma(g) - g * math.log(kappa)
-    if log_pref > _LOG_DOUBLE_MAX:
-        raise RangeOverflowError(
-            f"profile origin value exp({log_pref:.1f}) exceeds double-precision "
-            "range; beta is too close to the crossover at 1 for this rate"
-        )
-    return math.exp(log_pref)
-
-
 def _tail_values(d1: ExpPoly, r: np.ndarray) -> np.ndarray:
     """v = -int_r^inf v' at r > 0 for a one-term v' = c r^p exp(-kappa r^s).
     Substituting y = kappa x^s turns it into an incomplete Gamma:
 
-        v(r) = -(c/|s|) kappa^(-g) Gamma(g) R(g, kappa r^s),   g = (p+1)/s,
+        v(r) = -c W(p; kappa, s) R(g, kappa r^s),   g = (p+1)/s,
 
-    with R the upper Q for s > 0 and the lower P for s < 0, where y runs
-    the other way.  The prefactor is taken here, so a v beyond double
-    range fails only the forms that read v itself.
+    with W = int_0^inf x^p exp(-kappa x^s) dx (``weighted_exp_integral``)
+    and R the upper Q for s > 0 and the lower P for s < 0, where y runs
+    the other way.  W is taken here, so a v beyond double range fails
+    only the forms that read v itself.
     """
     (p, c), = d1.terms
     kappa, s = d1.rate, d1.decay_power
-    g = (p + 1.0) / s
     incomplete = regularized_gamma_q if s > 0.0 else regularized_gamma_p
-    return -(c / abs(s)) * _gamma_prefactor(g, kappa) * incomplete(g, kappa * np.power(r, s))
+    return -c * weighted_exp_integral(p, kappa, s) * incomplete((p + 1.0) / s,
+                                                                kappa * np.power(r, s))
 
 
 def _tail_profile(c: float, p: float, kappa: float, s: float) -> RadialProfile:
@@ -478,8 +465,7 @@ def mode_energies(
     DivergentIntegralError naming the form when a part diverges at the
     origin or, for a profile that decays towards the origin, at infinity.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
+    require_mode_index(k)
     if params.n < 2:
         raise DomainError("mode energies require dimension n >= 2 "
                           "(use one_dim_quotient for N = 1)")
@@ -530,7 +516,6 @@ def one_dim_quotient(
     profile: RadialProfile,
     alpha: float,
     spec: QuadratureSpec = QuadratureSpec(),
-    method: str = "auto",
 ) -> float:
     """The N = 1 quotient for even profiles v(|x|): the forms of
     ``form_parts(1, alpha, 0)``,
@@ -542,4 +527,4 @@ def one_dim_quotient(
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > -1.0):
         raise DomainError(f"alpha must be finite and > -1, got {alpha!r}")
-    return _quotient(_energies(profile, InequalityParams(1, alpha), 0, spec, method))
+    return _quotient(_energies(profile, InequalityParams(1, alpha), 0, spec, "auto"))

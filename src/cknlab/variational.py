@@ -50,6 +50,7 @@ from .constants import (
     form_parts,
     hardy_step_factor,
     mode_quotient_weighted,
+    require_mode_index,
 )
 from .errors import (
     ConsistencyError,
@@ -220,8 +221,7 @@ def _laguerre_tables(m: int, a, y: np.ndarray, order: int) -> np.ndarray:
     return tabs
 
 
-@lru_cache(maxsize=256)
-def _gauss_laguerre(nodes: int, exponents: Tuple[float, ...]) -> Tuple[np.ndarray, np.ndarray]:
+def _gauss_laguerre(nodes: int, exponents: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss rules for int_0^inf y^s e^-y f(y) dy, one per s in ``exponents``,
     each exact for degree < 2 nodes: (len(exponents), nodes) arrays of nodes
     and weights.  Jacobi-matrix eigenvalues (Golub-Welsch, one stacked
@@ -243,8 +243,6 @@ def _gauss_laguerre(nodes: int, exponents: Tuple[float, ...]) -> Tuple[np.ndarra
     log_scale = np.array([[math.lgamma(nodes + e + 1.0) - math.lgamma(nodes + 1.0)]
                           for e in exponents])
     w = np.exp(log_scale - np.log(y) - 2.0 * np.log(np.abs(slope)))
-    y.flags.writeable = False
-    w.flags.writeable = False
     return y, w
 
 
@@ -262,10 +260,10 @@ class GramTriple(_GramTriple):
     """Gram matrices of the three quadratic forms on one trial space.
 
     ``m_a``, ``m_b``, ``m_c`` are symmetric by construction.  ``m_b`` and
-    ``m_c`` are checked positive definite; ``m_a`` may be indefinite when
-    the sign of its zero-order coefficient is negative, which is recorded
-    in ``diagnostics`` rather than rejected.  ``diagnostics`` defaults to a
-    fresh dict.  Triples compare and hash by identity, never by their
+    ``m_c`` are checked positive definite; ``m_a`` is positive definite
+    on every admissible trial space, by the weighted Hardy inequality
+    (see ``minimize_quotient``).  ``diagnostics`` defaults to a fresh
+    dict.  Triples compare and hash by identity, never by their
     arrays.
     """
 
@@ -310,7 +308,6 @@ class GramTriple(_GramTriple):
             k=self.k,
             basis=basis,
             diagnostics={
-                "indefinite_a_allowed": self.diagnostics["indefinite_a_allowed"],
                 "laguerre_a": self.diagnostics["laguerre_a"],
                 "leading_block_of_m": self.m,
             },
@@ -325,7 +322,8 @@ class MinimizationResult(NamedTuple):
     eigenvector's relative residual |(t* M_A + M_B/t* - lambda_1 M_C) c| is
     <= DEFAULT_TOL and u* lies strictly inside its bracket.
     ``gradient_norm`` is that of log Q where M_C has unit diagonal;
-    ``iterations`` counts eigenvalue evaluations.
+    ``iterations`` counts eigenvalue evaluations.  ``warnings`` is empty;
+    it keeps the ``minimize`` report's key.
     """
 
     value: float
@@ -421,8 +419,7 @@ def make_basis(params: InequalityParams, k: int, size: int) -> BasisSpec:
         raise UnsupportedRegimeError(
             f"basis decay exponent alpha+1 must be positive, got alpha={params.alpha}"
         )
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
+    require_mode_index(k)
     q = params.alpha + 1.0
     g0 = 0.0
     for _ in range(_MAX_GAMMA0_BUMPS + 1):
@@ -455,7 +452,7 @@ def _gauss_parts(
             )
         exponents.append(s)
     with np.errstate(over="ignore", invalid="ignore"):
-        y, w = _gauss_laguerre(m + _GAUSS_EXTRA_NODES, tuple(exponents))
+        y, w = _gauss_laguerre(m + _GAUSS_EXTRA_NODES, exponents)
         lag = _laguerre_tables(m, a, y, max(fac.order for _, fac, _, _ in live))
         parts = []
         for i, ((_, fac, _, _), s) in enumerate(zip(live, exponents)):
@@ -495,8 +492,7 @@ def build_gram(params: InequalityParams, k: int, basis: BasisSpec) -> GramTriple
     ``DivergentIntegralError`` names a diverging part, and
     ``ConsistencyError`` a failed positive definiteness check of M_B, M_C.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"mode index k must be an integer >= 0, got {k!r}")
+    require_mode_index(k)
     if params.n < 2:
         raise DomainError(f"mode decomposition needs dimension n >= 2, got {params.n}")
     all_parts = form_parts(params.n, params.alpha, k)
@@ -509,10 +505,7 @@ def build_gram(params: InequalityParams, k: int, basis: BasisSpec) -> GramTriple
         matrices[form][:] += coef * part
     for mat in matrices:
         mat[:] = _symmetric(mat)
-    diagnostics: Dict[str, object] = {
-        "indefinite_a_allowed": any(coef < 0.0 for *_, coef in all_parts[0]),
-        "laguerre_a": a,
-    }
+    diagnostics: Dict[str, object] = {"laguerre_a": a}
     _pd_check(matrices[1], "m_b", diagnostics)
     _pd_check(matrices[2], "m_c", diagnostics)
     for mat in matrices:
@@ -610,23 +603,24 @@ def minimize_quotient(gram: GramTriple) -> MinimizationResult:
     k <= 3 and m <= 32, so a u within 1e-6 of u* moves Q by less than
     1e-12 relative, far inside the 1e-10 of the trace and witness checks.
 
+    M_A is positive definite: with f = v' and s = N+2k-2 alpha-1, the
+    weighted Hardy inequality int f'^2 r^s >= ((s-1)/2)^2 int f^2 r^(s-2)
+    gives A >= ((N+2k+2 alpha)/2)^2 int v'^2 r^(N+2k-2 alpha-3) > 0 for
+    N >= 2, alpha > -1.
+
     Raises
     ------
-    UnsupportedRegimeError
-        If M_A is not positive definite (the reduction needs a >= 0).
+    ConsistencyError
+        If M_A, M_B or M_C is not positive definite: numerical breakdown.
     """
-    warnings = ()
-    if gram.diagnostics.get("indefinite_a_allowed"):
-        warnings = ("A form may be indefinite: the quotient can approach zero",)
     scale = 1.0 / np.sqrt(np.diag(gram.m_c))
     outer = np.outer(scale, scale)
     a_mat, b_mat, c_mat = (_symmetric(mat * outer) for mat in (gram.m_a, gram.m_b, gram.m_c))
     chol_a, chol_c = _cholesky(a_mat), _cholesky(c_mat)
     if chol_a is None:
-        raise UnsupportedRegimeError(
-            f"the A form is not positive definite on this trial space ({gram.params!r}, "
-            f"k={gram.k}); the reduction "
-            "ab = min_t ((t a + b/t)/2)^2 needs a >= 0"
+        raise ConsistencyError(
+            f"M_A is not positive definite on this trial space ({gram.params!r}, "
+            f"k={gram.k}); the reduction ab = min_t ((t a + b/t)/2)^2 needs a >= 0"
         )
     if chol_c is None:
         raise ConsistencyError("M_C is not positive definite")
@@ -682,7 +676,6 @@ def minimize_quotient(gram: GramTriple) -> MinimizationResult:
         iterations=len(evaluations),
         converged=bool(residual <= DEFAULT_TOL and inside),
         gradient_norm=float(np.linalg.norm(grad)),
-        warnings=warnings,
     )
 
 

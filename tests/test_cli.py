@@ -247,6 +247,23 @@ def test_quotient_one_dim_family(capsys):
     assert doc["report"]["quadrature_value"] == pytest.approx(6.25, rel=1e-8)
 
 
+def test_quotient_one_dim_closed_form_is_the_exact_constant_rounded_once(capsys):
+    from cknlab.constants import InequalityParams, sharp_constant_closed_form
+
+    doc = run_json(capsys, "quotient", "--family", "thm1.2-1b", "--n", "1", "--alpha", "0.1")
+    exact = sharp_constant_closed_form(InequalityParams(1, 0.1))
+    assert doc["report"]["closed_form"] == exact.value == float(exact.exact)
+
+
+def test_quotient_one_dim_family_outside_its_case_has_no_closed_form(capsys):
+    # thm1.2-1a attains the sharp constant only for alpha <= -1/2; at
+    # alpha = -0.3 its energies converge, but the constant is thm1.2-1b's.
+    doc = run_json(capsys, "quotient", "--family", "thm1.2-1a", "--n", "1", "--alpha", "-0.3")
+    assert doc["report"]["closed_form"] is None
+    assert "closed_formula" not in doc["report"]["provenance"]
+    assert doc["report"]["quadrature_value"] == pytest.approx(0.0225, rel=1e-8)
+
+
 def test_quotient_coefficient_file(capsys, tmp_path):
     path = tmp_path / "coeffs.txt"
     path.write_text("1.0, 0.5, 0.25\n")
@@ -395,6 +412,17 @@ def test_selftest_csv_accepts_descriptions_with_commas(capsys, monkeypatch):
     code, out, err = run(capsys, "selftest", "--format", "csv")
     assert code == 0, err
     assert out.splitlines()[1] == '1,true,0,"criterion 1, with a comma"'
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plot-data"])
+def test_selftest_tables_keep_the_failing_exit_code(capsys, monkeypatch, fmt):
+    import cknlab.acceptance as acceptance
+
+    fake = ((1, "passes", 1.0, lambda: (True, "ok")), (2, "fails", 1.0, lambda: (False, "no")))
+    monkeypatch.setattr(acceptance, "CRITERIA", fake)
+    code, out, _ = run(capsys, "selftest", "--format", fmt)
+    assert code == 1
+    assert len(out.splitlines()) == (3 if fmt == "csv" else 2)
 
 
 def test_selftest_json_stdout_is_one_document(capsys, monkeypatch):
@@ -569,6 +597,13 @@ def test_minimize_deep_basis_trace_does_not_rise(capsys, n):
     trace = doc["report"]["diagnostics"]["trace"]
     assert len(trace) == 4
     assert _nonincreasing(trace)
+
+
+def test_minimize_with_a_negative_v_prime_coefficient_reports_no_warning(capsys):
+    # At alpha = -3/4 the v' part of A has a negative coefficient, yet M_A
+    # is positive definite by the weighted Hardy inequality.
+    doc = run_json(capsys, "minimize", "--n", "5", "--alpha", "-0.75", "--k", "1")
+    assert doc["report"]["diagnostics"]["warnings"] == []
 
 
 def test_minimize_reports_convergence(capsys):

@@ -612,6 +612,28 @@ def test_estimate_below_proven_bound_is_rejected(monkeypatch):
 
 
 def test_indefinite_a_form_is_rejected():
+    # M_A is positive definite on every admissible trial space (the Hardy
+    # bound below), so an indefinite one is numerical breakdown.
     gram = build_gram(P5, 1, make_basis(P5, 1, 4))
-    with pytest.raises(UnsupportedRegimeError, match="needs a >= 0"):
+    with pytest.raises(ConsistencyError, match="needs a >= 0"):
         minimize_quotient(gram._replace(m_a=-gram.m_a))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 12])
+@pytest.mark.parametrize("alpha", [-0.9, -0.75, -0.6, 0.0, 0.5, 2.0])
+def test_a_form_obeys_the_weighted_hardy_bound(n, alpha):
+    # With f = v' and s = N+2k-2 alpha-1, int f'^2 r^s >= ((s-1)/2)^2 int f^2 r^(s-2)
+    # gives A >= h int v'^2 r^(N+2k-2 alpha-3), h = ((N+2k+2 alpha)/2)^2: M_A - h M_1
+    # is positive semidefinite, M_1 the Gram matrix of A's v' part.  (At
+    # alpha = -1/2 that part has coefficient 0 and is not assembled.)
+    params = InequalityParams(n, alpha)
+    for k in range(4):
+        basis = make_basis(params, k, 12)
+        gram = build_gram(params, k, basis)
+        live = variational._live_parts(params, k, basis)
+        parts = variational._gauss_parts(basis, live, gram.diagnostics["laguerre_a"])
+        m_1, = [part for (form, fac, _, _), part in zip(live, parts)
+                if form == 0 and fac.order == 1]
+        h = ((n + 2 * k + 2 * alpha) / 2) ** 2
+        inv = np.linalg.inv(np.linalg.cholesky(gram.m_a))
+        assert np.linalg.eigvalsh(inv @ (gram.m_a - h * m_1) @ inv.T)[0] >= -1e-12
