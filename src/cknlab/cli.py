@@ -22,13 +22,12 @@ non-convergence, 4 internal consistency failure.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import json
 
@@ -503,12 +502,10 @@ def cmd_quotient(config: RunConfig) -> Document:
                     f"family {config.family!r} is one-dimensional; pass --n 1"
                 )
             value = one_dim_quotient(profile, params.alpha, spec)
-            cf = sharp_constant_closed_form(params)
-            # The family attains the sharp constant in its own case; the two
-            # cases meet at alpha = -1/2, where both formulas give 1/16.
-            if cf.family_id == config.family or params.alpha == -0.5:
-                closed = cf.value
-                provenance = {"closed_formula": _ONE_DIM_FORMULAS[config.family]}
+            # Each family attains the sharp constant wherever its energies are
+            # finite: thm1.2-1a for alpha <= -1/2, thm1.2-1b for alpha >= -1/2.
+            closed = sharp_constant_closed_form(params).value
+            provenance = {"closed_formula": _ONE_DIM_FORMULAS[config.family]}
         else:
             if params.n < 2:
                 raise PreconditionError(
@@ -694,15 +691,6 @@ class _Option(NamedTuple):
     choices: Optional[Tuple[str, ...]] = None
     command: Optional[str] = None
 
-    def add_to(self, parser: argparse.ArgumentParser) -> None:
-        if self.cast is None:
-            parser.add_argument(f"--{self.flag}", action="store_true", default=None,
-                                dest=self.field, help=self.help)
-            return
-        metavar = None if self.choices else self.flag.upper().replace("-", "_")
-        parser.add_argument(f"--{self.flag}", type=self.cast, choices=self.choices,
-                            dest=self.field, metavar=metavar, help=self.help)
-
 
 _OPTIONS = (
     _Option("n", "n", int, "dimension N"),
@@ -726,11 +714,32 @@ _OPTIONS = (
             command="quotient"),
 )
 _CONFIG_KEYS = {opt.flag: opt for opt in _OPTIONS if opt.flag != "config"}
+_FLAGS = {f"--{opt.flag}": opt for opt in _OPTIONS}
+_HELP_FLAGS = ("-h", "--help")
 # Where probe-conjecture's defaults differ from RunConfig's: the open case n = 4, modes 0..3.
 _PROBE_DEFAULTS = {"n": 4, "k_max": 3}
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
+_CAST_NAMES = {int: "an integer", float: "a number"}
+
+
+def _cast(opt: _Option, raw: str, where: str) -> object:
+    """``raw`` read as a value of ``opt``, a flag's or a config line's;
+    ``where`` opens each error message."""
+    if opt.cast is None:  # a switch, spelled out in a config file
+        if raw.lower() not in _TRUE_WORDS + _FALSE_WORDS:
+            raise PreconditionError(f"{where} expects a boolean, got {raw!r}")
+        return raw.lower() in _TRUE_WORDS
+    try:
+        value = opt.cast(raw)
+    except ValueError:
+        raise PreconditionError(
+            f"{where} expects {_CAST_NAMES[opt.cast]}, got {raw!r}") from None
+    if opt.choices is not None and value not in opt.choices:
+        raise PreconditionError(
+            f"{where} expects one of {', '.join(opt.choices)}, got {raw!r}")
+    return value
 
 
 def _parse_config_file(path: str) -> Dict[str, object]:
@@ -754,19 +763,7 @@ def _parse_config_file(path: str) -> Dict[str, object]:
         opt = _CONFIG_KEYS.get(key)
         if opt is None:
             raise PreconditionError(f"{path}:{lineno}: unknown config key {key!r}")
-        if opt.cast is None:
-            if raw.lower() not in _TRUE_WORDS + _FALSE_WORDS:
-                raise PreconditionError(
-                    f"{path}:{lineno}: {key!r} expects a boolean, got {raw!r}"
-                )
-            values[opt.field] = raw.lower() in _TRUE_WORDS
-            continue
-        try:
-            values[opt.field] = opt.cast(raw)
-        except ValueError:
-            raise PreconditionError(
-                f"{path}:{lineno}: bad value for {key!r}: {raw!r}"
-            ) from None
+        values[opt.field] = _cast(opt, raw, f"{path}:{lineno}: {key!r}")
     return values
 
 
@@ -780,36 +777,81 @@ def _parse_basis(text: str) -> Tuple[int, ...]:
     return sizes
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cknlab",
-        description="Sharp constants, mode quotients and extremal families "
-        "of second-order weighted uncertainty inequalities.",
-    )
-    common = argparse.ArgumentParser(add_help=False)  # built once, copied into each subcommand
-    for opt in _OPTIONS:
-        if opt.command is None:
-            opt.add_to(common)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text) in _COMMANDS.items():
-        command_parser = sub.add_parser(command, parents=[common], help=help_text)
+def read_argv(argv: Sequence[str]) -> Dict[str, object]:
+    """The command line ``<command> [--flag VALUE | --flag=VALUE | --switch] ...``
+    as ``{"command": command}`` plus the value of each flag given, keyed by
+    its ``_Option.field``; the last of a repeated flag wins.  A value may
+    start with one dash (``--alpha -0.75``), never with two.  A help
+    request reads as ``{"help": command}``, command None before one."""
+    if argv and argv[0] in _HELP_FLAGS:
+        return {"help": None}
+    if not argv or argv[0] not in _COMMANDS:
+        got = f", got {argv[0]!r}" if argv else ""
+        raise PreconditionError(f"expected a command, one of {', '.join(_COMMANDS)}{got}")
+    command = argv[0]
+    values: Dict[str, object] = {"command": command}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            return {"help": command}
+        flag, eq, raw = token.partition("=")
+        opt = _FLAGS.get(flag)
+        if opt is None:
+            if token.startswith("--"):
+                raise PreconditionError(f"unknown flag {flag!r}")
+            raise PreconditionError(f"unexpected argument {token!r}")
+        if opt.command not in (None, command):
+            raise PreconditionError(f"{flag} is a flag of {opt.command}, not of {command}")
+        if opt.cast is None:
+            if eq:
+                raise PreconditionError(f"{flag} takes no value, got {raw!r}")
+            values[opt.field] = True
+            continue
+        if not eq:
+            raw = next(tokens, None)
+            if raw is None or raw.startswith("--"):
+                raise PreconditionError(f"{flag} expects a value")
+        values[opt.field] = _cast(opt, raw, flag)
+    return values
+
+
+def _usage(command: Optional[str]) -> str:
+    """The ``--help`` text: every command, or every flag of ``command``."""
+    usage = "usage: cknlab {} [--flag VALUE | --flag=VALUE | --switch] ...".format(
+        command or "<command>")
+    if command is None:
+        lines = [usage, "", "Sharp constants, mode quotients and extremal families of",
+                 "second-order weighted uncertainty inequalities.", "", "commands:"]
+        lines += [f"  {name:<18}{text}" for name, (_, text) in _COMMANDS.items()]
+        lines += ["", "'cknlab <command> --help' lists the flags of one command."]
+    else:
+        lines = [usage, "", _COMMANDS[command][1], "", "flags:"]
         for opt in _OPTIONS:
-            if opt.command == command:
-                opt.add_to(command_parser)
-    return parser
+            if opt.command not in (None, command):
+                continue
+            if opt.cast is None:
+                value = ""
+            elif opt.choices:
+                value = "{" + ",".join(opt.choices) + "}"
+            else:
+                value = opt.flag.upper().replace("-", "_")
+            lines.append(f"  {f'--{opt.flag} {value}':<24}  {opt.help}")
+    lines += ["", "Flags are spelled in full.  A rejected command line prints one",
+              "'error:' line and exits 2."]
+    return "\n".join(lines) + "\n"
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """A RunConfig from the flags, then the config file, then the defaults:
-    RunConfig's and InequalityParams', or ``_PROBE_DEFAULTS`` first for
-    probe-conjecture."""
-    flags = dict(vars(args))
+def build_config(flags: Mapping[str, object]) -> RunConfig:
+    """A RunConfig from the flags ``read_argv`` read, then the config file,
+    then the defaults: RunConfig's and InequalityParams', or
+    ``_PROBE_DEFAULTS`` first for probe-conjecture."""
+    flags = dict(flags)
     command = flags.pop("command")
-    config_path = flags.pop("config") or os.environ.get(ENV_CONFIG)
+    config_path = flags.pop("config", None) or os.environ.get(ENV_CONFIG)
     values = dict(_PROBE_DEFAULTS) if command == "probe-conjecture" else {}
     if config_path:
         values.update(_parse_config_file(config_path))
-    values.update((name, value) for name, value in flags.items() if value is not None)
+    values.update(flags)
     given = {name: values.pop(name) for name in ("n", "alpha", "beta") if name in values}
     params = InequalityParams(**given) if "n" in given else None
     if "basis_sizes" in values:
@@ -823,10 +865,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = build_config(args)
+        flags = read_argv(sys.argv[1:] if argv is None else argv)
+        if "help" in flags:
+            sys.stdout.write(_usage(flags["help"]))
+            return EXIT_OK
+        config = build_config(flags)
         document = _COMMANDS[config.command][0](config)
         text = render(document, config.output_format)
         if config.output_path:

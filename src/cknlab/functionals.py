@@ -117,6 +117,12 @@ class ExtremalFamily:
                     f"family {self.family_id!r} requires alpha > -1, "
                     f"got {self.params.alpha}"
                 )
+        # Its quotient alpha^2/4 is below the sharp constant (3 alpha + 2)^2/4
+        # for alpha > -1/2, where the profile cannot be admissible.
+        if self.family_id == "thm1.2-1a" and not float(self.params.alpha) <= -0.5:
+            raise DomainError(
+                f"family 'thm1.2-1a' requires alpha in (-1, -1/2], got {self.params.alpha}"
+            )
         if self.family_id == "thmC-1":
             if self.params.beta is None or not float(self.params.beta) < 1.0:
                 raise DomainError("family 'thmC-1' requires params.beta < 1")

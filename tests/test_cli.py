@@ -257,11 +257,13 @@ def test_quotient_one_dim_closed_form_is_the_exact_constant_rounded_once(capsys)
 
 def test_quotient_one_dim_family_outside_its_case_has_no_closed_form(capsys):
     # thm1.2-1a attains the sharp constant only for alpha <= -1/2; at
-    # alpha = -0.3 its energies converge, but the constant is thm1.2-1b's.
-    doc = run_json(capsys, "quotient", "--family", "thm1.2-1a", "--n", "1", "--alpha", "-0.3")
-    assert doc["report"]["closed_form"] is None
-    assert "closed_formula" not in doc["report"]["provenance"]
-    assert doc["report"]["quadrature_value"] == pytest.approx(0.0225, rel=1e-8)
+    # alpha = -0.3 its energies converge, but its quotient alpha^2/4 = 0.0225
+    # lies below the proven constant (3 alpha + 2)^2/4 = 0.3025.
+    code, out, err = run(capsys, "quotient", "--family", "thm1.2-1a", "--n", "1",
+                         "--alpha", "-0.3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: family 'thm1.2-1a' requires alpha in (-1, -1/2], got -0.3\n"
 
 
 def test_quotient_coefficient_file(capsys, tmp_path):
@@ -379,11 +381,7 @@ def test_probe_payload(capsys):
 def test_probe_has_no_jobs_option(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "jobs.cfg").write_text("jobs = 2\n")
-    try:
-        code = main(["probe-conjecture", "--kmax", "1", "--basis", "4", *argv])
-    except SystemExit as exc:  # argparse rejects an unknown flag
-        code = exc.code
-    assert code == 2
+    assert main(["probe-conjecture", "--kmax", "1", "--basis", "4", *argv]) == 2
 
 
 def test_plot_data_format(capsys):
@@ -436,14 +434,18 @@ def test_selftest_json_stdout_is_one_document(capsys, monkeypatch):
     assert "criterion  1 PASS" in err and "criterion  2 PASS" in err
 
 
+_PARSER_MODULES = ("argparse", "gettext", "locale")
+_WATCHED_MODULES = ("numpy", "scipy", "dataclasses", "cknlab", *_PARSER_MODULES)
+
+
 def _modules_loaded_by(statement):
-    """The numpy, scipy, dataclasses and cknlab modules a fresh interpreter
-    holds after running ``statement``."""
+    """The numpy, scipy, dataclasses, cknlab and ``_PARSER_MODULES`` modules
+    a fresh interpreter holds after running ``statement``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (f"import sys, contextlib, io\nwith contextlib.redirect_stdout(io.StringIO()):\n"
              f"    {statement}\nprint(sorted(m for m in sys.modules "
-             "if m.partition('.')[0] in ('numpy', 'scipy', 'dataclasses', 'cknlab')))")
+             f"if m.partition('.')[0] in {_WATCHED_MODULES!r}))")
     done = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120, check=True)
@@ -471,6 +473,9 @@ def test_cli_import_leaves_out_scipy_linalg_and_optimize():
         assert not any(m.startswith(("numpy", "scipy")) for m in loaded), statement
         assert not numeric & loaded, statement
         assert "dataclasses" not in loaded, statement
+        # Nor argparse, whose import and parser (with gettext and locale)
+        # took 5-7 ms of each cold command.
+        assert not loaded & set(_PARSER_MODULES), statement
     # The numeric commands load numpy, but neither scipy nor
     # numpy.polynomial, whose import took about 4 ms of each of them.
     numeric_path = (
@@ -483,6 +488,8 @@ def test_cli_import_leaves_out_scipy_linalg_and_optimize():
     for statement, loaded in zip(numeric_path, (package, estimate, energies)):
         assert "numpy" in loaded and "cknlab.quadrature" in loaded, statement
         assert not any(m.startswith(("scipy", "numpy.polynomial")) for m in loaded), statement
+    for loaded in (estimate, energies):
+        assert not loaded & set(_PARSER_MODULES)
     # A numeric name read from the package loads the whole layer; each
     # command loads only the layers it runs.  An estimate never reads the
     # energy layer (functionals, exppoly, special), whose cold compile took
@@ -581,6 +588,20 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize("line", ["n = x", "alpha = y", "format = xml", "family = thmZ"])
+def test_config_values_are_checked_as_their_flags_are(capsys, tmp_path, line):
+    # A config line goes through its flag's cast and choices; the error
+    # opens with the file and line number.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# one value\n{line}\n")
+    code, out, err = run(capsys, "quotient", "--n", "3", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    key, _, value = line.partition(" = ")
+    assert err.startswith(f"error: {cfg}:2: {key!r} expects ")
+    _, _, flag_err = run(capsys, "quotient", "--n", "3", f"--{key}", value)
+    assert err.endswith(flag_err.partition(f"--{key} ")[2])
+
+
 def test_json_output_is_round_trippable(capsys):
     doc = run_json(capsys, "constants", "--n", "5", "--alpha", "0")
     assert json.loads(json.dumps(doc)) == doc
@@ -673,13 +694,63 @@ def test_config_key_matches_its_flag(tmp_path, key):
         if text is not None:
             (tmp_path / "run.cfg").write_text(text)
             argv = [*argv, "--config", str(tmp_path / "run.cfg")]
-        return cli.build_config(cli.build_parser().parse_args([command, *base, *argv]))
+        return cli.build_config(cli.read_argv([command, *base, *argv]))
 
     from_flag = config(flag)
     assert from_flag != config([])
     assert config([], f"{key} = {_OPTION_SAMPLES[key]}\n") == from_flag
     assert config(flag, f"{key} = {_OPTION_OTHERS[key]}\n") == from_flag
     assert config([], f"{key} = {_OPTION_OTHERS[key]}\n") != from_flag
+
+
+# Each rejected command line, with a fragment its error line must hold.
+_REJECTED_ARGV = {
+    "": "expected a command",
+    "frobnicate --n 3": "'frobnicate'",
+    "constants --n 3 --jobs 2": "unknown flag '--jobs'",
+    "minimize --family thmA": "--family is a flag of quotient",
+    "constants --n": "--n expects a value",
+    "constants --n x": "--n expects an integer, got 'x'",
+    "constants --n 3 --alpha y": "--alpha expects a number, got 'y'",
+    "constants --n 3 --format xml": "--format expects one of csv, json, plot-data, got 'xml'",
+    "quotient --coeffs --n 3": "--coeffs expects a value",
+    "quotient --test-function yes --n 3": "'yes'",
+    "quotient --test-function=yes --n 3": "--test-function takes no value",
+    "mode-scan --form J --n 3": "unknown flag '--form'",
+}
+
+
+@pytest.mark.parametrize("line", _REJECTED_ARGV)
+def test_rejected_argv_prints_one_error_line(capsys, line):
+    code, out, err = run(capsys, *line.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert _REJECTED_ARGV[line] in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], *([c, "--help"] for c in cli._COMMANDS)],
+                         ids=" ".join)
+def test_help_names_every_command_or_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    command = argv[0] if argv[0] in cli._COMMANDS else None
+    names = (cli._COMMANDS if command is None else
+             [f"--{opt.flag}" for opt in cli._OPTIONS if opt.command in (None, command)])
+    for name in names:
+        assert name in out.split(), name
+
+
+@pytest.mark.parametrize("key", sorted(set(_OPTION_SAMPLES) - {"test-function"}))
+def test_flag_with_equals_reads_as_flag_and_value(key):
+    command = cli._CONFIG_KEYS[key].command or "minimize"
+    base = [command, "--n", "3", "--alpha", "-0.75"]
+    value = _OPTION_SAMPLES[key]
+    joined = cli.build_config(cli.read_argv([*base, f"--{key}={value}"]))
+    assert joined == cli.build_config(cli.read_argv([*base, f"--{key}", value]))
+    # A repeated flag: the last one wins.
+    again = [*base, f"--{key}", _OPTION_OTHERS[key], f"--{key}={value}"]
+    assert cli.build_config(cli.read_argv(again)) == joined
 
 
 def test_minimizer_has_no_seed(capsys, tmp_path):

@@ -250,7 +250,11 @@ def test_incomplete_gamma_profiles_integrate_their_derivative(family_id, b, n, b
         kappa = b / s
         lead = 1 if family_id == "thmC-1" else 1 - n
         amp = 1.0
-    prof = extremal_profile(ExtremalFamily(family_id, 1.0, b, params))
+    if family_id == "thm1.2-1a" and beta > -0.5:
+        # The family stops at alpha = -1/2; its v' = -exp(-b r^(alpha+1)) does not.
+        prof = functionals._tail_profile(-1.0, 0.0, b, s)
+    else:
+        prof = extremal_profile(ExtremalFamily(family_id, 1.0, b, params))
     assert prof.closed[0] is None
     rs = np.array([0.05, 0.5, 1.0, 3.0])
     v = functionals._tail_values(prof.closed[1], rs)
@@ -277,6 +281,10 @@ def test_family_validation():
         ExtremalFamily("thmC-2", 1.0, 1.0, InequalityParams(4, 0.0, 2.0))
     with pytest.raises(DomainError):
         ExtremalFamily("nope", 1.0, 1.0, InequalityParams(5, 0.0))
+    # thm1.2-1a's quotient alpha^2/4 undercuts the sharp constant for alpha > -1/2.
+    ExtremalFamily("thm1.2-1a", 1.0, 1.0, InequalityParams(1, -0.5))
+    with pytest.raises(DomainError, match=r"alpha in \(-1, -1/2\]"):
+        ExtremalFamily("thm1.2-1a", 1.0, 1.0, InequalityParams(1, -0.4999))
 
 
 coeffs3 = st.tuples(
