@@ -32,7 +32,10 @@ one-dimensional Hardy estimate, see ``constants.hardy_step_factor``).
 The forms left act on v' only and are those of the radial problem in
 dimension N + 2k, whose constant K(N+2k, alpha, 0) is proven and attained
 by the extremal (1 + r^q) exp(-r^q); the scan takes it from the closed
-form and checks it against that extremal's energies in dimension N + 2k.
+form.  At k = 0 that extremal lies in every trial space of leading
+exponent 0 and m >= 2, so there the estimate must equal K(N, alpha, 0):
+the k = 0 row calibrates the Gram, the minimiser and the witness of every
+scan, and this module never loads the energy layer.
 """
 
 from __future__ import annotations
@@ -363,13 +366,13 @@ class ScanRow(NamedTuple):
     """Per-mode line of a symmetry-breaking scan.
 
     ``raw_value`` is the constant of mode k without the zero-order part of
-    C, exactly K(N+2k, alpha, 0) = ((N+2k+3 alpha+1)/2)^2, checked against
-    the energies of its extremal in dimension N + 2k; ``effective_value``
-    is raw divided by the squared Hardy-step factor (a lower-bound
-    correction; None when the factor is undefined), and ``full_value`` is
-    the complete-C Rayleigh-Ritz estimate.  ``verdict_value`` is what the
-    verdict compares: the full estimate, except at k=0 where raw is the
-    same quotient's attained constant and the smaller of the two is used.
+    C, exactly K(N+2k, alpha, 0) = ((N+2k+3 alpha+1)/2)^2, from the closed
+    form; ``effective_value`` is raw divided by the squared Hardy-step
+    factor (a lower-bound correction; None when the factor is undefined),
+    and ``full_value`` is the complete-C Rayleigh-Ritz estimate.
+    ``verdict_value`` is what the verdict compares: the full estimate,
+    except at k=0 where raw is the same quotient's proven, attained
+    constant and is used exactly.
     """
 
     k: int
@@ -693,7 +696,11 @@ def estimate_mode_constant(
     Gram triple is built, at the largest size, and each smaller space is
     minimised on its leading block.  The value trace cannot increase
     beyond round-off.  A value below the proven per-mode lower bound
-    K(N, alpha, k) raises ``ConsistencyError``.  Then a quadrature witness
+    K(N, alpha, k) raises ``ConsistencyError``.  At k = 0 that bound is
+    attained by (1 + x) exp(-x), x = r^q, which every space of leading
+    exponent 0 and m >= 2 holds: there a value above K(N, alpha, 0) by
+    more than TRACE_SLACK relative raises ``ConsistencyError`` too (a
+    calibration of the Gram and the minimiser).  Then a quadrature witness
     re-derives the value from the final argmin (``_witness``).
     """
     sizes = tuple(basis_sizes)
@@ -717,6 +724,12 @@ def estimate_mode_constant(
         raise ConsistencyError(
             f"estimate {result.value!r} lies below the proven per-mode lower bound "
             f"K({params.n}, {params.alpha}, {k}) = {bound.value!r}"
+        )
+    if (k == 0 and gram.basis.gamma0 == 0.0 and gram.m >= 2
+            and result.value > bound.value * (1.0 + TRACE_SLACK)):
+        raise ConsistencyError(
+            f"k = 0 estimate {result.value!r} exceeds K({params.n}, {params.alpha}, 0) = "
+            f"{bound.value!r}, which its trial space attains"
         )
     return ModeConstantEstimate(
         params=params,
@@ -767,29 +780,6 @@ def _witness(gram: GramTriple, result: MinimizationResult, spec: QuadratureSpec)
     return Witness(float(rel.max()), res.levels_used, res.nodes_used)
 
 
-def _checked_raw_value(params: InequalityParams, k: int, spec: Optional[QuadratureSpec]) -> float:
-    """K(N+2k, alpha, 0), the constant of mode k without the zero-order part
-    of C, checked against the energies of its extremal in dimension N + 2k:
-    their ratio and their closed-vs-quadrature gap within SPOT_CHECK_RTOL.
-    The energy layer loads here, on the scan path only: an estimate never
-    reads it."""
-    from .functionals import ExtremalFamily, extremal_profile, mode_energies
-
-    radial = InequalityParams(params.n + 2 * k, params.alpha)
-    exact = mode_quotient_weighted(radial.n, radial.alpha, 0).value
-    extremal = extremal_profile(ExtremalFamily("thm1.2-2", 1.0, 1.0, radial))
-    spec = spec if spec is not None else QuadratureSpec()
-    e = mode_energies(extremal, radial, 0, spec)
-    ratio = (e.energy_a / e.energy_c) * (e.energy_b / e.energy_c)
-    if not (abs(ratio - exact) <= SPOT_CHECK_RTOL * exact and e.rel_gap <= SPOT_CHECK_RTOL):
-        raise ConsistencyError(
-            f"energy ratio {ratio!r} of the extremal in dimension {radial.n} (closed vs "
-            f"quadrature gap {e.rel_gap:.3e}) disagrees with "
-            f"K({radial.n}, {params.alpha}, 0) = {exact!r} at k={k}"
-        )
-    return exact
-
-
 def symmetry_breaking_scan(
     n: int,
     alpha: float = 0.0,
@@ -813,7 +803,7 @@ def symmetry_breaking_scan(
         raise DomainError(f"k_max must be an integer >= 1, got {k_max!r}")
     rows = []
     for k in range(k_max + 1):
-        raw = _checked_raw_value(params, k, spec)
+        raw = mode_quotient_weighted(n + 2 * k, alpha, 0).value
         full = estimate_mode_constant(params, k, basis_sizes, spec=spec)
         factor = hardy_step_factor(n, alpha, k)
         rows.append(ScanRow(
@@ -822,7 +812,7 @@ def symmetry_breaking_scan(
             hardy_factor=factor,
             effective_value=raw / factor**2 if factor is not None else None,
             full_value=full.value,
-            verdict_value=min(full.value, raw) if k == 0 else full.value,
+            verdict_value=raw if k == 0 else full.value,
             full_converged=full.final.converged,
         ))
     best = min(rows, key=lambda row: (row.verdict_value, row.k))

@@ -1,7 +1,6 @@
 """Gram assembly, quotient minimization, and the symmetry-breaking scan."""
 
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cknlab.functionals as functionals
 import cknlab.variational as variational
 from cknlab.constants import InequalityParams, mode_quotient_weighted
 from cknlab.exppoly import ExpPoly
@@ -209,12 +207,11 @@ def test_scan_radial_regime():
 
 
 def test_scan_k0_verdict_uses_better_formulation():
-    scan = symmetry_breaking_scan(2, 0.0, k_max=1, basis_sizes=(4, 8))
-    row0 = scan.rows[0]
-    assert row0.verdict_value == pytest.approx(
-        min(row0.full_value, row0.raw_value), rel=1e-12
-    )
-    assert row0.verdict_value == pytest.approx(2.25, rel=1e-6)
+    # At k = 0 the verdict reads the proven, attained K(N, alpha, 0) itself,
+    # never an estimate a rounding below it.
+    for n, constant in ((2, 2.25), (4, 6.25)):
+        row0 = symmetry_breaking_scan(n, 0.0, k_max=1, basis_sizes=(4, 8)).rows[0]
+        assert row0.verdict_value == row0.raw_value == constant
 
 
 def test_scan_conjecture_flag_only_for_open_case():
@@ -232,28 +229,6 @@ def test_scan_raw_column_is_exact(n, alpha):
         raw = float(mode_quotient_weighted(n + 2 * row.k, alpha, 0).exact)
         assert row.raw_value == raw
         assert row.effective_value == raw / row.hardy_factor**2
-
-
-def _perturbed_energies(monkeypatch, **changes):
-    original = functionals.mode_energies
-
-    def perturbed(*args, **kwargs):
-        e = original(*args, **kwargs)
-        return replace(e, **{key: change(e) for key, change in changes.items()})
-
-    monkeypatch.setattr(functionals, "mode_energies", perturbed)
-
-
-def test_scan_rejects_a_raw_value_its_energy_ratio_contradicts(monkeypatch):
-    _perturbed_energies(monkeypatch, energy_b=lambda e: e.energy_b * (1.0 + 1e-6))
-    with pytest.raises(ConsistencyError, match="energy ratio"):
-        symmetry_breaking_scan(5, 0.0, k_max=1, basis_sizes=(2,))
-
-
-def test_scan_rejects_a_raw_value_whose_energy_routes_disagree(monkeypatch):
-    _perturbed_energies(monkeypatch, rel_gap=lambda e: 2e-10)
-    with pytest.raises(ConsistencyError, match="gap 2.000e-10"):
-        symmetry_breaking_scan(5, 0.0, k_max=1, basis_sizes=(2,))
 
 
 @pytest.mark.parametrize("n, alpha, k", [
@@ -609,6 +584,33 @@ def test_estimate_below_proven_bound_is_rejected(monkeypatch):
     monkeypatch.setattr(variational, "build_gram", halved_a)
     with pytest.raises(ConsistencyError, match="lower bound"):
         estimate_mode_constant(P5, 1, (4,))
+
+
+def test_k0_estimate_above_its_attained_constant_is_rejected(monkeypatch):
+    # Spaces that cannot hold the extremal (1 + x) e^-x are not calibrated:
+    # one trial function at N = 5, and N = 2, whose leading exponent is raised.
+    assert estimate_mode_constant(P5, 0, (1,)).value == pytest.approx(28.0 / 3.0)
+    assert estimate_mode_constant(InequalityParams(2, 0.0), 0, (4, 8)).basis.gamma0 > 0.0
+    original = variational.build_gram
+
+    def raised_a(*args, **kwargs):
+        gram = original(*args, **kwargs)
+        return gram._replace(m_a=gram.m_a * (1.0 + 1e-6))
+
+    monkeypatch.setattr(variational, "build_gram", raised_a)
+    with pytest.raises(ConsistencyError, match=r"k = 0 estimate 9\.00000.* K\(5, 0\.0, 0\) = 9\.0"):
+        estimate_mode_constant(P5, 0, (4, 8))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 20])
+def test_k0_estimate_is_the_attained_constant(n):
+    # Every space of leading exponent 0 and m >= 2 holds the extremal, so
+    # the k = 0 estimate is K(N, alpha, 0) to rounding.
+    for alpha in (-0.75, -0.5, 0.0, 0.1, 0.3, 1.0, 2.0, 3.0):
+        constant = mode_quotient_weighted(n, alpha, 0).value
+        for sizes in ((2,), (4, 8, 16)):
+            est = estimate_mode_constant(InequalityParams(n, alpha), 0, sizes)
+            assert est.value == pytest.approx(constant, rel=1e-12, abs=0.0), (alpha, sizes)
 
 
 def test_indefinite_a_form_is_rejected():
